@@ -419,131 +419,111 @@ impl Checks {
     }
 }
 
-/// Length of one measurement round.
-pub const ROUND_S: f64 = 0.5;
-
-/// How many of `rounds` measurement rounds, ranked fastest first, the
-/// reported figures pool: the fastest quarter.
-pub fn kept_rounds(rounds: usize) -> usize {
-    rounds.div_ceil(4)
-}
-
-/// The samples of one round of the measured phase.
-#[derive(Default)]
-struct Round {
-    ttfs: Dist,
-    last: Dist,
-    gaps: Hist,
+/// The best figures one pool instance reached over its passes.
+#[derive(Clone, Copy)]
+struct Best {
+    ttfs_us: f64,
+    last_us: f64,
+    /// Mean gap between consecutive solutions of one query, ns; `None`
+    /// for an instance with a single solution.
+    gap_ns: Option<f64>,
     solutions: u64,
-    /// Engine work units (`EnumStats::work` plus `preprocessing_work`):
-    /// exact and fixed per instance, so work per second measures how fast
-    /// the host ran, whatever instances the round happened to hold.
-    work: u64,
-    wall: f64,
 }
 
-impl Round {
-    fn speed(&self) -> f64 {
-        self.work as f64 / self.wall
+impl Best {
+    fn fold(&mut self, other: Best) {
+        self.ttfs_us = self.ttfs_us.min(other.ttfs_us);
+        self.last_us = self.last_us.min(other.last_us);
+        self.gap_ns = match (self.gap_ns, other.gap_ns) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
     }
 }
 
 /// The untraced measured phase: a closed loop with one consumer running
-/// pool instances round-robin for `seconds`, in rounds of [`ROUND_S`].
+/// pool instances round-robin for `seconds`.
 ///
 /// A shared host changes speed by tens of percent from second to second
-/// as other tenants come and go, and that noise only ever slows a round
-/// down. The reported figures therefore pool the samples of the fastest
-/// quarter of the rounds, ranked by engine work units per second — a rate
-/// the instance mix does not move. A change that slows the program slows
-/// every round and still shows, while rounds that lost the host to
-/// another tenant do not decide the result. (A change to the work-unit
-/// accounting itself changes the ranking, not the figures.) Sets every
+/// as other tenants come and go, and that noise only ever slows a query
+/// down. Each instance therefore keeps its best time to first solution,
+/// to last solution and mean solution gap over its passes, and the
+/// figures are medians of those bests over the whole pool. The same
+/// instances decide the figures whatever the host did, and a change that
+/// slows the program slows every pass and still shows.
+///
+/// The gap is a query's mean, `(last - ttfs) / (solutions - 1)`, not the
+/// median of its single gaps: the pull iterator hands over solutions in
+/// bursts, so within one query short and long gaps each make up about half
+/// of the gaps, and the median of one query flips between them from run to
+/// run. The single gaps are pooled for the tails line. Sets every
 /// end-to-end metric except `setup_s` and `peak_rss_mb`.
 pub fn measure(pool: &[Instance], spec: Spec, seconds: f64, report: &mut Report) {
-    let mut rounds: Vec<Round> = Vec::new();
-    let mut round = Round::default();
+    let mut best: Vec<Option<Best>> = vec![None; pool.len()];
+    let mut all_gaps = Hist::new();
+    let mut all_last = Dist::new();
     let mut checks = Checks::new(pool.len());
+    let (mut solutions, mut busy) = (0u64, 0.0f64);
     let t0 = Instant::now();
-    let mut round_start = t0;
     let mut q = 0usize;
     while t0.elapsed().as_secs_f64() < seconds {
         let idx = q % pool.len();
         q += 1;
         report.attempted += 1;
-        let mut c = Consumer::new(Some(&mut round.gaps), true, None);
+        let mut c = Consumer::new(Some(&mut all_gaps), true, None);
         let result = pool[idx].run(spec, &mut c);
         let obs = c.finish();
-        if let Ok(s) = &result {
-            round.work += s.work + s.preprocessing_work;
-        }
         if let Err(e) = result {
             report.mismatch(format!("instance {idx}: {e}"));
         } else if obs.digest.solutions == 0 {
             report.mismatch(format!("instance {idx}: no solutions delivered"));
         } else {
-            round.solutions += obs.digest.solutions;
-            round.ttfs.push_us(obs.ttfs);
-            round.last.push_us(obs.last);
+            let pass = Best {
+                ttfs_us: obs.ttfs.as_secs_f64() * 1e6,
+                last_us: obs.last.as_secs_f64() * 1e6,
+                gap_ns: (obs.digest.solutions > 1).then(|| {
+                    (obs.last - obs.ttfs).as_secs_f64() * 1e9 / (obs.digest.solutions - 1) as f64
+                }),
+                solutions: obs.digest.solutions,
+            };
+            solutions += pass.solutions;
+            busy += obs.last.as_secs_f64();
+            all_last.push(pass.last_us);
+            match &mut best[idx] {
+                Some(b) => b.fold(pass),
+                slot => *slot = Some(pass),
+            }
             checks.observe(idx, obs, report, "measured phase");
         }
-        let in_round = round_start.elapsed().as_secs_f64();
-        if in_round >= ROUND_S {
-            round.wall = in_round;
-            rounds.push(std::mem::take(&mut round));
-            round_start = Instant::now();
+    }
+    let best: Vec<Best> = best.into_iter().flatten().collect();
+    let (mut ttfs, mut last, mut gap) = (Dist::new(), Dist::new(), Dist::new());
+    let (mut best_solutions, mut best_s) = (0u64, 0.0f64);
+    for b in &best {
+        ttfs.push(b.ttfs_us);
+        last.push(b.last_us);
+        if let Some(g) = b.gap_ns {
+            gap.push(g);
         }
+        best_solutions += b.solutions;
+        best_s += b.last_us / 1e6;
     }
-    if round.solutions > 0 {
-        round.wall = round_start.elapsed().as_secs_f64();
-        rounds.push(round);
-    }
-    let all_rate = ratio(
-        rounds.iter().map(|r| r.solutions as f64).sum(),
-        rounds.iter().map(|r| r.wall).sum(),
-    );
-    rounds.sort_by(|a, b| b.speed().total_cmp(&a.speed()));
-    let kept = kept_rounds(rounds.len());
-    let mut pooled = Round::default();
-    for r in &rounds[..kept] {
-        pooled.ttfs.extend(&r.ttfs);
-        pooled.last.extend(&r.last);
-        pooled.gaps.merge(&r.gaps);
-        pooled.solutions += r.solutions;
-        pooled.wall += r.wall;
-    }
+    report.set("ttfs_p50_us", ttfs.p50());
+    report.set("last_p50_us", last.p50());
+    report.set("delay_p50_ns", gap.p50());
+    report.set("solutions_per_s", ratio(best_solutions as f64, best_s));
     report.line(format!(
-        "round speeds (million work units/s, fastest first): {}",
-        rounds
-            .iter()
-            .map(|r| format!("{:.1}", r.speed() / 1e6))
-            .collect::<Vec<_>>()
-            .join(" ")
-    ));
-    report.set("ttfs_p50_us", pooled.ttfs.p50());
-    report.set("last_p50_us", pooled.last.p50());
-    report.set("delay_p50_ns", pooled.gaps.quantile(0.5));
-    report.set(
-        "solutions_per_s",
-        ratio(pooled.solutions as f64, pooled.wall),
-    );
-    report.line(format!(
-        "tails: ttfs_p95_us={:.1} ttfs_p99_us={:.1} last_p95_us={:.1} last_p99_us={:.1} delay_p95_ns={:.1} delay_p99_ns={:.1}",
-        pooled.ttfs.quantile(0.95),
-        pooled.ttfs.p99(),
-        pooled.last.quantile(0.95),
-        pooled.last.p99(),
-        pooled.gaps.quantile(0.95),
-        pooled.gaps.quantile(0.99)
+        "tails (all queries): last_p95_us={:.1} last_p99_us={:.1} delay_p95_ns={:.1} delay_p99_ns={:.1}",
+        all_last.quantile(0.95),
+        all_last.p99(),
+        all_gaps.quantile(0.95),
+        all_gaps.quantile(0.99)
     ));
     report.line(format!(
-        "samples: fastest {kept} of {} rounds: {} queries (ttfs, last), {} gaps (delay), {} solutions in {:.3} s; all rounds: {:.0} solutions/s",
-        rounds.len(),
-        pooled.ttfs.len(),
-        pooled.gaps.count(),
-        pooled.solutions,
-        pooled.wall,
-        all_rate
+        "samples: {q} queries, best of {:.1} passes for each of {} instances; all queries: {:.0} solutions/s",
+        q as f64 / pool.len() as f64,
+        best.len(),
+        ratio(solutions as f64, busy)
     ));
     checks.finish(pool, spec, report);
 }
