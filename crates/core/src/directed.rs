@@ -565,8 +565,10 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
         query ^= (self.root.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         // Out-arborescences from the root stay inside the weak
         // components of root ∪ terminals, so those regions are the key.
-        let regions = steiner_graph::RegionMap::of_digraph(&self.d)
-            .signature_of(sorted.iter().copied().chain(std::iter::once(self.root)));
+        let regions = steiner_graph::RegionSignature::of_digraph(
+            &self.d,
+            sorted.iter().copied().chain(std::iter::once(self.root)),
+        );
         Some(crate::cache::CacheKey {
             kind: Self::NAME,
             regions,

@@ -673,8 +673,10 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         let pairs = pairs_from_sets(&self.sets);
         // A forest solution lives in the components of its demand
         // vertices, so the key pins exactly those regions.
-        let regions = steiner_graph::RegionMap::of_undirected(&self.g)
-            .signature_of(pairs.iter().flat_map(|&(a, b)| [a, b]));
+        let regions = steiner_graph::RegionSignature::of_undirected(
+            &self.g,
+            pairs.iter().flat_map(|&(a, b)| [a, b]),
+        );
         Some(crate::cache::CacheKey {
             kind: Self::NAME,
             regions,

@@ -312,9 +312,10 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
         sorted.sort_unstable();
         // Every solution lies in the terminals' connected components, so
         // the key pins exactly those regions: mutations elsewhere leave
-        // the entry valid (and the cache retains it across epochs).
+        // the entry valid (and the cache retains it across epochs). Only
+        // those regions are labeled, not every component of the graph.
         let regions =
-            steiner_graph::RegionMap::of_undirected(&self.g).signature_of(sorted.iter().copied());
+            steiner_graph::RegionSignature::of_undirected(&self.g, sorted.iter().copied());
         Some(crate::cache::CacheKey {
             kind: Self::NAME,
             regions,

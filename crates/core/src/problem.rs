@@ -453,13 +453,15 @@ pub trait MinimalSteinerProblem {
     }
 
     /// Caps the number of per-level path-enumeration BFS caches the
-    /// problem preallocates in `prepare`
+    /// problem reserves arena space for in `prepare`
     /// ([`Enumeration::with_level_cache_cap`](crate::solver::Enumeration::with_level_cache_cap)).
-    /// Levels beyond the cap are grown on demand (visible as
+    /// The cap bounds reserved address space; memory is touched only for
+    /// the levels a run reaches. Levels beyond the cap are grown on
+    /// demand (visible as
     /// [`EnumStats::scratch_allocs`](crate::stats::EnumStats)), so a
-    /// small cap trades warm-up memory for growth events without
-    /// changing results. Problems without a path-enumerator scratch
-    /// ignore the hint.
+    /// small cap trades reservation for growth events without changing
+    /// results. Problems without a path-enumerator scratch ignore the
+    /// hint.
     fn set_level_cache_cap(&mut self, cap: usize) {
         let _ = cap;
     }

@@ -501,12 +501,13 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
         self
     }
 
-    /// Caps the per-level path-enumeration caches each worker
-    /// preallocates in `prepare` — the
-    /// [ROADMAP's level-cache memory knob](crate::problem::MinimalSteinerProblem::set_level_cache_cap)
-    /// for memory-constrained embeddings. Levels beyond the cap are grown
-    /// on demand (counted in [`EnumStats::scratch_allocs`]); results are
-    /// unaffected.
+    /// Caps the per-level path-enumeration caches each worker reserves
+    /// arena space for in `prepare` — the
+    /// [level-cache memory knob](crate::problem::MinimalSteinerProblem::set_level_cache_cap).
+    /// It bounds reserved address space, not touched memory, which
+    /// follows the recursion depth a run reaches. Levels beyond the cap
+    /// are grown on demand (counted in [`EnumStats::scratch_allocs`]);
+    /// results are unaffected.
     pub fn with_level_cache_cap(mut self, cap: usize) -> Self {
         self.problem.set_level_cache_cap(cap.max(1));
         self

@@ -445,7 +445,7 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
         // `SteinerTree::cache_key` for why pinning only those regions is
         // sound under mutation).
         let regions =
-            steiner_graph::RegionMap::of_undirected(&self.g).signature_of(sorted.iter().copied());
+            steiner_graph::RegionSignature::of_undirected(&self.g, sorted.iter().copied());
         Some(crate::cache::CacheKey {
             kind: Self::NAME,
             regions,
@@ -510,27 +510,29 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
         self.stats.preprocessing_work += (n + gc.num_edges()) as u64;
         let gc_csr = CsrUndirected::from_graph(&gc);
         let (w0, w1) = (self.terminals[0], self.terminals[1]);
-        let mut admissible = Vec::new();
-        for c in 0..comps.count {
-            // Admissibility: W ⊆ N(C) (Lemma 27).
-            let comp_mask: Vec<bool> = (0..n).map(|v| comps.comp[v] == Some(c as u32)).collect();
-            let mut covered = vec![false; n];
-            let mut cover_count = 0usize;
-            for (v, &in_comp) in comp_mask.iter().enumerate() {
-                if !in_comp {
-                    continue;
-                }
-                for (u, _) in gc.neighbors(VertexId::new(v)) {
-                    if is_terminal[u.index()] && !covered[u.index()] {
-                        covered[u.index()] = true;
-                        cover_count += 1;
+        // Admissibility: W ⊆ N(C) (Lemma 27), for every component in one
+        // pass over the terminals' edges: `covered[c]` counts the distinct
+        // terminals adjacent to C (`last_cover[c]` skips a terminal's
+        // repeat hits on the same component).
+        let mut covered = vec![0usize; comps.count];
+        let mut last_cover = vec![usize::MAX; comps.count];
+        for (i, &w) in self.terminals.iter().enumerate() {
+            for (u, _) in gc.neighbors(w) {
+                if let Some(c) = comps.comp[u.index()] {
+                    if last_cover[c as usize] != i {
+                        last_cover[c as usize] = i;
+                        covered[c as usize] += 1;
                     }
                 }
             }
-            self.stats.preprocessing_work += (n + gc.num_edges()) as u64;
-            if cover_count < self.terminals.len() {
-                continue; // W ⊄ N(C): no solutions in this component
-            }
+        }
+        self.stats.preprocessing_work += (n + gc.num_edges()) as u64;
+        let mut admissible = Vec::new();
+        // Only admissible components get masks (W ⊄ N(C) leaves C without
+        // solutions); each mask is n long, so building it from the
+        // component labels costs no more than allocating it.
+        for c in (0..comps.count).filter(|&c| covered[c] == self.terminals.len()) {
+            let comp_mask: Vec<bool> = comps.comp.iter().map(|&x| x == Some(c as u32)).collect();
             // Bridges of G[C ∪ W] — fixed for the whole component (Lemma 30).
             let mut allowed_cw: Vec<bool> = comp_mask.clone();
             for &w in &self.terminals {
@@ -1297,6 +1299,42 @@ mod tests {
         let got = collect(&g, &w);
         assert_eq!(got, brute::minimal_terminal_steiner_trees(&g, &w));
         assert_eq!(got.len(), 2);
+    }
+
+    #[test]
+    fn prepare_is_linear_in_the_number_of_components() {
+        // A 4×6 grid whose terminals split G[V ∖ W] into two admissible
+        // components, plus 20 000 isolated vertices: each is a component
+        // of its own, none admissible. Preparing must cost one pass over
+        // the graph, not one per component, and the stream is the bare
+        // grid's.
+        let grid = steiner_graph::generators::grid(4, 6);
+        let w = [VertexId(2), VertexId(9), VertexId(14), VertexId(21)];
+        let mut padded = UndirectedGraph::new(grid.num_vertices() + 20_000);
+        for e in grid.edges() {
+            let (u, v) = grid.endpoints(e);
+            padded.add_edge(u, v).unwrap();
+        }
+        let stream = |g: &UndirectedGraph| {
+            let mut out = Vec::new();
+            let (run, stats) = Enumeration::new(TerminalSteinerTree::new(g, &w)).with_stats();
+            run.for_each(|edges| {
+                out.push(edges.to_vec());
+                ControlFlow::Continue(())
+            })
+            .unwrap();
+            (out, stats.get().preprocessing_work)
+        };
+        let (want, _) = stream(&grid);
+        let (got, preprocessing_work) = stream(&padded);
+        assert!(!want.is_empty());
+        assert_eq!(got, want, "isolated vertices change no solution");
+        let size = (padded.num_vertices() + padded.num_edges()) as u64;
+        assert!(
+            preprocessing_work <= 4 * size,
+            "preprocessing_work {preprocessing_work} > 4·(n+m) = {}",
+            4 * size
+        );
     }
 
     #[test]

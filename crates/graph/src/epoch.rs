@@ -86,87 +86,88 @@ pub struct RegionMap {
 impl RegionMap {
     /// Labels the connected components of an undirected graph.
     pub fn of_undirected(g: &UndirectedGraph) -> Self {
-        let n = g.num_vertices();
-        let mut map = Self::label(n, |v, stack| {
-            for (w, _) in g.neighbors(VertexId::new(v)) {
-                stack.push(w.index());
-            }
-        });
-        for e in g.edges() {
-            let (u, v) = g.endpoints(e);
-            map.xor_region_of(u, edge_hash(e, u, v));
-        }
-        map.finish_fps();
-        map
+        Self::undirected_from(g, 0..g.num_vertices())
     }
 
     /// Labels the weakly connected components of a digraph.
     pub fn of_digraph(d: &DiGraph) -> Self {
-        let n = d.num_vertices();
-        let mut map = Self::label(n, |v, stack| {
-            for (w, _) in d.out_neighbors(VertexId::new(v)) {
-                stack.push(w.index());
-            }
-            for (w, _) in d.in_neighbors(VertexId::new(v)) {
-                stack.push(w.index());
-            }
-        });
-        for a in d.arcs() {
-            let (t, h) = d.arc(a);
-            map.xor_region_of(t, arc_hash(a, t, h));
-        }
-        map.finish_fps();
-        map
+        Self::digraph_from(d, 0..d.num_vertices())
     }
 
-    /// Shared labeling pass: ascending-order seeded DFS, so the canonical
-    /// id of each region is its minimum vertex. Region fingerprints start
-    /// as the fold of vertex hashes; the callers fold in edge/arc hashes.
-    fn label(n: usize, mut push_neighbors: impl FnMut(usize, &mut Vec<usize>)) -> Self {
+    /// [`Self::label`] over an undirected graph: each edge is owned by
+    /// its first endpoint (no self-loops, so exactly once).
+    fn undirected_from(g: &UndirectedGraph, starts: impl IntoIterator<Item = usize>) -> Self {
+        Self::label(g.num_vertices(), starts, |v, nbrs| {
+            let v = VertexId::new(v);
+            let mut owned = 0;
+            for &(w, e) in g.adjacency(v) {
+                nbrs.push(w.index());
+                if g.endpoints(e).0 == v {
+                    owned ^= edge_hash(e, v, w);
+                }
+            }
+            owned
+        })
+    }
+
+    /// [`Self::label`] over a digraph: each arc is owned by its tail.
+    fn digraph_from(d: &DiGraph, starts: impl IntoIterator<Item = usize>) -> Self {
+        Self::label(d.num_vertices(), starts, |v, nbrs| {
+            let v = VertexId::new(v);
+            let mut owned = 0;
+            for (w, a) in d.out_neighbors(v) {
+                nbrs.push(w.index());
+                owned ^= arc_hash(a, v, w);
+            }
+            for (w, _) in d.in_neighbors(v) {
+                nbrs.push(w.index());
+            }
+            owned
+        })
+    }
+
+    /// Shared labeling pass: a seeded DFS from each of `starts` not yet
+    /// labeled (out-of-range starts are skipped). `visit(v, nbrs)` pushes
+    /// `v`'s neighbours and returns the fold of the edge/arc hashes `v`
+    /// owns, so a region's fingerprint is the XOR fold of its vertex and
+    /// owned edge hashes, whatever the visiting order. The table entry
+    /// carries the region's minimum vertex, its canonical id; `region`
+    /// labels each vertex with its start, which is that minimum only for
+    /// ascending starts — the full maps — so partial signatures read the
+    /// table alone.
+    fn label(
+        n: usize,
+        starts: impl IntoIterator<Item = usize>,
+        mut visit: impl FnMut(usize, &mut Vec<usize>) -> u64,
+    ) -> Self {
         const UNSET: u32 = u32::MAX;
         let mut region = vec![UNSET; n];
         let mut fps: Vec<(u32, u64)> = Vec::new();
         let mut stack = Vec::new();
         let mut nbrs = Vec::new();
-        for start in 0..n {
-            if region[start] != UNSET {
+        for start in starts {
+            if start >= n || region[start] != UNSET {
                 continue;
             }
-            let id = start as u32;
+            let mut id = start;
             let mut fp = 0u64;
-            region[start] = id;
+            region[start] = start as u32;
             stack.push(start);
             while let Some(v) = stack.pop() {
-                fp ^= vertex_hash(VertexId::new(v));
-                push_neighbors(v, &mut nbrs);
+                id = id.min(v);
+                fp ^= vertex_hash(VertexId::new(v)) ^ visit(v, &mut nbrs);
                 for w in nbrs.drain(..) {
                     // Mark on push so each vertex is hashed exactly once.
                     if region[w] == UNSET {
-                        region[w] = id;
+                        region[w] = start as u32;
                         stack.push(w);
                     }
                 }
             }
-            fps.push((id, fp));
+            fps.push((id as u32, fp));
         }
+        fps.sort_unstable_by_key(|&(r, _)| r);
         RegionMap { region, fps }
-    }
-
-    /// Folds `h` into the fingerprint of `v`'s region (build-time helper;
-    /// `fps` is still sorted because regions were discovered in ascending
-    /// canonical-id order).
-    fn xor_region_of(&mut self, v: VertexId, h: u64) {
-        let id = self.region[v.index()];
-        let idx = self
-            .fps
-            .binary_search_by_key(&id, |&(r, _)| r)
-            .expect("every labeled vertex has a region entry");
-        self.fps[idx].1 ^= h;
-    }
-
-    /// Normalizes the fingerprint table (sorted by region id).
-    fn finish_fps(&mut self) {
-        self.fps.sort_unstable_by_key(|&(r, _)| r);
     }
 
     /// Number of vertices covered by the labeling.
@@ -269,6 +270,26 @@ pub struct RegionSignature {
 }
 
 impl RegionSignature {
+    /// The signature of `vertices` in `g`: equal to
+    /// `RegionMap::of_undirected(g).signature_of(vertices)`, but labels
+    /// and fingerprints only the regions containing `vertices` instead
+    /// of every component of the graph.
+    pub fn of_undirected<I: IntoIterator<Item = VertexId>>(
+        g: &UndirectedGraph,
+        vertices: I,
+    ) -> Self {
+        RegionSignature {
+            pairs: RegionMap::undirected_from(g, vertices.into_iter().map(VertexId::index)).fps,
+        }
+    }
+
+    /// As [`Self::of_undirected`], for the weak components of a digraph.
+    pub fn of_digraph<I: IntoIterator<Item = VertexId>>(d: &DiGraph, vertices: I) -> Self {
+        RegionSignature {
+            pairs: RegionMap::digraph_from(d, vertices.into_iter().map(VertexId::index)).fps,
+        }
+    }
+
     /// Builds a signature from raw pairs (sorted and deduplicated here).
     pub fn from_pairs(mut pairs: Vec<(u32, u64)>) -> Self {
         pairs.sort_unstable();

@@ -6,7 +6,7 @@ use steiner_graph::connectivity::connected_components;
 use steiner_graph::contraction::contract_edge_set;
 use steiner_graph::io::{parse_edge_list, write_edge_list};
 use steiner_graph::spanning::{grow_spanning_tree, prune_leaves};
-use steiner_graph::{EdgeId, UndirectedGraph, VertexId};
+use steiner_graph::{DiGraph, EdgeId, RegionMap, RegionSignature, UndirectedGraph, VertexId};
 
 /// Arbitrary multigraph: n ∈ [1, 10], up to 20 random edges (parallel
 /// edges allowed).
@@ -128,4 +128,44 @@ proptest! {
         let lg = steiner_graph::line_graph::line_graph(&g);
         prop_assert!(steiner_graph::clawfree::is_claw_free(&lg));
     }
+
+    #[test]
+    fn query_region_signature_matches_the_full_map(case in blocked_case()) {
+        let (n, edges, query) = case;
+        let g = UndirectedGraph::from_edges(n, &edges).unwrap();
+        prop_assert_eq!(
+            RegionSignature::of_undirected(&g, query.iter().copied()),
+            RegionMap::of_undirected(&g).signature_of(query.iter().copied())
+        );
+    }
+
+    #[test]
+    fn query_region_signature_matches_the_full_map_on_digraphs(case in blocked_case()) {
+        let (n, arcs, query) = case;
+        let d = DiGraph::from_arcs(n, &arcs).unwrap();
+        prop_assert_eq!(
+            RegionSignature::of_digraph(&d, query.iter().copied()),
+            RegionMap::of_digraph(&d).signature_of(query.iter().copied())
+        );
+    }
+}
+
+/// A vertex count `n ∈ [1, 16]`, up to 24 edges (or arcs) confined to
+/// `k ∈ [1, 4]` interleaved blocks (vertex `v` in block `v mod k`, so
+/// most draws have several components), and a query list of up to four
+/// vertices, some of them out of range.
+fn blocked_case() -> impl Strategy<Value = (usize, Vec<(usize, usize)>, Vec<VertexId>)> {
+    (1usize..=16, 1usize..=4).prop_flat_map(|(n, k)| {
+        (
+            proptest::collection::vec((0..n, 0..n), 0..24),
+            proptest::collection::vec(0..n + 2, 0..5),
+        )
+            .prop_map(move |(pairs, query)| {
+                let edges = pairs
+                    .into_iter()
+                    .filter(|&(u, v)| u != v && u % k == v % k)
+                    .collect();
+                (n, edges, query.into_iter().map(VertexId::new).collect())
+            })
+    })
 }

@@ -230,9 +230,23 @@ pub struct PathScratch {
     /// Per-recursion-level reverse-BFS caches: the `F-STP` BFS depends
     /// only on the masks and the banned arc — both fixed across one
     /// node's siblings — so each `E-STP` level computes it once and
-    /// reuses it for every sibling continuation. Level-local arrays keep
-    /// deeper recursion from clobbering the cache.
-    levels: Vec<LevelScratch>,
+    /// reuses it for every sibling continuation. Level-local slices keep
+    /// deeper recursion from clobbering the cache. This is the small
+    /// per-level metadata; the arrays live in the strided arenas below.
+    levels: Vec<LevelMeta>,
+    /// Vertex count the level arenas are strided for: level `d` owns
+    /// `[d·stride, (d+1)·stride)` of `level_stamp`/`level_next_arc` and
+    /// `[d·⌈stride/64⌉, (d+1)·⌈stride/64⌉)` of `level_admissible`.
+    stride: usize,
+    /// Reference engine: each level's epoch-stamped reach-`t` flags.
+    level_stamp: Vec<u32>,
+    /// Each level's reverse-BFS tree (shared by both engines).
+    level_next_arc: Vec<ArcId>,
+    /// Packed engine: each level's `reached ∧ ¬removed` bitset at BFS
+    /// time — the legal heads for the smallest-admissible-first-arc scan
+    /// (derived from the candidate frontier left over by the BFS, so no
+    /// separate reached bitset is stored).
+    level_admissible: Vec<u64>,
     cur_vertices: Vec<VertexId>,
     cur_arcs: Vec<ArcId>,
     out_vertices: Vec<VertexId>,
@@ -247,26 +261,24 @@ pub struct PathScratch {
     allocs: u64,
 }
 
-/// One recursion level's cached `F-STP` reverse BFS. The reference
-/// engine uses the epoch-stamped `stamp` plus the per-activation `valid`
-/// flag; the packed engine uses the `admissible` bitset plus the
+/// One recursion level's `F-STP` cache state; its arrays are the level's
+/// slices of the [`PathScratch`] arenas. The reference engine uses the
+/// epoch-stamped `level_stamp` slice plus the per-activation `valid`
+/// flag; the packed engine uses the `level_admissible` slice plus the
 /// `(key_sig, key_s1, key_t)` signature key — the banned arc is *not*
 /// part of the key because its tail is always `s′` (it is the arc the
 /// activation arrived on), which the BFS masks regardless, so the BFS
-/// tree is independent of it. `next_arc` (the reverse-BFS tree) is
-/// shared, so whichever engine recomputes the BFS invalidates the
-/// other's cache view.
-#[derive(Clone, Debug, Default)]
-struct LevelScratch {
-    stamp: Vec<u32>,
-    next_arc: Vec<ArcId>,
+/// tree is independent of it. The `level_next_arc` slice (the
+/// reverse-BFS tree) is shared, so whichever engine recomputes the BFS
+/// invalidates the other's cache view.
+///
+/// A flag is only ever set after the slices it vouches for were filled
+/// in, and a re-stride drops every level's metadata together with the
+/// arenas, so a valid flag never points at an unfilled slice.
+#[derive(Copy, Clone, Debug, Default)]
+struct LevelMeta {
     epoch: u32,
     valid: bool,
-    /// Packed: `reached ∧ ¬removed` at BFS time — the legal heads for
-    /// the smallest-admissible-first-arc scan (derived from the
-    /// candidate frontier left over by the BFS, so no separate reached
-    /// bitset is stored).
-    admissible: Vec<u64>,
     /// Packed cache key: removal-mask signature at BFS time.
     key_sig: u64,
     /// Packed cache key: `s′` (masked during the BFS, hence part of the
@@ -282,12 +294,36 @@ struct LevelScratch {
 }
 
 /// Default cap on the number of per-level reverse-BFS caches that
-/// [`PathScratch::preallocate`] sizes up front. Deeper recursion levels
-/// are grown on demand at every access site (each growth is counted in
-/// [`PathScratch::alloc_events`]), so the cap bounds warm-up memory —
-/// not the reachable recursion depth. Override it per enumeration with
-/// [`PathScratch::preallocate_capped`].
+/// [`PathScratch::preallocate`] reserves arena space for. Deeper
+/// recursion levels grow the arenas on demand (each growth is counted in
+/// [`PathScratch::alloc_events`]), so the cap bounds reserved address
+/// space — not the reachable recursion depth. Override it per
+/// enumeration with [`PathScratch::preallocate_capped`].
 pub const DEFAULT_LEVEL_CACHE_CAP: usize = 512;
+
+/// Fills in level `depth`'s `width`-element slice of a strided level
+/// arena and hands it back. Levels are reached in recursion order, so a
+/// level's slice starts where its predecessor's ends, and the first
+/// visit extends the arena by a resize — within the capacity
+/// [`PathScratch::preallocate_capped`] reserved for levels under the cap
+/// (no allocation event), past it a counted growth.
+#[inline]
+fn level_slice<'a, T: Copy>(
+    arena: &'a mut Vec<T>,
+    depth: usize,
+    width: usize,
+    fill: T,
+    allocs: &mut u64,
+) -> &'a mut [T] {
+    let end = (depth + 1) * width;
+    if arena.len() < end {
+        if arena.capacity() < end {
+            *allocs += 1;
+        }
+        arena.resize(end, fill);
+    }
+    &mut arena[depth * width..end]
+}
 
 impl PathScratch {
     /// A fresh, empty scratch.
@@ -298,22 +334,27 @@ impl PathScratch {
     /// Sizes every buffer for a graph with `n` vertices (including any
     /// virtual source) and `m` arcs, so subsequent enumerations do not
     /// allocate on instances whose recursion stays within
-    /// [`DEFAULT_LEVEL_CACHE_CAP`] levels. The per-level BFS caches are
-    /// **not** sized for the worst case of the recursion (which is one
-    /// level per frame — O(n) levels of O(n) words each, the same O(n²)
-    /// order as the paper's output-queue space bound): preallocation
-    /// stops at the cap and deeper levels are grown on demand, counted
-    /// in [`Self::alloc_events`].
+    /// [`DEFAULT_LEVEL_CACHE_CAP`] levels. The per-level BFS caches live
+    /// in three flat arenas (two `n`-word arrays and one `⌈n/64⌉`-word
+    /// bitset per level) whose capacity is reserved here once, for
+    /// `min(n + 2, cap)` levels; a level's slice is only filled in when
+    /// the recursion first reaches it, so a shallow query touches a few
+    /// levels' worth of memory, not the reservation. The arenas are
+    /// **not** sized for the worst case of the recursion (one level per
+    /// frame — O(n) levels of O(n) words each, the same O(n²) order as
+    /// the paper's output-queue space bound): levels past the cap grow
+    /// the arenas on demand, counted in [`Self::alloc_events`].
     pub fn preallocate(&mut self, n: usize, m: usize) {
         self.preallocate_capped(n, m, DEFAULT_LEVEL_CACHE_CAP);
     }
 
     /// As [`Self::preallocate`] with an explicit cap on the number of
-    /// preallocated per-level BFS caches — the memory knob for
-    /// embeddings that run many enumerators side by side (each level
-    /// owns two `n`-word arrays, so the warm-up footprint is
-    /// `2n · min(n + 2, cap)` words). A small cap never changes results
-    /// or reachable depth; deep runs just grow the cache on demand.
+    /// levels the BFS-cache arenas reserve — the knob for embeddings
+    /// that run many enumerators side by side. It bounds reserved
+    /// address space (about `2n · min(n + 2, cap)` words), not touched
+    /// memory, which follows the depth the recursion actually reaches.
+    /// A small cap never changes results or reachable depth; deep runs
+    /// just grow the arenas on demand.
     pub fn preallocate_capped(&mut self, n: usize, m: usize, level_cache_cap: usize) {
         self.removed
             .reserve(n.saturating_sub(self.removed.capacity()));
@@ -325,23 +366,14 @@ impl PathScratch {
         self.stamp.reserve(n.saturating_sub(self.stamp.capacity()));
         self.queue.reserve(n.saturating_sub(self.queue.capacity()));
         let depth_cap = (n + 2).min(level_cache_cap.max(1));
-        if self.levels.capacity() < depth_cap {
-            self.levels.reserve(depth_cap - self.levels.capacity());
-        }
-        while self.levels.len() < depth_cap {
-            self.levels.push(LevelScratch::default());
-        }
-        for lvl in &mut self.levels {
-            if lvl.stamp.capacity() < n {
-                lvl.stamp.reserve(n - lvl.stamp.capacity());
-            }
-            if lvl.next_arc.capacity() < n {
-                lvl.next_arc.reserve(n - lvl.next_arc.capacity());
-            }
-            if lvl.admissible.capacity() < nw {
-                lvl.admissible.reserve(nw - lvl.admissible.capacity());
-            }
-        }
+        self.levels
+            .reserve(depth_cap.saturating_sub(self.levels.len()));
+        self.level_stamp
+            .reserve((depth_cap * n).saturating_sub(self.level_stamp.len()));
+        self.level_next_arc
+            .reserve((depth_cap * n).saturating_sub(self.level_next_arc.len()));
+        self.level_admissible
+            .reserve((depth_cap * nw).saturating_sub(self.level_admissible.len()));
         let cap1 = n + 2;
         self.cur_vertices
             .reserve(cap1.saturating_sub(self.cur_vertices.capacity()));
@@ -408,24 +440,23 @@ impl PathScratch {
         self.allocs
     }
 
-    /// Bytes of owned buffer capacity (scratch-space accounting).
+    /// Bytes of owned buffer capacity (scratch-space accounting). Counts
+    /// the reserved level arenas in full, filled in or not.
     pub fn capacity_bytes(&self) -> u64 {
-        let levels: usize = self
-            .levels
-            .iter()
-            .map(|l| {
-                l.stamp.capacity() * std::mem::size_of::<u32>()
-                    + l.next_arc.capacity() * std::mem::size_of::<ArcId>()
-                    + l.admissible.capacity() * std::mem::size_of::<u64>()
-            })
-            .sum();
-        (levels
+        (self.levels.capacity() * std::mem::size_of::<LevelMeta>()
             + self.removed.capacity() * std::mem::size_of::<bool>()
-            + (self.removed_bits.capacity() + self.cand.capacity() + self.vsigs.capacity())
+            + (self.removed_bits.capacity()
+                + self.cand.capacity()
+                + self.vsigs.capacity()
+                + self.level_admissible.capacity())
                 * std::mem::size_of::<u64>()
             + self.frames.capacity() * std::mem::size_of::<QFrame>()
-            + (self.stamp.capacity() + self.ext.capacity()) * std::mem::size_of::<u32>()
-            + (self.cur_arcs.capacity() + self.out_arcs.capacity() + self.qa.capacity())
+            + (self.stamp.capacity() + self.ext.capacity() + self.level_stamp.capacity())
+                * std::mem::size_of::<u32>()
+            + (self.cur_arcs.capacity()
+                + self.out_arcs.capacity()
+                + self.qa.capacity()
+                + self.level_next_arc.capacity())
                 * std::mem::size_of::<ArcId>()
             + (self.queue.capacity()
                 + self.cur_vertices.capacity()
@@ -434,23 +465,49 @@ impl PathScratch {
                 * std::mem::size_of::<VertexId>()) as u64
     }
 
-    /// Grows the per-level cache vector through `depth` (recording the
-    /// growth in [`Self::alloc_events`]) and hands the level back.
+    /// Grows the per-level metadata through `depth` (recording growth
+    /// past the reserved capacity in [`Self::alloc_events`]) and hands
+    /// the level back.
     ///
-    /// Preallocation stops at the level-cache cap, so deep recursion can
-    /// reach levels that do not exist yet. This is the **single**
-    /// grow-at-access-site: every reader of `levels[depth]` goes through
-    /// here, so no access site can reintroduce the pre-PR-3
-    /// out-of-bounds hazard by indexing an ungrown level.
+    /// Levels come into existence when the recursion first reaches them,
+    /// so deep recursion can reach levels that do not exist yet. This is
+    /// the **single** grow-at-access-site for the metadata: every reader
+    /// of `levels[depth]` goes through here first, and every reader of a
+    /// level's arena slice through [`level_slice`], so no access site can
+    /// index a level that was never filled in.
     #[inline]
-    fn level_mut(&mut self, depth: usize) -> &mut LevelScratch {
+    fn level_mut(&mut self, depth: usize) -> &mut LevelMeta {
         if self.levels.len() <= depth {
             if self.levels.capacity() <= depth {
                 self.allocs += 1;
             }
-            self.levels.resize_with(depth + 1, LevelScratch::default);
+            self.levels.resize(depth + 1, LevelMeta::default());
         }
         &mut self.levels[depth]
+    }
+
+    /// Re-strides the level arenas for a run over `n` vertices, dropping
+    /// every level (metadata and filled-in slices): a cache computed for
+    /// another vertex count describes another graph. Keeps the reserved
+    /// capacity, so the levels the new run reaches are filled in again
+    /// without allocating.
+    #[inline]
+    fn restride(&mut self, n: usize) {
+        if self.stride == n {
+            return;
+        }
+        self.stride = n;
+        self.levels.clear();
+        self.level_stamp.clear();
+        self.level_next_arc.clear();
+        self.level_admissible.clear();
+    }
+
+    /// Number of levels whose cache has been filled in since the last
+    /// re-stride.
+    #[cfg(test)]
+    fn filled_levels(&self) -> usize {
+        self.levels.len()
     }
 
     #[inline]
@@ -525,22 +582,23 @@ impl<V: PathView> Engine<'_, '_, V> {
         let t = self.t;
         self.s.level_mut(depth);
         let s = &mut *self.s;
-        let n = s.removed.len();
+        let n = s.stride;
+        let stamp = level_slice(&mut s.level_stamp, depth, n, 0u32, &mut s.allocs);
+        let next_arc = level_slice(
+            &mut s.level_next_arc,
+            depth,
+            n,
+            ArcId(u32::MAX),
+            &mut s.allocs,
+        );
         let lvl = &mut s.levels[depth];
-        if lvl.stamp.len() != n {
-            steiner_graph::csr::grow(&mut lvl.stamp, n, 0u32, &mut s.allocs);
-            steiner_graph::csr::grow(&mut lvl.next_arc, n, ArcId(u32::MAX), &mut s.allocs);
-            lvl.epoch = 0;
-            lvl.valid = false;
-            lvl.packed_valid = false;
-        }
         if !lvl.valid {
             lvl.epoch += 1;
             let ep = lvl.epoch;
             // Reverse BFS from t with s′ masked: r(v) ⇔ v reaches t
             // avoiding P.
             s.removed[s1.index()] = true;
-            lvl.stamp[t.index()] = ep;
+            stamp[t.index()] = ep;
             s.queue.clear();
             s.queue.push(t);
             let mut head = 0;
@@ -549,11 +607,11 @@ impl<V: PathView> Engine<'_, '_, V> {
                 head += 1;
                 for &(z, a) in d.in_adjacency(u) {
                     self.stats.work += 1;
-                    if Some(a) == e || s.removed[z.index()] || lvl.stamp[z.index()] == ep {
+                    if Some(a) == e || s.removed[z.index()] || stamp[z.index()] == ep {
                         continue;
                     }
-                    lvl.stamp[z.index()] = ep;
-                    lvl.next_arc[z.index()] = a;
+                    stamp[z.index()] = ep;
+                    next_arc[z.index()] = a;
                     s.queue.push(z);
                 }
             }
@@ -563,7 +621,8 @@ impl<V: PathView> Engine<'_, '_, V> {
             // which shares it, no longer matches its recorded key.
             lvl.packed_valid = false;
         }
-        let ep = s.levels[depth].epoch;
+        let ep = lvl.epoch;
+        let base = depth * n;
         // Smallest admissible first arc.
         let start = f_pos.map_or(0, |p| p + 1);
         let out = d.out_adjacency(s1);
@@ -571,7 +630,7 @@ impl<V: PathView> Engine<'_, '_, V> {
             self.stats.work += 1;
             if Some(a) == e
                 || self.s.removed[y.index()]
-                || self.s.levels[depth].stamp[y.index()] != ep
+                || self.s.level_stamp[base + y.index()] != ep
             {
                 continue;
             }
@@ -584,7 +643,7 @@ impl<V: PathView> Engine<'_, '_, V> {
             let mut len = 2;
             let mut cur = y;
             while cur != t {
-                let na = self.s.levels[depth].next_arc[cur.index()];
+                let na = self.s.level_next_arc[base + cur.index()];
                 self.s.push_qa(na);
                 cur = d.head(na);
                 self.s.push_qv(cur);
@@ -1051,18 +1110,22 @@ impl<V: PathView> Engine<'_, '_, V> {
         let t = self.t;
         self.s.level_mut(depth);
         let s = &mut *self.s;
-        let n = s.removed.len();
-        let nw = bit_words(n);
+        let n = s.stride;
+        let next_arc = level_slice(
+            &mut s.level_next_arc,
+            depth,
+            n,
+            ArcId(u32::MAX),
+            &mut s.allocs,
+        );
+        let admissible = level_slice(
+            &mut s.level_admissible,
+            depth,
+            bit_words(n),
+            0u64,
+            &mut s.allocs,
+        );
         let lvl = &mut s.levels[depth];
-        if lvl.next_arc.len() != n {
-            steiner_graph::csr::grow(&mut lvl.next_arc, n, ArcId(u32::MAX), &mut s.allocs);
-            lvl.valid = false;
-            lvl.packed_valid = false;
-        }
-        if lvl.admissible.len() != nw {
-            steiner_graph::csr::grow(&mut lvl.admissible, nw, 0u64, &mut s.allocs);
-            lvl.packed_valid = false;
-        }
         let key_s1 = s1.index() as u32;
         let key_t = t.index() as u32;
         if lvl.packed_valid && lvl.key_sig == s.sig && lvl.key_s1 == key_s1 && lvl.key_t == key_t {
@@ -1095,7 +1158,7 @@ impl<V: PathView> Engine<'_, '_, V> {
                 if !bit_take(&mut s.cand, z.index()) {
                     continue;
                 }
-                lvl.next_arc[z.index()] = a;
+                next_arc[z.index()] = a;
                 s.queue.push(z);
             }
         }
@@ -1104,8 +1167,8 @@ impl<V: PathView> Engine<'_, '_, V> {
         // the BFS consumed the reached bits — except s′, whose candidate
         // bit was cleared as "masked", not "reached", so neither s′ nor a
         // self-loop back to it may qualify as a first-arc head.
-        bits_not_or(&mut lvl.admissible, &s.cand, &s.removed_bits);
-        bit_clear(&mut lvl.admissible, s1.index());
+        bits_not_or(admissible, &s.cand, &s.removed_bits);
+        bit_clear(admissible, s1.index());
         lvl.key_sig = s.sig;
         lvl.key_s1 = key_s1;
         lvl.key_t = key_t;
@@ -1140,11 +1203,13 @@ impl<V: PathView> Engine<'_, '_, V> {
             let d = self.d;
             let t = self.t;
             let s = &mut *self.s;
-            let level = &s.levels[lvl];
+            let (n, nw) = (s.stride, bit_words(s.stride));
+            let next_arc = &s.level_next_arc[lvl * n..(lvl + 1) * n];
+            let admissible = &s.level_admissible[lvl * nw..(lvl + 1) * nw];
             let banned = e.unwrap_or(ArcId(u32::MAX));
             for (pos, &(y, a)) in d.out_adjacency(s1).iter().enumerate() {
                 self.stats.work += 1;
-                if a == banned || !bit_test(&level.admissible, y.index()) {
+                if a == banned || !bit_test(admissible, y.index()) {
                     continue;
                 }
                 // Reconstruct s′ → y → … → t along the reverse-BFS tree.
@@ -1156,7 +1221,7 @@ impl<V: PathView> Engine<'_, '_, V> {
                 let mut len = 2;
                 let mut cur = y;
                 while cur != t {
-                    let na = level.next_arc[cur.index()];
+                    let na = next_arc[cur.index()];
                     push_tracked(&mut s.qa, na, &mut s.allocs);
                     cur = d.head(na);
                     push_tracked(&mut s.qv, cur, &mut s.allocs);
@@ -1278,6 +1343,7 @@ pub fn enumerate_paths_view<V: PathView>(
         scratch.sig = sig;
     }
     scratch.allocs = allocs;
+    scratch.restride(n);
     scratch.epoch = 0;
     scratch.queue.clear();
     scratch.cur_vertices.clear();
@@ -1768,6 +1834,106 @@ mod tests {
         let again = run(&mut capped);
         assert_eq!(again, reference);
         assert_eq!(capped.alloc_events(), before, "warm capped scratch");
+    }
+
+    #[test]
+    fn shallow_run_fills_in_only_the_levels_it_reaches() {
+        // A 30×30 grid reserves arena space for 512 levels, but a run
+        // stopped after a few paths reaches only the first levels: only
+        // those slices are filled in, and nothing is allocated.
+        let g = steiner_graph::generators::grid(30, 30);
+        let csr = CsrDigraph::doubled(&g);
+        let (n, m) = (csr.num_vertices(), csr.num_arcs());
+        for packed in [true, false] {
+            let mut scratch = PathScratch::new();
+            scratch.preallocate(n, m);
+            let reserved = scratch.capacity_bytes();
+            let mut seen = 0;
+            scratch.begin(n);
+            enumerate_paths_view(
+                &csr,
+                VertexId(0),
+                VertexId::new(n - 1),
+                EnumerateOptions {
+                    packed_frontiers: packed,
+                    ..EnumerateOptions::default()
+                },
+                false,
+                &mut scratch,
+                &mut |_| {
+                    seen += 1;
+                    if seen == 5 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            assert_eq!(seen, 5);
+            let filled = scratch.filled_levels();
+            assert!(
+                (2..=16).contains(&filled),
+                "packed {packed}: {filled} levels filled in"
+            );
+            assert_eq!(scratch.level_next_arc.len(), filled * n);
+            if packed {
+                assert_eq!(scratch.level_admissible.len(), filled * bit_words(n));
+                assert!(scratch.level_stamp.is_empty(), "packed runs stamp no level");
+            } else {
+                assert_eq!(scratch.level_stamp.len(), filled * n);
+                assert!(scratch.level_admissible.is_empty());
+            }
+            assert_eq!(scratch.capacity_bytes(), reserved, "packed {packed}");
+            assert_eq!(scratch.alloc_events(), 0, "packed {packed}");
+        }
+    }
+
+    #[test]
+    fn restrided_scratch_matches_fresh_scratches() {
+        // One scratch serves views of changing vertex counts, up and
+        // down; each run re-strides the level arenas and must give the
+        // stream a fresh scratch gives, in both engines.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5e57_21de);
+        for packed in [true, false] {
+            let options = EnumerateOptions {
+                packed_frontiers: packed,
+                ..EnumerateOptions::default()
+            };
+            let run = |csr: &CsrDigraph, scratch: &mut PathScratch| {
+                let n = csr.num_vertices();
+                let mut got = Vec::new();
+                scratch.begin(n);
+                enumerate_paths_view(
+                    csr,
+                    VertexId(0),
+                    VertexId::new(n - 1),
+                    options,
+                    false,
+                    scratch,
+                    &mut |p| {
+                        got.push(p.arcs.to_vec());
+                        ControlFlow::Continue(())
+                    },
+                );
+                got
+            };
+            let mut shared = PathScratch::new();
+            shared.preallocate(9, 40);
+            for _ in 0..60 {
+                let n = 3 + rng.gen_range(0..7usize);
+                let m = rng.gen_range(0..=(n * (n - 1)).min(18));
+                let d = steiner_graph::generators::random_digraph(n, m, &mut rng);
+                let csr = CsrDigraph::from_digraph(&d);
+                let want = run(&csr, &mut PathScratch::new());
+                assert_eq!(
+                    run(&csr, &mut shared),
+                    want,
+                    "packed {packed}: re-strided scratch; digraph {d:?}"
+                );
+                assert_eq!(shared.stride, n);
+            }
+        }
     }
 
     #[test]

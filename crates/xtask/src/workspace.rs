@@ -87,6 +87,8 @@ pub const HOT: &[(&str, &[&str])] = &[
             "qv",
             "qa",
             "level_mut",
+            "level_slice",
+            "restride",
             "mask_removed",
             "fstp_prepare_packed",
             "e_stp_packed",
