@@ -199,16 +199,13 @@ impl RootShard {
 ///
 /// Produced by [`MinimalSteinerProblem::record_subtree`] from inside a
 /// `branch` callback at any depth and consumed by
-/// [`MinimalSteinerProblem::replay_subtree`] on another worker's freshly
-/// prepared instance copy. Two consumers exist: the sharded front-end's
-/// root child log (the root's child generation is recorded **once** and
-/// replayed into each worker, instead of every worker re-enumerating all
-/// root children only to descend into its own residue class), and the
-/// work-stealing pool (a busy worker publishes a deep branch child as a
-/// record; an idle worker — or the merge coordinator — replays it and
-/// enumerates the subtree). Because the captured state is absolute, not a
-/// delta against the recorder's stack, replay is a *single* descent
-/// regardless of the recorded node's depth.
+/// [`MinimalSteinerProblem::replay_subtree`] on another freshly prepared
+/// instance copy. The work-stealing pool is the one consumer: a busy
+/// worker publishes a branch child as a record, and an idle worker — or
+/// the merge coordinator — replays it and enumerates the subtree.
+/// Because the captured state is absolute, not a delta against the
+/// recorder's stack, replay is a *single* descent regardless of the
+/// recorded node's depth.
 #[derive(Clone, Debug)]
 pub struct SubtreeRecord<Item> {
     /// Path vertices of the partial solution, in application order
@@ -415,27 +412,25 @@ pub trait MinimalSteinerProblem {
     }
 
     /// Captures the partial solution currently applied to the search
-    /// state as a replayable [`SubtreeRecord`] — called from inside a
-    /// `branch` callback at **any** depth: by the sharded front-end's
-    /// root-child recording pass (depth 1) and by the work-stealing
-    /// engine at arbitrary branch nodes. The captured state must be
+    /// state as a replayable [`SubtreeRecord`] — called by the
+    /// work-stealing engine from inside a `branch` callback at **any**
+    /// depth, root children included. The captured state must be
     /// absolute (reproducible on a freshly prepared copy), not relative
     /// to the recorder's current descent.
     ///
-    /// The default returns `None`, meaning the problem supports neither
-    /// root-child replay nor work stealing: every shard worker
-    /// regenerates the root's children itself (the pre-0.5 behavior) and
-    /// subtrees never migrate.
+    /// The default returns `None`, meaning the problem does not support
+    /// work stealing: sharded runs keep root-only sharding and subtrees
+    /// never migrate.
     fn record_subtree(&self) -> Option<SubtreeRecord<Self::Item>> {
         None
     }
 
     /// Applies a recorded partial solution to a freshly prepared
     /// instance, invokes `child` on the resulting state, and retracts it
-    /// — the replay half shared by the root child log and the
-    /// work-stealing pool. Must leave the search state exactly as a
-    /// locally generated descent to the recorded node would (the sharded
-    /// and stolen streams are asserted byte-identical either way).
+    /// — the replay half of the work-stealing pool. Must leave the
+    /// search state exactly as a locally generated descent to the
+    /// recorded node would (stolen streams are asserted byte-identical
+    /// to sequential ones).
     ///
     /// Only called with records produced by [`Self::record_subtree`] on
     /// an identically prepared instance; the default therefore never

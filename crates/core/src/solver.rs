@@ -44,9 +44,7 @@
 
 use crate::cache::{CachePressure, QueryKey, ResultCache};
 use crate::intern::{SolutionId, SolutionSet};
-use crate::problem::{
-    MinimalSteinerProblem, NodeStep, Prepared, RootShard, SteinerError, SubtreeRecord,
-};
+use crate::problem::{MinimalSteinerProblem, NodeStep, Prepared, RootShard, SteinerError};
 use crate::queue::{DirectSink, OutputQueue, QueueConfig, SolutionSink};
 use crate::stats::EnumStats;
 use crate::steal::{PendingTask, StealObserver, StealPool, StealSchedule};
@@ -380,8 +378,10 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     /// Sharding pays off when the subtrees under the root carry the bulk
     /// of the work (the usual case: every worker re-generates the root's
     /// children, which costs O(n + m) each, but only descends into its
-    /// own). `k ≤ 1`, or a problem whose `split_root` returns `None`,
-    /// falls back to the sequential engine.
+    /// own). No coordinator-side pass precedes the workers: they start
+    /// at once and generate the root's children lazily, so the first
+    /// solution is one root child away. `k ≤ 1`, or a problem whose
+    /// `split_root` returns `None`, falls back to the sequential engine.
     pub fn with_threads(mut self, k: usize) -> Self {
         self.threads = k.max(1);
         self
@@ -661,16 +661,15 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
         if let Some(shards) = self.split_shards() {
             let queue = self.queue_config();
             let steal = self.steal_mode();
-            // The original instance becomes the recorder: its root branch
-            // runs once here, producing the shared child log the workers
-            // replay instead of each re-generating every root child.
+            // The coordinator prepares its own instance so instance errors
+            // surface synchronously; under stealing it also executes the
+            // subtrees the merge claims inline. It never branches at the
+            // root: each worker generates the root's children itself.
             let mut original = self.problem;
-            let prepared = original.prepare()?;
-            let root_log = record_root_log(&mut original, prepared, self.limit);
+            original.prepare()?;
             let (stats, expired) = run_sharded(
                 &mut original,
                 shards,
-                root_log,
                 steal,
                 queue,
                 self.limit,
@@ -841,18 +840,17 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
             (Some(shards), Prepared::Search) => {
                 // Trivial outcomes (Empty/Single) skip the pool entirely;
                 // a real search hands the prepared original over to the
-                // coordinator thread, which records the shared root child
-                // log once before the workers prepare their own copies.
+                // coordinator thread, which spawns the workers at once
+                // (each prepares its own copy and generates the root's
+                // children itself).
                 let steal = self.steal_mode();
                 let mut original = self.problem;
                 let worker_error = Arc::clone(&error_slot);
                 let inner = streaming::Enumeration::spawn(move |send| {
-                    let root_log = record_root_log(&mut original, Prepared::Search, limit);
                     let mut recorder = recorder;
                     let (stats, expired) = run_sharded(
                         &mut original,
                         shards,
-                        root_log,
                         steal,
                         queue,
                         limit,
@@ -1312,43 +1310,41 @@ impl<Item: Copy> StealContext<'_, Item> {
     }
 }
 
-/// Result of an attempted subtree publication.
-enum SpawnOutcome<Item> {
-    /// Published; the `Spawned` marker is in the stream — skip descent.
-    Spawned,
-    /// The pool refused (full or closed); the checkpoint comes back so
-    /// the caller descends (or replays) locally.
-    Declined(SubtreeRecord<Item>),
-    /// The merge hung up while the marker was being sent: unwind.
-    Hangup,
-}
-
-/// Publishes `record` (the subtree at `ctx.path`) to the steal pool and
-/// plants the `Spawned` marker in `sink`'s stream — flushing pending
-/// solutions first, so the marker lands at exactly the subtree's
-/// position. Accepted offers count as
+/// The steal point before descending into the branch child at
+/// `ctx.path` (currently applied to `p`). When the policy fires, the
+/// child is checkpointed, offered to the steal pool, and its `Spawned`
+/// marker planted in `sink`'s stream — flushing pending solutions first,
+/// so the marker lands at exactly the subtree's position.
+///
+/// Returns `Continue(true)` when the child was published (skip the
+/// descent), `Continue(false)` when the caller descends locally, and
+/// `Break` when the merge hung up. Accepted offers count as
 /// [`EnumStats::subtrees_stolen`] (on the *spawning* worker), refused
 /// ones as [`EnumStats::steal_failures`].
-fn publish_subtree<P: MinimalSteinerProblem>(
+fn steal_point<P: MinimalSteinerProblem>(
     p: &mut P,
     ctx: &mut StealContext<'_, P::Item>,
     sink: &mut ShardSink<'_, P::Item>,
-    record: SubtreeRecord<P::Item>,
-) -> SpawnOutcome<P::Item> {
+) -> ControlFlow<(), bool> {
+    if !ctx.should_spawn() {
+        return ControlFlow::Continue(false);
+    }
+    let Some(record) = p.record_subtree() else {
+        ctx.supported = false;
+        return ControlFlow::Continue(false);
+    };
     match ctx.pool.offer(ctx.path.clone(), record) {
         Ok((task, rx)) => {
             p.stats_mut().subtrees_stolen += 1;
-            if sink.flush(p.stats().work).is_break() {
-                return SpawnOutcome::Hangup;
-            }
+            sink.flush(p.stats().work)?;
             if sink.tx.send(ShardMsg::Spawned { task, rx }).is_err() {
-                return SpawnOutcome::Hangup;
+                return ControlFlow::Break(());
             }
-            SpawnOutcome::Spawned
+            ControlFlow::Continue(true)
         }
-        Err(record) => {
+        Err(_) => {
             p.stats_mut().steal_failures += 1;
-            SpawnOutcome::Declined(record)
+            ControlFlow::Continue(false)
         }
     }
 }
@@ -1386,15 +1382,8 @@ fn recurse_stealing<P: MinimalSteinerProblem>(
                 next_child += 1;
                 ctx.path.push(this);
                 let flow = (|| {
-                    if ctx.should_spawn() {
-                        match q.record_subtree() {
-                            Some(record) => match publish_subtree(q, ctx, sink, record) {
-                                SpawnOutcome::Spawned => return ControlFlow::Continue(()),
-                                SpawnOutcome::Hangup => return ControlFlow::Break(()),
-                                SpawnOutcome::Declined(_) => {}
-                            },
-                            None => ctx.supported = false,
-                        }
+                    if steal_point(q, ctx, sink)? {
+                        return ControlFlow::Continue(());
                     }
                     recurse_stealing(q, depth + 1, sink, scratch, ctx)
                 })();
@@ -1476,88 +1465,6 @@ fn run_steal_loop<P: MinimalSteinerProblem>(
     }
 }
 
-/// Cap on the shared root child log. Root fanout can be exponential in
-/// the instance (every `V(T)`-`w` path is a child), and the workers'
-/// own generation is *lazy* — it stops the moment the merge hangs up —
-/// so an unbounded eager recording could dwarf the run it serves. Past
-/// the cap the recording is abandoned and workers fall back to lazy
-/// local generation; below it (the common case the log exists for:
-/// modest fanout re-generated `k` times at O(n + m) per child), the
-/// one-time recording replaces `k − 1` full generations. The recording
-/// is also a *latency* cost — it runs on the coordinator before the
-/// first worker spawns — so the cap is sized in the same regime as the
-/// output queue's warm-up buffering (≈ n solutions) rather than as
-/// large as memory would allow.
-const ROOT_LOG_MAX_CHILDREN: usize = 256;
-
-/// Builds the **shared root child log** for a sharded run: drives the
-/// (already prepared) original instance's root branch in record-only
-/// mode, capturing each child's descent delta. Workers then replay their
-/// owned children from the log instead of re-enumerating every root
-/// child — the child generation is paid once, not once per worker.
-///
-/// Returns `None` when the root is not a branching search node, the
-/// problem does not support recording, or the fanout exceeds
-/// [`ROOT_LOG_MAX_CHILDREN`]; workers then fall back to local generation
-/// (the delivered stream is byte-identical either way, since replay and
-/// generation share the problems' descend/undo frames).
-fn record_root_log<P: MinimalSteinerProblem>(
-    p: &mut P,
-    prepared: Prepared<P::Item>,
-    limit: Option<u64>,
-) -> Option<Vec<SubtreeRecord<P::Item>>> {
-    if !matches!(prepared, Prepared::Search) {
-        return None;
-    }
-    // A delivery limit bounds the useful fanout: the merge interleaves in
-    // global child order and every branch child's subtree emits at least
-    // one solution, so a run capped at `limit` can consume at most its
-    // first `limit` root children. The recording is abandoned (never
-    // truncated — workers cannot resume a branch mid-way) past the
-    // smaller cap, so a tiny limit never pays an eager generation the
-    // lazy worker path would have skipped.
-    let cap = match limit {
-        Some(l) => (l.min(ROOT_LOG_MAX_CHILDREN as u64)) as usize,
-        None => ROOT_LOG_MAX_CHILDREN,
-    };
-    if cap == 0 {
-        return None;
-    }
-    let (n, _) = p.instance_size();
-    let mut scratch: Vec<P::Item> = Vec::with_capacity(n + 1);
-    let at = match p.classify(&mut scratch) {
-        NodeStep::Branch(at) => at,
-        // A Complete/Unique root is trivial per worker; no log needed.
-        _ => return None,
-    };
-    let mut log: Option<Vec<SubtreeRecord<P::Item>>> = Some(Vec::new());
-    let (_children, _flow) = p.branch(at, &mut |q| {
-        match (&mut log, q.record_subtree()) {
-            (Some(records), Some(record)) if records.len() < cap => {
-                records.push(record);
-                ControlFlow::Continue(())
-            }
-            (slot, _) => {
-                // Unsupported problem or oversized fanout: abandon the
-                // log and stop generating immediately.
-                *slot = None;
-                ControlFlow::Break(())
-            }
-        }
-    });
-    log
-}
-
-/// The slice of the shared root child log one shard worker owns: its
-/// residue class of the recorded children, tagged with their global
-/// indices (the merge interleaves by global child order).
-struct WorkerRootLog<Item> {
-    /// Total number of recorded root children across all workers.
-    total: u64,
-    /// Owned children in ascending global index order.
-    owned: Vec<(u64, SubtreeRecord<Item>)>,
-}
-
 /// Closes one owned root child's slot in the worker stream.
 fn send_child_done<Item>(sink: &ShardSink<'_, Item>, child: u64, work: u64) -> ControlFlow<()> {
     let done = ShardMsg::ChildDone { child, work };
@@ -1568,15 +1475,14 @@ fn send_child_done<Item>(sink: &ShardSink<'_, Item>, child: u64, work: u64) -> C
 }
 
 /// One shard worker: prepares its own problem copy and runs the engine's
-/// root node with the shard filter. With a shared `root_log`, the worker
-/// replays only the children it owns (O(delta) each); without one, every
-/// root child is still generated locally (keeping the deterministic
-/// child order) and the worker descends into its residue class,
-/// reporting a `ChildDone` boundary after each owned child. Returns the
-/// worker's final statistics.
+/// root node with the shard filter. The worker generates every root
+/// child itself, lazily and in the engine's deterministic order (so
+/// generation stops as soon as the merge hangs up), descends only into
+/// its residue class, and reports a `ChildDone` boundary after each
+/// owned child. Returns the worker's final statistics.
 ///
 /// With `steal`, owned children and their descendants pass through
-/// steal points ([`recurse_stealing`]), and after the root phase the
+/// steal points ([`steal_point`]), and after the root phase the
 /// worker becomes a pool executor ([`run_steal_loop`]). The worker's
 /// own `Done` is sent **before** the steal phase: the merge must be able
 /// to finish this worker's stream while the worker produces into task
@@ -1585,7 +1491,6 @@ fn send_child_done<Item>(sink: &ShardSink<'_, Item>, child: u64, work: u64) -> C
 fn run_shard_worker<P: MinimalSteinerProblem>(
     p: &mut P,
     shard: RootShard,
-    root_log: Option<WorkerRootLog<P::Item>>,
     steal: Option<&StealRuntime<'_, P::Item>>,
     sink: &mut ShardSink<'_, P::Item>,
 ) -> Result<EnumStats, SteinerError> {
@@ -1624,73 +1529,6 @@ fn run_shard_worker<P: MinimalSteinerProblem>(
                 ControlFlow::Continue(())
             }
         }
-        Prepared::Search if root_log.is_some() => {
-            // Shared root child log: the root's children were recorded
-            // once by the coordinator, so skip the local classify/branch
-            // and replay exactly the owned residue class.
-            let log = root_log.expect("guarded by the match arm");
-            let total = log.total;
-            let mut flow = ControlFlow::Continue(());
-            for (this, record) in log.owned {
-                debug_assert!(shard.owns(this), "the coordinator partitions by shard");
-                sink.child = this;
-                // Depth-1 steal point: the child's checkpoint is already
-                // in hand (it *is* the log entry), so a hungry pool can
-                // take the whole root child without a replay — exactly
-                // the skewed-root case root-only sharding loses on.
-                let record = match ctx.as_mut() {
-                    Some(ctx) => {
-                        ctx.path.push(this);
-                        let spawn = if ctx.should_spawn() {
-                            publish_subtree(p, ctx, sink, record)
-                        } else {
-                            SpawnOutcome::Declined(record)
-                        };
-                        ctx.path.pop();
-                        match spawn {
-                            SpawnOutcome::Spawned => {
-                                if send_child_done(sink, this, p.stats().work).is_break() {
-                                    flow = ControlFlow::Break(());
-                                    break;
-                                }
-                                continue;
-                            }
-                            SpawnOutcome::Hangup => {
-                                flow = ControlFlow::Break(());
-                                break;
-                            }
-                            SpawnOutcome::Declined(record) => record,
-                        }
-                    }
-                    None => record,
-                };
-                let f = p.replay_subtree(&record, &mut |q| {
-                    match ctx.as_mut() {
-                        Some(ctx) => {
-                            ctx.path.push(this);
-                            let f = recurse_stealing(q, 1, sink, &mut scratch, ctx);
-                            ctx.path.pop();
-                            f?;
-                        }
-                        None => recurse(q, 1, sink, &mut scratch)?,
-                    }
-                    sink.flush(q.stats().work)?;
-                    send_child_done(sink, this, q.stats().work)
-                });
-                if f.is_break() {
-                    flow = ControlFlow::Break(());
-                    break;
-                }
-                if let Some(rt) = steal {
-                    if let Some(observer) = rt.observer {
-                        observer.note(rt.worker);
-                    }
-                }
-            }
-            p.stats_mut().note_node(total, 0);
-            children_total = total;
-            flow
-        }
         Prepared::Search => {
             match p.classify(&mut scratch) {
                 NodeStep::Complete => {
@@ -1728,25 +1566,8 @@ fn run_shard_worker<P: MinimalSteinerProblem>(
                             Some(ctx) => {
                                 ctx.path.push(this);
                                 let f = (|| {
-                                    if ctx.should_spawn() {
-                                        match q.record_subtree() {
-                                            Some(record) => {
-                                                match publish_subtree(q, ctx, sink, record) {
-                                                    SpawnOutcome::Spawned => {
-                                                        return send_child_done(
-                                                            sink,
-                                                            this,
-                                                            q.stats().work,
-                                                        );
-                                                    }
-                                                    SpawnOutcome::Hangup => {
-                                                        return ControlFlow::Break(());
-                                                    }
-                                                    SpawnOutcome::Declined(_) => {}
-                                                }
-                                            }
-                                            None => ctx.supported = false,
-                                        }
+                                    if steal_point(q, ctx, sink)? {
+                                        return send_child_done(sink, this, q.stats().work);
                                     }
                                     recurse_stealing(q, 1, sink, &mut scratch, ctx)?;
                                     sink.flush(q.stats().work)?;
@@ -2076,15 +1897,15 @@ impl<Item, M> Drop for PoolShutdownGuard<'_, Item, M> {
 /// the merged statistics. The sequential and sharded front-ends share
 /// the limit/queue sink chain, so the delivered stream is identical.
 ///
-/// `original` is the coordinator's own prepared instance (the one that
-/// recorded `root_log`); under stealing it doubles as the executor for
+/// `original` is the coordinator's own prepared instance. The workers
+/// start as soon as they are spawned — no coordinator pass over the
+/// root precedes them. Under stealing `original` is the executor for
 /// inline-claimed subtrees, and its statistics are folded into the
 /// merged totals.
 #[allow(clippy::too_many_arguments)]
 fn run_sharded<P>(
     original: &mut P,
     shards: Vec<P>,
-    root_log: Option<Vec<SubtreeRecord<P::Item>>>,
     steal: StealMode,
     queue: Option<QueueConfig>,
     limit: Option<u64>,
@@ -2150,29 +1971,11 @@ where
         8
     };
     let (txs, rxs) = streaming::shard_channels(k as usize, chan_cap);
-    // Partition the recorded root children into per-worker residue
-    // classes up front: worker i receives exactly the children it owns,
-    // so nothing is re-generated and nothing is duplicated.
-    let mut worker_logs: Vec<Option<WorkerRootLog<P::Item>>> = match root_log {
-        Some(records) => {
-            let total = records.len() as u64;
-            let mut per: Vec<Vec<(u64, SubtreeRecord<P::Item>)>> =
-                (0..k).map(|_| Vec::new()).collect();
-            for (i, record) in records.into_iter().enumerate() {
-                per[i % k as usize].push((i as u64, record));
-            }
-            per.into_iter()
-                .map(|owned| Some(WorkerRootLog { total, owned }))
-                .collect()
-        }
-        None => (0..k).map(|_| None).collect(),
-    };
     let outcome = std::thread::scope(|scope| {
         for (i, (mut problem, tx)) in shards.into_iter().zip(txs).enumerate() {
             let error = &error;
             let merged = &merged;
             let pool_ref = pool.as_ref();
-            let root_log = worker_logs[i].take();
             std::thread::Builder::new()
                 .name(format!("steiner-shard-{i}"))
                 .stack_size(streaming::DEFAULT_STACK_BYTES)
@@ -2198,13 +2001,8 @@ where
                         tick_every,
                         last_tick: 0,
                     };
-                    match run_shard_worker(
-                        &mut problem,
-                        shard,
-                        root_log,
-                        steal_rt.as_ref(),
-                        &mut shard_sink,
-                    ) {
+                    match run_shard_worker(&mut problem, shard, steal_rt.as_ref(), &mut shard_sink)
+                    {
                         Ok(stats) => merged
                             .lock()
                             .unwrap_or_else(|e| e.into_inner())
@@ -2241,9 +2039,9 @@ where
     debug_assert!(!outcome.failed, "failure without a recorded error");
     let mut stats = *merged.lock().unwrap_or_else(|e| e.into_inner());
     if pool.is_some() {
-        // Inline-claimed subtrees (and the root-log recording) ran on
-        // the coordinator's original instance: fold its counters in so
-        // stolen work is accounted exactly once.
+        // Inline-claimed subtrees ran on the coordinator's original
+        // instance: fold its counters in so stolen work is accounted
+        // exactly once.
         original.seal_stats();
         stats.merge(original.stats());
     }

@@ -97,9 +97,9 @@ impl Trail {
 /// the checkpoints of all its layers into one frame type and pushes it
 /// here on descent; backtracking pops the frame and restores every layer
 /// from it, so the descend/undo protocol has a single typed unit instead
-/// of a handful of loose marks. The root-child replay path of the
-/// sharded front-end reuses exactly the same frames, which is what keeps
-/// replayed and locally generated children byte-identical.
+/// of a handful of loose marks. The work-stealing replay path reuses
+/// exactly the same frames, which is what keeps replayed and locally
+/// generated subtrees byte-identical.
 #[derive(Clone, Debug)]
 pub struct FrameLog<F> {
     frames: Vec<F>,

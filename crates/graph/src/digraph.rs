@@ -6,7 +6,7 @@
 
 use crate::ids::{ArcId, EdgeId, VertexId};
 use crate::undirected::UndirectedGraph;
-use crate::{GraphError, Result};
+use crate::{adjacency_lists, GraphError, Result};
 
 /// Outcome of [`DiGraph::remove_arc`]: the endpoints that were removed,
 /// plus the id reassignment (if any) the dense-id invariant forced.
@@ -54,8 +54,13 @@ impl DiGraph {
     }
 
     /// Builds a digraph from `(tail, head)` pairs. Arc ids follow input order.
+    /// A vertex count the allocator refuses is [`GraphError::TooLarge`].
     pub fn from_arcs(n: usize, arcs: &[(usize, usize)]) -> Result<Self> {
-        let mut d = DiGraph::with_capacity(n, arcs.len());
+        let mut d = DiGraph {
+            endpoints: Vec::with_capacity(arcs.len()),
+            out_adj: adjacency_lists(n)?,
+            in_adj: adjacency_lists(n)?,
+        };
         for &(u, v) in arcs {
             d.add_arc_indices(u, v)?;
         }

@@ -65,7 +65,17 @@ fn parse_pairs(text: &str) -> Result<ParsedPairs> {
             });
         }
         match header {
-            None => header = Some((a, b)),
+            None => {
+                // Vertex ids are `u32`s; a larger count cannot be indexed
+                // (and would only be refused by the allocator later).
+                if u32::try_from(a).is_err() {
+                    return Err(GraphError::Parse {
+                        line: line_no,
+                        message: format!("vertex count {a} exceeds the u32 id space"),
+                    });
+                }
+                header = Some((a, b));
+            }
             Some(_) => pairs.push((a, b)),
         }
     }
@@ -228,6 +238,38 @@ mod tests {
             parse_edge_list(text2),
             Err(GraphError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn oversized_vertex_counts_are_errors() {
+        // Both headers name more vertices than `u32` ids can index; the
+        // first would overflow the adjacency capacity computation, the
+        // second would ask the allocator for 103 GB.
+        for text in ["18446744073709551615 0\n", "4294967297 1\n0 4294967296\n"] {
+            for err in [
+                parse_edge_list(text).map(|_| ()),
+                parse_arc_list(text).map(|_| ()),
+            ] {
+                assert!(
+                    matches!(err, Err(GraphError::Parse { line: 1, .. })),
+                    "{text:?}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn refused_adjacency_reservation_is_an_error() {
+        // usize::MAX lists overflow the capacity computation, so the
+        // reservation fails before asking the allocator for anything.
+        let too_large = Err(GraphError::TooLarge {
+            vertices: usize::MAX,
+        });
+        assert_eq!(
+            UndirectedGraph::from_edges(usize::MAX, &[]).map(|_| ()),
+            too_large
+        );
+        assert_eq!(DiGraph::from_arcs(usize::MAX, &[]).map(|_| ()), too_large);
     }
 
     #[test]

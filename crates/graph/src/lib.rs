@@ -62,6 +62,8 @@ pub enum GraphError {
     EdgeOutOfRange { edge: usize, num_edges: usize },
     /// Input text could not be parsed.
     Parse { line: usize, message: String },
+    /// The allocator refused the adjacency table for this many vertices.
+    TooLarge { vertices: usize },
     /// A problem-specific precondition failed (e.g. the root of a directed
     /// Steiner instance is itself a terminal).
     Precondition { message: String },
@@ -88,6 +90,9 @@ impl std::fmt::Display for GraphError {
             GraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }
+            GraphError::TooLarge { vertices } => {
+                write!(f, "cannot allocate adjacency lists for {vertices} vertices")
+            }
             GraphError::Precondition { message } => write!(f, "precondition failed: {message}"),
         }
     }
@@ -97,3 +102,14 @@ impl std::error::Error for GraphError {}
 
 /// Crate-local result alias.
 pub type Result<T> = std::result::Result<T, GraphError>;
+
+/// `n` empty adjacency lists, reserved fallibly: a vertex count the
+/// allocator refuses is an error, not an abort.
+pub(crate) fn adjacency_lists<T>(n: usize) -> Result<Vec<Vec<T>>> {
+    let mut lists = Vec::new();
+    lists
+        .try_reserve_exact(n)
+        .map_err(|_| GraphError::TooLarge { vertices: n })?;
+    lists.resize_with(n, Vec::new);
+    Ok(lists)
+}

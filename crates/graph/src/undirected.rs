@@ -6,7 +6,7 @@
 //! parallel edges under distinct [`EdgeId`]s.
 
 use crate::ids::{EdgeId, VertexId};
-use crate::{GraphError, Result};
+use crate::{adjacency_lists, GraphError, Result};
 
 /// Outcome of [`UndirectedGraph::remove_edge`]: the endpoints that were
 /// removed, plus the id reassignment (if any) the dense-id invariant forced.
@@ -55,8 +55,12 @@ impl UndirectedGraph {
     }
 
     /// Builds a graph from `(u, v)` pairs. Edge ids follow input order.
+    /// A vertex count the allocator refuses is [`GraphError::TooLarge`].
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Self> {
-        let mut g = UndirectedGraph::with_capacity(n, edges.len());
+        let mut g = UndirectedGraph {
+            endpoints: Vec::with_capacity(edges.len()),
+            adj: adjacency_lists(n)?,
+        };
         for &(u, v) in edges {
             g.add_edge_indices(u, v)?;
         }

@@ -9,13 +9,16 @@
 //! merge re-interleaves them deterministically, so this is an exact
 //! (not just set-wise) equality.
 
-use minimal_steiner::graph::{generators, VertexId};
+use minimal_steiner::graph::{generators, EdgeId, VertexId};
+use minimal_steiner::steiner::problem::{NodeStep, Prepared, RootShard, SubtreeRecord};
 use minimal_steiner::{
-    DirectedSteinerTree, Enumeration, MinimalSteinerProblem, SteinerError, SteinerForest,
-    SteinerTree, TerminalSteinerTree,
+    DirectedSteinerTree, EnumStats, Enumeration, MinimalSteinerProblem, SteinerError,
+    SteinerForest, SteinerTree, TerminalSteinerTree,
 };
 use rand::{Rng, SeedableRng};
 use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Collects the full ordered stream of an enumeration.
 fn ordered<P>(e: Enumeration<P>) -> Vec<Vec<P::Item>>
@@ -74,10 +77,13 @@ fn steiner_tree_sharded_streams_are_byte_identical() {
         let w = generators::random_terminals(n, t, &mut rng);
         assert_sharded_matches(|| SteinerTree::new(&g, &w));
     }
-    // A solution-dense instance with many root children.
-    let g = generators::theta_chain(5, 3);
-    let w = [VertexId(0), VertexId(5)];
-    assert_sharded_matches(|| SteinerTree::new(&g, &w));
+    // Solution-dense instances with many root children: 3^5 = 243 and
+    // 3^6 = 729 (one root child per hub-to-hub path).
+    for blocks in [5, 6] {
+        let g = generators::theta_chain(blocks, 3);
+        let w = [VertexId(0), VertexId::new(blocks)];
+        assert_sharded_matches(|| SteinerTree::new(&g, &w));
+    }
 }
 
 #[test]
@@ -161,15 +167,20 @@ fn sharded_early_break_sees_the_sequential_prefix() {
 
 #[test]
 fn sharded_iterator_front_end_matches_and_stops_on_drop() {
-    let g = generators::theta_chain(5, 3);
-    let w = [VertexId(0), VertexId(5)];
-    let sequential = ordered(Enumeration::new(SteinerTree::new(&g, &w)));
-    let pulled: Vec<Vec<_>> = Enumeration::new(SteinerTree::from_graph(g, &w))
-        .with_threads(4)
-        .into_iter()
-        .expect("valid instance")
-        .collect();
-    assert_eq!(pulled, sequential, "pull front-end, threads(4)");
+    for blocks in [5, 6] {
+        let g = generators::theta_chain(blocks, 3);
+        let w = [VertexId(0), VertexId::new(blocks)];
+        let sequential = ordered(Enumeration::new(SteinerTree::new(&g, &w)));
+        let pulled: Vec<Vec<_>> = Enumeration::new(SteinerTree::from_graph(g, &w))
+            .with_threads(4)
+            .into_iter()
+            .expect("valid instance")
+            .collect();
+        assert_eq!(
+            pulled, sequential,
+            "pull front-end, threads(4), {blocks} blocks"
+        );
+    }
 
     // Dropping the iterator early must hang up the whole pool promptly.
     let big = generators::theta_chain(8, 3); // 3^8 solutions
@@ -292,4 +303,152 @@ fn sharded_limit_zero_delivers_nothing() {
         .for_each(|_| panic!("nothing may be delivered"))
         .expect("valid instance");
     assert_eq!(stats.solutions, 0);
+}
+
+/// A test-only problem whose root has `fanout` leaf children: child `i`
+/// is the one-edge solution `{i}`. Each instance counts the root
+/// children its own `branch` generates, so a test can tell which
+/// instance paid for the root's child generation; `split_root` copies
+/// get counters of their own.
+struct FanRoot {
+    fanout: u32,
+    /// The root child currently applied, if any.
+    at: Option<u32>,
+    root_children: Arc<AtomicU64>,
+    stats: EnumStats,
+}
+
+impl FanRoot {
+    /// An instance plus a handle on its root-child counter.
+    fn new(fanout: u32) -> (Self, Arc<AtomicU64>) {
+        let root_children = Arc::new(AtomicU64::new(0));
+        let problem = FanRoot {
+            fanout,
+            at: None,
+            root_children: Arc::clone(&root_children),
+            stats: EnumStats::default(),
+        };
+        (problem, root_children)
+    }
+}
+
+impl MinimalSteinerProblem for FanRoot {
+    type Item = EdgeId;
+    type Branch = ();
+
+    const NAME: &'static str = "fan-root test problem";
+
+    fn validate(&self) -> Result<(), SteinerError> {
+        Ok(())
+    }
+
+    fn prepare(&mut self) -> Result<Prepared<EdgeId>, SteinerError> {
+        Ok(Prepared::Search)
+    }
+
+    fn instance_size(&self) -> (usize, usize) {
+        (self.fanout as usize + 1, self.fanout as usize)
+    }
+
+    fn stats(&self) -> &EnumStats {
+        &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut EnumStats {
+        &mut self.stats
+    }
+
+    fn classify(&mut self, _out: &mut Vec<EdgeId>) -> NodeStep<()> {
+        match self.at {
+            None => NodeStep::Branch(()),
+            Some(_) => NodeStep::Complete,
+        }
+    }
+
+    fn solution(&self, out: &mut Vec<EdgeId>) {
+        out.extend(self.at.map(EdgeId));
+    }
+
+    fn branch(
+        &mut self,
+        _at: (),
+        child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
+    ) -> (u64, ControlFlow<()>) {
+        for i in 0..self.fanout {
+            self.root_children.fetch_add(1, Ordering::Relaxed);
+            self.stats.work += 1;
+            self.at = Some(i);
+            let flow = child(self);
+            self.at = None;
+            if flow.is_break() {
+                return (u64::from(i) + 1, flow);
+            }
+        }
+        (u64::from(self.fanout), ControlFlow::Continue(()))
+    }
+
+    fn split_root(&self, _shard: RootShard) -> Option<Self> {
+        Some(FanRoot::new(self.fanout).0)
+    }
+
+    fn record_subtree(&self) -> Option<SubtreeRecord<EdgeId>> {
+        self.at.map(|i| SubtreeRecord {
+            vertices: Vec::new(),
+            items: vec![EdgeId(i)],
+            meta: 0,
+        })
+    }
+
+    fn replay_subtree(
+        &mut self,
+        record: &SubtreeRecord<EdgeId>,
+        child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        self.at = Some(record.items[0].0);
+        let flow = child(self);
+        self.at = None;
+        flow
+    }
+}
+
+#[test]
+fn coordinator_instance_generates_no_root_children() {
+    // The workers generate the root's children lazily; the instance the
+    // caller hands over stays with the coordinator, which must not
+    // branch at the root before (or while) the workers run. The first
+    // solution is child 0's.
+    let first = vec![vec![EdgeId(0)]];
+    for stealing in [false, true] {
+        let (root, generated) = FanRoot::new(300);
+        let mut pushed = Vec::new();
+        Enumeration::new(root)
+            .with_threads(2)
+            .with_stealing(stealing)
+            .for_each(|items| {
+                pushed.push(items.to_vec());
+                ControlFlow::Break(())
+            })
+            .expect("valid instance");
+        assert_eq!(pushed, first, "push, stealing {stealing}");
+        assert_eq!(
+            generated.load(Ordering::Relaxed),
+            0,
+            "push front-end, stealing {stealing}: the coordinator generated root children"
+        );
+
+        let (root, generated) = FanRoot::new(300);
+        let pulled: Vec<Vec<EdgeId>> = Enumeration::new(root)
+            .with_threads(2)
+            .with_stealing(stealing)
+            .into_iter()
+            .expect("valid instance")
+            .take(1)
+            .collect();
+        assert_eq!(pulled, first, "pull, stealing {stealing}");
+        assert_eq!(
+            generated.load(Ordering::Relaxed),
+            0,
+            "pull front-end, stealing {stealing}: the coordinator generated root children"
+        );
+    }
 }
