@@ -90,6 +90,7 @@ fn bench_paths(c: &mut Criterion) {
 /// running the full engine sweep.
 fn bench_fstp(c: &mut Criterion) {
     use steiner_paths::enumerate::{enumerate_paths_view, EnumerateOptions, PathScratch};
+    use steiner_paths::visit::WholePaths;
 
     let mut group = c.benchmark_group("paths_fstp");
     group.sample_size(10);
@@ -105,6 +106,7 @@ fn bench_fstp(c: &mut Criterion) {
                 scratch.begin_same_graph(n);
             }
             let mut count = 0u64;
+            let mut whole = WholePaths::new(s);
             enumerate_paths_view(
                 &csr,
                 s,
@@ -113,15 +115,16 @@ fn bench_fstp(c: &mut Criterion) {
                     packed_frontiers: packed,
                     ..EnumerateOptions::default()
                 },
-                false,
                 scratch,
-                &mut |_| {
-                    count += 1;
-                    if count < CAP {
-                        ControlFlow::Continue(())
-                    } else {
-                        ControlFlow::Break(())
-                    }
+                &mut |delta| {
+                    whole.apply(delta, &mut |_| {
+                        count += 1;
+                        if count < CAP {
+                            ControlFlow::Continue(())
+                        } else {
+                            ControlFlow::Break(())
+                        }
+                    })
                 },
             );
             count

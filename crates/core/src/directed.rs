@@ -20,7 +20,9 @@
 //!    paths — branch on it. Otherwise `T + T*` is the unique completion:
 //!    emit it as a leaf.
 
-use crate::problem::{MinimalSteinerProblem, NodeStep, Prepared, SteinerError, SubtreeRecord};
+use crate::problem::{
+    BranchRun, MinimalSteinerProblem, NodeStep, Prepared, SteinerError, SubtreeRecord,
+};
 use crate::queue::{DirectSink, OutputQueue, QueueConfig, SolutionSink};
 use crate::solver::run_sink_lenient;
 use crate::stats::EnumStats;
@@ -635,8 +637,10 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             }
         }
         span.finish_skeleton();
+        // One frame per live path delta, each owning at least one vertex
+        // of V(T): never more than n at once.
         let mut frames = FrameLog::new();
-        frames.preallocate(terminals.len() + 2);
+        frames.preallocate(n + terminals.len() + 2);
         let mut con = ContractionScratch::default();
         con.preallocate(n, m);
         let mut ana = AnalyzeScratch::default();
@@ -822,7 +826,12 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
         child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         self.stats.work += (self.d.num_vertices() + self.d.num_arcs()) as u64;
-        self.descend(&record.vertices, &record.items);
+        // The record is V(T) as a stack, so it starts with the vertices
+        // the root state already holds (the root).
+        let search = self.search.as_ref().expect("search state");
+        let held = search.tree_vertices.len();
+        debug_assert_eq!(record.vertices[..held], search.tree_vertices[..]);
+        self.descend(&record.vertices[held..], &record.items);
         let flow = child(self);
         self.retract_frame();
         flow
@@ -862,8 +871,7 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             bs.path.begin_same_graph(search.csr.num_vertices() + 1);
             (bs, Arc::clone(&search.csr), depth)
         };
-        let mut children = 0u64;
-        let mut flow = ControlFlow::Continue(());
+        let mut run = BranchRun::new();
         let DirBranchScratch {
             path,
             boundary,
@@ -879,16 +887,15 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             },
             path,
             boundary,
-            &mut |p| {
-                children += 1;
-                self.stats.work += per_child;
-                self.descend(p.vertices, p.arcs);
-                let f = child(self);
-                self.retract_frame();
-                if f.is_break() {
-                    flow = ControlFlow::Break(());
-                }
-                f
+            &mut |delta| {
+                run.follow(
+                    self,
+                    delta,
+                    per_child,
+                    Self::descend,
+                    Self::retract_frame,
+                    child,
+                )
             },
         );
         self.stats.path_gen_work += pstats.work;
@@ -898,27 +905,27 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
         search.pool[depth] = bs;
         search.depth = depth;
         debug_assert!(
-            children >= 2 || flow.is_break(),
+            run.children >= 2 || run.flow.is_break(),
             "Lemma 35 witness guarantees two valid paths"
         );
-        (children, flow)
+        (run.children, run.flow)
     }
 }
 
 impl DirectedSteinerTree<'_> {
     /// The descend half of the branch protocol: extends the directed
-    /// partial tree by one valid path (`path_vertices[0]` is already in
-    /// `V(T)`), attaches the new vertices to the forced-arc skeleton, and
-    /// pushes the combined typed frame. Shared by locally generated and
-    /// replayed root children.
-    fn descend(&mut self, path_vertices: &[VertexId], path_arcs: &[ArcId]) {
+    /// partial tree by part of a valid path — `vertices` are the new
+    /// vertices (none is in `V(T)` yet), `arcs` the arcs reaching them —
+    /// and pushes the typed frame. Shared by the path deltas of `branch`
+    /// and by replayed subtrees.
+    fn descend(&mut self, vertices: &[VertexId], arcs: &[ArcId]) {
         let search = self.search.as_mut().expect("search state");
         let frame = DirFrame {
-            added: path_vertices.len() - 1,
+            added: vertices.len(),
             arc_base: search.tree_arcs.len(),
             span: search.span.mark(),
         };
-        for &v in &path_vertices[1..] {
+        for &v in vertices {
             debug_assert!(!search.in_tree[v.index()]);
             search.in_tree[v.index()] = true;
             search.tree_vertices.push(v);
@@ -926,7 +933,7 @@ impl DirectedSteinerTree<'_> {
                 search.missing -= 1;
             }
         }
-        search.tree_arcs.extend_from_slice(path_arcs);
+        search.tree_arcs.extend_from_slice(arcs);
         search.frames.push(frame);
     }
 

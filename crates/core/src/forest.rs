@@ -16,7 +16,9 @@
 //! contains the unique minimal completion, which is extracted with the
 //! LCA-based marking procedure in linear time.
 
-use crate::problem::{MinimalSteinerProblem, NodeStep, Prepared, SteinerError, SubtreeRecord};
+use crate::problem::{
+    BranchRun, MinimalSteinerProblem, NodeStep, Prepared, SteinerError, SubtreeRecord,
+};
 use crate::queue::{DirectSink, OutputQueue, QueueConfig, SolutionSink};
 use crate::solver::run_sink_lenient;
 use crate::stats::EnumStats;
@@ -144,8 +146,6 @@ struct ForestDepthScratch {
     cg: CsrUndirected,
     doubled: CsrDigraph,
     path: PathScratch,
-    /// Original-edge buffer for one child's path (descend input).
-    edges: Vec<EdgeId>,
     allocs: u64,
 }
 
@@ -163,9 +163,6 @@ impl ForestDepthScratch {
         self.doubled.preallocate(n, 2 * m);
         self.path
             .preallocate_capped(n + 2, 2 * m + 2, level_cache_cap);
-        if self.edges.capacity() < n + 1 {
-            self.edges.reserve(n + 1 - self.edges.capacity());
-        }
         self.allocs = 0;
     }
 
@@ -179,8 +176,7 @@ impl ForestDepthScratch {
                 + self.doubled.capacity_bytes()
                 + self.path.capacity_bytes()
                 + (self.endpoints_buf.capacity() * std::mem::size_of::<(VertexId, VertexId)>()
-                    + (self.orig_edge.capacity() + self.edges.capacity())
-                        * std::mem::size_of::<EdgeId>()
+                    + self.orig_edge.capacity() * std::mem::size_of::<EdgeId>()
                     + self.vertex_map.capacity() * std::mem::size_of::<VertexId>())
                     as u64,
         )
@@ -465,12 +461,12 @@ impl<'g> SteinerForest<'g> {
 }
 
 impl SteinerForest<'_> {
-    /// The descend half of the branch protocol: appends one valid path's
-    /// original edges to `F`, joins them in the rollback union–find and
-    /// (incrementally) in the G″ contract-delta layer, and pushes the
-    /// combined typed frame. Shared by locally generated children and
-    /// replayed root children.
-    fn descend_edges(&mut self, edges: &[EdgeId]) {
+    /// The descend half of the branch protocol: appends original edges of
+    /// a valid path (one path delta's worth) to `F`, joins them in the
+    /// rollback union–find and (incrementally) in the G″ contract-delta
+    /// layer, and pushes the combined typed frame. Shared by the path
+    /// deltas of `branch` and by replayed subtrees.
+    fn descend_edges(&mut self, edges: impl IntoIterator<Item = EdgeId>) {
         let incremental = self.incremental;
         let search = self.search.as_mut().expect("search state");
         let frame = ForestFrame {
@@ -478,7 +474,7 @@ impl SteinerForest<'_> {
             uf: search.uf.snapshot(),
             span: search.span.mark(),
         };
-        for &e in edges {
+        for e in edges {
             let (u, v) = search.gcsr.endpoints(e);
             let joined = search.uf.union(u, v);
             debug_assert!(joined, "a valid path never closes a cycle in F");
@@ -739,8 +735,10 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
             let (u, v) = gcsr.endpoints(e);
             span.contract(u, v);
         }
+        // One frame per live path delta, each owning at least one edge of
+        // the forest: never more than n − 1 at once.
         let mut frames = FrameLog::new();
-        frames.preallocate(pairs.len() + 2);
+        frames.preallocate(n + pairs.len() + 2);
         let mut uc = UniqueCompletionScratch::default();
         uc.preallocate(n, m, &pairs);
         let level_cache_cap = self
@@ -942,7 +940,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         self.stats.work += (self.g.num_vertices() + self.g.num_edges()) as u64;
-        self.descend_edges(&record.items);
+        self.descend_edges(record.items.iter().copied());
         let flow = child(self);
         self.retract_frame();
         flow
@@ -984,15 +982,15 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         // contraction, so stale BFS trees from other contractions must
         // not survive: full `begin`, not `begin_same_graph`.
         ds.path.begin(ds.doubled.num_vertices());
-        let mut children = 0u64;
-        let mut flow = ControlFlow::Continue(());
+        let mut run = BranchRun::new();
         let ForestDepthScratch {
             doubled,
             path,
             orig_edge,
-            edges,
             ..
         } = &mut ds;
+        // Doubled arc → contracted edge → original edge.
+        let orig_edge = &*orig_edge;
         let pstats = enumerate_paths_view(
             doubled,
             cw,
@@ -1001,21 +999,16 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
                 packed_frontiers: self.packed,
                 ..EnumerateOptions::default()
             },
-            false,
             path,
-            &mut |p| {
-                children += 1;
-                self.stats.work += per_child;
-                // Doubled arc → contracted edge → original edge.
-                edges.clear();
-                edges.extend(p.arcs.iter().map(|a| orig_edge[a.index() / 2]));
-                self.descend_edges(edges);
-                let f = child(self);
-                self.retract_frame();
-                if f.is_break() {
-                    flow = ControlFlow::Break(());
-                }
-                f
+            &mut |delta| {
+                run.follow(
+                    self,
+                    delta,
+                    per_child,
+                    |p, _, arcs| p.descend_edges(arcs.iter().map(|a| orig_edge[a.index() / 2])),
+                    Self::retract_frame,
+                    child,
+                )
             },
         );
         self.stats.path_gen_work += pstats.work;
@@ -1025,10 +1018,10 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         search.pool[depth] = ds;
         search.depth = depth;
         debug_assert!(
-            children >= 2 || flow.is_break(),
+            run.children >= 2 || run.flow.is_break(),
             "Lemma 24 guarantees at least two valid paths on a branch pair"
         );
-        (children, flow)
+        (run.children, run.flow)
     }
 }
 

@@ -26,22 +26,24 @@
 //! points, kept as deprecated shims.
 
 use crate::partial::{Extension, PartialTree};
-use crate::problem::{MinimalSteinerProblem, NodeStep, Prepared, SteinerError, SubtreeRecord};
+use crate::problem::{
+    BranchRun, MinimalSteinerProblem, NodeStep, Prepared, SteinerError, SubtreeRecord,
+};
 use crate::queue::{DirectSink, OutputQueue, QueueConfig, SolutionSink};
 use crate::simple::normalize_terminals;
 use crate::solver::run_sink_lenient;
 use crate::stats::EnumStats;
-use crate::trail::{FrameLog, ScratchUsage, Trail, TrailMark};
+use crate::trail::{FrameLog, ScratchUsage};
 use std::borrow::Cow;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use steiner_graph::bridges::bridges;
 use steiner_graph::connectivity::all_in_one_component;
-use steiner_graph::csr::IncidenceCsr;
+use steiner_graph::csr::{bit_clear, bit_set, bit_test, IncidenceCsr};
 use steiner_graph::spanning::{
     grow_spanning_tree_csr, prune_leaves_csr, CompletionScratch, DynamicSpanning, SpanMark,
 };
-use steiner_graph::{CsrDigraph, CsrUndirected, EdgeId, UndirectedGraph, VertexId};
+use steiner_graph::{ArcId, CsrDigraph, CsrUndirected, EdgeId, UndirectedGraph, VertexId};
 use steiner_paths::enumerate::{EnumerateOptions, PathScratch};
 use steiner_paths::stsets::enumerate_source_set_paths_csr;
 
@@ -69,12 +71,11 @@ pub struct SteinerTree<'g> {
     packed: bool,
 }
 
-/// The typed checkpoint frame of one descent: partial-tree extension,
-/// edge-mask trail mark, and the connectivity layer's mark, restored
-/// together on backtrack.
+/// The typed checkpoint frame of one descent (one path delta): partial-
+/// tree extension and the connectivity layer's mark, restored together on
+/// backtrack.
 struct TreeFrame {
     ext: Extension,
-    trail: TrailMark,
     span: SpanMark,
     /// `E(T)` stack length before this descent — the frame's edges are
     /// the stack suffix from here, used to roll back `edge_words`.
@@ -85,20 +86,17 @@ struct TreeFrame {
 /// touches is preallocated here: `classify`/`branch` never allocate.
 struct TreeSearch {
     t: PartialTree,
-    /// Edge membership in `E(T)`, maintained through the [`Trail`].
-    edge_in_t: Vec<bool>,
-    /// Word-packed mirror of `edge_in_t`, kept in sync by
-    /// `descend`/`retract_frame`: iterating its set bits in word order
+    /// Edge membership in `E(T)` as a word-packed bitset, kept in sync by
+    /// `descend`/`retract_frame` (which clears exactly the frame's edges
+    /// of the `E(T)` stack): iterating its set bits in word order
     /// delivers `E(T)` already sorted, which is what lets `solution`
     /// skip the per-emission O(k log k) canonicalizing sort.
     edge_words: Vec<u64>,
-    /// Undo log for `edge_in_t` (rolled back per child).
-    trail: Trail,
     /// Bridges of `G`, precomputed once (Lemma 16 is a property of `G`).
     bridge: Vec<bool>,
     /// Incremental connectivity over the bridge skeleton of `G`: a
     /// terminal with a skeleton path to `V(T)` (queried with the
-    /// trail-backed `in_tree` mask as the source oracle) has a **unique**
+    /// partial tree's `in_tree` mask as the source oracle) has a **unique**
     /// valid path (Lemma 16), so a node whose missing terminals are all
     /// forced is a Unique leaf — classified without a spanning-growth
     /// pass.
@@ -128,14 +126,19 @@ struct TreeSearch {
 }
 
 /// Per-branch-depth reusable state: the path enumerator's scratch, the
-/// virtual-source boundary buffer, the source-set snapshot, and the
-/// arc→edge mapping buffer. Shared with the terminal-Steiner variant.
+/// virtual-source boundary buffer, and the source-set snapshot. Shared
+/// with the terminal-Steiner variant.
 #[derive(Default)]
 pub(crate) struct BranchScratch {
     pub(crate) path: PathScratch,
-    pub(crate) boundary: Vec<(VertexId, steiner_graph::ArcId)>,
+    pub(crate) boundary: Vec<(VertexId, ArcId)>,
     pub(crate) sources: Vec<VertexId>,
-    pub(crate) edges: Vec<EdgeId>,
+}
+
+/// The undirected edges of arcs of a [`CsrDigraph::doubled`] view (arcs
+/// `2e` and `2e + 1` both represent edge `e`).
+pub(crate) fn doubled_edges(arcs: &[ArcId]) -> impl Iterator<Item = EdgeId> + '_ {
+    arcs.iter().map(|a| EdgeId::new(a.index() / 2))
 }
 
 impl BranchScratch {
@@ -148,19 +151,14 @@ impl BranchScratch {
         if self.sources.capacity() < n + 1 {
             self.sources.reserve(n + 1 - self.sources.capacity());
         }
-        if self.edges.capacity() < n + 1 {
-            self.edges.reserve(n + 1 - self.edges.capacity());
-        }
     }
 
     pub(crate) fn usage(&self) -> ScratchUsage {
         ScratchUsage::new(
             self.path.alloc_events(),
             self.path.capacity_bytes()
-                + (self.boundary.capacity()
-                    * std::mem::size_of::<(VertexId, steiner_graph::ArcId)>()
-                    + self.sources.capacity() * std::mem::size_of::<VertexId>()
-                    + self.edges.capacity() * std::mem::size_of::<EdgeId>())
+                + (self.boundary.capacity() * std::mem::size_of::<(VertexId, ArcId)>()
+                    + self.sources.capacity() * std::mem::size_of::<VertexId>())
                     as u64,
         )
     }
@@ -201,8 +199,7 @@ impl BeyondScratch {
 impl TreeSearch {
     fn usage(&self) -> ScratchUsage {
         let pool: ScratchUsage = self.pool.iter().map(|b| b.usage()).sum();
-        self.trail.usage()
-            + self.frames.usage()
+        self.frames.usage()
             + ScratchUsage::new(
                 self.csr.alloc_events() + self.doubled.alloc_events(),
                 self.csr.capacity_bytes() + self.doubled.capacity_bytes(),
@@ -347,8 +344,6 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
         completion.preallocate(n, m);
         let mut beyond = BeyondScratch::default();
         beyond.preallocate(n, m);
-        let mut trail = Trail::new();
-        trail.preallocate(2 * n + 2);
         // The forced-edge skeleton: the bridges of G, attached from V(T)
         // as the search grows the partial tree. Built once; the root seed
         // is attached here so the root node already reads component state.
@@ -362,8 +357,10 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             }
         }
         span.finish_skeleton();
+        // One frame per live path delta, and each owns at least one vertex
+        // of V(T): the descent never holds more than n of them.
         let mut frames = FrameLog::new();
-        frames.preallocate(self.terminals.len() + 2);
+        frames.preallocate(n + self.terminals.len() + 2);
         let level_cache_cap = self
             .level_cache_cap
             .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP);
@@ -375,9 +372,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
         }
         let mut search = TreeSearch {
             t,
-            edge_in_t: vec![false; m],
             edge_words: vec![0u64; m.div_ceil(64)],
-            trail,
             bridge,
             span,
             frames,
@@ -459,11 +454,9 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
                         &mut search.completion,
                     );
                     debug_assert!(
-                        search
-                            .completion
-                            .edges
-                            .iter()
-                            .all(|e| search.edge_in_t[e.index()] || search.bridge[e.index()]),
+                        search.completion.edges.iter().all(|e| {
+                            bit_test(&search.edge_words, e.index()) || search.bridge[e.index()]
+                        }),
                         "incremental Unique verdict disagrees with the fresh pass"
                     );
                     let mut got = out.clone();
@@ -504,7 +497,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
         let candidate = tprime
             .iter()
             .copied()
-            .find(|e| !search.edge_in_t[e.index()] && !search.bridge[e.index()]);
+            .find(|e| !bit_test(&search.edge_words, e.index()) && !search.bridge[e.index()]);
         match candidate {
             // T' is the unique minimal Steiner tree containing T (Lemma 16).
             None => {
@@ -577,7 +570,12 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
         child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         self.stats.work += (self.g.num_vertices() + self.g.num_edges()) as u64;
-        self.descend(&record.vertices, &record.items);
+        // The record is V(T) as a stack, so it starts with the vertices
+        // the root state already holds (the seed terminal).
+        let t = &self.search.as_ref().expect("search state").t;
+        let held = t.vertices.len();
+        debug_assert_eq!(record.vertices[..held], t.vertices[..]);
+        self.descend(&record.vertices[held..], record.items.iter().copied());
         let flow = child(self);
         self.retract_frame();
         flow
@@ -621,13 +619,11 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             bs.path.begin_same_graph(search.csr.num_vertices() + 1);
             (bs, Arc::clone(&search.doubled), depth)
         };
-        let mut children = 0u64;
-        let mut flow = ControlFlow::Continue(());
+        let mut run = BranchRun::new();
         let BranchScratch {
             path,
             boundary,
             sources,
-            edges,
         } = &mut bs;
         let pstats = enumerate_source_set_paths_csr(
             &doubled,
@@ -639,21 +635,15 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             },
             path,
             boundary,
-            &mut |p| {
-                children += 1;
-                // The paper's accounting: each child is generated with
-                // O(n + m) delay (Theorem 12), charged here so the work
-                // counter advances in step with emissions.
-                self.stats.work += per_child;
-                edges.clear();
-                edges.extend(p.arcs.iter().map(|a| EdgeId::new(a.index() / 2)));
-                self.descend(p.vertices, edges);
-                let f = child(self);
-                self.retract_frame();
-                if f.is_break() {
-                    flow = ControlFlow::Break(());
-                }
-                f
+            &mut |delta| {
+                run.follow(
+                    self,
+                    delta,
+                    per_child,
+                    |p, vertices, arcs| p.descend(vertices, doubled_edges(arcs)),
+                    Self::retract_frame,
+                    child,
+                )
             },
         );
         self.stats.path_gen_work += pstats.work;
@@ -663,28 +653,26 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
         search.pool[depth] = bs;
         search.depth = depth;
         debug_assert!(
-            children >= 2 || flow.is_break(),
+            run.children >= 2 || run.flow.is_break(),
             "improved enumeration tree: internal nodes have ≥ 2 children"
         );
-        (children, flow)
+        (run.children, run.flow)
     }
 }
 
 impl SteinerTree<'_> {
     /// The descend half of the branch protocol: extends the partial tree
-    /// by one valid path, records the edge-mask mutations on the trail,
-    /// applies the connectivity attach deltas, and pushes the combined
-    /// typed frame. Shared verbatim by locally generated children
-    /// (`branch`) and replayed root children, which is what keeps the two
-    /// paths byte-identical.
-    fn descend(&mut self, path_vertices: &[VertexId], path_edges: &[EdgeId]) {
+    /// by part of a valid path — `vertices` are the new vertices (none is
+    /// in `V(T)` yet), `edges` the edges reaching them — marks the edges
+    /// in `edge_words`, and pushes the typed frame. Shared verbatim by
+    /// the path deltas of `branch` and by replayed subtrees, which is
+    /// what keeps the two byte-identical.
+    fn descend(&mut self, vertices: &[VertexId], edges: impl IntoIterator<Item = EdgeId>) {
         let search = self.search.as_mut().expect("search state");
         let edges_mark = search.t.edges.len();
-        let ext = search.t.extend_path(path_vertices, path_edges);
-        let trail = search.trail.mark();
-        for &e in path_edges {
-            search.trail.set(&mut search.edge_in_t, e.index());
-            steiner_graph::csr::bit_set(&mut search.edge_words, e.index());
+        let ext = search.t.extend(vertices, edges);
+        for &e in &search.t.edges[edges_mark..] {
+            bit_set(&mut search.edge_words, e.index());
         }
         // The partial-tree mask updated above doubles as the
         // connectivity layer's source oracle, so the descent itself
@@ -692,7 +680,6 @@ impl SteinerTree<'_> {
         let span = search.span.mark();
         search.frames.push(TreeFrame {
             ext,
-            trail,
             span,
             edges_mark,
         });
@@ -703,10 +690,9 @@ impl SteinerTree<'_> {
         let search = self.search.as_mut().expect("search state");
         let frame = search.frames.pop();
         for &e in &search.t.edges[frame.edges_mark..] {
-            steiner_graph::csr::bit_clear(&mut search.edge_words, e.index());
+            bit_clear(&mut search.edge_words, e.index());
         }
         search.span.undo_to(frame.span);
-        search.trail.undo_to(&mut search.edge_in_t, frame.trail);
         search.t.retract(frame.ext);
     }
 }

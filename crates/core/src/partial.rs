@@ -9,8 +9,8 @@
 
 use steiner_graph::{EdgeId, VertexId};
 
-/// A token recording what one [`PartialTree::extend_path`] call added, so
-/// the exact state can be restored on backtrack.
+/// A token recording what one [`PartialTree::extend`] call added, so the
+/// exact state can be restored on backtrack.
 #[derive(Copy, Clone, Debug)]
 #[must_use = "pass the token back to retract()"]
 pub struct Extension {
@@ -64,31 +64,27 @@ impl PartialTree {
         }
     }
 
-    /// Extends `T` by a valid path. When `T` is nonempty,
-    /// `path_vertices[0]` must already be in `T` (it is skipped); all other
-    /// path vertices must be new. Returns the token for
-    /// [`Self::retract`].
-    pub fn extend_path(&mut self, path_vertices: &[VertexId], path_edges: &[EdgeId]) -> Extension {
-        let start = if self.vertices.is_empty() {
-            0
-        } else {
-            debug_assert!(
-                self.in_tree[path_vertices[0].index()],
-                "path must start inside T"
-            );
-            1
-        };
-        for &v in &path_vertices[start..] {
+    /// Extends `T` by part of a path: `vertices` are the path's vertices
+    /// outside `T` (all of them must be new; a path starting inside `T`
+    /// passes everything after its first vertex) and `edges` its edges.
+    /// Returns the token for [`Self::retract`].
+    pub fn extend(
+        &mut self,
+        vertices: &[VertexId],
+        edges: impl IntoIterator<Item = EdgeId>,
+    ) -> Extension {
+        for &v in vertices {
             self.add_vertex(v);
         }
-        self.edges.extend_from_slice(path_edges);
+        let before = self.edges.len();
+        self.edges.extend(edges);
         Extension {
-            added_vertices: path_vertices.len() - start,
-            added_edges: path_edges.len(),
+            added_vertices: vertices.len(),
+            added_edges: self.edges.len() - before,
         }
     }
 
-    /// Undoes the matching [`Self::extend_path`] call (LIFO discipline).
+    /// Undoes the matching [`Self::extend`] call (LIFO discipline).
     pub fn retract(&mut self, ext: Extension) {
         assert!(ext.added_edges <= self.edges.len(), "edge stack underflow");
         self.edges.truncate(self.edges.len() - ext.added_edges);
@@ -127,9 +123,7 @@ mod tests {
         let terminals = [VertexId(0), VertexId(3)];
         let mut t = PartialTree::new(5, &terminals, Some(VertexId(0)));
         assert_eq!(t.missing_terminals, 1);
-        let verts = [VertexId(0), VertexId(1), VertexId(3)];
-        let edges = [EdgeId(0), EdgeId(1)];
-        let ext = t.extend_path(&verts, &edges);
+        let ext = t.extend(&[VertexId(1), VertexId(3)], [EdgeId(0), EdgeId(1)]);
         assert!(t.complete());
         assert_eq!(t.edges.len(), 2);
         assert!(t.in_tree[1]);
@@ -146,9 +140,10 @@ mod tests {
         let terminals = [VertexId(1), VertexId(2)];
         let mut t = PartialTree::new(4, &terminals, None);
         assert!(t.vertices.is_empty());
-        let verts = [VertexId(1), VertexId(0), VertexId(2)];
-        let edges = [EdgeId(0), EdgeId(1)];
-        let ext = t.extend_path(&verts, &edges);
+        let ext = t.extend(
+            &[VertexId(1), VertexId(0), VertexId(2)],
+            [EdgeId(0), EdgeId(1)],
+        );
         assert!(t.complete());
         t.retract(ext);
         assert!(t.vertices.is_empty());
@@ -159,14 +154,8 @@ mod tests {
     fn nested_extensions_restore_in_order() {
         let terminals = [VertexId(0), VertexId(2), VertexId(4)];
         let mut t = PartialTree::new(5, &terminals, Some(VertexId(0)));
-        let e1 = t.extend_path(
-            &[VertexId(0), VertexId(1), VertexId(2)],
-            &[EdgeId(0), EdgeId(1)],
-        );
-        let e2 = t.extend_path(
-            &[VertexId(2), VertexId(3), VertexId(4)],
-            &[EdgeId(2), EdgeId(3)],
-        );
+        let e1 = t.extend(&[VertexId(1), VertexId(2)], [EdgeId(0), EdgeId(1)]);
+        let e2 = t.extend(&[VertexId(3), VertexId(4)], [EdgeId(2), EdgeId(3)]);
         assert!(t.complete());
         t.retract(e2);
         assert_eq!(t.missing_terminals, 1);

@@ -23,7 +23,8 @@
 
 use crate::stats::EnumStats;
 use std::ops::ControlFlow;
-use steiner_graph::VertexId;
+use steiner_graph::{ArcId, VertexId};
+use steiner_paths::visit::PathDelta;
 
 /// Invalid-instance conditions, reported by [`MinimalSteinerProblem::validate`]
 /// and [`MinimalSteinerProblem::prepare`].
@@ -459,6 +460,66 @@ pub trait MinimalSteinerProblem {
     /// hint.
     fn set_level_cache_cap(&mut self, cap: usize) {
         let _ = cap;
+    }
+}
+
+/// The engine ↔ branch protocol every problem's `branch()` runs on: the
+/// path enumerator reports its current path as [`PathDelta`]s, and the
+/// partial solution mirrors that path. `Extend` descends by the new
+/// vertices and arcs, `Retract` undoes the innermost descent, and `Path`
+/// is one child — descend by the new suffix, run the child, retract — so
+/// a child costs bookkeeping for its new suffix only, not for the whole
+/// path. Also tallies what `branch()` returns: the children generated and
+/// whether one of them stopped the run.
+#[derive(Debug)]
+pub(crate) struct BranchRun {
+    pub(crate) children: u64,
+    pub(crate) flow: ControlFlow<()>,
+}
+
+impl BranchRun {
+    pub(crate) fn new() -> Self {
+        BranchRun {
+            children: 0,
+            flow: ControlFlow::Continue(()),
+        }
+    }
+
+    /// Applies one delta to `p` through its `descend`/`retract` pair,
+    /// running `child` for a `Path`. Each child is charged `per_child`
+    /// work units — the paper's accounting: every child is generated
+    /// with O(n + m) delay (Theorem 12), charged here so the work counter
+    /// advances in step with emissions.
+    pub(crate) fn follow<P: MinimalSteinerProblem>(
+        &mut self,
+        p: &mut P,
+        delta: PathDelta<'_>,
+        per_child: u64,
+        descend: impl FnOnce(&mut P, &[VertexId], &[ArcId]),
+        retract: impl FnOnce(&mut P),
+        child: &mut dyn FnMut(&mut P) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        match delta {
+            PathDelta::Extend { vertices, arcs } => {
+                descend(p, vertices, arcs);
+                ControlFlow::Continue(())
+            }
+            PathDelta::Retract => {
+                retract(p);
+                ControlFlow::Continue(())
+            }
+            PathDelta::Path { vertices, arcs } => {
+                descend(p, vertices, arcs);
+                self.children += 1;
+                p.stats_mut().work += per_child;
+                let flow = child(p);
+                retract(p);
+                if flow.is_break() {
+                    self.flow = flow;
+                }
+                flow
+            }
+        }
     }
 }
 

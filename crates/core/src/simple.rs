@@ -67,9 +67,10 @@ impl SimpleEnumerator<'_, '_> {
         let _pstats = inst.enumerate(w, &mut |p| {
             children += 1;
             self.stats.work += per_child;
-            let verts = p.vertices.to_vec();
+            // The path starts inside T: only its other vertices are new.
+            let verts = p.vertices[1..].to_vec();
             let edges = p.edges.to_vec();
-            let ext = self.t.extend_path(&verts, &edges);
+            let ext = self.t.extend(&verts, edges);
             let f = self.recurse(depth + 1);
             self.t.retract(ext);
             if f.is_break() {

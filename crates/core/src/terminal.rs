@@ -34,9 +34,11 @@
 //! `prepare()`; `branch` snapshots and rolls back through the [`Trail`]
 //! instead of cloning component masks.
 
-use crate::improved::{find_terminal_beyond_csr, BeyondScratch, BranchScratch};
+use crate::improved::{doubled_edges, find_terminal_beyond_csr, BeyondScratch, BranchScratch};
 use crate::partial::{Extension, PartialTree};
-use crate::problem::{MinimalSteinerProblem, NodeStep, Prepared, SteinerError, SubtreeRecord};
+use crate::problem::{
+    BranchRun, MinimalSteinerProblem, NodeStep, Prepared, SteinerError, SubtreeRecord,
+};
 use crate::queue::{DirectSink, OutputQueue, QueueConfig, SolutionSink};
 use crate::simple::normalize_terminals;
 use crate::solver::run_sink_lenient;
@@ -51,7 +53,7 @@ use steiner_graph::csr::grow;
 use steiner_graph::spanning::{
     grow_spanning_tree_csr, prune_leaves_csr, CompletionScratch, DynamicSpanning, SpanMark,
 };
-use steiner_graph::{CsrDigraph, CsrUndirected, EdgeId, UndirectedGraph, VertexId};
+use steiner_graph::{ArcId, CsrDigraph, CsrUndirected, EdgeId, UndirectedGraph, VertexId};
 use steiner_paths::enumerate::{EnumerateOptions, PathScratch};
 use steiner_paths::stsets::enumerate_source_set_paths_csr;
 
@@ -110,24 +112,27 @@ enum TerminalSearch {
 struct TwoTerminalSearch {
     doubled: Arc<CsrDigraph>,
     path: PathScratch,
-    boundary: Vec<(VertexId, steiner_graph::ArcId)>,
-    /// The path currently being emitted (set during the root branch).
+    boundary: Vec<(VertexId, ArcId)>,
+    /// The edges of the path the root branch is extending, mirrored from
+    /// the path deltas: a whole `w₀`-`w₁` path — the solution — while a
+    /// child runs, and empty exactly at the root.
     current: Vec<EdgeId>,
-    active: bool,
+    /// `current`'s length before each delta still in effect.
+    marks: FrameLog<usize>,
     baseline_allocs: u64,
 }
 
 impl TwoTerminalSearch {
     fn usage(&self) -> ScratchUsage {
-        ScratchUsage::new(
-            self.doubled.alloc_events() + self.path.alloc_events(),
-            self.doubled.capacity_bytes()
-                + self.path.capacity_bytes()
-                + (self.boundary.capacity()
-                    * std::mem::size_of::<(VertexId, steiner_graph::ArcId)>()
-                    + self.current.capacity() * std::mem::size_of::<EdgeId>())
-                    as u64,
-        )
+        self.marks.usage()
+            + ScratchUsage::new(
+                self.doubled.alloc_events() + self.path.alloc_events(),
+                self.doubled.capacity_bytes()
+                    + self.path.capacity_bytes()
+                    + (self.boundary.capacity() * std::mem::size_of::<(VertexId, ArcId)>()
+                        + self.current.capacity() * std::mem::size_of::<EdgeId>())
+                        as u64,
+            )
     }
 }
 
@@ -478,12 +483,15 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
                     .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP),
             );
             let boundary = Vec::with_capacity(2 * g.num_edges() + 2);
+            // Each live delta adds at least one path vertex.
+            let mut marks = FrameLog::new();
+            marks.preallocate(n + 1);
             let mut search = TwoTerminalSearch {
                 doubled,
                 path,
                 boundary,
                 current: Vec::with_capacity(n + 1),
-                active: false,
+                marks,
                 baseline_allocs: 0,
             };
             search.baseline_allocs = search.usage().allocs;
@@ -575,8 +583,10 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
         t.edges.reserve(n + 1);
         let mut span = DynamicSpanning::new();
         span.preallocate(n, 2 * num_edges);
+        // One frame for w₀ plus one per live path delta, each owning at
+        // least one vertex of V(T): never more than n + 1 at once.
         let mut frames = FrameLog::new();
-        frames.preallocate(self.terminals.len() + 3);
+        frames.preallocate(n + self.terminals.len() + 3);
         let mut search = ComponentSearch {
             gc: gc_csr,
             gc_doubled,
@@ -626,10 +636,10 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
             .expect("prepare() runs before the search")
         {
             TerminalSearch::TwoTerminals(ts) => {
-                if ts.active {
-                    NodeStep::Complete
-                } else {
+                if ts.current.is_empty() {
                     NodeStep::Branch(TerminalBranch::Root)
+                } else {
+                    NodeStep::Complete
                 }
             }
             TerminalSearch::Components(cs) => {
@@ -782,7 +792,7 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
             .expect("prepare() runs before the search")
         {
             TerminalSearch::TwoTerminals(ts) => {
-                debug_assert!(ts.active, "emitting inside the root branch");
+                debug_assert!(!ts.current.is_empty(), "emitting inside the root branch");
                 out.extend_from_slice(&ts.current);
             }
             TerminalSearch::Components(cs) => {
@@ -829,15 +839,19 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
         let two_terminal = matches!(self.search.as_ref(), Some(TerminalSearch::TwoTerminals(_)));
         if two_terminal {
             let ts = self.two_terminal_mut();
-            ts.current.clear();
+            debug_assert!(ts.current.is_empty(), "replays start at the root");
             ts.current.extend_from_slice(&record.items);
-            ts.active = true;
             let flow = child(self);
-            self.two_terminal_mut().active = false;
+            self.two_terminal_mut().current.clear();
             flow
         } else {
-            self.components_mut().active = Some(record.meta as usize);
-            self.descend(&record.vertices, &record.items);
+            let cs = self.components_mut();
+            cs.active = Some(record.meta as usize);
+            // The record is V(T) as a stack: skip what T already holds
+            // (nothing at the root, where T is empty).
+            let held = cs.t.vertices.len();
+            debug_assert_eq!(record.vertices[..held], cs.t.vertices[..]);
+            self.descend(&record.vertices[held..], record.items.iter().copied());
             let flow = child(self);
             self.retract_frame();
             self.components_mut().active = None;
@@ -929,11 +943,11 @@ impl TerminalSteinerTree<'_> {
     }
 
     /// The descend half of the branch protocol (component mode): extends
-    /// the partial tree by one valid path, records the edge-mask trail,
-    /// attaches the path vertices to the connectivity skeleton, and
-    /// pushes the combined typed frame. Shared by locally generated and
-    /// replayed root children.
-    fn descend(&mut self, path_vertices: &[VertexId], path_edges: &[EdgeId]) {
+    /// the partial tree by part of a valid path — `vertices` are the new
+    /// vertices, `edges` the edges reaching them — records the edge-mask
+    /// trail, and pushes the combined typed frame. Shared by the path
+    /// deltas of the branches and by replayed subtrees.
+    fn descend(&mut self, vertices: &[VertexId], edges: impl IntoIterator<Item = EdgeId>) {
         let incremental = self.incremental;
         if incremental {
             let ci = self
@@ -943,15 +957,30 @@ impl TerminalSteinerTree<'_> {
             self.ensure_span(ci);
         }
         let cs = self.components_mut();
-        let ext = cs.t.extend_path(path_vertices, path_edges);
+        let edges_mark = cs.t.edges.len();
+        let ext = cs.t.extend(vertices, edges);
         let trail = cs.trail.mark();
-        for &e in path_edges {
+        for &e in &cs.t.edges[edges_mark..] {
             cs.trail.set(&mut cs.edge_in_t, e.index());
         }
         // The partial-tree mask doubles as the query layer's source
         // oracle; nothing else to maintain on descent.
         let span = cs.span.mark();
         cs.frames.push(TermFrame { ext, trail, span });
+    }
+
+    /// The |W| = 2 descend: appends a path delta's edges to `current`.
+    fn extend_current(&mut self, _vertices: &[VertexId], arcs: &[ArcId]) {
+        let ts = self.two_terminal_mut();
+        ts.marks.push(ts.current.len());
+        ts.current.extend(doubled_edges(arcs));
+    }
+
+    /// The |W| = 2 undo half of [`Self::extend_current`].
+    fn retract_current(&mut self) {
+        let ts = self.two_terminal_mut();
+        let mark = ts.marks.pop();
+        ts.current.truncate(mark);
     }
 
     /// The undo half: pops the innermost frame and restores every layer.
@@ -971,8 +1000,7 @@ impl TerminalSteinerTree<'_> {
         child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
     ) -> (u64, ControlFlow<()>) {
         let (w0, w1) = (self.terminals[0], self.terminals[1]);
-        let mut children = 0u64;
-        let mut flow = ControlFlow::Continue(());
+        let mut run = BranchRun::new();
         match self
             .search
             .as_ref()
@@ -1002,20 +1030,15 @@ impl TerminalSteinerTree<'_> {
                     },
                     &mut path,
                     &mut boundary,
-                    &mut |p| {
-                        children += 1;
-                        self.stats.work += per_child;
-                        let ts = self.two_terminal_mut();
-                        ts.current.clear();
-                        ts.current
-                            .extend(p.arcs.iter().map(|a| EdgeId::new(a.index() / 2)));
-                        ts.active = true;
-                        let f = child(self);
-                        self.two_terminal_mut().active = false;
-                        if f.is_break() {
-                            flow = ControlFlow::Break(());
-                        }
-                        f
+                    &mut |delta| {
+                        run.follow(
+                            self,
+                            delta,
+                            per_child,
+                            Self::extend_current,
+                            Self::retract_current,
+                            child,
+                        )
                     },
                 );
                 self.stats.path_gen_work += pstats.work;
@@ -1050,8 +1073,10 @@ impl TerminalSteinerTree<'_> {
                         path,
                         boundary,
                         sources,
-                        edges,
                     } = &mut bs;
+                    // The path deltas never name the source w₀, and T
+                    // starts empty: put w₀ in T for the whole component.
+                    self.descend(&[w0], std::iter::empty());
                     let pstats = enumerate_source_set_paths_csr(
                         &doubled,
                         sources,
@@ -1062,24 +1087,22 @@ impl TerminalSteinerTree<'_> {
                         },
                         path,
                         boundary,
-                        &mut |p| {
-                            children += 1;
-                            self.stats.work += per_child;
-                            edges.clear();
-                            edges.extend(p.arcs.iter().map(|a| EdgeId::new(a.index() / 2)));
-                            self.descend(p.vertices, edges);
-                            let f = child(self);
-                            self.retract_frame();
-                            if f.is_break() {
-                                flow = ControlFlow::Break(());
-                            }
-                            f
+                        &mut |delta| {
+                            run.follow(
+                                self,
+                                delta,
+                                per_child,
+                                |p, vertices, arcs| p.descend(vertices, doubled_edges(arcs)),
+                                Self::retract_frame,
+                                child,
+                            )
                         },
                     );
+                    self.retract_frame();
                     self.stats.path_gen_work += pstats.work;
                     self.stats.fstp_cache_hits += pstats.fstp_cache_hits;
                     self.stats.fstp_cache_misses += pstats.fstp_cache_misses;
-                    if flow.is_break() {
+                    if run.flow.is_break() {
                         break;
                     }
                 }
@@ -1087,7 +1110,7 @@ impl TerminalSteinerTree<'_> {
                 self.components_mut().active = None;
             }
         }
-        (children, flow)
+        (run.children, run.flow)
     }
 
     /// Valid paths for `(T, w)`: `(V(T) ∖ W)`-`w` paths inside
@@ -1119,13 +1142,11 @@ impl TerminalSteinerTree<'_> {
             (Arc::clone(&cs.gc_doubled), (n + cs.gc.num_edges()) as u64)
         };
         self.stats.work += per_child;
-        let mut children = 0u64;
-        let mut flow = ControlFlow::Continue(());
+        let mut run = BranchRun::new();
         let BranchScratch {
             path,
             boundary,
             sources,
-            edges,
         } = &mut bs;
         let pstats = enumerate_source_set_paths_csr(
             &doubled,
@@ -1137,18 +1158,15 @@ impl TerminalSteinerTree<'_> {
             },
             path,
             boundary,
-            &mut |p| {
-                children += 1;
-                self.stats.work += per_child;
-                edges.clear();
-                edges.extend(p.arcs.iter().map(|a| EdgeId::new(a.index() / 2)));
-                self.descend(p.vertices, edges);
-                let f = child(self);
-                self.retract_frame();
-                if f.is_break() {
-                    flow = ControlFlow::Break(());
-                }
-                f
+            &mut |delta| {
+                run.follow(
+                    self,
+                    delta,
+                    per_child,
+                    |p, vertices, arcs| p.descend(vertices, doubled_edges(arcs)),
+                    Self::retract_frame,
+                    child,
+                )
             },
         );
         self.stats.path_gen_work += pstats.work;
@@ -1156,10 +1174,10 @@ impl TerminalSteinerTree<'_> {
         self.stats.fstp_cache_misses += pstats.fstp_cache_misses;
         self.put_branch_scratch(bs, depth);
         debug_assert!(
-            children >= 2 || flow.is_break(),
+            run.children >= 2 || run.flow.is_break(),
             "Lemma 30 guarantees two valid paths behind a non-bridge edge"
         );
-        (children, flow)
+        (run.children, run.flow)
     }
 }
 

@@ -32,6 +32,7 @@ use steiner_core::{
     DirectedSteinerTree, EnumStats, Enumeration, MinimalSteinerProblem, SteinerForest, SteinerTree,
     TerminalSteinerTree,
 };
+use steiner_graph::digraph::DoubledDigraph;
 use steiner_graph::{generators, VertexId};
 
 /// Counts every heap allocation made while [`ARMED`], delegating the
@@ -80,15 +81,20 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// other's allocations.
 static GATE: Mutex<()> = Mutex::new(());
 
-/// Runs one problem to completion and returns its stats plus the number
-/// of true heap allocations the run performed (builder included).
-fn audited_run<P: MinimalSteinerProblem + Send>(problem: P) -> (EnumStats, u64)
+/// Runs one problem to completion (or to `limit` solutions) and returns
+/// its stats plus the number of true heap allocations the run performed
+/// (builder included).
+fn audited_run<P: MinimalSteinerProblem + Send>(problem: P, limit: Option<u64>) -> (EnumStats, u64)
 where
     P::Item: Send,
 {
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    let result = Enumeration::new(problem).for_each(|_| ControlFlow::Continue(()));
+    let mut run = Enumeration::new(problem);
+    if let Some(limit) = limit {
+        run = run.with_limit(limit);
+    }
+    let result = run.for_each(|_| ControlFlow::Continue(()));
     ARMED.store(false, Ordering::SeqCst);
     let stats = result.expect("audit workloads are feasible instances");
     (stats, ALLOCS.load(Ordering::SeqCst))
@@ -101,8 +107,14 @@ struct Workload {
     size: u64,
 }
 
+/// Solutions a deep-prefix workload runs for.
+const DEEP_LIMIT: u64 = 3000;
+
 /// The conformance workloads: one structured instance per paper problem,
-/// each with a nontrivial solution count.
+/// each with a nontrivial solution count, plus one deep-prefix instance
+/// per problem. On a 6×6 grid with corner terminals the path enumerator
+/// nests long prefixes, so the descent holds one checkpoint frame per
+/// prefix — far more than one per terminal.
 fn run_workloads() -> Vec<Workload> {
     let mut out = Vec::new();
 
@@ -111,7 +123,7 @@ fn run_workloads() -> Vec<Workload> {
         .iter()
         .map(|&v| VertexId::new(v))
         .collect();
-    let (stats, allocs) = audited_run(SteinerTree::new(&grid, &corners));
+    let (stats, allocs) = audited_run(SteinerTree::new(&grid, &corners), None);
     out.push(Workload {
         name: "steiner-tree/grid-4x5",
         stats,
@@ -121,7 +133,7 @@ fn run_workloads() -> Vec<Workload> {
 
     let theta = generators::theta_chain(3, 3);
     let ends: Vec<VertexId> = vec![VertexId::new(0), VertexId::new(theta.num_vertices() - 1)];
-    let (stats, allocs) = audited_run(SteinerTree::new(&theta, &ends));
+    let (stats, allocs) = audited_run(SteinerTree::new(&theta, &ends), None);
     out.push(Workload {
         name: "steiner-tree/theta-chain-3x3",
         stats,
@@ -134,7 +146,7 @@ fn run_workloads() -> Vec<Workload> {
         vec![VertexId::new(0), VertexId::new(3)],
         vec![VertexId::new(8), VertexId::new(11)],
     ];
-    let (stats, allocs) = audited_run(SteinerForest::new(&g, &sets));
+    let (stats, allocs) = audited_run(SteinerForest::new(&g, &sets), None);
     out.push(Workload {
         name: "steiner-forest/grid-3x4",
         stats,
@@ -146,7 +158,7 @@ fn run_workloads() -> Vec<Workload> {
         .iter()
         .map(|&v| VertexId::new(v))
         .collect();
-    let (stats, allocs) = audited_run(TerminalSteinerTree::new(&g, &corners34));
+    let (stats, allocs) = audited_run(TerminalSteinerTree::new(&g, &corners34), None);
     out.push(Workload {
         name: "terminal-steiner-tree/grid-3x4",
         stats,
@@ -156,12 +168,58 @@ fn run_workloads() -> Vec<Workload> {
 
     let (d, root) = generators::layered_digraph(3, 3);
     let last_layer: Vec<VertexId> = (7..10).map(VertexId::new).collect();
-    let (stats, allocs) = audited_run(DirectedSteinerTree::new(&d, root, &last_layer));
+    let (stats, allocs) = audited_run(DirectedSteinerTree::new(&d, root, &last_layer), None);
     out.push(Workload {
         name: "directed-steiner-tree/layered-3x3",
         stats,
         allocs,
         size: (d.num_vertices() + d.num_arcs()) as u64,
+    });
+
+    let deep = generators::grid(6, 6);
+    let deep_size = (deep.num_vertices() + deep.num_edges()) as u64;
+    let deep_corners: Vec<VertexId> = [0usize, 5, 30, 35]
+        .iter()
+        .map(|&v| VertexId::new(v))
+        .collect();
+    let (stats, allocs) = audited_run(SteinerTree::new(&deep, &deep_corners), Some(DEEP_LIMIT));
+    out.push(Workload {
+        name: "steiner-tree/grid-6x6-deep",
+        stats,
+        allocs,
+        size: deep_size,
+    });
+    let crossed = vec![
+        vec![VertexId::new(0), VertexId::new(35)],
+        vec![VertexId::new(5), VertexId::new(30)],
+    ];
+    let (stats, allocs) = audited_run(SteinerForest::new(&deep, &crossed), Some(DEEP_LIMIT));
+    out.push(Workload {
+        name: "steiner-forest/grid-6x6-deep",
+        stats,
+        allocs,
+        size: deep_size,
+    });
+    let (stats, allocs) = audited_run(
+        TerminalSteinerTree::new(&deep, &deep_corners),
+        Some(DEEP_LIMIT),
+    );
+    out.push(Workload {
+        name: "terminal-steiner-tree/grid-6x6-deep",
+        stats,
+        allocs,
+        size: deep_size,
+    });
+    let deep_d = DoubledDigraph::new(&deep).digraph;
+    let (stats, allocs) = audited_run(
+        DirectedSteinerTree::new(&deep_d, deep_corners[0], &deep_corners[1..]),
+        Some(DEEP_LIMIT),
+    );
+    out.push(Workload {
+        name: "directed-steiner-tree/grid-6x6-deep",
+        stats,
+        allocs,
+        size: (deep_d.num_vertices() + deep_d.num_arcs()) as u64,
     });
 
     out

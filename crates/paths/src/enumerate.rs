@@ -15,12 +15,21 @@
 //! * `e_stp` — the recursion `E-STP(P, e, d, t)` with the alternating
 //!   output rule (pre-order at even depth, post-order at odd depth).
 //!
-//! The current path `P` lives in global state (`cur_vertices`/`cur_arcs`)
-//! and is masked except for its tip, exactly as in the paper's space
-//! analysis; each recursion frame's continuation `Q` lives in a LIFO
-//! arena inside [`PathScratch`], so a warm scratch never touches the
-//! allocator — the property the Steiner enumerators' zero-allocation hot
-//! path builds on. The engine is generic over [`PathView`], so it runs
+//! The current path `P` lives in global state, exactly as in the paper's
+//! space analysis: the engine keeps it only as the removal mask (every
+//! vertex of `P` but its tip is masked) and the tip, and the **sink keeps
+//! the rest**. Instead of copying `P ∘ Q` for every output, the engine
+//! reports its path incrementally as [`PathDelta`]s: `Extend` when a
+//! child activation appends a prefix `Q_i` to `P`, `Retract` when it
+//! returns, and `Path` with `Q` after its first vertex (`P`'s tip) for
+//! each solution. A consumer that mirrors `P` therefore pays O(|Q|) per
+//! solution, not O(|P ∘ Q|); [`crate::visit::WholePaths`] rebuilds whole
+//! paths for callers that want them (every `enumerate_directed_st_paths*`
+//! entry point goes through it). Each recursion frame's continuation `Q`
+//! lives in a LIFO arena inside [`PathScratch`], so a warm scratch never
+//! touches the allocator — the property the Steiner enumerators'
+//! zero-allocation hot path builds on. The engine is generic over
+//! [`PathView`], so it runs
 //! unchanged over a [`DiGraph`], a flat [`CsrDigraph`], or a CSR digraph
 //! extended with a *virtual super-source* ([`VirtualSourceView`]) whose
 //! out-arcs are a caller-supplied boundary list — the trick that lets the
@@ -28,7 +37,7 @@
 //! `prepare()` instead of materializing a fresh super-source digraph per
 //! node.
 
-use crate::visit::PathEvent;
+use crate::visit::{PathDelta, PathEvent, WholePaths};
 use std::ops::ControlFlow;
 use steiner_graph::csr::{
     bit_assign, bit_clear, bit_set, bit_take, bit_test, bit_words, bits_not, bits_not_or, mix64,
@@ -39,7 +48,7 @@ use steiner_graph::{ArcId, CsrDigraph, DiGraph, VertexId};
 /// Counters reported by a finished (or stopped) enumeration.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct PathEnumStats {
-    /// Number of paths handed to the sink.
+    /// Number of paths (`Path` deltas) handed to the sink.
     pub emitted: u64,
     /// Algorithmic work units (≈ arcs/vertices touched); the empirical
     /// stand-in for the paper's O(n + m)-per-solution accounting.
@@ -195,8 +204,8 @@ impl PathView for VirtualSourceView<'_> {
 }
 
 /// Reusable state for one (possibly nested) enumeration: masks, the
-/// epoch-stamped reach-`t` flags, the current path, and the LIFO arena
-/// holding each recursion frame's continuation `Q`. Size it once with
+/// epoch-stamped reach-`t` flags, and the LIFO arena holding each
+/// recursion frame's continuation `Q`. Size it once with
 /// [`PathScratch::preallocate`]; afterwards enumerations record any buffer
 /// growth in [`PathScratch::alloc_events`] (a warm scratch reports zero).
 ///
@@ -247,10 +256,6 @@ pub struct PathScratch {
     /// (derived from the candidate frontier left over by the BFS, so no
     /// separate reached bitset is stored).
     level_admissible: Vec<u64>,
-    cur_vertices: Vec<VertexId>,
-    cur_arcs: Vec<ArcId>,
-    out_vertices: Vec<VertexId>,
-    out_arcs: Vec<ArcId>,
     /// Continuation arena: frame `Q`s live at `[v_start..v_start + len]`.
     qv: Vec<VertexId>,
     qa: Vec<ArcId>,
@@ -374,15 +379,6 @@ impl PathScratch {
             .reserve((depth_cap * n).saturating_sub(self.level_next_arc.len()));
         self.level_admissible
             .reserve((depth_cap * nw).saturating_sub(self.level_admissible.len()));
-        let cap1 = n + 2;
-        self.cur_vertices
-            .reserve(cap1.saturating_sub(self.cur_vertices.capacity()));
-        self.cur_arcs
-            .reserve(cap1.saturating_sub(self.cur_arcs.capacity()));
-        self.out_vertices
-            .reserve(cap1.saturating_sub(self.out_vertices.capacity()));
-        self.out_arcs
-            .reserve(cap1.saturating_sub(self.out_arcs.capacity()));
         // The reference engine holds one continuation per recursion level
         // (O(n²) arena entries at worst); packed mode materializes each
         // activation's whole sibling run up front, adding a degree-
@@ -453,16 +449,9 @@ impl PathScratch {
             + self.frames.capacity() * std::mem::size_of::<QFrame>()
             + (self.stamp.capacity() + self.ext.capacity() + self.level_stamp.capacity())
                 * std::mem::size_of::<u32>()
-            + (self.cur_arcs.capacity()
-                + self.out_arcs.capacity()
-                + self.qa.capacity()
-                + self.level_next_arc.capacity())
-                * std::mem::size_of::<ArcId>()
-            + (self.queue.capacity()
-                + self.cur_vertices.capacity()
-                + self.out_vertices.capacity()
-                + self.qv.capacity())
-                * std::mem::size_of::<VertexId>()) as u64
+            + (self.qa.capacity() + self.level_next_arc.capacity()) * std::mem::size_of::<ArcId>()
+            + (self.queue.capacity() + self.qv.capacity()) * std::mem::size_of::<VertexId>())
+            as u64
     }
 
     /// Grows the per-level metadata through `depth` (recording growth
@@ -553,11 +542,8 @@ struct Engine<'v, 'x, V: PathView> {
     t: VertexId,
     s: &'x mut PathScratch,
     options: EnumerateOptions,
-    /// Virtual-source mode: emitted paths name the real tail of their
-    /// first arc instead of the virtual source.
-    replace_root: bool,
     stats: PathEnumStats,
-    sink: &'x mut dyn FnMut(PathEvent<'_>) -> ControlFlow<()>,
+    sink: &'x mut dyn FnMut(PathDelta<'_>) -> ControlFlow<()>,
 }
 
 impl<V: PathView> Engine<'_, '_, V> {
@@ -978,70 +964,43 @@ impl<V: PathView> Engine<'_, '_, V> {
         );
     }
 
-    /// Extends the global path `P` by the prefix `Q_i` (vertices `v₂…v_i`),
-    /// masking everything but the new tip `v_i`.
+    /// Extends the global path `P` by the prefix `Q_i` (vertices `v₂…v_i`):
+    /// masks everything but the new tip `v_i` and reports the `Extend`.
+    /// The sink's verdict is ignored — only a `Path` can stop the run.
     fn push_prefix(&mut self, q: QFrame, i: usize) {
-        let v0 = self.qv(q, 0);
-        self.mask_removed(v0, true);
-        for j in 1..i {
+        for j in 0..i - 1 {
             let v = self.qv(q, j);
-            let a = self.qa(q, j - 1);
-            self.s.cur_vertices.push(v);
-            self.s.cur_arcs.push(a);
-            if j < i - 1 {
-                self.mask_removed(v, true);
-            }
+            self.mask_removed(v, true);
         }
-    }
-
-    /// Undoes [`Self::push_prefix`].
-    fn pop_prefix(&mut self, q: QFrame, i: usize) {
-        for j in (1..i).rev() {
-            let v = self.qv(q, j);
-            self.s.cur_vertices.pop();
-            self.s.cur_arcs.pop();
-            if j < i - 1 {
-                self.mask_removed(v, false);
-            }
-        }
-        let v0 = self.qv(q, 0);
-        self.mask_removed(v0, false);
-    }
-
-    /// Emits `P ∘ Q` to the sink.
-    fn emit(&mut self, q: QFrame) -> ControlFlow<()> {
-        let mut out_vertices = std::mem::take(&mut self.s.out_vertices);
-        let mut out_arcs = std::mem::take(&mut self.s.out_arcs);
-        out_vertices.clear();
-        out_arcs.clear();
-        let need_v = self.s.cur_vertices.len() + q.len - 1;
-        if need_v > out_vertices.capacity() {
-            self.s.allocs += 1;
-        }
-        out_vertices.extend_from_slice(&self.s.cur_vertices);
-        out_vertices.extend_from_slice(&self.s.qv[q.v_start + 1..q.v_start + q.len]);
-        if need_v - 1 > out_arcs.capacity() {
-            self.s.allocs += 1;
-        }
-        out_arcs.extend_from_slice(&self.s.cur_arcs);
-        out_arcs.extend_from_slice(&self.s.qa[q.a_start..q.a_start + q.len - 1]);
-        if self.replace_root {
-            debug_assert!(!out_arcs.is_empty(), "virtual-source paths have arcs");
-            out_vertices[0] = self.d.tail(out_arcs[0]);
-        }
-        self.stats.emitted += 1;
-        let flow = (self.sink)(PathEvent {
-            vertices: &out_vertices,
-            arcs: &out_arcs,
+        let _ = (self.sink)(PathDelta::Extend {
+            vertices: &self.s.qv[q.v_start + 1..q.v_start + i],
+            arcs: &self.s.qa[q.a_start..q.a_start + i - 1],
         });
-        self.s.out_vertices = out_vertices;
-        self.s.out_arcs = out_arcs;
-        flow
     }
 
-    /// `E-STP(P, e, d, t)` — the recursion of Algorithm 1.
-    fn e_stp(&mut self, e: Option<ArcId>, depth: u32) -> ControlFlow<()> {
-        let s1 = *self.s.cur_vertices.last().expect("P is nonempty");
+    /// Undoes [`Self::push_prefix`] and reports the `Retract` — also after
+    /// a `Break`, so the sink's mirror of `P` stays balanced.
+    fn pop_prefix(&mut self, q: QFrame, i: usize) {
+        let _ = (self.sink)(PathDelta::Retract);
+        for j in (0..i - 1).rev() {
+            let v = self.qv(q, j);
+            self.mask_removed(v, false);
+        }
+    }
+
+    /// Reports the solution `P ∘ Q` as its new suffix: `Q` after its first
+    /// vertex, which is `P`'s tip.
+    fn emit(&mut self, q: QFrame) -> ControlFlow<()> {
+        self.stats.emitted += 1;
+        (self.sink)(PathDelta::Path {
+            vertices: &self.s.qv[q.v_start + 1..q.v_start + q.len],
+            arcs: &self.s.qa[q.a_start..q.a_start + q.len - 1],
+        })
+    }
+
+    /// `E-STP(P, e, d, t)` — the recursion of Algorithm 1; `s1` is `P`'s
+    /// tip.
+    fn e_stp(&mut self, s1: VertexId, e: Option<ArcId>, depth: u32) -> ControlFlow<()> {
         let lvl = depth as usize;
         // A new activation: the level's cached reverse BFS (if any) was
         // computed under a different path prefix.
@@ -1067,8 +1026,9 @@ impl<V: PathView> Engine<'_, '_, V> {
                 for idx in ext_start..ext_end {
                     let i = self.s.ext[idx] as usize;
                     let banned_child = self.qa(q, i - 1); // (v_i, v_{i+1})
+                    let tip = self.qv(q, i - 1);
                     self.push_prefix(q, i);
-                    let f = self.e_stp(Some(banned_child), depth + 1);
+                    let f = self.e_stp(tip, Some(banned_child), depth + 1);
                     self.pop_prefix(q, i);
                     if f.is_break() {
                         flow = ControlFlow::Break(());
@@ -1189,8 +1149,7 @@ impl<V: PathView> Engine<'_, '_, V> {
     /// performs is undone by its `pop_prefix` before the next sibling,
     /// so the lazily resumed reference scan sees exactly the admissible
     /// set that existed when the activation began.
-    fn e_stp_packed(&mut self, e: Option<ArcId>, depth: u32) -> ControlFlow<()> {
-        let s1 = *self.s.cur_vertices.last().expect("P is nonempty");
+    fn e_stp_packed(&mut self, s1: VertexId, e: Option<ArcId>, depth: u32) -> ControlFlow<()> {
         let lvl = depth as usize;
         self.stats.work += 1;
         self.fstp_prepare_packed(s1, e, lvl);
@@ -1258,8 +1217,9 @@ impl<V: PathView> Engine<'_, '_, V> {
                 for idx in ext_start..ext_end {
                     let i = self.s.ext[idx] as usize;
                     let banned_child = self.qa(q, i - 1); // (v_i, v_{i+1})
+                    let tip = self.qv(q, i - 1);
                     self.push_prefix(q, i);
-                    let f = self.e_stp_packed(Some(banned_child), depth + 1);
+                    let f = self.e_stp_packed(tip, Some(banned_child), depth + 1);
                     self.pop_prefix(q, i);
                     if f.is_break() {
                         flow = ControlFlow::Break(());
@@ -1286,21 +1246,21 @@ impl<V: PathView> Engine<'_, '_, V> {
 }
 
 /// Runs the Algorithm-1 engine over an arbitrary [`PathView`] with an
-/// explicit, reusable [`PathScratch`].
+/// explicit, reusable [`PathScratch`], reporting the paths to `sink` as
+/// [`PathDelta`]s (wrap the sink in a [`WholePaths`] started at `s` to
+/// receive whole paths).
 ///
 /// The caller owns the removal mask: call [`PathScratch::begin`] with the
-/// view's vertex count, mark any vertices to exclude, then call this. When
-/// `replace_root_with_first_arc_tail` is set (virtual-source mode, see
-/// [`VirtualSourceView`]), every emitted path reports the real tail of its
-/// first arc as its first vertex.
+/// view's vertex count, mark any vertices to exclude, then call this. No
+/// delta names `s`, so in virtual-source mode (see [`VirtualSourceView`])
+/// every reported vertex and arc is real.
 pub fn enumerate_paths_view<V: PathView>(
     view: &V,
     s: VertexId,
     t: VertexId,
     options: EnumerateOptions,
-    replace_root_with_first_arc_tail: bool,
     scratch: &mut PathScratch,
-    sink: &mut dyn FnMut(PathEvent<'_>) -> ControlFlow<()>,
+    sink: &mut dyn FnMut(PathDelta<'_>) -> ControlFlow<()>,
 ) -> PathEnumStats {
     let n = view.num_vertices();
     debug_assert_eq!(scratch.removed.len(), n, "call begin(n) before the run");
@@ -1311,8 +1271,8 @@ pub fn enumerate_paths_view<V: PathView>(
     if s == t {
         let mut stats = stats;
         stats.emitted = 1;
-        let _ = sink(PathEvent {
-            vertices: &[s],
+        let _ = sink(PathDelta::Path {
+            vertices: &[],
             arcs: &[],
         });
         return stats;
@@ -1346,9 +1306,6 @@ pub fn enumerate_paths_view<V: PathView>(
     scratch.restride(n);
     scratch.epoch = 0;
     scratch.queue.clear();
-    scratch.cur_vertices.clear();
-    scratch.cur_vertices.push(s);
-    scratch.cur_arcs.clear();
     debug_assert!(
         scratch.qv.is_empty()
             && scratch.qa.is_empty()
@@ -1360,14 +1317,13 @@ pub fn enumerate_paths_view<V: PathView>(
         t,
         s: scratch,
         options,
-        replace_root: replace_root_with_first_arc_tail,
         stats,
         sink,
     };
     let _ = if options.packed_frontiers {
-        engine.e_stp_packed(None, 0)
+        engine.e_stp_packed(s, None, 0)
     } else {
-        engine.e_stp(None, 0)
+        engine.e_stp(s, None, 0)
     };
     let stats = engine.stats;
     scratch.qv.clear();
@@ -1427,7 +1383,10 @@ pub fn enumerate_directed_st_paths_with(
     }
     // The historical contract: the target takes part even when masked out
     // by `allowed` only through the early return below, exactly as before.
-    enumerate_paths_view(d, s, t, options, false, &mut scratch, sink)
+    let mut whole = WholePaths::new(s);
+    enumerate_paths_view(d, s, t, options, &mut scratch, &mut |delta| {
+        whole.apply(delta, sink)
+    })
 }
 
 #[cfg(test)]
@@ -1435,6 +1394,21 @@ mod tests {
     use super::*;
     use crate::visit::{collect_arc_paths, count_paths, first_k_arc_paths};
     use std::collections::HashSet;
+
+    /// Runs the engine over `view`, handing whole paths to `sink`.
+    fn run_whole<V: PathView>(
+        view: &V,
+        s: VertexId,
+        t: VertexId,
+        options: EnumerateOptions,
+        scratch: &mut PathScratch,
+        sink: &mut dyn FnMut(PathEvent<'_>) -> ControlFlow<()>,
+    ) -> PathEnumStats {
+        let mut whole = WholePaths::new(s);
+        enumerate_paths_view(view, s, t, options, scratch, &mut |delta| {
+            whole.apply(delta, sink)
+        })
+    }
 
     fn paths_of(d: &DiGraph, s: VertexId, t: VertexId) -> Vec<Vec<ArcId>> {
         collect_arc_paths(|sink| {
@@ -1589,12 +1563,11 @@ mod tests {
             let csr = CsrDigraph::from_digraph(&d);
             let mut on_csr = Vec::new();
             scratch.begin(n);
-            enumerate_paths_view(
+            run_whole(
                 &csr,
                 s,
                 t,
                 EnumerateOptions::default(),
-                false,
                 &mut scratch,
                 &mut |p| {
                     on_csr.push(p.arcs.to_vec());
@@ -1614,12 +1587,11 @@ mod tests {
         scratch.preallocate(n, m);
         for round in 0..2 {
             scratch.begin(n);
-            enumerate_paths_view(
+            run_whole(
                 &csr,
                 VertexId(0),
                 VertexId(4),
                 EnumerateOptions::default(),
-                false,
                 &mut scratch,
                 &mut |_| ControlFlow::Continue(()),
             );
@@ -1661,15 +1633,18 @@ mod tests {
             source: vsrc,
         };
         let mut got = Vec::new();
-        enumerate_paths_view(
+        run_whole(
             &view,
             vsrc,
             VertexId(3),
             EnumerateOptions::default(),
-            true,
             &mut scratch,
             &mut |p| {
-                assert!(p.vertices[0] == VertexId(0) || p.vertices[0] == VertexId(1));
+                // Only the adapter's seed names the virtual source; the
+                // first arc leaves S for real.
+                assert!(!p.vertices[1..].contains(&vsrc));
+                let first = csr.tail(p.arcs[0]);
+                assert!(first == VertexId(0) || first == VertexId(1));
                 assert_eq!(*p.vertices.last().unwrap(), VertexId(3));
                 got.push(p.arcs.to_vec());
                 ControlFlow::Continue(())
@@ -1774,12 +1749,11 @@ mod tests {
         scratch.preallocate(csr.num_vertices(), csr.num_arcs());
         scratch.begin(csr.num_vertices());
         let mut emitted = Vec::new();
-        enumerate_paths_view(
+        run_whole(
             &csr,
             VertexId(0),
             VertexId::new(n - 1),
             EnumerateOptions::default(),
-            false,
             &mut scratch,
             &mut |p| {
                 emitted.push(p.arcs.len());
@@ -1802,12 +1776,11 @@ mod tests {
         let run = |scratch: &mut PathScratch| {
             let mut paths = Vec::new();
             scratch.begin(n);
-            enumerate_paths_view(
+            run_whole(
                 &csr,
                 VertexId(0),
                 t,
                 EnumerateOptions::default(),
-                false,
                 scratch,
                 &mut |p| {
                     paths.push(p.arcs.to_vec());
@@ -1850,7 +1823,7 @@ mod tests {
             let reserved = scratch.capacity_bytes();
             let mut seen = 0;
             scratch.begin(n);
-            enumerate_paths_view(
+            run_whole(
                 &csr,
                 VertexId(0),
                 VertexId::new(n - 1),
@@ -1858,7 +1831,6 @@ mod tests {
                     packed_frontiers: packed,
                     ..EnumerateOptions::default()
                 },
-                false,
                 &mut scratch,
                 &mut |_| {
                     seen += 1;
@@ -1904,12 +1876,11 @@ mod tests {
                 let n = csr.num_vertices();
                 let mut got = Vec::new();
                 scratch.begin(n);
-                enumerate_paths_view(
+                run_whole(
                     csr,
                     VertexId(0),
                     VertexId::new(n - 1),
                     options,
-                    false,
                     scratch,
                     &mut |p| {
                         got.push(p.arcs.to_vec());
@@ -1980,12 +1951,11 @@ mod tests {
             } else {
                 scratch.begin_same_graph(n);
             }
-            enumerate_paths_view(
+            run_whole(
                 &csr,
                 VertexId(0),
                 VertexId(4),
                 EnumerateOptions::default(),
-                false,
                 scratch,
                 &mut |_| ControlFlow::Continue(()),
             )
@@ -2020,12 +1990,11 @@ mod tests {
             let shared = {
                 let mut got = Vec::new();
                 scratch.begin(n);
-                enumerate_paths_view(
+                run_whole(
                     &csr,
                     s,
                     t,
                     EnumerateOptions::default(),
-                    false,
                     &mut scratch,
                     &mut |p| {
                         got.push(p.arcs.to_vec());
@@ -2038,12 +2007,11 @@ mod tests {
             let fresh = {
                 let mut got = Vec::new();
                 fresh_scratch.begin(n);
-                enumerate_paths_view(
+                run_whole(
                     &csr,
                     s,
                     t,
                     EnumerateOptions::default(),
-                    false,
                     &mut fresh_scratch,
                     &mut |p| {
                         got.push(p.arcs.to_vec());
@@ -2068,7 +2036,7 @@ mod tests {
         scratch.preallocate(n, m);
         for round in 0..2 {
             scratch.begin(n);
-            enumerate_paths_view(
+            run_whole(
                 &csr,
                 VertexId(0),
                 VertexId(4),
@@ -2076,7 +2044,6 @@ mod tests {
                     packed_frontiers: false,
                     ..EnumerateOptions::default()
                 },
-                false,
                 &mut scratch,
                 &mut |_| ControlFlow::Continue(()),
             );
@@ -2085,6 +2052,63 @@ mod tests {
                 0,
                 "round {round}: preallocated scratch must not grow"
             );
+        }
+    }
+
+    #[test]
+    fn deltas_nest_and_stay_balanced_after_a_break() {
+        // Every Extend is undone by a Retract, also when the sink stops
+        // the run; only Path deltas count as emissions; a Path's suffix
+        // starts at the current tip; and no delta names the source.
+        let g = steiner_graph::generators::theta_chain(4, 3);
+        let csr = CsrDigraph::doubled(&g);
+        let n = csr.num_vertices();
+        let (s, t) = (VertexId(0), VertexId(4));
+        for (packed, stop) in [(true, 7), (false, 7), (true, u64::MAX), (false, u64::MAX)] {
+            let mut scratch = PathScratch::new();
+            scratch.begin(n);
+            let mut tips = vec![s];
+            let (mut paths, mut max_depth) = (0u64, 0);
+            let stats = enumerate_paths_view(
+                &csr,
+                s,
+                t,
+                EnumerateOptions {
+                    packed_frontiers: packed,
+                    ..EnumerateOptions::default()
+                },
+                &mut scratch,
+                &mut |delta| match delta {
+                    PathDelta::Extend { vertices, arcs } => {
+                        assert_eq!(vertices.len(), arcs.len());
+                        assert!(!vertices.is_empty() && !vertices.contains(&s));
+                        assert_eq!(csr.tail(arcs[0]), *tips.last().unwrap());
+                        tips.push(*vertices.last().unwrap());
+                        max_depth = max_depth.max(tips.len() - 1);
+                        ControlFlow::Continue(())
+                    }
+                    PathDelta::Retract => {
+                        tips.pop();
+                        assert!(!tips.is_empty(), "a Retract undoes an Extend");
+                        ControlFlow::Continue(())
+                    }
+                    PathDelta::Path { vertices, arcs } => {
+                        assert_eq!(vertices.len(), arcs.len());
+                        assert_eq!(csr.tail(arcs[0]), *tips.last().unwrap());
+                        assert_eq!(vertices.last(), Some(&t));
+                        paths += 1;
+                        if paths == stop {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    }
+                },
+            );
+            assert_eq!(tips, vec![s], "packed {packed}: balanced after the run");
+            assert_eq!(stats.emitted, paths);
+            assert_eq!(paths, stop.min(81), "packed {packed}");
+            assert!(max_depth >= 2, "packed {packed}: prefixes nest");
         }
     }
 

@@ -20,7 +20,11 @@
 //!
 //! All enumerators are push-based (they call a sink); the [`streaming`]
 //! module turns any push enumeration into a pull [`Iterator`] running on a
-//! dedicated large-stack thread.
+//! dedicated large-stack thread. The core engine reports its current path
+//! incrementally, as [`visit::PathDelta`]s, so a consumer mirroring the
+//! path pays only for each solution's new suffix; the
+//! `enumerate_directed_st_paths*` entry points rebuild whole paths with
+//! [`visit::WholePaths`].
 
 #![deny(unsafe_code)]
 

@@ -10,12 +10,20 @@
 //! leaving the source set through different boundary edges stay distinct
 //! (required for the correctness of Algorithm 2's branching — children are
 //! indexed by paths, not by their vertex sets).
+//!
+//! Two forms are offered. [`SourceSetInstance`]/[`DiSourceSetInstance`]
+//! materialize the super-source digraph and report whole paths whose
+//! first vertex is the true source-set endpoint. The allocation-free
+//! [`enumerate_source_set_paths_csr`] — the form the Steiner `branch()`
+//! implementations consume — runs over a virtual super-source and reports
+//! [`PathDelta`]s: a consumer already holding `S` (the partial tree) only
+//! adds each delta's vertices and arcs, none of which is the super-source.
 
 use crate::enumerate::{
     enumerate_directed_st_paths, enumerate_paths_view, EnumerateOptions, PathEnumStats,
     PathScratch, VirtualSourceView,
 };
-use crate::visit::{PathEvent, UndirectedPathEvent};
+use crate::visit::{PathDelta, UndirectedPathEvent};
 use std::ops::ControlFlow;
 use steiner_graph::digraph::DiGraph;
 use steiner_graph::{ArcId, CsrDigraph, EdgeId, UndirectedGraph, VertexId};
@@ -136,10 +144,13 @@ impl SourceSetInstance {
 ///   super-source adjacency (reserve `csr.num_arcs()` once to keep the
 ///   hot path allocation-free).
 ///
-/// Paths start at a vertex of `S` (reported as `vertices[0]`), end at
-/// `target`, and avoid `S` internally. Arc ids are host arc ids. `target`
-/// must not be in `S`; boundary arcs are ordered by arc id, fixing the
-/// child order `≺` deterministically.
+/// Paths start at a vertex of `S`, end at `target`, and avoid `S`
+/// internally. They are reported as [`PathDelta`]s over the virtual
+/// super-source, which no delta names: the first arc of a path leaves its
+/// `S` endpoint (the arc's tail), and every reported vertex lies outside
+/// `S`. Arc ids are host arc ids. `target` must not be in `S`; boundary
+/// arcs are ordered by arc id, fixing the child order `≺`
+/// deterministically.
 pub fn enumerate_source_set_paths_csr(
     csr: &CsrDigraph,
     sources: &[VertexId],
@@ -147,7 +158,7 @@ pub fn enumerate_source_set_paths_csr(
     options: EnumerateOptions,
     scratch: &mut PathScratch,
     boundary_buf: &mut Vec<(VertexId, ArcId)>,
-    sink: &mut dyn FnMut(PathEvent<'_>) -> ControlFlow<()>,
+    sink: &mut dyn FnMut(PathDelta<'_>) -> ControlFlow<()>,
 ) -> PathEnumStats {
     let n = csr.num_vertices();
     let vsrc = VertexId::new(n);
@@ -175,7 +186,7 @@ pub fn enumerate_source_set_paths_csr(
         boundary: boundary_buf,
         source: vsrc,
     };
-    enumerate_paths_view(&view, vsrc, target, options, true, scratch, sink)
+    enumerate_paths_view(&view, vsrc, target, options, scratch, sink)
 }
 
 /// A super-source instance over a *directed* host graph, for the §5.2
@@ -255,7 +266,43 @@ impl DiSourceSetInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::visit::{PathEvent, WholePaths};
     use std::collections::HashSet;
+
+    /// Whole `S`-`target` paths from the CSR form, first vertex restored
+    /// from the first arc's tail.
+    fn csr_whole_paths(
+        csr: &CsrDigraph,
+        sources: &[VertexId],
+        target: VertexId,
+        scratch: &mut PathScratch,
+        boundary: &mut Vec<(VertexId, ArcId)>,
+        sink: &mut dyn FnMut(PathEvent<'_>) -> ControlFlow<()>,
+    ) {
+        let vsrc = VertexId::new(csr.num_vertices());
+        let mut whole = WholePaths::new(vsrc);
+        let mut vertices = Vec::new();
+        enumerate_source_set_paths_csr(
+            csr,
+            sources,
+            target,
+            EnumerateOptions::default(),
+            scratch,
+            boundary,
+            &mut |delta| {
+                whole.apply(delta, &mut |p| {
+                    assert!(!p.vertices[1..].contains(&vsrc), "deltas never name σ");
+                    vertices.clear();
+                    vertices.push(csr.tail(p.arcs[0]));
+                    vertices.extend_from_slice(&p.vertices[1..]);
+                    sink(PathEvent {
+                        vertices: &vertices,
+                        arcs: p.arcs,
+                    })
+                })
+            },
+        );
+    }
 
     #[test]
     fn source_set_paths_in_a_square() {
@@ -360,11 +407,10 @@ mod tests {
             });
             let mut got: BTreeSet<(Vec<VertexId>, Vec<EdgeId>)> = BTreeSet::new();
             scratch.begin(n + 1);
-            enumerate_source_set_paths_csr(
+            csr_whole_paths(
                 &csr,
                 &sources,
                 target,
-                EnumerateOptions::default(),
                 &mut scratch,
                 &mut boundary,
                 &mut |p| {
@@ -408,14 +454,14 @@ mod tests {
             });
             let mut got: BTreeSet<Vec<ArcId>> = BTreeSet::new();
             scratch.begin(n + 1);
-            enumerate_source_set_paths_csr(
+            csr_whole_paths(
                 &csr,
                 &sources,
                 target,
-                EnumerateOptions::default(),
                 &mut scratch,
                 &mut boundary,
                 &mut |p| {
+                    assert!(in_sources[p.vertices[0].index()], "starts inside S");
                     got.insert(p.arcs.to_vec());
                     ControlFlow::Continue(())
                 },

@@ -13,11 +13,14 @@ use crate::passes::{run_all, FileContext, FileKind};
 use crate::source::SourceFile;
 
 /// The designated hot-path functions, per file: the `classify`/`branch`/
-/// `descend`/`retract` impls of the four improved enumerators (PR 2's
-/// zero-allocation invariant), the Lemma-11/Theorem-12 path enumerator
-/// that dominates their inner loop, and the epoch-engine mutation paths
-/// (graph edits, delta replay, and cross-epoch skeleton carry-over)
-/// that run between queries on the serving graph.
+/// `descend`/`retract` impls of the four improved enumerators (the
+/// zero-allocation invariant) — `descend`/`retract_frame` run once per
+/// path delta, through the shared `BranchRun::follow` mapping, and
+/// `doubled_edges` maps each delta's arcs — the Lemma-11/Theorem-12
+/// path enumerator that dominates their inner loop (its delta emission
+/// is `push_prefix`/`pop_prefix`/`emit`), and the epoch-engine mutation
+/// paths (graph edits, delta replay, and cross-epoch skeleton
+/// carry-over) that run between queries on the serving graph.
 pub const HOT: &[(&str, &[&str])] = &[
     (
         "crates/graph/src/epoch.rs",
@@ -31,6 +34,7 @@ pub const HOT: &[(&str, &[&str])] = &[
         ],
     ),
     ("crates/graph/src/spanning.rs", &["carry_over"]),
+    ("crates/core/src/problem.rs", &["follow"]),
     (
         "crates/graph/src/csr.rs",
         &[
@@ -50,7 +54,13 @@ pub const HOT: &[(&str, &[&str])] = &[
     ),
     (
         "crates/core/src/improved.rs",
-        &["classify", "branch", "descend", "retract_frame"],
+        &[
+            "classify",
+            "branch",
+            "descend",
+            "retract_frame",
+            "doubled_edges",
+        ],
     ),
     (
         "crates/core/src/forest.rs",
@@ -63,6 +73,8 @@ pub const HOT: &[(&str, &[&str])] = &[
             "branch",
             "descend",
             "retract_frame",
+            "extend_current",
+            "retract_current",
             "branch_root",
             "branch_terminal",
         ],
