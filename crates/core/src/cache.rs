@@ -61,7 +61,7 @@ use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 use steiner_graph::epoch::{RegionMap, RegionSignature};
-use steiner_graph::{DiGraph, UndirectedGraph, VertexId};
+use steiner_graph::VertexId;
 
 /// Compact the shared arena once dead bytes pass this share of it.
 const COMPACT_DEAD_FRACTION: f64 = 0.5;
@@ -740,23 +740,6 @@ fn hasher() -> std::collections::hash_map::DefaultHasher {
     std::collections::hash_map::DefaultHasher::new()
 }
 
-/// Fingerprint of an undirected multigraph: compatibility wrapper over
-/// the region machinery — the XOR fold of the graph's per-region
-/// fingerprints ([`RegionMap::fold`]). An
-/// [`EpochGraph`](steiner_graph::EpochGraph) answers the same figure from
-/// its maintained map with no rescan; this free function recomputes it
-/// for callers holding a bare graph. Pins the exact vertex count and
-/// edge-id/endpoint assignment the solution slices refer to.
-pub fn fingerprint_undirected(g: &UndirectedGraph) -> u64 {
-    RegionMap::of_undirected(g).fold()
-}
-
-/// Fingerprint of a digraph: compatibility wrapper folding the weak-
-/// component region fingerprints (see [`fingerprint_undirected`]).
-pub fn fingerprint_digraph(d: &DiGraph) -> u64 {
-    RegionMap::of_digraph(d).fold()
-}
-
 /// Fingerprint of a terminal list, order-sensitive. Problems whose
 /// `prepare()` canonicalizes the terminal order (all four paper problems
 /// sort it) should fingerprint the canonical — sorted — form, so
@@ -804,7 +787,7 @@ pub fn fingerprint_vertex_pairs(pairs: &[(VertexId, VertexId)]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use steiner_graph::EdgeId;
+    use steiner_graph::{DiGraph, EdgeId, UndirectedGraph};
 
     fn key(kind: &'static str, q: u64, limit: Option<u64>) -> QueryKey {
         QueryKey {
@@ -988,12 +971,18 @@ mod tests {
     fn fingerprints_separate_structures() {
         let g1 = UndirectedGraph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
         let g2 = UndirectedGraph::from_edges(3, &[(0, 1), (0, 2)]).unwrap();
-        assert_ne!(fingerprint_undirected(&g1), fingerprint_undirected(&g2));
+        assert_ne!(
+            RegionMap::of_undirected(&g1).fold(),
+            RegionMap::of_undirected(&g2).fold()
+        );
         let mut d1 = DiGraph::new(2);
         d1.add_arc_indices(0, 1).unwrap();
         let mut d2 = DiGraph::new(2);
         d2.add_arc_indices(1, 0).unwrap();
-        assert_ne!(fingerprint_digraph(&d1), fingerprint_digraph(&d2));
+        assert_ne!(
+            RegionMap::of_digraph(&d1).fold(),
+            RegionMap::of_digraph(&d2).fold()
+        );
         assert_ne!(
             fingerprint_terminals(&[VertexId(0), VertexId(1)]),
             fingerprint_terminals(&[VertexId(1), VertexId(0)]),

@@ -15,6 +15,11 @@
 //! branch on it (≥ 2 children guaranteed); otherwise `F` plus the bridges
 //! contains the unique minimal completion, which is extracted with the
 //! LCA-based marking procedure in linear time.
+//!
+//! `prepare` works on the sets' region — the union of the connected
+//! components a forest can use ([`steiner_graph::region`]): one DFS gives
+//! every set's connectivity verdict, the region and its bridges, and the
+//! search runs in region ids, mapped back to graph ids at emission.
 
 use crate::problem::{
     BranchRun, MinimalSteinerProblem, NodeStep, Prepared, SteinerError, SubtreeRecord,
@@ -26,12 +31,13 @@ use crate::trail::{FrameLog, ScratchUsage};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
-use steiner_graph::bridges::{bridges, bridges_csr_into, BridgeScratch};
-use steiner_graph::connectivity::all_in_one_component;
+use steiner_graph::bridges::{bridges_csr_into, BridgeScratch};
 use steiner_graph::csr::{grow, IncidenceCsr};
 use steiner_graph::spanning::{DynamicSpanning, SpanMark};
 use steiner_graph::union_find::UnionFind;
-use steiner_graph::{CsrDigraph, CsrUndirected, EdgeId, UndirectedGraph, VertexId};
+use steiner_graph::{
+    CsrDigraph, CsrUndirected, EdgeId, Region, RegionIds, UndirectedGraph, VertexId,
+};
 use steiner_paths::enumerate::{enumerate_paths_view, EnumerateOptions, PathScratch};
 
 /// Reduces terminal sets to deduplicated unordered pairs. Singleton and
@@ -70,6 +76,9 @@ pub fn pairs_from_sets(sets: &[Vec<VertexId>]) -> Vec<(VertexId, VertexId)> {
 pub struct SteinerForest<'g> {
     g: Cow<'g, UndirectedGraph>,
     sets: Vec<Vec<VertexId>>,
+    /// `(n, m)` of the query region once `prepare` has run (of the whole
+    /// graph before).
+    size: (usize, usize),
     stats: EnumStats,
     search: Option<ForestSearch>,
     level_cache_cap: Option<usize>,
@@ -88,22 +97,25 @@ struct ForestFrame {
 /// Mutable search state installed by `prepare`. All hot-path buffers are
 /// preallocated; `classify`/`branch` never allocate.
 struct ForestSearch {
+    /// The terminal pairs, in region ids.
     pairs: Vec<(VertexId, VertexId)>,
+    /// Region ids back to graph ids, for emission.
+    ids: RegionIds,
     uf: UnionFind,
     forest_edges: Vec<EdgeId>,
     /// Pair classified for branching; the matching contraction sits in
     /// `pool[depth]` (avoids recomputing `G/E(F)`).
     pending: Option<(VertexId, VertexId)>,
-    /// Flat CSR of the original graph (built once).
+    /// Flat CSR of the region of the original graph (built once).
     gcsr: CsrUndirected,
     /// Dense-id assignment per union–find representative (per branch).
     rep_id: Vec<u32>,
     /// Bridge-contracted connectivity `G″ = G′/B` (rebuild path only).
     uf2: UnionFind,
     bridge: BridgeScratch,
-    /// Bridges of `G`, computed once. The bridges of the contracted
-    /// multigraph `G/E(F)` are **exactly these edges minus the ones
-    /// `E(F)` turns into self-loops**: contraction can neither create a
+    /// Bridges of `G` in the region, computed once. The bridges of the
+    /// contracted multigraph `G/E(F)` are **exactly these edges minus the
+    /// ones `E(F)` turns into self-loops**: contraction can neither create a
     /// bridge (a cycle's image stays a closed walk through every
     /// surviving cycle edge) nor destroy one (the two sides of a bridge
     /// of `G` cannot be joined by `F`-paths, which avoid the bridge). So
@@ -424,6 +436,7 @@ impl<'g> SteinerForest<'g> {
         SteinerForest {
             g: Cow::Borrowed(g),
             sets: sets.to_vec(),
+            size: (g.num_vertices(), g.num_edges()),
             stats: EnumStats::default(),
             search: None,
             level_cache_cap: None,
@@ -435,6 +448,7 @@ impl<'g> SteinerForest<'g> {
     /// A problem instance owning the graph.
     pub fn from_graph(g: UndirectedGraph, sets: &[Vec<VertexId>]) -> SteinerForest<'static> {
         SteinerForest {
+            size: (g.num_vertices(), g.num_edges()),
             g: Cow::Owned(g),
             sets: sets.to_vec(),
             stats: EnumStats::default(),
@@ -451,6 +465,7 @@ impl<'g> SteinerForest<'g> {
         SteinerForest {
             g: Cow::Owned(self.g.into_owned()),
             sets: self.sets,
+            size: self.size,
             stats: self.stats,
             search: self.search,
             level_cache_cap: self.level_cache_cap,
@@ -640,6 +655,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         Some(SteinerForest {
             g: self.g.clone(),
             sets: self.sets.clone(),
+            size: self.size,
             stats: EnumStats::default(),
             search: None,
             level_cache_cap: self.level_cache_cap,
@@ -695,23 +711,47 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
 
     fn prepare(&mut self) -> Result<Prepared<EdgeId>, SteinerError> {
         self.validate()?;
-        let g = &*self.g;
-        self.stats.preprocessing_work = (g.num_vertices() + g.num_edges()) as u64;
+        // A forest lies in the components of its sets' members. Sets of
+        // fewer than two members constrain nothing and seed nothing; one
+        // DFS from the rest labels their components, builds the region
+        // the search runs on, and flags its bridges.
+        let constrained = || {
+            self.sets
+                .iter()
+                .enumerate()
+                .filter(|(_, set)| set.len() >= 2)
+        };
+        let seeds: Vec<VertexId> = constrained().flat_map(|(_, set)| set).copied().collect();
+        let region = Region::around(&self.g, &seeds);
+        self.size = region.size();
+        let (n, m) = self.size;
+        self.stats.preprocessing_work = (n + m) as u64;
         // Precondition: each terminal set inside one component.
-        for (i, set) in self.sets.iter().enumerate() {
-            if !all_in_one_component(g, set, None) {
+        let mut at = 0;
+        for (i, set) in constrained() {
+            if !region.connects(at..at + set.len()) {
                 return Err(SteinerError::DisconnectedTerminals { set: i });
             }
+            at += set.len();
         }
         let pairs = pairs_from_sets(&self.sets);
         if pairs.is_empty() {
             // The empty forest is the unique minimal Steiner forest.
             return Ok(Prepared::Single(Vec::new()));
         }
-        let (n, m) = (g.num_vertices(), g.num_edges());
-        // Build the flat CSR once and size every scratch buffer now, so
-        // the search never allocates (asserted via `scratch_allocs`).
-        let gcsr = CsrUndirected::from_graph(g);
+        // Region ids are monotone, so the pairs stay sorted.
+        let pairs: Vec<(VertexId, VertexId)> = pairs
+            .iter()
+            .map(|&(w, w2)| (region.local(w), region.local(w2)))
+            .collect();
+        let Region {
+            csr: gcsr,
+            bridge: gbridge,
+            ids,
+            ..
+        } = region;
+        // The flat CSR is built; size every scratch buffer now, so the
+        // search never allocates (asserted via `scratch_allocs`).
         let mut uf = UnionFind::new(n);
         uf.reserve_history(n + 1);
         let mut uf2 = UnionFind::new(n);
@@ -721,7 +761,8 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         // The static bridges of G and the incremental G″ labels: the
         // bridges are contracted once here, forest-edge deltas join in on
         // descent (see the `gbridge` field docs for why this is exact).
-        let gbridge = bridges(g, None);
+        // The region DFS flagged them, charged as the bridge pass it
+        // stands in for.
         self.stats.preprocessing_work += (n + m) as u64;
         let bridge_ids: Vec<EdgeId> = (0..m)
             .map(EdgeId::new)
@@ -752,6 +793,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         }
         let mut search = ForestSearch {
             pairs,
+            ids,
             uf,
             forest_edges: Vec::with_capacity(n + 1),
             pending: None,
@@ -777,7 +819,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
     }
 
     fn instance_size(&self) -> (usize, usize) {
-        (self.g.num_vertices(), self.g.num_edges())
+        self.size
     }
 
     fn stats(&self) -> &EnumStats {
@@ -850,6 +892,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
                         out,
                         &mut stats.work,
                     );
+                    search.ids.globalize(out);
                     NodeStep::Unique
                 }
             };
@@ -901,6 +944,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
                     out,
                     &mut stats.work,
                 );
+                search.ids.globalize(out);
                 NodeStep::Unique
             }
         }
@@ -912,6 +956,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
             .as_ref()
             .expect("prepare() runs before the search");
         out.extend_from_slice(&search.forest_edges);
+        search.ids.globalize(out);
     }
 
     fn seal_stats(&mut self) {
@@ -939,7 +984,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         record: &SubtreeRecord<EdgeId>,
         child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        self.stats.work += (self.g.num_vertices() + self.g.num_edges()) as u64;
+        self.stats.work += (self.size.0 + self.size.1) as u64;
         self.descend_edges(record.items.iter().copied());
         let flow = child(self);
         self.retract_frame();
@@ -951,7 +996,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         pair: (VertexId, VertexId),
         child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
     ) -> (u64, ControlFlow<()>) {
-        let per_child = (self.g.num_vertices() + self.g.num_edges()) as u64;
+        let per_child = (self.size.0 + self.size.1) as u64;
         // Take this depth's scratch — holding the contraction, built here
         // on the incremental path (only internal nodes pay for it) or by
         // `classify` on the rebuild path — so the enumeration can borrow

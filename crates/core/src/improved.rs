@@ -16,6 +16,12 @@
 //!   terminal `w` behind the non-bridge edge has ≥ 2 valid paths: branch on
 //!   it.
 //!
+//! `prepare` works on the terminals' region — the connected component
+//! every solution lies in ([`steiner_graph::region`]): one DFS gives the
+//! connectivity verdict, the region and its bridges, and the search runs
+//! in region ids, mapped back to graph ids at emission. So `n` and `m`
+//! below are the component's.
+//!
 //! With the ≥2-children invariant, internal nodes never outnumber leaves,
 //! so total work is O((n + m) · #solutions) — amortized O(n + m) each
 //! (Theorem 17). Running the enumeration through
@@ -37,13 +43,13 @@ use crate::trail::{FrameLog, ScratchUsage};
 use std::borrow::Cow;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use steiner_graph::bridges::bridges;
-use steiner_graph::connectivity::all_in_one_component;
 use steiner_graph::csr::{bit_clear, bit_set, bit_test, IncidenceCsr};
 use steiner_graph::spanning::{
     grow_spanning_tree_csr, prune_leaves_csr, CompletionScratch, DynamicSpanning, SpanMark,
 };
-use steiner_graph::{ArcId, CsrDigraph, CsrUndirected, EdgeId, UndirectedGraph, VertexId};
+use steiner_graph::{
+    ArcId, CsrDigraph, CsrUndirected, EdgeId, Region, RegionIds, UndirectedGraph, VertexId,
+};
 use steiner_paths::enumerate::{EnumerateOptions, PathScratch};
 use steiner_paths::stsets::enumerate_source_set_paths_csr;
 
@@ -64,6 +70,9 @@ use steiner_paths::stsets::enumerate_source_set_paths_csr;
 pub struct SteinerTree<'g> {
     g: Cow<'g, UndirectedGraph>,
     terminals: Vec<VertexId>,
+    /// `(n, m)` of the query region once `prepare` has run (of the whole
+    /// graph before).
+    size: (usize, usize),
     stats: EnumStats,
     search: Option<TreeSearch>,
     level_cache_cap: Option<usize>,
@@ -85,6 +94,10 @@ struct TreeFrame {
 /// Mutable search state installed by `prepare`. Everything the hot path
 /// touches is preallocated here: `classify`/`branch` never allocate.
 struct TreeSearch {
+    /// The terminals, sorted, in region ids.
+    terminals: Vec<VertexId>,
+    /// Region ids back to graph ids, for emission.
+    ids: RegionIds,
     t: PartialTree,
     /// Edge membership in `E(T)` as a word-packed bitset, kept in sync by
     /// `descend`/`retract_frame` (which clears exactly the frame's edges
@@ -92,7 +105,8 @@ struct TreeSearch {
     /// delivers `E(T)` already sorted, which is what lets `solution`
     /// skip the per-emission O(k log k) canonicalizing sort.
     edge_words: Vec<u64>,
-    /// Bridges of `G`, precomputed once (Lemma 16 is a property of `G`).
+    /// Bridges of `G` in the region, precomputed once (Lemma 16 is a
+    /// property of `G`).
     bridge: Vec<bool>,
     /// Incremental connectivity over the bridge skeleton of `G`: a
     /// terminal with a skeleton path to `V(T)` (queried with the
@@ -103,10 +117,11 @@ struct TreeSearch {
     span: DynamicSpanning,
     /// Typed checkpoint frames of the active descent (LIFO).
     frames: FrameLog<TreeFrame>,
-    /// Flat CSR view of `G` (built once).
+    /// Flat CSR view of the region (built once).
     csr: CsrUndirected,
-    /// Doubled CSR digraph of `G` for `V(T)`-`w` path enumeration (built
-    /// once; shared with the nested branch levels, hence the `Arc`).
+    /// Doubled CSR digraph of the region for `V(T)`-`w` path enumeration
+    /// (built once; shared with the nested branch levels, hence the
+    /// `Arc`).
     doubled: Arc<CsrDigraph>,
     /// Minimal-completion scratch (spanning growth + leaf pruning).
     completion: CompletionScratch,
@@ -223,6 +238,7 @@ impl<'g> SteinerTree<'g> {
         SteinerTree {
             g: Cow::Borrowed(g),
             terminals: terminals.to_vec(),
+            size: (g.num_vertices(), g.num_edges()),
             stats: EnumStats::default(),
             search: None,
             level_cache_cap: None,
@@ -234,6 +250,7 @@ impl<'g> SteinerTree<'g> {
     /// A problem instance owning the graph.
     pub fn from_graph(g: UndirectedGraph, terminals: &[VertexId]) -> SteinerTree<'static> {
         SteinerTree {
+            size: (g.num_vertices(), g.num_edges()),
             g: Cow::Owned(g),
             terminals: terminals.to_vec(),
             stats: EnumStats::default(),
@@ -250,6 +267,7 @@ impl<'g> SteinerTree<'g> {
         SteinerTree {
             g: Cow::Owned(self.g.into_owned()),
             terminals: self.terminals,
+            size: self.size,
             stats: self.stats,
             search: self.search,
             level_cache_cap: self.level_cache_cap,
@@ -281,6 +299,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
         Some(SteinerTree {
             g: self.g.clone(),
             terminals: self.terminals.clone(),
+            size: self.size,
             stats: EnumStats::default(),
             search: None,
             level_cache_cap: self.level_cache_cap,
@@ -323,23 +342,29 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
     fn prepare(&mut self) -> Result<Prepared<EdgeId>, SteinerError> {
         self.validate()?;
         self.terminals.sort_unstable();
-        let g = &*self.g;
-        // Preprocessing: connectivity + bridges of G, O(n + m) each.
-        self.stats.preprocessing_work = 2 * (g.num_vertices() + g.num_edges()) as u64;
-        if !all_in_one_component(g, &self.terminals, None) {
+        // Every solution lies in the terminals' component: one DFS from
+        // them gives the connectivity verdict, the region the search runs
+        // on, and the region's bridges. It is charged as the connectivity
+        // and bridge passes it does the work of, O(n + m) each.
+        let region = Region::around(&self.g, &self.terminals);
+        self.size = region.size();
+        let (n, m) = self.size;
+        self.stats.preprocessing_work = 2 * (n + m) as u64;
+        if !region.connects(0..self.terminals.len()) {
             return Err(SteinerError::DisconnectedTerminals { set: 0 });
         }
         if self.terminals.len() == 1 {
             // The empty tree on the terminal itself is the unique solution.
             return Ok(Prepared::Single(Vec::new()));
         }
-        let bridge = bridges(g, None);
-        let (n, m) = (g.num_vertices(), g.num_edges());
-        let t = PartialTree::new(n, &self.terminals, Some(self.terminals[0]));
+        let terminals: Vec<VertexId> = self.terminals.iter().map(|&w| region.local(w)).collect();
+        let Region {
+            csr, bridge, ids, ..
+        } = region;
+        let t = PartialTree::new(n, &terminals, Some(terminals[0]));
         // Build the flat views once and size every scratch buffer now, so
         // the search never allocates (asserted via `scratch_allocs`).
-        let csr = CsrUndirected::from_graph(g);
-        let doubled = Arc::new(CsrDigraph::doubled(g));
+        let doubled = Arc::new(CsrDigraph::doubled_from_csr(&csr));
         let mut completion = CompletionScratch::default();
         completion.preallocate(n, m);
         let mut beyond = BeyondScratch::default();
@@ -350,27 +375,27 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
         let mut span = DynamicSpanning::new();
         span.preallocate(n, 2 * m);
         span.begin_skeleton(n);
-        for e in g.edges() {
-            if bridge[e.index()] {
-                let (u, v) = g.endpoints(e);
-                span.add_edge(u, v, e.index() as u32);
-            }
+        for (i, _) in bridge.iter().enumerate().filter(|(_, &b)| b) {
+            let (u, v) = csr.endpoints(EdgeId::new(i));
+            span.add_edge(u, v, i as u32);
         }
         span.finish_skeleton();
         // One frame per live path delta, and each owns at least one vertex
         // of V(T): the descent never holds more than n of them.
         let mut frames = FrameLog::new();
-        frames.preallocate(n + self.terminals.len() + 2);
+        frames.preallocate(n + terminals.len() + 2);
         let level_cache_cap = self
             .level_cache_cap
             .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP);
-        let mut pool = Vec::with_capacity(self.terminals.len() + 1);
-        for _ in 0..self.terminals.len() + 1 {
+        let mut pool = Vec::with_capacity(terminals.len() + 1);
+        for _ in 0..terminals.len() + 1 {
             let mut bs = BranchScratch::default();
             bs.preallocate(n, m, level_cache_cap);
             pool.push(bs);
         }
         let mut search = TreeSearch {
+            terminals,
+            ids,
             t,
             edge_words: vec![0u64; m.div_ceil(64)],
             bridge,
@@ -392,7 +417,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
     }
 
     fn instance_size(&self) -> (usize, usize) {
-        (self.g.num_vertices(), self.g.num_edges())
+        self.size
     }
 
     fn stats(&self) -> &EnumStats {
@@ -406,11 +431,11 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
     fn classify(&mut self, out: &mut Vec<EdgeId>) -> NodeStep<VertexId> {
         let incremental = self.incremental;
         let stats = &mut self.stats;
-        let terminals = &self.terminals;
         let search = self
             .search
             .as_mut()
             .expect("prepare() runs before the search");
+        let terminals = &search.terminals;
         if search.t.complete() {
             return NodeStep::Complete;
         }
@@ -465,6 +490,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
                     want.sort_unstable();
                     debug_assert_eq!(got, want, "incremental unique completion differs from T′");
                 }
+                search.ids.globalize(out);
                 return NodeStep::Unique;
             }
             // Some terminal has ≥ 2 valid paths: the node branches, and
@@ -502,6 +528,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             // T' is the unique minimal Steiner tree containing T (Lemma 16).
             None => {
                 out.extend_from_slice(tprime);
+                search.ids.globalize(out);
                 NodeStep::Unique
             }
             Some(e_star) => NodeStep::Branch(find_terminal_beyond_csr(
@@ -526,8 +553,10 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
         // already sorted and the driver's canonicalizing sort degenerates
         // to one linear ascending-run pass. An O(k log k) sort of k
         // unordered tree edges costs more than the O(m/64 + k) scan
-        // unless the tree is much smaller than the graph, so fall back to
-        // the plain stack copy (and the driver's real sort) there.
+        // unless the tree is much smaller than the region, so fall back
+        // to the plain stack copy (and a sort) there. Either way the
+        // region ids map back to graph ids monotonically, so the
+        // solution stays sorted.
         let k = search.t.edges.len();
         if search.edge_words.len() <= 8 * k.max(1) {
             for (wi, &w0) in search.edge_words.iter().enumerate() {
@@ -542,6 +571,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             out.extend_from_slice(&search.t.edges);
             out.sort_unstable();
         }
+        search.ids.globalize(out);
     }
 
     fn seal_stats(&mut self) {
@@ -569,7 +599,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
         record: &SubtreeRecord<EdgeId>,
         child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        self.stats.work += (self.g.num_vertices() + self.g.num_edges()) as u64;
+        self.stats.work += (self.size.0 + self.size.1) as u64;
         // The record is V(T) as a stack, so it starts with the vertices
         // the root state already holds (the seed terminal).
         let t = &self.search.as_ref().expect("search state").t;
@@ -586,7 +616,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
         w: VertexId,
         child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
     ) -> (u64, ControlFlow<()>) {
-        let per_child = (self.g.num_vertices() + self.g.num_edges()) as u64;
+        let per_child = (self.size.0 + self.size.1) as u64;
         self.stats.work += per_child;
         // Take this depth's scratch out of the pool so the enumeration can
         // borrow it while the sink mutates `self` (deeper branches use

@@ -299,11 +299,17 @@ pub trait MinimalSteinerProblem {
 
     /// Validates, preprocesses (connectivity, bridges, graph cleaning, …)
     /// and installs the root search state. Must be called exactly once,
-    /// before any other search method.
+    /// before any other search method. The undirected problems prepare on
+    /// their terminals' region ([`steiner_graph::region`]): their search
+    /// state is in region ids, and [`Self::solution`] and the unique
+    /// completions of [`Self::classify`] map items back to graph ids.
     fn prepare(&mut self) -> Result<Prepared<Self::Item>, SteinerError>;
 
     /// `(n, m)` of the instance graph — sizes the default
     /// [`crate::queue::QueueConfig`] and the engine's work accounting.
+    /// The undirected problems report their query region once
+    /// [`Self::prepare`] has run, and the whole graph before, so the
+    /// engine reads it after `prepare`.
     fn instance_size(&self) -> (usize, usize);
 
     /// The enumeration statistics recorded so far.

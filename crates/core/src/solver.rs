@@ -659,14 +659,15 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
         P::Item: Send,
     {
         if let Some(shards) = self.split_shards() {
-            let queue = self.queue_config();
-            let steal = self.steal_mode();
             // The coordinator prepares its own instance so instance errors
             // surface synchronously; under stealing it also executes the
             // subtrees the merge claims inline. It never branches at the
             // root: each worker generates the root's children itself.
+            // Prepared, it reports the instance size the queue follows.
+            self.problem.prepare()?;
+            let queue = self.queue_config();
+            let steal = self.steal_mode();
             let mut original = self.problem;
-            original.prepare()?;
             let (stats, expired) = run_sharded(
                 &mut original,
                 shards,
@@ -1935,7 +1936,7 @@ where
     let tick_every = match (queue, deadline) {
         (Some(c), _) => Some((c.budget / 2).max(1)),
         (None, Some(_)) => {
-            let (n, m) = shards[0].instance_size();
+            let (n, m) = original.instance_size();
             Some((4 * (n + m) as u64).max(1))
         }
         (None, None) => None,

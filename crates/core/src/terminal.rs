@@ -7,10 +7,12 @@
 //! a leaf *and* every leaf is a terminal). For |W| = 2 the problem is plain
 //! `s`-`t` path enumeration. For |W| ≥ 3, Lemma 27 says solutions use no
 //! terminal-terminal edge and live inside `G[C ∪ W]` for a single
-//! component `C` of `G[V ∖ W]` with `W ⊆ N(C)` — so `prepare`
+//! component `C` of `G[V ∖ W]` with `W ⊆ N(C)` — so `prepare`, working
+//! on the terminals' region (their connected component, in region ids:
+//! [`steiner_graph::region`]),
 //!
-//! 1. builds a *cleaned* copy of `G` without terminal-terminal edges
-//!    (remembering original edge ids for emission), and
+//! 1. builds a *cleaned* copy of the region without terminal-terminal
+//!    edges (remembering original edge ids for emission), and
 //! 2. splits it into admissible components, each with its own bridge set
 //!    and precomputed vertex masks.
 //!
@@ -48,12 +50,14 @@ use std::borrow::Cow;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use steiner_graph::bridges::{bridges_csr_into, BridgeScratch};
-use steiner_graph::connectivity::{all_in_one_component, connected_components};
+use steiner_graph::connectivity::connected_components;
 use steiner_graph::csr::grow;
 use steiner_graph::spanning::{
     grow_spanning_tree_csr, prune_leaves_csr, CompletionScratch, DynamicSpanning, SpanMark,
 };
-use steiner_graph::{ArcId, CsrDigraph, CsrUndirected, EdgeId, UndirectedGraph, VertexId};
+use steiner_graph::{
+    ArcId, CsrDigraph, CsrUndirected, EdgeId, Region, RegionIds, UndirectedGraph, VertexId,
+};
 use steiner_paths::enumerate::{EnumerateOptions, PathScratch};
 use steiner_paths::stsets::enumerate_source_set_paths_csr;
 
@@ -86,6 +90,9 @@ pub enum TerminalBranch {
 pub struct TerminalSteinerTree<'g> {
     g: Cow<'g, UndirectedGraph>,
     terminals: Vec<VertexId>,
+    /// `(n, m)` of the query region once `prepare` has run (of the whole
+    /// graph before).
+    size: (usize, usize),
     stats: EnumStats,
     search: Option<TerminalSearch>,
     level_cache_cap: Option<usize>,
@@ -107,9 +114,24 @@ enum TerminalSearch {
     Components(Box<ComponentSearch>),
 }
 
-/// |W| = 2 search state: one doubled CSR of `G` plus a path scratch (the
-/// root is the only branch, so no depth pool is needed).
+impl TerminalSearch {
+    /// The terminals, sorted, in region ids.
+    fn terminals(&self) -> &[VertexId] {
+        match self {
+            TerminalSearch::TwoTerminals(ts) => &ts.terminals,
+            TerminalSearch::Components(cs) => &cs.terminals,
+        }
+    }
+}
+
+/// |W| = 2 search state: one doubled CSR of the terminals' region plus a
+/// path scratch (the root is the only branch, so no depth pool is
+/// needed).
 struct TwoTerminalSearch {
+    /// `[w₀, w₁]` in region ids.
+    terminals: Vec<VertexId>,
+    /// Region ids back to graph ids, for emission.
+    ids: RegionIds,
     doubled: Arc<CsrDigraph>,
     path: PathScratch,
     boundary: Vec<(VertexId, ArcId)>,
@@ -137,12 +159,15 @@ impl TwoTerminalSearch {
 }
 
 struct ComponentSearch {
-    /// `G` with all terminal-terminal edges removed (Lemma 27), same
-    /// vertex ids as `G`, as a flat CSR view.
+    /// The terminals, sorted, in region ids.
+    terminals: Vec<VertexId>,
+    /// The terminals' region of `G` with all terminal-terminal edges
+    /// removed (Lemma 27), same vertex ids as the region, as a flat CSR
+    /// view.
     gc: CsrUndirected,
     /// Doubled CSR of the cleaned graph (shared with nested branches).
     gc_doubled: Arc<CsrDigraph>,
-    /// For each cleaned edge: the original edge id (for emission).
+    /// For each cleaned edge: the original edge id of `G` (for emission).
     orig_edge: Vec<EdgeId>,
     /// The admissible components (`W ⊆ N(C)`).
     comps: Vec<ComponentCtx>,
@@ -256,6 +281,7 @@ impl<'g> TerminalSteinerTree<'g> {
         TerminalSteinerTree {
             g: Cow::Borrowed(g),
             terminals: terminals.to_vec(),
+            size: (g.num_vertices(), g.num_edges()),
             stats: EnumStats::default(),
             search: None,
             level_cache_cap: None,
@@ -267,6 +293,7 @@ impl<'g> TerminalSteinerTree<'g> {
     /// A problem instance owning the graph.
     pub fn from_graph(g: UndirectedGraph, terminals: &[VertexId]) -> TerminalSteinerTree<'static> {
         TerminalSteinerTree {
+            size: (g.num_vertices(), g.num_edges()),
             g: Cow::Owned(g),
             terminals: terminals.to_vec(),
             stats: EnumStats::default(),
@@ -283,6 +310,7 @@ impl<'g> TerminalSteinerTree<'g> {
         TerminalSteinerTree {
             g: Cow::Owned(self.g.into_owned()),
             terminals: self.terminals,
+            size: self.size,
             stats: self.stats,
             search: self.search,
             level_cache_cap: self.level_cache_cap,
@@ -421,6 +449,7 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
         Some(TerminalSteinerTree {
             g: self.g.clone(),
             terminals: self.terminals.clone(),
+            size: self.size,
             stats: EnumStats::default(),
             search: None,
             level_cache_cap: self.level_cache_cap,
@@ -461,32 +490,39 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
     fn prepare(&mut self) -> Result<Prepared<EdgeId>, SteinerError> {
         self.validate()?;
         self.terminals.sort_unstable();
-        let g = &*self.g;
-        let n = g.num_vertices();
-        self.stats.preprocessing_work = (n + g.num_edges()) as u64;
-        if !all_in_one_component(g, &self.terminals, None) {
+        // Solutions lie in the terminals' component: one DFS from them
+        // gives the connectivity verdict and the region the search runs
+        // on.
+        let region = Region::around(&self.g, &self.terminals);
+        self.size = region.size();
+        let (n, m) = self.size;
+        self.stats.preprocessing_work = (n + m) as u64;
+        if !region.connects(0..self.terminals.len()) {
             return Err(SteinerError::DisconnectedTerminals { set: 0 });
         }
         if self.terminals.len() == 1 {
             // Every tree with one terminal has a non-terminal leaf.
             return Ok(Prepared::Empty);
         }
-        if self.terminals.len() == 2 {
+        let terminals: Vec<VertexId> = self.terminals.iter().map(|&w| region.local(w)).collect();
+        if terminals.len() == 2 {
             // Minimal terminal Steiner trees with two terminals are exactly
             // the w₀-w₁ paths (§5.1).
-            let doubled = Arc::new(CsrDigraph::doubled(g));
+            let doubled = Arc::new(CsrDigraph::doubled_from_csr(&region.csr));
             let mut path = PathScratch::new();
             path.preallocate_capped(
                 n + 2,
-                2 * g.num_edges() + 2,
+                2 * m + 2,
                 self.level_cache_cap
                     .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP),
             );
-            let boundary = Vec::with_capacity(2 * g.num_edges() + 2);
+            let boundary = Vec::with_capacity(2 * m + 2);
             // Each live delta adds at least one path vertex.
             let mut marks = FrameLog::new();
             marks.preallocate(n + 1);
             let mut search = TwoTerminalSearch {
+                terminals,
+                ids: region.ids,
                 doubled,
                 path,
                 boundary,
@@ -498,33 +534,33 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
             self.search = Some(TerminalSearch::TwoTerminals(Box::new(search)));
             return Ok(Prepared::Search);
         }
-        // |W| ≥ 3: clean the graph, split into admissible components.
+        // |W| ≥ 3: clean the region, split into admissible components.
         let mut is_terminal = vec![false; n];
-        for &w in &self.terminals {
+        for &w in &terminals {
             is_terminal[w.index()] = true;
         }
-        let mut gc = UndirectedGraph::with_capacity(n, g.num_edges());
-        let mut orig_edge = Vec::with_capacity(g.num_edges());
-        for e in g.edges() {
-            let (u, v) = g.endpoints(e);
+        let mut gc = UndirectedGraph::with_capacity(n, m);
+        let mut orig_edge = Vec::with_capacity(m);
+        for e in (0..m).map(EdgeId::new) {
+            let (u, v) = region.csr.endpoints(e);
             if is_terminal[u.index()] && is_terminal[v.index()] {
                 continue; // Lemma 27: never part of a solution when |W| ≥ 3
             }
             gc.add_edge(u, v).expect("cleaned edge is valid");
-            orig_edge.push(e);
+            orig_edge.push(region.ids.global_edge(e));
         }
         let non_terminal_mask: Vec<bool> = (0..n).map(|v| !is_terminal[v]).collect();
         let comps = connected_components(&gc, Some(&non_terminal_mask));
         self.stats.preprocessing_work += (n + gc.num_edges()) as u64;
         let gc_csr = CsrUndirected::from_graph(&gc);
-        let (w0, w1) = (self.terminals[0], self.terminals[1]);
+        let (w0, w1) = (terminals[0], terminals[1]);
         // Admissibility: W ⊆ N(C) (Lemma 27), for every component in one
         // pass over the terminals' edges: `covered[c]` counts the distinct
         // terminals adjacent to C (`last_cover[c]` skips a terminal's
         // repeat hits on the same component).
         let mut covered = vec![0usize; comps.count];
         let mut last_cover = vec![usize::MAX; comps.count];
-        for (i, &w) in self.terminals.iter().enumerate() {
+        for (i, &w) in terminals.iter().enumerate() {
             for (u, _) in gc.neighbors(w) {
                 if let Some(c) = comps.comp[u.index()] {
                     if last_cover[c as usize] != i {
@@ -539,11 +575,11 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
         // Only admissible components get masks (W ⊄ N(C) leaves C without
         // solutions); each mask is n long, so building it from the
         // component labels costs no more than allocating it.
-        for c in (0..comps.count).filter(|&c| covered[c] == self.terminals.len()) {
+        for c in (0..comps.count).filter(|&c| covered[c] == terminals.len()) {
             let comp_mask: Vec<bool> = comps.comp.iter().map(|&x| x == Some(c as u32)).collect();
             // Bridges of G[C ∪ W] — fixed for the whole component (Lemma 30).
             let mut allowed_cw: Vec<bool> = comp_mask.clone();
-            for &w in &self.terminals {
+            for &w in &terminals {
                 allowed_cw[w.index()] = true;
             }
             let bridge = steiner_graph::bridges::bridges(&gc, Some(&allowed_cw));
@@ -572,13 +608,13 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
         let level_cache_cap = self
             .level_cache_cap
             .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP);
-        let mut pool = Vec::with_capacity(self.terminals.len() + 2);
-        for _ in 0..self.terminals.len() + 2 {
+        let mut pool = Vec::with_capacity(terminals.len() + 2);
+        for _ in 0..terminals.len() + 2 {
             let mut bs = BranchScratch::default();
             bs.preallocate(n, num_edges, level_cache_cap);
             pool.push(bs);
         }
-        let mut t = PartialTree::new(n, &self.terminals, None);
+        let mut t = PartialTree::new(n, &terminals, None);
         t.vertices.reserve(n + 1);
         t.edges.reserve(n + 1);
         let mut span = DynamicSpanning::new();
@@ -586,8 +622,9 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
         // One frame for w₀ plus one per live path delta, each owning at
         // least one vertex of V(T): never more than n + 1 at once.
         let mut frames = FrameLog::new();
-        frames.preallocate(n + self.terminals.len() + 3);
+        frames.preallocate(n + terminals.len() + 3);
         let mut search = ComponentSearch {
+            terminals,
             gc: gc_csr,
             gc_doubled,
             orig_edge,
@@ -615,7 +652,7 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
     }
 
     fn instance_size(&self) -> (usize, usize) {
-        (self.g.num_vertices(), self.g.num_edges())
+        self.size
     }
 
     fn stats(&self) -> &EnumStats {
@@ -629,7 +666,6 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
     fn classify(&mut self, _out: &mut Vec<EdgeId>) -> NodeStep<TerminalBranch> {
         let incremental = self.incremental;
         let stats = &mut self.stats;
-        let terminals = &self.terminals;
         match self
             .search
             .as_mut()
@@ -646,6 +682,7 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
                 let Some(active) = cs.active else {
                     return NodeStep::Branch(TerminalBranch::Root);
                 };
+                let terminals = &cs.terminals;
                 if cs.t.complete() {
                     return NodeStep::Complete;
                 }
@@ -794,6 +831,7 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
             TerminalSearch::TwoTerminals(ts) => {
                 debug_assert!(!ts.current.is_empty(), "emitting inside the root branch");
                 out.extend_from_slice(&ts.current);
+                ts.ids.globalize(out);
             }
             TerminalSearch::Components(cs) => {
                 out.extend(cs.t.edges.iter().map(|e| cs.orig_edge[e.index()]));
@@ -835,7 +873,7 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
         record: &SubtreeRecord<EdgeId>,
         child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        self.stats.work += (self.g.num_vertices() + self.g.num_edges()) as u64;
+        self.stats.work += (self.size.0 + self.size.1) as u64;
         let two_terminal = matches!(self.search.as_ref(), Some(TerminalSearch::TwoTerminals(_)));
         if two_terminal {
             let ts = self.two_terminal_mut();
@@ -915,11 +953,7 @@ impl TerminalSteinerTree<'_> {
     /// different component. Component switches only happen at the root,
     /// with an empty partial tree, so no reach state needs migrating.
     fn ensure_span(&mut self, ci: usize) {
-        let terminals = &self.terminals;
-        let cs = match self.search.as_mut() {
-            Some(TerminalSearch::Components(cs)) => cs,
-            _ => unreachable!("component mode is fixed by prepare()"),
-        };
+        let cs = self.components_mut();
         if cs.span_comp == Some(ci) {
             return;
         }
@@ -929,7 +963,7 @@ impl TerminalSteinerTree<'_> {
         );
         let n = cs.gc.num_vertices();
         cs.span.begin_skeleton(n);
-        for &w in terminals {
+        for &w in &cs.terminals {
             cs.span.set_barrier(w);
         }
         let bridge = &cs.comps[ci].bridge;
@@ -999,7 +1033,14 @@ impl TerminalSteinerTree<'_> {
         &mut self,
         child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
     ) -> (u64, ControlFlow<()>) {
-        let (w0, w1) = (self.terminals[0], self.terminals[1]);
+        let (w0, w1) = {
+            let terminals = self
+                .search
+                .as_ref()
+                .expect("prepare() runs before the search")
+                .terminals();
+            (terminals[0], terminals[1])
+        };
         let mut run = BranchRun::new();
         match self
             .search
@@ -1007,7 +1048,7 @@ impl TerminalSteinerTree<'_> {
             .expect("prepare() runs before the search")
         {
             TerminalSearch::TwoTerminals(_) => {
-                let per_child = (self.g.num_vertices() + self.g.num_edges()) as u64;
+                let per_child = (self.size.0 + self.size.1) as u64;
                 let (mut path, mut boundary, doubled) = {
                     let ts = self.two_terminal_mut();
                     (

@@ -222,6 +222,60 @@ fn run_workloads() -> Vec<Workload> {
         size: (deep_d.num_vertices() + deep_d.num_arcs()) as u64,
     });
 
+    // Multi-region: three 6×6 grids side by side, the first losing one
+    // edge so the last edge's id moves into its range. Each query's
+    // region is a proper, renumbered part of the graph.
+    let mut regions = steiner_graph::UndirectedGraph::new(3 * deep.num_vertices());
+    for r in 0..3 {
+        for e in deep.edges() {
+            let (u, v) = deep.endpoints(e);
+            let offset = r * deep.num_vertices();
+            regions
+                .add_edge_indices(offset + u.index(), offset + v.index())
+                .unwrap();
+        }
+    }
+    regions.remove_edge(steiner_graph::EdgeId::new(7)).unwrap();
+    let regions_size = (regions.num_vertices() + regions.num_edges()) as u64;
+    let in_region = |r: usize, vs: &[VertexId]| -> Vec<VertexId> {
+        vs.iter()
+            .map(|v| VertexId::new(r * deep.num_vertices() + v.index()))
+            .collect()
+    };
+    let (stats, allocs) = audited_run(
+        SteinerTree::new(&regions, &in_region(2, &deep_corners)),
+        Some(DEEP_LIMIT),
+    );
+    out.push(Workload {
+        name: "steiner-tree/regions-3x6x6",
+        stats,
+        allocs,
+        size: regions_size,
+    });
+    let (stats, allocs) = audited_run(
+        SteinerForest::new(
+            &regions,
+            &[in_region(0, &crossed[0]), in_region(2, &crossed[1])],
+        ),
+        Some(DEEP_LIMIT),
+    );
+    out.push(Workload {
+        name: "steiner-forest/regions-3x6x6",
+        stats,
+        allocs,
+        size: regions_size,
+    });
+    let (stats, allocs) = audited_run(
+        TerminalSteinerTree::new(&regions, &in_region(1, &deep_corners)),
+        Some(DEEP_LIMIT),
+    );
+    out.push(Workload {
+        name: "terminal-steiner-tree/regions-3x6x6",
+        stats,
+        allocs,
+        size: regions_size,
+    });
+
     out
 }
 

@@ -356,6 +356,13 @@ impl CsrDigraph {
         csr
     }
 
+    /// As [`Self::doubled`], from a CSR view of the undirected graph.
+    pub fn doubled_from_csr(g: &CsrUndirected) -> Self {
+        let mut csr = CsrDigraph::default();
+        csr.rebuild_doubled_from_csr(g);
+        csr
+    }
+
     /// Rebuilds in place from `d`, reusing buffers.
     pub fn rebuild_from_digraph(&mut self, d: &DiGraph) {
         let mut allocs = self.allocs;

@@ -10,6 +10,10 @@
 //! * connected components and reachability ([`connectivity`]),
 //! * multigraph-aware **bridge** finding ([`bridges`], used by Lemmas 16, 24
 //!   and 30),
+//! * **query regions** ([`region`]): one DFS from a query's terminals
+//!   labels their components, flags the bridges there and renumbers that
+//!   part of the graph order-preservingly, so the enumerators prepare on
+//!   the part their answer can live in,
 //! * edge-set **contraction** `G/F` preserving original edge identities
 //!   ([`contraction`], used by the Steiner-forest and directed variants),
 //! * **lowest common ancestors** ([`lca`], used by the forest
@@ -37,6 +41,7 @@ pub mod ids;
 pub mod io;
 pub mod lca;
 pub mod line_graph;
+pub mod region;
 pub mod spanning;
 pub mod traversal;
 pub mod undirected;
@@ -49,6 +54,7 @@ pub use epoch::{
     RegionSignature,
 };
 pub use ids::{ArcId, EdgeId, VertexId};
+pub use region::{Region, RegionIds};
 pub use undirected::UndirectedGraph;
 
 /// Errors produced when constructing or parsing graphs.

@@ -16,7 +16,9 @@ use crate::source::SourceFile;
 /// `descend`/`retract` impls of the four improved enumerators (the
 /// zero-allocation invariant) — `descend`/`retract_frame` run once per
 /// path delta, through the shared `BranchRun::follow` mapping, and
-/// `doubled_edges` maps each delta's arcs — the Lemma-11/Theorem-12
+/// `doubled_edges` maps each delta's arcs; the undirected problems'
+/// `solution` runs once per emission and maps region ids back to graph
+/// ids through `RegionIds::globalize` — the Lemma-11/Theorem-12
 /// path enumerator that dominates their inner loop (its delta emission
 /// is `push_prefix`/`pop_prefix`/`emit`), and the epoch-engine mutation
 /// paths (graph edits, delta replay, and cross-epoch skeleton
@@ -34,6 +36,7 @@ pub const HOT: &[(&str, &[&str])] = &[
         ],
     ),
     ("crates/graph/src/spanning.rs", &["carry_over"]),
+    ("crates/graph/src/region.rs", &["globalize"]),
     ("crates/core/src/problem.rs", &["follow"]),
     (
         "crates/graph/src/csr.rs",
@@ -60,11 +63,18 @@ pub const HOT: &[(&str, &[&str])] = &[
             "descend",
             "retract_frame",
             "doubled_edges",
+            "solution",
         ],
     ),
     (
         "crates/core/src/forest.rs",
-        &["classify", "branch", "descend_edges", "retract_frame"],
+        &[
+            "classify",
+            "branch",
+            "descend_edges",
+            "retract_frame",
+            "solution",
+        ],
     ),
     (
         "crates/core/src/terminal.rs",
@@ -77,6 +87,7 @@ pub const HOT: &[(&str, &[&str])] = &[
             "retract_current",
             "branch_root",
             "branch_terminal",
+            "solution",
         ],
     ),
     (

@@ -1,8 +1,11 @@
 //! Property-based tests (proptest): the fast enumerators agree with the
 //! brute-force oracles on arbitrary small instances, and every output
-//! passes its validity checker.
+//! passes its validity checker. The undirected problems are also checked
+//! on disjoint unions of connected graphs, where a query's region (its
+//! terminals' components) is a proper, renumbered part of the graph.
 
-use minimal_steiner::graph::{DiGraph, UndirectedGraph, VertexId};
+use minimal_steiner::graph::connectivity::connected_components;
+use minimal_steiner::graph::{DiGraph, EdgeId, UndirectedGraph, VertexId};
 use minimal_steiner::steiner::{brute, verify};
 use minimal_steiner::{
     DirectedSteinerTree, Enumeration, MinimalSteinerProblem, SteinerError, SteinerForest,
@@ -70,6 +73,61 @@ fn connected_graph() -> impl Strategy<Value = UndirectedGraph> {
     })
 }
 
+/// Strategy: a disjoint union of 2–3 connected graphs, each a path
+/// backbone on 2–4 vertices plus up to 3 extra edges, with the parts'
+/// vertex ids interleaved, optionally followed by one `remove_edge` (whose
+/// swap-renumbering moves the last edge's id into another part's range).
+fn multi_component_graph() -> impl Strategy<Value = UndirectedGraph> {
+    let part = (2usize..=4).prop_flat_map(|n| {
+        proptest::collection::vec((0..n, 0..n), 0..4).prop_map(move |extra| (n, extra))
+    });
+    (
+        proptest::collection::vec(part, 2..4),
+        0usize..64,
+        any::<bool>(),
+    )
+        .prop_map(|(parts, removed, remove)| {
+            // Round-robin ids: vertex j of every part before vertex j + 1
+            // of any.
+            let mut ids: Vec<Vec<usize>> = vec![Vec::new(); parts.len()];
+            let mut next = 0;
+            for j in 0..4 {
+                for (i, &(n, _)) in parts.iter().enumerate() {
+                    if j < n {
+                        ids[i].push(next);
+                        next += 1;
+                    }
+                }
+            }
+            let mut g = UndirectedGraph::new(next);
+            for ((n, extra), ids) in parts.iter().zip(&ids) {
+                for j in 1..*n {
+                    g.add_edge_indices(ids[j - 1], ids[j]).unwrap();
+                }
+                for &(u, v) in extra {
+                    if u != v {
+                        g.add_edge_indices(ids[u], ids[v]).unwrap();
+                    }
+                }
+            }
+            if remove {
+                g.remove_edge(EdgeId::new(removed % g.num_edges())).unwrap();
+            }
+            g
+        })
+}
+
+/// At most `max` of the vertices `mask` selects inside the component of
+/// vertex `anchor % n`.
+fn component_subset(g: &UndirectedGraph, anchor: usize, mask: u8, max: usize) -> Vec<VertexId> {
+    let comps = connected_components(g, None);
+    let a = VertexId::new(anchor % g.num_vertices());
+    let mut w = terminal_subset(g.num_vertices(), mask, usize::MAX);
+    w.retain(|&v| comps.same(a, v));
+    w.truncate(max);
+    w
+}
+
 /// Strategy: a digraph on `n ∈ [2, 6]` vertices with random arcs.
 fn digraph() -> impl Strategy<Value = DiGraph> {
     (2usize..=6).prop_flat_map(|n| {
@@ -96,6 +154,62 @@ fn terminal_subset(n: usize, mask: u8, max: usize) -> Vec<VertexId> {
     w
 }
 
+/// `SteinerTree` on `(g, w)` emits valid, distinct solutions: exactly
+/// the brute-force set. `w` lies in one component.
+fn check_tree_brute(g: &UndirectedGraph, w: &[VertexId]) -> Result<(), TestCaseError> {
+    let mut got = BTreeSet::new();
+    let mut all_valid = true;
+    let mut duplicate = false;
+    Enumeration::new(SteinerTree::new(g, w))
+        .for_each(|e| {
+            all_valid &= verify::is_minimal_steiner_tree(g, w, e);
+            duplicate |= !got.insert(e.to_vec());
+            ControlFlow::Continue(())
+        })
+        .expect("the terminals lie in one component");
+    prop_assert!(all_valid, "invalid solution emitted");
+    prop_assert!(!duplicate, "duplicate solution emitted");
+    prop_assert_eq!(got, brute::minimal_steiner_trees(g, w));
+    Ok(())
+}
+
+/// As [`check_tree_brute`], for `TerminalSteinerTree`.
+fn check_terminal_brute(g: &UndirectedGraph, w: &[VertexId]) -> Result<(), TestCaseError> {
+    let mut got = BTreeSet::new();
+    let mut all_valid = true;
+    let mut duplicate = false;
+    Enumeration::new(TerminalSteinerTree::new(g, w))
+        .for_each(|e| {
+            all_valid &= verify::is_minimal_terminal_steiner_tree(g, w, e);
+            duplicate |= !got.insert(e.to_vec());
+            ControlFlow::Continue(())
+        })
+        .expect("the terminals lie in one component");
+    prop_assert!(all_valid, "invalid solution emitted");
+    prop_assert!(!duplicate, "duplicate solution emitted");
+    prop_assert_eq!(got, brute::minimal_terminal_steiner_trees(g, w));
+    Ok(())
+}
+
+/// As [`check_tree_brute`], for `SteinerForest`; each set lies in one
+/// component.
+fn check_forest_brute(g: &UndirectedGraph, sets: &[Vec<VertexId>]) -> Result<(), TestCaseError> {
+    let mut got = BTreeSet::new();
+    let mut all_valid = true;
+    let mut duplicate = false;
+    Enumeration::new(SteinerForest::new(g, sets))
+        .for_each(|e| {
+            all_valid &= verify::is_minimal_steiner_forest(g, sets, e);
+            duplicate |= !got.insert(e.to_vec());
+            ControlFlow::Continue(())
+        })
+        .expect("each set lies in one component");
+    prop_assert!(all_valid, "invalid solution emitted");
+    prop_assert!(!duplicate, "duplicate solution emitted");
+    prop_assert_eq!(got, brute::minimal_steiner_forests(g, sets));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -104,19 +218,73 @@ proptest! {
         prop_assume!(g.num_edges() <= 18);
         let w = terminal_subset(g.num_vertices(), mask, 4);
         prop_assume!(!w.is_empty());
-        let mut got = BTreeSet::new();
-        let mut all_valid = true;
-        let mut duplicate = false;
-        Enumeration::new(SteinerTree::new(&g, &w))
-            .for_each(|e| {
-                all_valid &= verify::is_minimal_steiner_tree(&g, &w, e);
-                duplicate |= !got.insert(e.to_vec());
-                ControlFlow::Continue(())
-            })
-            .expect("strategy generates connected graphs");
-        prop_assert!(all_valid, "invalid solution emitted");
-        prop_assert!(!duplicate, "duplicate solution emitted");
-        prop_assert_eq!(got, brute::minimal_steiner_trees(&g, &w));
+        check_tree_brute(&g, &w)?;
+    }
+
+    #[test]
+    fn steiner_tree_on_unions_matches_brute(
+        g in multi_component_graph(),
+        anchor in 0usize..16,
+        mask in 1u8..255,
+    ) {
+        prop_assume!(g.num_edges() <= 18);
+        let w = component_subset(&g, anchor, mask, 4);
+        prop_assume!(!w.is_empty());
+        check_tree_brute(&g, &w)?;
+    }
+
+    #[test]
+    fn terminal_steiner_on_unions_matches_brute(
+        g in multi_component_graph(),
+        anchor in 0usize..16,
+        mask in 1u8..255,
+    ) {
+        prop_assume!(g.num_edges() <= 18);
+        let w = component_subset(&g, anchor, mask, 4);
+        prop_assume!(w.len() >= 2);
+        check_terminal_brute(&g, &w)?;
+    }
+
+    #[test]
+    fn forest_on_unions_matches_brute(
+        g in multi_component_graph(),
+        anchors in (0usize..16, 0usize..16),
+        masks in (1u8..255, 1u8..255),
+    ) {
+        prop_assume!(g.num_edges() <= 16);
+        let sets = vec![
+            component_subset(&g, anchors.0, masks.0, 3),
+            component_subset(&g, anchors.1, masks.1, 3),
+        ];
+        check_forest_brute(&g, &sets)?;
+    }
+
+    #[test]
+    fn unions_report_the_first_disconnected_set(
+        g in multi_component_graph(),
+        anchor in 0usize..16,
+        mask in 1u8..255,
+    ) {
+        // The anchor, maybe more of its component, and one vertex outside.
+        let comps = connected_components(&g, None);
+        let a = VertexId::new(anchor % g.num_vertices());
+        let mut w = component_subset(&g, anchor, mask, 3);
+        if !w.contains(&a) {
+            w.push(a);
+        }
+        let outside = g.vertices().find(|&v| !comps.same(a, v)).expect("two parts");
+        w.push(outside);
+        let disconnected = Err(SteinerError::DisconnectedTerminals { set: 0 });
+        prop_assert_eq!(Enumeration::new(SteinerTree::new(&g, &w)).count(), disconnected);
+        prop_assert_eq!(
+            Enumeration::new(TerminalSteinerTree::new(&g, &w)).count(),
+            disconnected
+        );
+        let sets = vec![vec![a], component_subset(&g, anchor, mask, 3), w];
+        prop_assert_eq!(
+            Enumeration::new(SteinerForest::new(&g, &sets)).count(),
+            Err(SteinerError::DisconnectedTerminals { set: 2 })
+        );
     }
 
     #[test]
@@ -155,19 +323,7 @@ proptest! {
         prop_assume!(g.num_edges() <= 18);
         let w = terminal_subset(g.num_vertices(), mask, 4);
         prop_assume!(w.len() >= 2);
-        let mut got = BTreeSet::new();
-        let mut all_valid = true;
-        let mut duplicate = false;
-        Enumeration::new(TerminalSteinerTree::new(&g, &w))
-            .for_each(|e| {
-                all_valid &= verify::is_minimal_terminal_steiner_tree(&g, &w, e);
-                duplicate |= !got.insert(e.to_vec());
-                ControlFlow::Continue(())
-            })
-            .expect("strategy generates connected graphs");
-        prop_assert!(all_valid, "invalid solution emitted");
-        prop_assert!(!duplicate, "duplicate solution emitted");
-        prop_assert_eq!(got, brute::minimal_terminal_steiner_trees(&g, &w));
+        check_terminal_brute(&g, &w)?;
     }
 
     #[test]
@@ -176,20 +332,7 @@ proptest! {
         let n = g.num_vertices();
         let s1 = terminal_subset(n, m1, 3);
         let s2 = terminal_subset(n, m2, 3);
-        let sets = vec![s1, s2];
-        let mut got = BTreeSet::new();
-        let mut all_valid = true;
-        let mut duplicate = false;
-        Enumeration::new(SteinerForest::new(&g, &sets))
-            .for_each(|e| {
-                all_valid &= verify::is_minimal_steiner_forest(&g, &sets, e);
-                duplicate |= !got.insert(e.to_vec());
-                ControlFlow::Continue(())
-            })
-            .expect("strategy generates connected graphs");
-        prop_assert!(all_valid, "invalid solution emitted");
-        prop_assert!(!duplicate, "duplicate solution emitted");
-        prop_assert_eq!(got, brute::minimal_steiner_forests(&g, &sets));
+        check_forest_brute(&g, &[s1, s2])?;
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //! The instances include long-prefix ones (grids with corner terminals,
 //! theta chains, a layered digraph): there the path engine's recursion
 //! runs deep, so its prefix bookkeeping is exercised on every solution.
+//! The `regions` instances run on a disjoint union of four random graphs
+//! with interleaved vertex and edge ids, so the undirected problems'
+//! query regions are a proper, renumbered part of the graph.
 //!
 //! After an intended stream change, regenerate the corpus with
 //!
@@ -22,7 +25,7 @@
 //! and paste the printed lines into [`CORPUS`].
 
 use minimal_steiner::graph::digraph::DoubledDigraph;
-use minimal_steiner::graph::{generators, DiGraph, UndirectedGraph, VertexId};
+use minimal_steiner::graph::{generators, DiGraph, EdgeId, UndirectedGraph, VertexId};
 use minimal_steiner::{
     DirectedSteinerTree, Enumeration, MinimalSteinerProblem, SteinerForest, SteinerTree,
     TerminalSteinerTree,
@@ -34,7 +37,9 @@ use std::ops::ControlFlow;
 /// Solutions per stream that the digest covers.
 const LIMIT: u64 = 2000;
 
-/// `(instance, solutions, digest)`, captured from the sequential engine.
+/// `(instance, solutions, digest)`, captured from the sequential engine
+/// (the `regions` entries from the engine that still prepared the whole
+/// graph, before queries ran on their regions).
 const CORPUS: &[(&str, u64, u64)] = &[
     ("tree/grid-5x6-corners", 2000, 0x20ddb314cf00d6cd),
     ("tree/theta-chain-5x3", 243, 0xa5565555561c02fe),
@@ -49,6 +54,9 @@ const CORPUS: &[(&str, u64, u64)] = &[
     ("directed/layered-4x3", 2000, 0xea4bab249cc4ea64),
     ("directed/grid-5x6-doubled", 2000, 0xa55f5f5d9ecb0c26),
     ("directed/random-dag-40x120", 2000, 0x338a75497c2743c4),
+    ("tree/regions-4x60x90", 2000, 0x8d7015685b51504d),
+    ("terminal/regions-4x60x90", 2000, 0x271c2666a333a854),
+    ("forest/regions-4x60x90", 2000, 0x40ed2c2c7e081e9d),
 ];
 
 /// FNV-1a over the little-endian bytes of every hashed integer, so the
@@ -191,6 +199,34 @@ fn random_graph(seed: u64, k: usize) -> (UndirectedGraph, Vec<VertexId>) {
     (g, w)
 }
 
+/// Four seeded G(60, 90) regions on interleaved vertex ids — vertex `i`
+/// of region `r` is `4i + r` — with one chord of region 0 removed, so
+/// the swap-renumbering hands its id to region 3's last edge and edge
+/// ids interleave across regions too.
+fn regions() -> UndirectedGraph {
+    let mut g = UndirectedGraph::new(4 * 60);
+    for r in 0..4 {
+        let part = generators::random_connected_graph(60, 90, &mut rng(0x4e_0001 + r as u64));
+        for e in part.edges() {
+            let (u, v) = part.endpoints(e);
+            g.add_edge_indices(4 * u.index() + r, 4 * v.index() + r)
+                .expect("region edges are valid");
+        }
+    }
+    // Edges 0..59 of each region are its spanning tree; 70 is a chord.
+    let removed = g.remove_edge(EdgeId::new(70)).expect("edge 70 exists");
+    assert_eq!(removed.moved.map(|(old, _, _)| old), Some(EdgeId::new(359)));
+    g
+}
+
+/// `k` distinct random vertices of region `r` of [`regions`].
+fn region_terminals(seed: u64, r: usize, k: usize) -> Vec<VertexId> {
+    generators::random_terminals(60, k, &mut rng(seed))
+        .into_iter()
+        .map(|v| VertexId::new(4 * v.index() + r))
+        .collect()
+}
+
 fn tree(g: UndirectedGraph, w: Vec<VertexId>) -> Vec<(&'static str, Digest)> {
     front_ends(
         || SteinerTree::new(&g, &w),
@@ -292,6 +328,21 @@ fn instances() -> Vec<(&'static str, Vec<(&'static str, Digest)>)> {
             "directed/random-dag-40x120",
             directed(dag, dag_root, dag_terminals),
         ),
+        (
+            "tree/regions-4x60x90",
+            tree(regions(), region_terminals(0x4e_0101, 3, 5)),
+        ),
+        (
+            "terminal/regions-4x60x90",
+            terminal(regions(), region_terminals(0x4e_0102, 0, 4)),
+        ),
+        ("forest/regions-4x60x90", {
+            let (a, b) = (
+                region_terminals(0x4e_0103, 3, 2),
+                region_terminals(0x4e_0104, 1, 2),
+            );
+            forest(regions(), vec![a, b])
+        }),
     ]
 }
 
