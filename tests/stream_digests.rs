@@ -3,18 +3,24 @@
 //! For a fixed set of instances of all four problems, [`CORPUS`] records
 //! the solution count and a 64-bit FNV-1a digest of the **ordered**
 //! stream, capped at [`LIMIT`] solutions. Every instance is checked under
-//! four front-ends — direct push, the Theorem-20 output queue, the pull
-//! iterator, and `with_threads(2)` with subtree stealing — so a change
-//! that reorders, drops or adds a single solution anywhere in the first
-//! [`LIMIT`] fails here, even when the solution *set* (which `brute.rs`
-//! checks) is unchanged.
+//! six front-ends — direct push, the Theorem-20 output queue, the pull
+//! iterator, `with_threads(2)` with subtree stealing, a [`ResultCache`]
+//! (a cold recording, then its replay) and the service (one
+//! [`EnumerationEngine`] session running the query cold, then again) —
+//! so a change that reorders, drops or adds a single solution anywhere
+//! in the first [`LIMIT`] fails here, even when the solution *set*
+//! (which `brute.rs` checks) is unchanged.
 //!
 //! The instances include long-prefix ones (grids with corner terminals,
 //! theta chains, a layered digraph): there the path engine's recursion
 //! runs deep, so its prefix bookkeeping is exercised on every solution.
-//! The `regions` instances run on a disjoint union of four random graphs
-//! with interleaved vertex and edge ids, so the undirected problems'
-//! query regions are a proper, renumbered part of the graph.
+//! The theta chains with a pendant path, the hub with pendant terminals
+//! and the theta multigraph keep bridge-forced terminals in play at
+//! depth (the incremental classifier's Unique leaves) and repeat
+//! removal masks across branch nodes (the path engine's cross-branch
+//! cache). The `regions` instances run on a disjoint union of four
+//! random graphs with interleaved vertex and edge ids, so the undirected
+//! problems' query regions are a proper, renumbered part of the graph.
 //!
 //! After an intended stream change, regenerate the corpus with
 //!
@@ -26,9 +32,12 @@
 
 use minimal_steiner::graph::digraph::DoubledDigraph;
 use minimal_steiner::graph::{generators, DiGraph, EdgeId, UndirectedGraph, VertexId};
+use minimal_steiner::service::{
+    EngineConfig, EnumerationEngine, Query, QueryOptions, SolutionItems,
+};
 use minimal_steiner::{
-    DirectedSteinerTree, Enumeration, MinimalSteinerProblem, SteinerForest, SteinerTree,
-    TerminalSteinerTree,
+    DirectedSteinerTree, Enumeration, MinimalSteinerProblem, ResultCache, SteinerForest,
+    SteinerTree, TerminalSteinerTree,
 };
 use rand::SeedableRng;
 use std::hash::{Hash, Hasher};
@@ -39,7 +48,9 @@ const LIMIT: u64 = 2000;
 
 /// `(instance, solutions, digest)`, captured from the sequential engine
 /// (the `regions` entries from the engine that still prepared the whole
-/// graph, before queries ran on their regions).
+/// graph, before queries ran on their regions; the entries from
+/// `tree/grid-3x4` on from the engine that still carried the per-vertex
+/// reference path generator and the rebuild-only classifiers).
 const CORPUS: &[(&str, u64, u64)] = &[
     ("tree/grid-5x6-corners", 2000, 0x20ddb314cf00d6cd),
     ("tree/theta-chain-5x3", 243, 0xa5565555561c02fe),
@@ -57,6 +68,15 @@ const CORPUS: &[(&str, u64, u64)] = &[
     ("tree/regions-4x60x90", 2000, 0x8d7015685b51504d),
     ("terminal/regions-4x60x90", 2000, 0x271c2666a333a854),
     ("forest/regions-4x60x90", 2000, 0x40ed2c2c7e081e9d),
+    ("tree/grid-3x4", 87, 0x88ddc2434c87b981),
+    ("forest/grid-3x4-crossed", 304, 0x9a6ba15d677a9cf8),
+    ("terminal/grid-3x4", 77, 0xf5d854913d991899),
+    ("directed/layered-3x3", 333, 0x0e679797a93979d4),
+    ("tree/theta-chain-6x3", 729, 0xef66d3299d0c1fc9),
+    ("forest/theta-chain-6x3", 729, 0xef66d3299d0c1fc9),
+    ("tree/theta-chain-6x3-pendant", 729, 0x08e69de438429eda),
+    ("tree/hub-pendant", 3, 0x6191168d6d184061),
+    ("tree/theta-multigraph-5", 4, 0x9123f16182d87d95),
 ];
 
 /// FNV-1a over the little-endian bytes of every hashed integer, so the
@@ -180,7 +200,45 @@ where
         })
         .expect("corpus instances are valid");
     out.push(("threads(2)+stealing", f.finish()));
+    let cache = ResultCache::new();
+    for label in ["cached (cold)", "cached (replay)"] {
+        let mut f = Folder::new();
+        Enumeration::new(borrowed())
+            .with_limit(LIMIT)
+            .cached(&cache)
+            .for_each(|s| {
+                f.add(s);
+                ControlFlow::Continue(())
+            })
+            .expect("corpus instances are valid");
+        out.push((label, f.finish()));
+    }
+    assert_eq!(cache.stats().hits, 1, "the second cached run is a replay");
     out
+}
+
+/// The digests of `query` served by an [`EnumerationEngine`] over `g`
+/// (and `d`): once cold, then repeated, which replays the engine's cache.
+fn served(g: UndirectedGraph, d: Option<DiGraph>, query: Query) -> [(&'static str, Digest); 2] {
+    let config = EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    };
+    let engine = EnumerationEngine::with_graphs(g, d, config);
+    let session = engine.session("corpus");
+    [("service (cold)", 0), ("service (repeat)", 1)].map(|(label, hits)| {
+        let outcome = session
+            .run(query.clone(), QueryOptions::default().limit(LIMIT))
+            .expect("the engine admits the query");
+        outcome.status.expect("corpus queries complete");
+        assert_eq!(outcome.stats.cache_hits, hits, "{label}");
+        let mut f = Folder::new();
+        match &outcome.solutions {
+            SolutionItems::Edges(v) => v.iter().for_each(|s| f.add(s)),
+            SolutionItems::Arcs(v) => v.iter().for_each(|s| f.add(s)),
+        }
+        (label, f.finish())
+    })
 }
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -227,32 +285,78 @@ fn region_terminals(seed: u64, r: usize, k: usize) -> Vec<VertexId> {
         .collect()
 }
 
+/// `theta_chain(6, 3)` with a two-edge pendant path hanging off vertex
+/// 3 and ending in a terminal: the path is bridge-forced at every depth.
+fn theta_chain_with_pendant() -> (UndirectedGraph, Vec<VertexId>) {
+    let mut g = generators::theta_chain(6, 3);
+    let n = g.num_vertices();
+    g.add_vertex();
+    g.add_vertex();
+    g.add_edge_indices(3, n).expect("valid edge");
+    g.add_edge_indices(n, n + 1).expect("valid edge");
+    (g, vs(&[0, 6, n + 1]))
+}
+
+/// Source 0 joined to a hub (1) by three parallel 2-paths, plus two
+/// pendant terminals on the hub: whichever one is branched on first,
+/// every valid path passes the hub, so the other is bridge-forced.
+fn hub_pendant() -> (UndirectedGraph, Vec<VertexId>) {
+    let mut g = UndirectedGraph::new(2);
+    for _ in 0..3 {
+        let mid = g.add_vertex();
+        g.add_edge(VertexId(0), mid).expect("valid edge");
+        g.add_edge(mid, VertexId(1)).expect("valid edge");
+    }
+    let t1 = g.add_vertex();
+    g.add_edge(VertexId(1), t1).expect("valid edge");
+    let t2 = g.add_vertex();
+    g.add_edge(VertexId(1), t2).expect("valid edge");
+    (g, vec![VertexId(0), t1, t2])
+}
+
+/// A parallel `0`–`1` pair, then a width-2 theta block 1–{2, 4}–3: the
+/// two root children span the same vertex set, so both branch on 3
+/// under an identical removal mask.
+fn theta_multigraph() -> UndirectedGraph {
+    UndirectedGraph::from_edges(5, &[(0, 1), (0, 1), (1, 2), (2, 3), (1, 4), (4, 3)])
+        .expect("valid edge list")
+}
+
 fn tree(g: UndirectedGraph, w: Vec<VertexId>) -> Vec<(&'static str, Digest)> {
-    front_ends(
+    let mut out = front_ends(
         || SteinerTree::new(&g, &w),
         || SteinerTree::from_graph(g.clone(), &w),
-    )
+    );
+    out.extend(served(g, None, Query::SteinerTree { terminals: w }));
+    out
 }
 
 fn forest(g: UndirectedGraph, sets: Vec<Vec<VertexId>>) -> Vec<(&'static str, Digest)> {
-    front_ends(
+    let mut out = front_ends(
         || SteinerForest::new(&g, &sets),
         || SteinerForest::from_graph(g.clone(), &sets),
-    )
+    );
+    out.extend(served(g, None, Query::SteinerForest { sets }));
+    out
 }
 
 fn terminal(g: UndirectedGraph, w: Vec<VertexId>) -> Vec<(&'static str, Digest)> {
-    front_ends(
+    let mut out = front_ends(
         || TerminalSteinerTree::new(&g, &w),
         || TerminalSteinerTree::from_graph(g.clone(), &w),
-    )
+    );
+    out.extend(served(g, None, Query::TerminalSteinerTree { terminals: w }));
+    out
 }
 
 fn directed(d: DiGraph, root: VertexId, w: Vec<VertexId>) -> Vec<(&'static str, Digest)> {
-    front_ends(
+    let mut out = front_ends(
         || DirectedSteinerTree::new(&d, root, &w),
         || DirectedSteinerTree::from_graph(d.clone(), root, &w),
-    )
+    );
+    let query = Query::DirectedSteinerTree { root, terminals: w };
+    out.extend(served(UndirectedGraph::new(0), Some(d), query));
+    out
 }
 
 /// Every corpus instance, by name, with the digests of all front-ends.
@@ -343,6 +447,42 @@ fn instances() -> Vec<(&'static str, Vec<(&'static str, Digest)>)> {
             );
             forest(regions(), vec![a, b])
         }),
+        (
+            "tree/grid-3x4",
+            tree(generators::grid(3, 4), vs(&[0, 11, 5])),
+        ),
+        (
+            "forest/grid-3x4-crossed",
+            forest(generators::grid(3, 4), vec![vs(&[0, 11]), vs(&[3, 8])]),
+        ),
+        (
+            "terminal/grid-3x4",
+            terminal(generators::grid(3, 4), vs(&[0, 3, 8])),
+        ),
+        ("directed/layered-3x3", {
+            let (d, root) = generators::layered_digraph(3, 3);
+            directed(d, root, vs(&[7, 8, 9]))
+        }),
+        (
+            "tree/theta-chain-6x3",
+            tree(generators::theta_chain(6, 3), vs(&[0, 6])),
+        ),
+        (
+            "forest/theta-chain-6x3",
+            forest(generators::theta_chain(6, 3), vec![vs(&[0, 6])]),
+        ),
+        ("tree/theta-chain-6x3-pendant", {
+            let (g, w) = theta_chain_with_pendant();
+            tree(g, w)
+        }),
+        ("tree/hub-pendant", {
+            let (g, w) = hub_pendant();
+            tree(g, w)
+        }),
+        (
+            "tree/theta-multigraph-5",
+            tree(theta_multigraph(), vs(&[0, 1, 3])),
+        ),
     ]
 }
 
