@@ -35,7 +35,6 @@ fn bench_lemma11(c: &mut Criterion) {
                         None,
                         EnumerateOptions {
                             incremental_extendibility: incremental,
-                            ..EnumerateOptions::default()
                         },
                         &mut |_| {
                             count += 1;

@@ -82,12 +82,11 @@ fn bench_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// Subroutine-level `F-STP` bench: the reference per-vertex enumerator
-/// (cold BFS every level), the packed enumerator on a cold scratch
-/// (bitset BFS, within-run signature reuse), and the packed enumerator
-/// replaying an identical query on a warm same-graph scratch (cache-hit
-/// path) — so regressions in the reverse-BFS core are caught without
-/// running the full engine sweep.
+/// Subroutine-level `F-STP` bench: the enumerator on a cold scratch
+/// (bitset BFS, within-run signature reuse) and replaying an identical
+/// query on a warm same-graph scratch (cache-hit path) — so regressions
+/// in the reverse-BFS core are caught without running the full engine
+/// sweep.
 fn bench_fstp(c: &mut Criterion) {
     use steiner_paths::enumerate::{enumerate_paths_view, EnumerateOptions, PathScratch};
     use steiner_paths::visit::WholePaths;
@@ -99,7 +98,7 @@ fn bench_fstp(c: &mut Criterion) {
         let csr = steiner_graph::CsrDigraph::doubled(&inst.graph);
         let (s, t) = (inst.terminals[0], inst.terminals[1]);
         let n = csr.num_vertices();
-        let run = |scratch: &mut PathScratch, packed: bool, fresh: bool| {
+        let run = |scratch: &mut PathScratch, fresh: bool| {
             if fresh {
                 scratch.begin(n);
             } else {
@@ -111,10 +110,7 @@ fn bench_fstp(c: &mut Criterion) {
                 &csr,
                 s,
                 t,
-                EnumerateOptions {
-                    packed_frontiers: packed,
-                    ..EnumerateOptions::default()
-                },
+                EnumerateOptions::default(),
                 scratch,
                 &mut |delta| {
                     whole.apply(delta, &mut |_| {
@@ -129,26 +125,21 @@ fn bench_fstp(c: &mut Criterion) {
             );
             count
         };
-        group.bench_function(BenchmarkId::new("reference_cold", &inst.name), |b| {
-            let mut scratch = PathScratch::new();
-            scratch.preallocate(n, csr.num_arcs());
-            b.iter(|| run(&mut scratch, false, true))
-        });
-        group.bench_function(BenchmarkId::new("packed_cold", &inst.name), |b| {
+        group.bench_function(BenchmarkId::new("cold", &inst.name), |b| {
             let mut scratch = PathScratch::new();
             scratch.preallocate(n, csr.num_arcs());
             // `begin` drops the signature caches: every level recomputes
             // at least once per iteration, as in a first-ever run.
-            b.iter(|| run(&mut scratch, true, true))
+            b.iter(|| run(&mut scratch, true))
         });
-        group.bench_function(BenchmarkId::new("packed_cache_hit", &inst.name), |b| {
+        group.bench_function(BenchmarkId::new("cache_hit", &inst.name), |b| {
             let mut scratch = PathScratch::new();
             scratch.preallocate(n, csr.num_arcs());
             // Warm the caches once; each iteration then replays the
             // identical query through `begin_same_graph`, so the BFS
             // trees are served from the signature cache.
-            run(&mut scratch, true, true);
-            b.iter(|| run(&mut scratch, true, false))
+            run(&mut scratch, true);
+            b.iter(|| run(&mut scratch, false))
         });
     }
     group.finish();

@@ -74,22 +74,19 @@ fn bench_bridged_sweep(c: &mut Criterion) {
     // Bridge-rich instances (grid core + pendant terminals): the node mix
     // is dominated by Unique-completion leaves, which the incremental
     // classifier answers from forced-path reads instead of a per-leaf
-    // spanning-growth pass — the paired rows measure exactly that gap.
+    // spanning-growth pass.
     let mut group = c.benchmark_group("steiner_tree_bridged_sweep");
     group.sample_size(10);
     for (cols, label) in [(13, "n64"), (27, "n120"), (57, "n240")] {
         let inst = workloads::bridged_instance(4, cols, 4, 3);
-        for (alg, on) in [("incremental_on", true), ("incremental_off", false)] {
-            group.bench_with_input(BenchmarkId::new(alg, label), &inst, |b, inst| {
-                b.iter(|| {
-                    Enumeration::new(SteinerTree::new(&inst.graph, &inst.terminals))
-                        .with_incremental(on)
-                        .with_limit(CAP)
-                        .count()
-                        .unwrap()
-                })
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("improved", label), &inst, |b, inst| {
+            b.iter(|| {
+                Enumeration::new(SteinerTree::new(&inst.graph, &inst.terminals))
+                    .with_limit(CAP)
+                    .count()
+                    .unwrap()
+            })
+        });
     }
     group.finish();
 }

@@ -5,9 +5,8 @@
 //! Usage: `cargo run --release -p steiner-bench --bin table1 [-- section] [--json path]`
 //! where `section` ∈ {all, paths, st, forest, terminal, directed, induced,
 //! hardness} (default: all). With `--json path`, a machine-readable
-//! `BENCH_core.json` (per-row solutions/sec and observed delays, plus the
-//! criterion reference medians) is also written — CI uploads it as a
-//! per-PR perf artifact.
+//! `BENCH_core.json` (per-row solutions/sec and observed delays) is also
+//! written — CI uploads it as a per-PR perf artifact.
 
 use std::ops::ControlFlow;
 use steiner_bench::measure::{record_delays, render_json, render_markdown, Row};
@@ -159,41 +158,29 @@ fn st_rows(rows: &mut Vec<Row>) {
     for (n, m) in [(60, 90), (120, 180), (240, 360)] {
         let inst = workloads::random_instance(n, m, 4, 42);
         let nm = (inst.graph.num_vertices() + inst.graph.num_edges()) as f64;
-        // Paired packed/reference path generation: the default "improved
-        // (Thm 17)" row runs the word-packed enumerator (bitset F-STP
-        // frontiers + cross-branch BFS-cache reuse); the "(reference)"
-        // row pins the per-vertex A/B engine. Both carry the share of
-        // work spent in path generation so the bottleneck claim lives in
-        // BENCH_core.json, not PR prose. (The share is computed against
-        // each row's own mode: a served cache hit skips work a
-        // recomputation would count.)
-        for (label, packed) in [
-            ("improved (Thm 17)", true),
-            ("improved (Thm 17, reference)", false),
-        ] {
-            let (run, stats) = Enumeration::new(SteinerTree::new(&inst.graph, &inst.terminals))
-                .with_packed_frontiers(packed)
-                .with_stats();
-            let delays = record_delays(CAP, |emit| {
-                run.for_each(|_| flow(emit())).expect("valid instance");
-            });
-            let stats = stats.get();
-            rows.push(Row {
-                problem: "Steiner Tree (§4)".into(),
-                algorithm: label.into(),
-                claimed: "O(n+m) amortized".into(),
-                instance: inst.name.clone(),
-                n: inst.graph.num_vertices(),
-                m: inst.graph.num_edges(),
-                t: 4,
-                solutions: delays.solutions,
-                delays,
-                max_work_gap: Some(stats.max_emission_gap),
-                work_gap_over_nm: Some(stats.max_emission_gap as f64 / nm),
-                path_gen_fraction: (stats.work > 0)
-                    .then(|| stats.path_gen_work as f64 / stats.work as f64),
-            });
-        }
+        // The row carries the share of work spent in path generation, so
+        // the bottleneck claim lives in BENCH_core.json, not PR prose.
+        let (run, stats) =
+            Enumeration::new(SteinerTree::new(&inst.graph, &inst.terminals)).with_stats();
+        let delays = record_delays(CAP, |emit| {
+            run.for_each(|_| flow(emit())).expect("valid instance");
+        });
+        let stats = stats.get();
+        rows.push(Row {
+            problem: "Steiner Tree (§4)".into(),
+            algorithm: "improved (Thm 17)".into(),
+            claimed: "O(n+m) amortized".into(),
+            instance: inst.name.clone(),
+            n: inst.graph.num_vertices(),
+            m: inst.graph.num_edges(),
+            t: 4,
+            solutions: delays.solutions,
+            delays,
+            max_work_gap: Some(stats.max_emission_gap),
+            work_gap_over_nm: Some(stats.max_emission_gap as f64 / nm),
+            path_gen_fraction: (stats.work > 0)
+                .then(|| stats.path_gen_work as f64 / stats.work as f64),
+        });
         let query = Query::SteinerTree {
             terminals: inst.terminals.clone(),
         };
@@ -314,40 +301,6 @@ fn st_rows(rows: &mut Vec<Row>) {
         // and the page faults show up as per-solution replay cost.
         drop(session);
         drop(live);
-        // Incremental-classification ablation: the default engine reads
-        // trail-backed connectivity state across parent/child nodes; the
-        // paired "(off)" row recomputes every node from scratch (the
-        // pre-incremental engine). BENCH_core.json carries both so CI
-        // tracks the gap the incremental layer closes; the delivered
-        // streams are byte-identical (tests/incremental.rs).
-        for (label, on) in [
-            ("improved, incremental (on)", true),
-            ("improved, incremental (off)", false),
-        ] {
-            let run = Enumeration::new(SteinerTree::new(&inst.graph, &inst.terminals))
-                .with_incremental(on);
-            let delays = record_delays(CAP, |emit| {
-                run.for_each(|_| flow(emit())).expect("valid instance");
-            });
-            rows.push(Row {
-                problem: "Steiner Tree (§4)".into(),
-                algorithm: label.into(),
-                claimed: if on {
-                    "O(|W|+answer) leaf classify".into()
-                } else {
-                    "O(n+m) per classify".into()
-                },
-                instance: inst.name.clone(),
-                n: inst.graph.num_vertices(),
-                m: inst.graph.num_edges(),
-                t: 4,
-                solutions: delays.solutions,
-                delays,
-                max_work_gap: None,
-                work_gap_over_nm: None,
-                path_gen_fraction: None,
-            });
-        }
         // Sharded A/B pair: root-only child distribution vs second-level
         // subtree stealing. On a multi-core host the stealing row should
         // close the skew gap; on a 1-CPU builder both rows measure pure
@@ -475,41 +428,6 @@ fn st_rows(rows: &mut Vec<Row>) {
             }
         });
         rows.push(service_row("replay", delays));
-    }
-    // Bridged sweep: Unique-completion-dominated instances (grid core +
-    // pendant terminals) where the incremental classifier's gap is
-    // directly visible — with classification off, every Unique leaf pays
-    // a fresh spanning-growth pass.
-    for cols in [13, 27, 57] {
-        let inst = workloads::bridged_instance(4, cols, 4, 3);
-        for (label, on) in [
-            ("improved, incremental (on)", true),
-            ("improved, incremental (off)", false),
-        ] {
-            let run = Enumeration::new(SteinerTree::new(&inst.graph, &inst.terminals))
-                .with_incremental(on);
-            let delays = record_delays(CAP, |emit| {
-                run.for_each(|_| flow(emit())).expect("valid instance");
-            });
-            rows.push(Row {
-                problem: "Steiner Tree (§4)".into(),
-                algorithm: label.into(),
-                claimed: if on {
-                    "O(|W|+answer) leaf classify".into()
-                } else {
-                    "O(n+m) per classify".into()
-                },
-                instance: inst.name.clone(),
-                n: inst.graph.num_vertices(),
-                m: inst.graph.num_edges(),
-                t: inst.terminals.len(),
-                solutions: delays.solutions,
-                delays,
-                max_work_gap: None,
-                work_gap_over_nm: None,
-                path_gen_fraction: None,
-            });
-        }
     }
 }
 
@@ -764,41 +682,6 @@ fn hardness_rows(rows: &mut Vec<Row>) {
     let _ = VertexId(0);
 }
 
-/// Criterion medians recorded across this repo's perf-relevant PRs
-/// (milliseconds; `cargo bench -p steiner-bench --bench steiner_tree` /
-/// `--bench forest` on the reference machine). For the original rows,
-/// `pre` is the last commit before the zero-allocation CSR/trail engine
-/// and `post` is with it; the incremental-classification PR re-measured
-/// the size sweep (its `post` updated below) and added the
-/// `bridged_sweep` pairs, where `pre` is the engine with incremental
-/// classification **off** (fresh per-node recomputation) and `post` with
-/// it **on** — same machine, same run.
-fn criterion_reference() -> Vec<(String, f64, Option<f64>)> {
-    [
-        ("steiner_tree_terminal_sweep/improved/2", 2.389, 1.80),
-        ("steiner_tree_terminal_sweep/improved/4", 3.581, 1.88),
-        ("steiner_tree_terminal_sweep/improved/6", 3.798, 1.90),
-        ("steiner_tree_terminal_sweep/improved/8", 4.146, 1.86),
-        ("steiner_tree_size_sweep/improved/n50m75", 4.543, 2.39),
-        ("steiner_tree_size_sweep/improved/n100m150", 5.922, 4.67),
-        ("steiner_tree_size_sweep/improved/n200m300", 8.328, 6.48),
-        ("steiner_tree_bridged_sweep/incremental/n64", 4.602, 4.019),
-        ("steiner_tree_bridged_sweep/incremental/n120", 7.559, 6.510),
-        (
-            "steiner_tree_bridged_sweep/incremental/n240",
-            13.738,
-            11.466,
-        ),
-        ("steiner_forest/improved/1", 0.277, 0.19),
-        ("steiner_forest/improved/2", 2.675, 1.60),
-        ("steiner_forest/improved/3", 3.439, 1.84),
-        ("steiner_forest/improved/4", 2.510, 1.44),
-    ]
-    .into_iter()
-    .map(|(n, pre, post)| (n.to_string(), pre, Some(post)))
-    .collect()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut section = "all".to_string();
@@ -851,7 +734,7 @@ fn main() {
     );
     print!("{}", render_markdown(&rows));
     if let Some(path) = json_path {
-        let json = render_json(&rows, &criterion_reference());
+        let json = render_json(&rows);
         std::fs::write(&path, json).expect("write BENCH_core.json");
         eprintln!("wrote {path}");
     }

@@ -112,7 +112,7 @@ pub fn render_markdown(rows: &[Row]) -> String {
 /// object per row with solutions/second and the observed delays, so CI can
 /// archive a perf trajectory per PR. Hand-rolled (no serde in this
 /// workspace); all strings are plain ASCII.
-pub fn render_json(rows: &[Row], criterion_reference: &[(String, f64, Option<f64>)]) -> String {
+pub fn render_json(rows: &[Row]) -> String {
     fn esc(s: &str) -> String {
         s.replace('\\', "\\\\").replace('"', "\\\"")
     }
@@ -156,24 +156,6 @@ pub fn render_json(rows: &[Row], criterion_reference: &[(String, f64, Option<f64
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
-    out.push_str(
-        "  ],\n  \"criterion_reference_note\": \"static medians recorded when the \
-         zero-allocation engine landed (not re-measured per run); the live per-run \
-         data is in rows[]\",\n  \"criterion_reference_ms\": [\n",
-    );
-    for (i, (name, pre, post)) in criterion_reference.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"bench\": \"{}\", \"pre_pr_median_ms\": {:.3}, \"post_pr_median_ms\": {}}}{}\n",
-            esc(name),
-            pre,
-            post.map_or("null".to_string(), |v| format!("{v:.3}")),
-            if i + 1 < criterion_reference.len() {
-                ","
-            } else {
-                ""
-            },
-        ));
-    }
     out.push_str("  ]\n}\n");
     out
 }
@@ -198,13 +180,9 @@ mod tests {
             work_gap_over_nm: Some(1.0),
             path_gen_fraction: Some(0.5),
         };
-        let json = render_json(
-            &[row],
-            &[("steiner_tree/improved/4".into(), 3.58, Some(1.78))],
-        );
+        let json = render_json(&[row]);
         assert!(json.contains("\"schema\": \"BENCH_core/v1\""));
         assert!(json.contains("\"solutions\": 5"));
-        assert!(json.contains("\"pre_pr_median_ms\": 3.580"));
         assert!(json.contains("\"path_gen_fraction\": 0.500"));
         assert_eq!(
             json.matches('{').count(),

@@ -64,9 +64,6 @@ pub struct DirectedSteinerTree<'g> {
     terminals: Vec<VertexId>,
     stats: EnumStats,
     search: Option<DirectedSearch>,
-    level_cache_cap: Option<usize>,
-    incremental: bool,
-    packed: bool,
 }
 
 /// The typed checkpoint frame of one descent: tree-vertex and tree-arc
@@ -105,8 +102,6 @@ struct DirectedSearch {
     /// One path-enumeration scratch per branch depth.
     pool: Vec<DirBranchScratch>,
     depth: usize,
-    /// Per-level BFS cache preallocation cap for pool growth.
-    level_cache_cap: usize,
     extra_allocs: u64,
     baseline_allocs: u64,
 }
@@ -120,8 +115,8 @@ struct DirBranchScratch {
 }
 
 impl DirBranchScratch {
-    fn preallocate(&mut self, n: usize, m: usize, level_cache_cap: usize) {
-        self.path.preallocate_capped(n + 2, m + 2, level_cache_cap);
+    fn preallocate(&mut self, n: usize, m: usize) {
+        self.path.preallocate(n + 2, m + 2);
         if self.boundary.capacity() < m + 2 {
             self.boundary.reserve(m + 2 - self.boundary.capacity());
         }
@@ -358,9 +353,6 @@ impl<'g> DirectedSteinerTree<'g> {
             terminals: terminals.to_vec(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
-            incremental: true,
-            packed: true,
         }
     }
 
@@ -376,9 +368,6 @@ impl<'g> DirectedSteinerTree<'g> {
             terminals: terminals.to_vec(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
-            incremental: true,
-            packed: true,
         }
     }
 
@@ -391,9 +380,6 @@ impl<'g> DirectedSteinerTree<'g> {
             terminals: self.terminals,
             stats: self.stats,
             search: self.search,
-            level_cache_cap: self.level_cache_cap,
-            incremental: self.incremental,
-            packed: self.packed,
         }
     }
 }
@@ -538,22 +524,7 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             terminals: self.terminals.clone(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: self.level_cache_cap,
-            incremental: self.incremental,
-            packed: self.packed,
         })
-    }
-
-    fn set_level_cache_cap(&mut self, cap: usize) {
-        self.level_cache_cap = Some(cap.max(1));
-    }
-
-    fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
-    }
-
-    fn set_packed_frontiers(&mut self, on: bool) {
-        self.packed = on;
     }
 
     fn cache_key(&self) -> Option<crate::cache::CacheKey> {
@@ -645,13 +616,10 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
         con.preallocate(n, m);
         let mut ana = AnalyzeScratch::default();
         ana.preallocate(n, m);
-        let level_cache_cap = self
-            .level_cache_cap
-            .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP);
         let mut pool = Vec::with_capacity(terminals.len() + 1);
         for _ in 0..terminals.len() + 1 {
             let mut bs = DirBranchScratch::default();
-            bs.preallocate(n, m, level_cache_cap);
+            bs.preallocate(n, m);
             pool.push(bs);
         }
         let mut tree_vertices = Vec::with_capacity(n + 1);
@@ -670,7 +638,6 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             frames,
             pool,
             depth: 0,
-            level_cache_cap,
             extra_allocs: 0,
             baseline_allocs: 0,
         };
@@ -692,7 +659,6 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
     }
 
     fn classify(&mut self, out: &mut Vec<ArcId>) -> NodeStep<VertexId> {
-        let incremental = self.incremental;
         let stats = &mut self.stats;
         let search = self
             .search
@@ -701,73 +667,69 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
         if search.missing == 0 {
             return NodeStep::Complete;
         }
-        if incremental {
-            // Incremental fast path: a missing terminal reached over the
-            // unique-in-arc skeleton has exactly one valid path (every
-            // path to it must end with the forced chain from its first
-            // V(T) vertex), so an all-reached node has a unique
-            // completion — T plus the recorded chains — and no Lemma-35
-            // sweep or contraction runs. Reach here is sufficient, not
-            // necessary: an unreached node falls back to the exact
-            // analysis, which may still conclude Unique.
-            stats.work += search.terminals.len() as u64;
-            let span = &mut search.span;
-            let in_tree = &search.in_tree;
-            let terminals = &search.terminals;
-            out.extend_from_slice(&search.tree_arcs);
-            let all_forced = span.collect_all_forced(
-                terminals,
-                |v| in_tree[v.index()],
-                |a| out.push(ArcId::new(a as usize)),
-            );
-            if all_forced {
-                stats.classify_incremental += 1;
-                stats.work += out.len() as u64;
-                #[cfg(debug_assertions)]
-                {
-                    // Cross-check against the fresh contraction +
-                    // Lemma-35 analysis: it must also conclude Unique,
-                    // with the same arc set.
-                    let mut dummy = 0u64;
-                    search.con.rebuild(&search.csr, &search.in_tree);
-                    let verdict = analyze(
-                        &search.con,
-                        &search.terminals,
-                        &search.in_tree,
-                        &mut search.ana,
-                        &mut dummy,
-                    );
-                    debug_assert!(
-                        matches!(verdict, NodeAnalysis::Unique),
-                        "incremental Unique verdict disagrees with the Lemma-35 sweep"
-                    );
-                    let mut got = out.clone();
-                    got.sort_unstable();
-                    let mut want: Vec<ArcId> = search
-                        .tree_arcs
-                        .iter()
-                        .copied()
-                        .chain(
-                            search
-                                .ana
-                                .tstar_arcs
-                                .iter()
-                                .map(|a| search.con.orig_arc[a.index()]),
-                        )
-                        .collect();
-                    want.sort_unstable();
-                    debug_assert_eq!(
-                        got, want,
-                        "incremental unique completion differs from T + T*"
-                    );
-                }
-                return NodeStep::Unique;
+        // Incremental fast path: a missing terminal reached over the
+        // unique-in-arc skeleton has exactly one valid path (every path
+        // to it must end with the forced chain from its first V(T)
+        // vertex), so an all-reached node has a unique completion — T
+        // plus the recorded chains — and no Lemma-35 sweep or
+        // contraction runs. Reach here is sufficient, not necessary: an
+        // unreached node falls back to the exact analysis, which may
+        // still conclude Unique.
+        stats.work += search.terminals.len() as u64;
+        let span = &mut search.span;
+        let in_tree = &search.in_tree;
+        let terminals = &search.terminals;
+        out.extend_from_slice(&search.tree_arcs);
+        let all_forced = span.collect_all_forced(
+            terminals,
+            |v| in_tree[v.index()],
+            |a| out.push(ArcId::new(a as usize)),
+        );
+        if all_forced {
+            stats.classify_incremental += 1;
+            stats.work += out.len() as u64;
+            #[cfg(debug_assertions)]
+            {
+                // Cross-check against the fresh contraction +
+                // Lemma-35 analysis: it must also conclude Unique,
+                // with the same arc set.
+                let mut dummy = 0u64;
+                search.con.rebuild(&search.csr, &search.in_tree);
+                let verdict = analyze(
+                    &search.con,
+                    &search.terminals,
+                    &search.in_tree,
+                    &mut search.ana,
+                    &mut dummy,
+                );
+                debug_assert!(
+                    matches!(verdict, NodeAnalysis::Unique),
+                    "incremental Unique verdict disagrees with the Lemma-35 sweep"
+                );
+                let mut got = out.clone();
+                got.sort_unstable();
+                let mut want: Vec<ArcId> = search
+                    .tree_arcs
+                    .iter()
+                    .copied()
+                    .chain(
+                        search
+                            .ana
+                            .tstar_arcs
+                            .iter()
+                            .map(|a| search.con.orig_arc[a.index()]),
+                    )
+                    .collect();
+                want.sort_unstable();
+                debug_assert_eq!(
+                    got, want,
+                    "incremental unique completion differs from T + T*"
+                );
             }
-            out.clear();
-            stats.classify_rebuilds += 1;
-        } else {
-            stats.classify_rebuilds += 1;
+            return NodeStep::Unique;
         }
+        out.clear();
+        stats.classify_rebuilds += 1;
         search.con.rebuild(&search.csr, &search.in_tree);
         stats.work += (search.csr.num_vertices() + search.csr.num_arcs()) as u64;
         match analyze(
@@ -855,11 +817,7 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             if search.pool.len() <= depth {
                 search.extra_allocs += 1;
                 let mut fresh = DirBranchScratch::default();
-                fresh.preallocate(
-                    search.csr.num_vertices(),
-                    search.csr.num_arcs(),
-                    search.level_cache_cap,
-                );
+                fresh.preallocate(search.csr.num_vertices(), search.csr.num_arcs());
                 search.pool.push(fresh);
             }
             search.depth = depth + 1;
@@ -867,7 +825,7 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             bs.sources.clear();
             bs.sources.extend_from_slice(&search.tree_vertices);
             // Same prepared CSR on every branch of this search: keep
-            // the packed per-level BFS caches across branch nodes.
+            // the per-level BFS caches across branch nodes.
             bs.path.begin_same_graph(search.csr.num_vertices() + 1);
             (bs, Arc::clone(&search.csr), depth)
         };
@@ -881,10 +839,7 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             &csr,
             sources,
             w,
-            EnumerateOptions {
-                packed_frontiers: self.packed,
-                ..EnumerateOptions::default()
-            },
+            EnumerateOptions::default(),
             path,
             boundary,
             &mut |delta| {

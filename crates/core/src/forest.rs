@@ -31,7 +31,6 @@ use crate::trail::{FrameLog, ScratchUsage};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
-use steiner_graph::bridges::{bridges_csr_into, BridgeScratch};
 use steiner_graph::csr::{grow, IncidenceCsr};
 use steiner_graph::spanning::{DynamicSpanning, SpanMark};
 use steiner_graph::union_find::UnionFind;
@@ -81,9 +80,6 @@ pub struct SteinerForest<'g> {
     size: (usize, usize),
     stats: EnumStats,
     search: Option<ForestSearch>,
-    level_cache_cap: Option<usize>,
-    incremental: bool,
-    packed: bool,
 }
 
 /// The typed checkpoint frame of one descent: forest-edge stack length,
@@ -110,9 +106,6 @@ struct ForestSearch {
     gcsr: CsrUndirected,
     /// Dense-id assignment per union–find representative (per branch).
     rep_id: Vec<u32>,
-    /// Bridge-contracted connectivity `G″ = G′/B` (rebuild path only).
-    uf2: UnionFind,
-    bridge: BridgeScratch,
     /// Bridges of `G` in the region, computed once. The bridges of the
     /// contracted multigraph `G/E(F)` are **exactly these edges minus the
     /// ones `E(F)` turns into self-loops**: contraction can neither create a
@@ -123,8 +116,8 @@ struct ForestSearch {
     /// incrementally from static state.
     gbridge: Vec<bool>,
     /// The ids of `gbridge`, ascending — the order the contracted graph
-    /// presents its bridges in, so the incremental `F + B` assembly is
-    /// byte-identical to the rebuild path's.
+    /// presents its bridges in, which is the order the unique completion
+    /// appends the live ones to `F + B`.
     bridge_ids: Vec<EdgeId>,
     /// Incremental component labels of `G″`: the bridges of `G` are
     /// contracted once in `prepare`, forest-edge deltas are contracted on
@@ -132,16 +125,10 @@ struct ForestSearch {
     span: DynamicSpanning,
     /// Typed checkpoint frames of the active descent (LIFO).
     frames: FrameLog<ForestFrame>,
-    /// Whether `pool[depth]` already holds the contraction for the
-    /// pending branch (the rebuild path computes it in `classify`, the
-    /// incremental path defers it to `branch`).
-    contraction_ready: bool,
     uc: UniqueCompletionScratch,
     /// Per-branch-depth contraction + path-enumeration scratch.
     pool: Vec<ForestDepthScratch>,
     depth: usize,
-    /// Per-level BFS cache preallocation cap for pool growth.
-    level_cache_cap: usize,
     extra_allocs: u64,
     baseline_allocs: u64,
 }
@@ -162,7 +149,7 @@ struct ForestDepthScratch {
 }
 
 impl ForestDepthScratch {
-    fn preallocate(&mut self, n: usize, m: usize, level_cache_cap: usize) {
+    fn preallocate(&mut self, n: usize, m: usize) {
         if self.endpoints_buf.capacity() < m {
             self.endpoints_buf
                 .reserve(m - self.endpoints_buf.capacity());
@@ -173,8 +160,7 @@ impl ForestDepthScratch {
         grow(&mut self.vertex_map, n, VertexId(0), &mut self.allocs);
         self.cg.preallocate(n, m);
         self.doubled.preallocate(n, 2 * m);
-        self.path
-            .preallocate_capped(n + 2, 2 * m + 2, level_cache_cap);
+        self.path.preallocate(n + 2, 2 * m + 2);
         self.allocs = 0;
     }
 
@@ -338,9 +324,8 @@ impl ForestSearch {
     fn usage(&self) -> ScratchUsage {
         let pool: ScratchUsage = self.pool.iter().map(|b| b.usage()).sum();
         ScratchUsage::new(
-            self.gcsr.alloc_events() + self.bridge.alloc_events() + self.span.alloc_events(),
+            self.gcsr.alloc_events() + self.span.alloc_events(),
             self.gcsr.capacity_bytes()
-                + self.bridge.capacity_bytes()
                 + self.span.capacity_bytes()
                 + (self.rep_id.capacity() * std::mem::size_of::<u32>()
                     + self.gbridge.capacity() * std::mem::size_of::<bool>()
@@ -354,8 +339,8 @@ impl ForestSearch {
 
     /// Builds `G′ = G/E(F)` into `pool[depth]` from the union–find
     /// partition (dense ids in first-member order), returning the
-    /// contracted vertex count. Moved here from the per-node classify:
-    /// the incremental path only pays it per *branch*.
+    /// contracted vertex count. Only `branch` needs it, so internal
+    /// nodes pay for it and leaves do not.
     fn build_contraction(&mut self, depth: usize) -> usize {
         let n = self.gcsr.num_vertices();
         self.rep_id.clear();
@@ -382,15 +367,11 @@ impl ForestSearch {
 
     /// Grows the per-depth pool on demand (the recursion outran the
     /// preallocation).
-    fn ensure_depth(&mut self, depth: usize, level_cache_cap: usize) {
+    fn ensure_depth(&mut self, depth: usize) {
         if self.pool.len() <= depth {
             self.extra_allocs += 1;
             let mut fresh = ForestDepthScratch::default();
-            fresh.preallocate(
-                self.gcsr.num_vertices(),
-                self.gcsr.num_edges(),
-                level_cache_cap,
-            );
+            fresh.preallocate(self.gcsr.num_vertices(), self.gcsr.num_edges());
             self.pool.push(fresh);
         }
     }
@@ -398,31 +379,31 @@ impl ForestSearch {
     /// Debug cross-check of the static-bridge theorem: the bridges of the
     /// contracted multigraph `G/E(F)` (computed fresh) must be exactly
     /// the static bridges of `G` minus self-loops, and the incremental
-    /// `G″` labels must agree with the fresh `uf2` on every pair.
+    /// `G″` labels must agree with a fresh `G′/B` on every pair.
     #[cfg(debug_assertions)]
     fn debug_check_bridge_contraction(&mut self, depth: usize) {
         let cn = self.build_contraction(depth);
         let ds = &self.pool[depth];
-        bridges_csr_into(&ds.cg, None, &mut self.bridge);
+        let mut bridge = steiner_graph::bridges::BridgeScratch::default();
+        steiner_graph::bridges::bridges_csr_into(&ds.cg, None, &mut bridge);
         for i in 0..ds.cg.num_edges() {
             debug_assert_eq!(
-                self.bridge.is_bridge[i],
+                bridge.is_bridge[i],
                 self.gbridge[ds.orig_edge[i].index()],
                 "bridge of G/E(F) disagrees with the static bridge of G (edge {:?})",
                 ds.orig_edge[i]
             );
         }
-        self.uf2.reset(cn);
+        let mut uf2 = UnionFind::new(cn);
         for i in 0..ds.cg.num_edges() {
-            if self.bridge.is_bridge[i] {
+            if bridge.is_bridge[i] {
                 let (u, v) = ds.cg.endpoints(EdgeId::new(i));
-                self.uf2.union(u, v);
+                uf2.union(u, v);
             }
         }
         for &(w, w2) in &self.pairs {
             debug_assert_eq!(
-                self.uf2
-                    .same(ds.vertex_map[w.index()], ds.vertex_map[w2.index()]),
+                uf2.same(ds.vertex_map[w.index()], ds.vertex_map[w2.index()]),
                 self.span.connected(w, w2),
                 "incremental G″ labels disagree with the fresh pass for {w:?},{w2:?}"
             );
@@ -439,9 +420,6 @@ impl<'g> SteinerForest<'g> {
             size: (g.num_vertices(), g.num_edges()),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
-            incremental: true,
-            packed: true,
         }
     }
 
@@ -453,9 +431,6 @@ impl<'g> SteinerForest<'g> {
             sets: sets.to_vec(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
-            incremental: true,
-            packed: true,
         }
     }
 
@@ -468,9 +443,6 @@ impl<'g> SteinerForest<'g> {
             size: self.size,
             stats: self.stats,
             search: self.search,
-            level_cache_cap: self.level_cache_cap,
-            incremental: self.incremental,
-            packed: self.packed,
         }
     }
 }
@@ -478,11 +450,10 @@ impl<'g> SteinerForest<'g> {
 impl SteinerForest<'_> {
     /// The descend half of the branch protocol: appends original edges of
     /// a valid path (one path delta's worth) to `F`, joins them in the
-    /// rollback union–find and (incrementally) in the G″ contract-delta
-    /// layer, and pushes the combined typed frame. Shared by the path
-    /// deltas of `branch` and by replayed subtrees.
+    /// rollback union–find and in the G″ contract-delta layer, and pushes
+    /// the combined typed frame. Shared by the path deltas of `branch`
+    /// and by replayed subtrees.
     fn descend_edges(&mut self, edges: impl IntoIterator<Item = EdgeId>) {
-        let incremental = self.incremental;
         let search = self.search.as_mut().expect("search state");
         let frame = ForestFrame {
             base: search.forest_edges.len(),
@@ -493,9 +464,7 @@ impl SteinerForest<'_> {
             let (u, v) = search.gcsr.endpoints(e);
             let joined = search.uf.union(u, v);
             debug_assert!(joined, "a valid path never closes a cycle in F");
-            if incremental {
-                search.span.contract(u, v);
-            }
+            search.span.contract(u, v);
             search.forest_edges.push(e);
         }
         search.frames.push(frame);
@@ -658,22 +627,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
             size: self.size,
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: self.level_cache_cap,
-            incremental: self.incremental,
-            packed: self.packed,
         })
-    }
-
-    fn set_level_cache_cap(&mut self, cap: usize) {
-        self.level_cache_cap = Some(cap.max(1));
-    }
-
-    fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
-    }
-
-    fn set_packed_frontiers(&mut self, on: bool) {
-        self.packed = on;
     }
 
     fn cache_key(&self) -> Option<crate::cache::CacheKey> {
@@ -754,10 +708,6 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         // search never allocates (asserted via `scratch_allocs`).
         let mut uf = UnionFind::new(n);
         uf.reserve_history(n + 1);
-        let mut uf2 = UnionFind::new(n);
-        uf2.reserve_history(m + 1);
-        let mut bridge = BridgeScratch::default();
-        bridge.preallocate(n, m);
         // The static bridges of G and the incremental G″ labels: the
         // bridges are contracted once here, forest-edge deltas join in on
         // descent (see the `gbridge` field docs for why this is exact).
@@ -782,13 +732,10 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         frames.preallocate(n + pairs.len() + 2);
         let mut uc = UniqueCompletionScratch::default();
         uc.preallocate(n, m, &pairs);
-        let level_cache_cap = self
-            .level_cache_cap
-            .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP);
         let mut pool = Vec::with_capacity(pairs.len() + 1);
         for _ in 0..pairs.len() + 1 {
             let mut ds = ForestDepthScratch::default();
-            ds.preallocate(n, m, level_cache_cap);
+            ds.preallocate(n, m);
             pool.push(ds);
         }
         let mut search = ForestSearch {
@@ -799,17 +746,13 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
             pending: None,
             gcsr,
             rep_id: Vec::with_capacity(n),
-            uf2,
-            bridge,
             gbridge,
             bridge_ids,
             span,
             frames,
-            contraction_ready: false,
             uc,
             pool,
             depth: 0,
-            level_cache_cap,
             extra_allocs: 0,
             baseline_allocs: 0,
         };
@@ -831,7 +774,6 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
     }
 
     fn classify(&mut self, out: &mut Vec<EdgeId>) -> NodeStep<(VertexId, VertexId)> {
-        let incremental = self.incremental;
         let stats = &mut self.stats;
         let search = self
             .search
@@ -842,101 +784,46 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
             // F is a minimal Steiner forest (Lemma 21).
             return NodeStep::Complete;
         }
-        let n = search.gcsr.num_vertices();
         let depth = search.depth;
-        let level_cache_cap = search.level_cache_cap;
-        search.ensure_depth(depth, level_cache_cap);
-        if incremental {
-            // Fully incremental classification: F-connectivity comes from
-            // the rollback union–find and Lemma 24's G″ = G/E(F)/B labels
-            // from the contract-delta layer (bridges of G/E(F) ≡ static
-            // bridges of G minus self-loops — see the `gbridge` docs), so
-            // no contraction or bridge pass runs here at all. O(#pairs).
-            stats.classify_incremental += 1;
-            #[cfg(debug_assertions)]
-            search.debug_check_bridge_contraction(depth);
-            let uf = &search.uf;
-            let span = &search.span;
-            let branch = search
-                .pairs
-                .iter()
-                .copied()
-                .find(|&(w, w2)| !uf.same(w, w2) && !span.connected(w, w2));
-            return match branch {
-                Some(pair) => {
-                    search.pending = Some(pair);
-                    // `branch` builds G/E(F) itself — only internal nodes
-                    // pay for the contraction now.
-                    search.contraction_ready = false;
-                    NodeStep::Branch(pair)
-                }
-                None => {
-                    // Every remaining pair goes through bridges only:
-                    // unique completion inside F + B, with the live
-                    // bridges read off the static list (an edge of B is a
-                    // self-loop of G/E(F) iff F already connects its
-                    // endpoints).
-                    search.uc.fb.clear();
-                    search.uc.fb.extend_from_slice(&search.forest_edges);
-                    for &e in &search.bridge_ids {
-                        let (u, v) = search.gcsr.endpoints(e);
-                        if !search.uf.same(u, v) {
-                            search.uc.fb.push(e);
-                        }
-                    }
-                    stats.work += search.bridge_ids.len() as u64;
-                    unique_completion_csr(
-                        &search.gcsr,
-                        &search.pairs,
-                        &mut search.uc,
-                        out,
-                        &mut stats.work,
-                    );
-                    search.ids.globalize(out);
-                    NodeStep::Unique
-                }
-            };
-        }
-        // Rebuild path (incremental classification disabled): the
-        // pre-incremental engine, kept byte-identical as the conformance
-        // reference — per-node contraction, bridge pass, and fresh G″.
-        stats.classify_rebuilds += 1;
-        let cn = search.build_contraction(depth);
-        let ds = &mut search.pool[depth];
-        // Bridges of the multigraph G′; G″ = G′/B.
-        bridges_csr_into(&ds.cg, None, &mut search.bridge);
-        stats.work += 2 * (n + search.gcsr.num_edges()) as u64;
-        search.uf2.reset(cn);
-        for i in 0..ds.cg.num_edges() {
-            if search.bridge.is_bridge[i] {
-                let (u, v) = ds.cg.endpoints(EdgeId::new(i));
-                search.uf2.union(u, v);
-            }
-        }
-        // A disconnected pair whose images differ in G″ has ≥ 2 valid paths
-        // (Lemma 24): branch on the first such pair.
-        let vertex_map = &ds.vertex_map;
+        search.ensure_depth(depth);
+        // Fully incremental classification: F-connectivity comes from the
+        // rollback union–find and Lemma 24's G″ = G/E(F)/B labels from the
+        // contract-delta layer (bridges of G/E(F) ≡ static bridges of G
+        // minus self-loops — see the `gbridge` docs), so no contraction or
+        // bridge pass runs here at all. O(#pairs).
+        stats.classify_incremental += 1;
+        #[cfg(debug_assertions)]
+        search.debug_check_bridge_contraction(depth);
         let uf = &search.uf;
-        let uf2 = &search.uf2;
-        let branch = search.pairs.iter().copied().find(|&(w, w2)| {
-            !uf.same(w, w2) && !uf2.same(vertex_map[w.index()], vertex_map[w2.index()])
-        });
+        let span = &search.span;
+        // A disconnected pair whose images differ in G″ has ≥ 2 valid
+        // paths (Lemma 24): branch on the first such pair.
+        let branch = search
+            .pairs
+            .iter()
+            .copied()
+            .find(|&(w, w2)| !uf.same(w, w2) && !span.connected(w, w2));
         match branch {
             Some(pair) => {
+                // `branch` builds G/E(F) itself — only internal nodes pay
+                // for the contraction.
                 search.pending = Some(pair);
-                search.contraction_ready = true;
                 NodeStep::Branch(pair)
             }
             None => {
                 // Every remaining pair goes through bridges only: unique
-                // completion inside F + B.
+                // completion inside F + B, with the live bridges read off
+                // the static list (an edge of B is a self-loop of G/E(F)
+                // iff F already connects its endpoints).
                 search.uc.fb.clear();
                 search.uc.fb.extend_from_slice(&search.forest_edges);
-                for i in 0..ds.cg.num_edges() {
-                    if search.bridge.is_bridge[i] {
-                        search.uc.fb.push(ds.orig_edge[i]);
+                for &e in &search.bridge_ids {
+                    let (u, v) = search.gcsr.endpoints(e);
+                    if !search.uf.same(u, v) {
+                        search.uc.fb.push(e);
                     }
                 }
+                stats.work += search.bridge_ids.len() as u64;
                 unique_completion_csr(
                     &search.gcsr,
                     &search.pairs,
@@ -997,10 +884,8 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
     ) -> (u64, ControlFlow<()>) {
         let per_child = (self.size.0 + self.size.1) as u64;
-        // Take this depth's scratch — holding the contraction, built here
-        // on the incremental path (only internal nodes pay for it) or by
-        // `classify` on the rebuild path — so the enumeration can borrow
-        // it while the sink mutates `self`.
+        // Build G/E(F) into this depth's scratch and take it, so the
+        // enumeration can borrow it while the sink mutates `self`.
         let (mut ds, depth) = {
             let search = self
                 .search
@@ -1012,11 +897,8 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
                 .expect("classify() stashes the branch pair");
             debug_assert_eq!(pending, pair, "branch target matches the classified pair");
             let depth = search.depth;
-            if !search.contraction_ready {
-                let _cn = search.build_contraction(depth);
-                self.stats.work += (search.gcsr.num_vertices() + search.gcsr.num_edges()) as u64;
-            }
-            search.contraction_ready = false;
+            search.build_contraction(depth);
+            self.stats.work += (search.gcsr.num_vertices() + search.gcsr.num_edges()) as u64;
             search.depth = depth + 1;
             (std::mem::take(&mut search.pool[depth]), depth)
         };
@@ -1040,10 +922,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
             doubled,
             cw,
             cw2,
-            EnumerateOptions {
-                packed_frontiers: self.packed,
-                ..EnumerateOptions::default()
-            },
+            EnumerateOptions::default(),
             path,
             &mut |delta| {
                 run.follow(

@@ -75,9 +75,6 @@ pub struct SteinerTree<'g> {
     size: (usize, usize),
     stats: EnumStats,
     search: Option<TreeSearch>,
-    level_cache_cap: Option<usize>,
-    incremental: bool,
-    packed: bool,
 }
 
 /// The typed checkpoint frame of one descent (one path delta): partial-
@@ -132,8 +129,6 @@ struct TreeSearch {
     pool: Vec<BranchScratch>,
     /// Current branch nesting depth (indexes `pool`).
     depth: usize,
-    /// Per-level BFS cache preallocation cap for pool growth.
-    level_cache_cap: usize,
     /// Growth events outside the component scratches (pool growth).
     extra_allocs: u64,
     /// Scratch-allocation baseline at the end of `prepare()`.
@@ -157,9 +152,8 @@ pub(crate) fn doubled_edges(arcs: &[ArcId]) -> impl Iterator<Item = EdgeId> + '_
 }
 
 impl BranchScratch {
-    pub(crate) fn preallocate(&mut self, n: usize, m: usize, level_cache_cap: usize) {
-        self.path
-            .preallocate_capped(n + 2, 2 * m + 2, level_cache_cap);
+    pub(crate) fn preallocate(&mut self, n: usize, m: usize) {
+        self.path.preallocate(n + 2, 2 * m + 2);
         if self.boundary.capacity() < 2 * m + 2 {
             self.boundary.reserve(2 * m + 2 - self.boundary.capacity());
         }
@@ -241,9 +235,6 @@ impl<'g> SteinerTree<'g> {
             size: (g.num_vertices(), g.num_edges()),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
-            incremental: true,
-            packed: true,
         }
     }
 
@@ -255,9 +246,6 @@ impl<'g> SteinerTree<'g> {
             terminals: terminals.to_vec(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
-            incremental: true,
-            packed: true,
         }
     }
 
@@ -270,9 +258,6 @@ impl<'g> SteinerTree<'g> {
             size: self.size,
             stats: self.stats,
             search: self.search,
-            level_cache_cap: self.level_cache_cap,
-            incremental: self.incremental,
-            packed: self.packed,
         }
     }
 }
@@ -302,22 +287,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             size: self.size,
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: self.level_cache_cap,
-            incremental: self.incremental,
-            packed: self.packed,
         })
-    }
-
-    fn set_level_cache_cap(&mut self, cap: usize) {
-        self.level_cache_cap = Some(cap.max(1));
-    }
-
-    fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
-    }
-
-    fn set_packed_frontiers(&mut self, on: bool) {
-        self.packed = on;
     }
 
     fn cache_key(&self) -> Option<crate::cache::CacheKey> {
@@ -384,13 +354,10 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
         // of V(T): the descent never holds more than n of them.
         let mut frames = FrameLog::new();
         frames.preallocate(n + terminals.len() + 2);
-        let level_cache_cap = self
-            .level_cache_cap
-            .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP);
         let mut pool = Vec::with_capacity(terminals.len() + 1);
         for _ in 0..terminals.len() + 1 {
             let mut bs = BranchScratch::default();
-            bs.preallocate(n, m, level_cache_cap);
+            bs.preallocate(n, m);
             pool.push(bs);
         }
         let mut search = TreeSearch {
@@ -407,7 +374,6 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             beyond,
             pool,
             depth: 0,
-            level_cache_cap,
             extra_allocs: 0,
             baseline_allocs: 0,
         };
@@ -429,7 +395,6 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
     }
 
     fn classify(&mut self, out: &mut Vec<EdgeId>) -> NodeStep<VertexId> {
-        let incremental = self.incremental;
         let stats = &mut self.stats;
         let search = self
             .search
@@ -439,68 +404,64 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
         if search.t.complete() {
             return NodeStep::Complete;
         }
-        if incremental {
-            // Incremental fast path: a missing terminal reached over the
-            // bridge skeleton has a *unique* valid path (Lemma 16 — an
-            // all-bridge V(T)-w path is the only one), so if every
-            // missing terminal is reached the completion is unique and
-            // its edges are exactly the recorded forced paths. No
-            // spanning-growth pass, O(|W| + |answer|).
-            stats.work += terminals.len() as u64;
-            let span = &mut search.span;
-            let in_tree = &search.t.in_tree;
-            out.extend_from_slice(&search.t.edges);
-            let all_forced = span.collect_all_forced(
-                terminals,
-                |v| in_tree[v.index()],
-                |e| out.push(EdgeId::new(e as usize)),
-            );
-            if all_forced {
-                stats.classify_incremental += 1;
-                stats.work += out.len() as u64;
-                #[cfg(debug_assertions)]
-                {
-                    // Cross-check the incremental verdict against a fresh
-                    // spanning-growth pass: the grown-and-pruned T′ must
-                    // carry no non-bridge extension edge and equal the
-                    // collected completion as a set.
-                    grow_spanning_tree_csr(
-                        &search.csr,
-                        &search.t.vertices,
-                        &search.t.edges,
-                        None,
-                        &mut search.completion,
-                    );
-                    let is_terminal = &search.t.is_terminal;
-                    let in_tree = &search.t.in_tree;
-                    prune_leaves_csr(
-                        &search.csr,
-                        |v| is_terminal[v.index()] || in_tree[v.index()],
-                        &mut search.completion,
-                    );
-                    debug_assert!(
-                        search.completion.edges.iter().all(|e| {
-                            bit_test(&search.edge_words, e.index()) || search.bridge[e.index()]
-                        }),
-                        "incremental Unique verdict disagrees with the fresh pass"
-                    );
-                    let mut got = out.clone();
-                    got.sort_unstable();
-                    let mut want = search.completion.edges.clone();
-                    want.sort_unstable();
-                    debug_assert_eq!(got, want, "incremental unique completion differs from T′");
-                }
-                search.ids.globalize(out);
-                return NodeStep::Unique;
+        // Incremental fast path: a missing terminal reached over the
+        // bridge skeleton has a *unique* valid path (Lemma 16 — an
+        // all-bridge V(T)-w path is the only one), so if every missing
+        // terminal is reached the completion is unique and its edges are
+        // exactly the recorded forced paths. No spanning-growth pass,
+        // O(|W| + |answer|).
+        stats.work += terminals.len() as u64;
+        let span = &mut search.span;
+        let in_tree = &search.t.in_tree;
+        out.extend_from_slice(&search.t.edges);
+        let all_forced = span.collect_all_forced(
+            terminals,
+            |v| in_tree[v.index()],
+            |e| out.push(EdgeId::new(e as usize)),
+        );
+        if all_forced {
+            stats.classify_incremental += 1;
+            stats.work += out.len() as u64;
+            #[cfg(debug_assertions)]
+            {
+                // Cross-check the incremental verdict against a fresh
+                // spanning-growth pass: the grown-and-pruned T′ must
+                // carry no non-bridge extension edge and equal the
+                // collected completion as a set.
+                grow_spanning_tree_csr(
+                    &search.csr,
+                    &search.t.vertices,
+                    &search.t.edges,
+                    None,
+                    &mut search.completion,
+                );
+                let is_terminal = &search.t.is_terminal;
+                let in_tree = &search.t.in_tree;
+                prune_leaves_csr(
+                    &search.csr,
+                    |v| is_terminal[v.index()] || in_tree[v.index()],
+                    &mut search.completion,
+                );
+                debug_assert!(
+                    search.completion.edges.iter().all(|e| {
+                        bit_test(&search.edge_words, e.index()) || search.bridge[e.index()]
+                    }),
+                    "incremental Unique verdict disagrees with the fresh pass"
+                );
+                let mut got = out.clone();
+                got.sort_unstable();
+                let mut want = search.completion.edges.clone();
+                want.sort_unstable();
+                debug_assert_eq!(got, want, "incremental unique completion differs from T′");
             }
-            // Some terminal has ≥ 2 valid paths: the node branches, and
-            // reproducing the seed engine's branch target requires its
-            // completion-order scan — fall through to the full pass.
-            out.clear();
-            stats.classify_rebuilds += 1;
-        } else {
-            stats.classify_rebuilds += 1;
+            search.ids.globalize(out);
+            return NodeStep::Unique;
         }
+        // Some terminal has ≥ 2 valid paths: the node branches, and
+        // reproducing the seed engine's branch target requires its
+        // completion-order scan — fall through to the full pass.
+        out.clear();
+        stats.classify_rebuilds += 1;
         // Minimal completion T' ⊇ T: spanning tree + Proposition 3 pruning,
         // in the preallocated completion scratch.
         grow_spanning_tree_csr(
@@ -630,11 +591,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             if search.pool.len() <= depth {
                 search.extra_allocs += 1;
                 let mut fresh = BranchScratch::default();
-                fresh.preallocate(
-                    search.csr.num_vertices(),
-                    search.csr.num_edges(),
-                    search.level_cache_cap,
-                );
+                fresh.preallocate(search.csr.num_vertices(), search.csr.num_edges());
                 search.pool.push(fresh);
             }
             search.depth = depth + 1;
@@ -644,8 +601,8 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             bs.sources.clear();
             bs.sources.extend_from_slice(&search.t.vertices);
             // Same prepared CSR on every branch of this search, so the
-            // packed per-level BFS caches may survive across branch
-            // nodes (the cross-branch reuse the packed mode is for).
+            // per-level BFS caches may survive across branch nodes (the
+            // path enumerator's cross-branch reuse).
             bs.path.begin_same_graph(search.csr.num_vertices() + 1);
             (bs, Arc::clone(&search.doubled), depth)
         };
@@ -659,10 +616,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             &doubled,
             sources,
             w,
-            EnumerateOptions {
-                packed_frontiers: self.packed,
-                ..EnumerateOptions::default()
-            },
+            EnumerateOptions::default(),
             path,
             boundary,
             &mut |delta| {

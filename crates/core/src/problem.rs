@@ -384,40 +384,6 @@ pub trait MinimalSteinerProblem {
         None
     }
 
-    /// Enables or disables the **incremental classification** fast paths
-    /// ([`Enumeration::with_incremental`](crate::solver::Enumeration::with_incremental)).
-    ///
-    /// When enabled (the default for the four paper problems), `classify`
-    /// reads trail-backed connectivity state
-    /// ([`steiner_graph::spanning::DynamicSpanning`]) maintained across
-    /// parent/child search-tree nodes instead of re-running a full
-    /// spanning-growth or contraction pass per node; when disabled, every
-    /// non-trivial node recomputes from scratch (the pre-incremental
-    /// engine, kept as the conformance reference). **Both modes must
-    /// deliver byte-identical solution streams** — the incremental layer
-    /// only changes how the same verdicts are computed. Must be called
-    /// before [`Self::prepare`]. The default ignores the hint.
-    fn set_incremental(&mut self, on: bool) {
-        let _ = on;
-    }
-
-    /// Enables or disables **word-packed path generation**
-    /// ([`Enumeration::with_packed_frontiers`](crate::solver::Enumeration::with_packed_frontiers)).
-    ///
-    /// When enabled (the default for the four paper problems), the
-    /// per-branch-node path enumerator runs its `F-STP` reverse BFS over
-    /// `u64`-word bitsets, reuses cached per-level BFS trees across
-    /// branch nodes whose removed-mask signature matches (counted in
-    /// [`EnumStats::fstp_cache_hits`](crate::EnumStats::fstp_cache_hits)),
-    /// and reconstructs all child paths of a branch node in one flat
-    /// batch; when disabled, the per-vertex stamp/`Vec<bool>` reference
-    /// enumerator runs instead. **Both modes must deliver byte-identical
-    /// solution streams** — only the constant factor changes. Must be
-    /// called before [`Self::prepare`]. The default ignores the hint.
-    fn set_packed_frontiers(&mut self, on: bool) {
-        let _ = on;
-    }
-
     /// Captures the partial solution currently applied to the search
     /// state as a replayable [`SubtreeRecord`] — called by the
     /// work-stealing engine from inside a `branch` callback at **any**
@@ -452,20 +418,6 @@ pub trait MinimalSteinerProblem {
     {
         let _ = (record, child);
         unreachable!("replay_subtree requires record_subtree support")
-    }
-
-    /// Caps the number of per-level path-enumeration BFS caches the
-    /// problem reserves arena space for in `prepare`
-    /// ([`Enumeration::with_level_cache_cap`](crate::solver::Enumeration::with_level_cache_cap)).
-    /// The cap bounds reserved address space; memory is touched only for
-    /// the levels a run reaches. Levels beyond the cap are grown on
-    /// demand (visible as
-    /// [`EnumStats::scratch_allocs`](crate::stats::EnumStats)), so a
-    /// small cap trades reservation for growth events without changing
-    /// results. Problems without a path-enumerator scratch ignore the
-    /// hint.
-    fn set_level_cache_cap(&mut self, cap: usize) {
-        let _ = cap;
     }
 }
 

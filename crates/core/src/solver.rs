@@ -433,86 +433,6 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
         }
     }
 
-    /// Enables or disables **incremental classification** (default: on
-    /// for the four paper problems).
-    ///
-    /// On, `classify` reads trail-backed connectivity state maintained
-    /// across parent/child search-tree nodes
-    /// ([`steiner_graph::spanning::DynamicSpanning`]) and answers
-    /// leaf-certifying queries in O(|W|) instead of re-running a full
-    /// O(n + m) spanning-growth / contraction pass per node; off, every
-    /// non-trivial node recomputes from scratch — the pre-incremental
-    /// engine, kept as the conformance reference. **The delivered stream
-    /// is byte-identical either way** (asserted across all four problems
-    /// and every front-end in `tests/incremental.rs`); the difference is
-    /// visible only in wall-clock time and in
-    /// [`EnumStats::classify_incremental`] /
-    /// [`EnumStats::classify_rebuilds`].
-    ///
-    /// ```
-    /// use steiner_core::{Enumeration, SteinerTree};
-    /// use steiner_graph::{UndirectedGraph, VertexId};
-    ///
-    /// let g = UndirectedGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-    /// let w = [VertexId(0), VertexId(2)];
-    /// let on = Enumeration::new(SteinerTree::new(&g, &w)).collect_vec().unwrap();
-    /// let off = Enumeration::new(SteinerTree::new(&g, &w))
-    ///     .with_incremental(false)
-    ///     .collect_vec()
-    ///     .unwrap();
-    /// assert_eq!(on, off);
-    /// ```
-    pub fn with_incremental(mut self, on: bool) -> Self {
-        self.problem.set_incremental(on);
-        self
-    }
-
-    /// Enables or disables **word-packed path generation** (default: on
-    /// for the four paper problems).
-    ///
-    /// On, each branch node's child paths come from the packed
-    /// enumerator: the `F-STP` reverse BFS sweeps `u64`-word bitset
-    /// frontiers instead of per-vertex stamps, per-level BFS trees are
-    /// reused across branch nodes whose removed-mask signature matches
-    /// (counted in [`EnumStats::fstp_cache_hits`] /
-    /// [`EnumStats::fstp_cache_misses`]), and all child paths of a
-    /// branch node are reconstructed in one flat batch; off, the
-    /// per-vertex reference enumerator runs — kept as the A/B
-    /// conformance path. **The delivered stream is byte-identical either
-    /// way** (asserted across all four problems and every front-end in
-    /// `tests/packed_frontiers.rs`); the difference is visible only in
-    /// wall-clock time and the cache counters.
-    ///
-    /// ```
-    /// use steiner_core::{Enumeration, SteinerTree};
-    /// use steiner_graph::{UndirectedGraph, VertexId};
-    ///
-    /// let g = UndirectedGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-    /// let w = [VertexId(0), VertexId(2)];
-    /// let packed = Enumeration::new(SteinerTree::new(&g, &w)).collect_vec().unwrap();
-    /// let reference = Enumeration::new(SteinerTree::new(&g, &w))
-    ///     .with_packed_frontiers(false)
-    ///     .collect_vec()
-    ///     .unwrap();
-    /// assert_eq!(packed, reference);
-    /// ```
-    pub fn with_packed_frontiers(mut self, on: bool) -> Self {
-        self.problem.set_packed_frontiers(on);
-        self
-    }
-
-    /// Caps the per-level path-enumeration caches each worker reserves
-    /// arena space for in `prepare` — the
-    /// [level-cache memory knob](crate::problem::MinimalSteinerProblem::set_level_cache_cap).
-    /// It bounds reserved address space, not touched memory, which
-    /// follows the recursion depth a run reaches. Levels beyond the cap
-    /// are grown on demand (counted in [`EnumStats::scratch_allocs`]);
-    /// results are unaffected.
-    pub fn with_level_cache_cap(mut self, cap: usize) -> Self {
-        self.problem.set_level_cache_cap(cap.max(1));
-        self
-    }
-
     /// A shared reference to the wrapped problem.
     pub fn problem(&self) -> &P {
         &self.problem

@@ -91,11 +91,11 @@ pub struct EnumStats {
     /// (trail-backed [`DynamicSpanning`](steiner_graph::spanning::DynamicSpanning)
     /// reads) instead of a fresh spanning-growth / contraction pass.
     pub classify_incremental: u64,
-    /// `classify` calls that fell back to a full per-node recomputation
-    /// (spanning growth, contraction rebuild, Lemma-11/35 sweep). The
-    /// incremental engines drive this toward zero on leaf-heavy
-    /// workloads; with incremental classification disabled every
-    /// non-trivial classify counts here.
+    /// `classify` calls the incremental layer could not settle, which
+    /// ran the full per-node pass (spanning growth plus pruning, the
+    /// completion plus exact two-path test, or the contraction plus
+    /// Lemma-35 sweep). The tree, terminal and directed classifiers land
+    /// here at branch nodes; the forest classifier never does.
     pub classify_rebuilds: u64,
     /// Vertices explored by the incremental layer's forced-path queries
     /// (`DynamicSpanning`'s early-exit BFS from a missing terminal
@@ -121,19 +121,15 @@ pub struct EnumStats {
     /// `E-STP`/`F-STP` enumerator) across all branch-node calls — a
     /// subset of [`Self::work`], surfaced so the size-sweep bench can
     /// report the path-generation share directly. Sums under
-    /// [`Self::merge`]. Note the packed and reference path generators
-    /// count slightly different unit totals for the same stream (a
-    /// served cache hit skips the BFS work a recomputation would count),
-    /// so this figure is comparable within one mode, not across modes.
+    /// [`Self::merge`]. A reverse BFS served from the signature cache
+    /// ([`Self::fstp_cache_hits`]) counts no BFS work.
     pub path_gen_work: u64,
-    /// Per-level `F-STP` reverse-BFS trees served from the packed
-    /// signature cache instead of recomputed (see
-    /// [`with_packed_frontiers`](crate::Enumeration::with_packed_frontiers)).
-    /// Zero when packed frontiers are disabled. Sums under [`Self::merge`].
+    /// Per-level `F-STP` reverse-BFS trees served from the path
+    /// enumerator's signature cache (keyed on the removal mask, `s′`
+    /// and `t`) instead of recomputed. Sums under [`Self::merge`].
     pub fstp_cache_hits: u64,
-    /// Per-level `F-STP` reverse-BFS recomputations under packed
-    /// frontiers (signature mismatch or cold level). Zero when packed
-    /// frontiers are disabled. Sums under [`Self::merge`].
+    /// Per-level `F-STP` reverse-BFS recomputations (signature mismatch
+    /// or cold level). Sums under [`Self::merge`].
     pub fstp_cache_misses: u64,
     /// Work units at the last emission (internal bookkeeping for the gap).
     last_emission_work: u64,

@@ -95,9 +95,6 @@ pub struct TerminalSteinerTree<'g> {
     size: (usize, usize),
     stats: EnumStats,
     search: Option<TerminalSearch>,
-    level_cache_cap: Option<usize>,
-    incremental: bool,
-    packed: bool,
 }
 
 /// The typed checkpoint frame of one descent in component mode.
@@ -194,8 +191,6 @@ struct ComponentSearch {
     aug: AugScratch,
     pool: Vec<BranchScratch>,
     depth: usize,
-    /// Per-level BFS cache preallocation cap for pool growth.
-    level_cache_cap: usize,
     extra_allocs: u64,
     baseline_allocs: u64,
 }
@@ -284,9 +279,6 @@ impl<'g> TerminalSteinerTree<'g> {
             size: (g.num_vertices(), g.num_edges()),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
-            incremental: true,
-            packed: true,
         }
     }
 
@@ -298,9 +290,6 @@ impl<'g> TerminalSteinerTree<'g> {
             terminals: terminals.to_vec(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
-            incremental: true,
-            packed: true,
         }
     }
 
@@ -313,9 +302,6 @@ impl<'g> TerminalSteinerTree<'g> {
             size: self.size,
             stats: self.stats,
             search: self.search,
-            level_cache_cap: self.level_cache_cap,
-            incremental: self.incremental,
-            packed: self.packed,
         }
     }
 }
@@ -452,22 +438,7 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
             size: self.size,
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: self.level_cache_cap,
-            incremental: self.incremental,
-            packed: self.packed,
         })
-    }
-
-    fn set_level_cache_cap(&mut self, cap: usize) {
-        self.level_cache_cap = Some(cap.max(1));
-    }
-
-    fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
-    }
-
-    fn set_packed_frontiers(&mut self, on: bool) {
-        self.packed = on;
     }
 
     fn cache_key(&self) -> Option<crate::cache::CacheKey> {
@@ -510,12 +481,7 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
             // the w₀-w₁ paths (§5.1).
             let doubled = Arc::new(CsrDigraph::doubled_from_csr(&region.csr));
             let mut path = PathScratch::new();
-            path.preallocate_capped(
-                n + 2,
-                2 * m + 2,
-                self.level_cache_cap
-                    .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP),
-            );
+            path.preallocate(n + 2, 2 * m + 2);
             let boundary = Vec::with_capacity(2 * m + 2);
             // Each live delta adds at least one path vertex.
             let mut marks = FrameLog::new();
@@ -605,13 +571,10 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
         aug.preallocate(n, num_edges);
         let mut trail = Trail::new();
         trail.preallocate(2 * n + 2);
-        let level_cache_cap = self
-            .level_cache_cap
-            .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP);
         let mut pool = Vec::with_capacity(terminals.len() + 2);
         for _ in 0..terminals.len() + 2 {
             let mut bs = BranchScratch::default();
-            bs.preallocate(n, num_edges, level_cache_cap);
+            bs.preallocate(n, num_edges);
             pool.push(bs);
         }
         let mut t = PartialTree::new(n, &terminals, None);
@@ -642,7 +605,6 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
             aug,
             pool,
             depth: 0,
-            level_cache_cap,
             extra_allocs: 0,
             baseline_allocs: 0,
         };
@@ -664,7 +626,6 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
     }
 
     fn classify(&mut self, _out: &mut Vec<EdgeId>) -> NodeStep<TerminalBranch> {
-        let incremental = self.incremental;
         let stats = &mut self.stats;
         match self
             .search
@@ -686,7 +647,7 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
                 if cs.t.complete() {
                     return NodeStep::Complete;
                 }
-                if incremental && cs.span_comp == Some(active) {
+                if cs.span_comp == Some(active) {
                     // Incremental fast path: a missing terminal reached
                     // over the component's bridge skeleton (sourced from
                     // V(T) ∩ C, with terminals as barriers) has a unique
@@ -745,10 +706,8 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
                         return NodeStep::Unique;
                     }
                     _out.clear();
-                    stats.classify_rebuilds += 1;
-                } else {
-                    stats.classify_rebuilds += 1;
                 }
+                stats.classify_rebuilds += 1;
                 let ctx = &cs.comps[active];
                 minimal_completion_csr(
                     &cs.gc,
@@ -935,7 +894,7 @@ impl TerminalSteinerTree<'_> {
         if cs.pool.len() <= depth {
             cs.extra_allocs += 1;
             let mut fresh = BranchScratch::default();
-            fresh.preallocate(cs.gc.num_vertices(), cs.gc.num_edges(), cs.level_cache_cap);
+            fresh.preallocate(cs.gc.num_vertices(), cs.gc.num_edges());
             cs.pool.push(fresh);
         }
         cs.depth = depth + 1;
@@ -982,14 +941,11 @@ impl TerminalSteinerTree<'_> {
     /// trail, and pushes the combined typed frame. Shared by the path
     /// deltas of the branches and by replayed subtrees.
     fn descend(&mut self, vertices: &[VertexId], edges: impl IntoIterator<Item = EdgeId>) {
-        let incremental = self.incremental;
-        if incremental {
-            let ci = self
-                .components_mut()
-                .active
-                .expect("descend runs inside an active component");
-            self.ensure_span(ci);
-        }
+        let ci = self
+            .components_mut()
+            .active
+            .expect("descend runs inside an active component");
+        self.ensure_span(ci);
         let cs = self.components_mut();
         let edges_mark = cs.t.edges.len();
         let ext = cs.t.extend(vertices, edges);
@@ -1057,7 +1013,7 @@ impl TerminalSteinerTree<'_> {
                         Arc::clone(&ts.doubled),
                     )
                 };
-                // The search's doubled CSR is fixed, so packed BFS
+                // The search's doubled CSR is fixed, so the BFS
                 // caches may survive across root replays.
                 path.begin_same_graph(doubled.num_vertices() + 1);
                 let sources = [w0];
@@ -1065,10 +1021,7 @@ impl TerminalSteinerTree<'_> {
                     &doubled,
                     &sources,
                     w1,
-                    EnumerateOptions {
-                        packed_frontiers: self.packed,
-                        ..EnumerateOptions::default()
-                    },
+                    EnumerateOptions::default(),
                     &mut path,
                     &mut boundary,
                     &mut |delta| {
@@ -1101,7 +1054,7 @@ impl TerminalSteinerTree<'_> {
                     {
                         let cs = self.components_mut();
                         // Same contracted doubled CSR for every
-                        // component and depth: keep the packed caches.
+                        // component and depth: keep the BFS caches.
                         let removed = bs.path.begin_same_graph(n + 1);
                         for (v, r) in removed.iter_mut().enumerate().take(n) {
                             *r = !cs.comps[ci].allowed01[v];
@@ -1122,10 +1075,7 @@ impl TerminalSteinerTree<'_> {
                         &doubled,
                         sources,
                         w1,
-                        EnumerateOptions {
-                            packed_frontiers: self.packed,
-                            ..EnumerateOptions::default()
-                        },
+                        EnumerateOptions::default(),
                         path,
                         boundary,
                         &mut |delta| {
@@ -1168,7 +1118,7 @@ impl TerminalSteinerTree<'_> {
             let n = cs.gc.num_vertices();
             // Sources: V(T) ∩ C; excluded vertices: outside C ∪ {w}.
             // Same contracted doubled CSR on every branch of this
-            // search: keep the packed caches.
+            // search: keep the BFS caches.
             let removed = bs.path.begin_same_graph(n + 1);
             for (v, r) in removed.iter_mut().enumerate().take(n) {
                 *r = !(ctx.comp_mask[v] || VertexId::new(v) == w);
@@ -1193,10 +1143,7 @@ impl TerminalSteinerTree<'_> {
             &doubled,
             sources,
             w,
-            EnumerateOptions {
-                packed_frontiers: self.packed,
-                ..EnumerateOptions::default()
-            },
+            EnumerateOptions::default(),
             path,
             boundary,
             &mut |delta| {

@@ -2,10 +2,14 @@
 //!
 //! Structure of the implementation, mirroring the paper (§3):
 //!
-//! * `f_stp` — the subroutine `F-STP(D′, s′, t, e, f)`: one reverse BFS
-//!   from `t` (avoiding the masked vertices, the banned arc `e`, and `s′`
-//!   itself), then the smallest out-arc of `s′` beyond position `f` whose
-//!   head reaches `t`. Deterministic, O(n + m).
+//! * `fstp_prepare` — the reverse BFS of the subroutine
+//!   `F-STP(D′, s′, t, e, f)`: one flood from `t` avoiding the masked
+//!   vertices, the banned arc `e`, and `s′` itself, over `u64`-word
+//!   bitset frontiers. Its result depends only on the mask, `s′` and
+//!   `t`, so it is cached per recursion level under a Zobrist signature
+//!   of the mask and reused by any activation — in this run or a later
+//!   run on the same graph — whose admissible graph is identical.
+//!   Deterministic, O(n + m) on a miss.
 //! * `extendible_indices` — Lemma 11: given the freshly found continuation
 //!   `Q = (v₁ … v_k)`, decide for every `i ∈ [2, k−1]` whether the prefix
 //!   `Q_i` is *extendible with P* (i.e. `D[V ∖ (V(P∘Q_i) ∖ {v_i})] −
@@ -14,6 +18,9 @@
 //!   reach-`t` flags `r(·)` monotonically — O(n + m) for the whole sweep.
 //! * `e_stp` — the recursion `E-STP(P, e, d, t)` with the alternating
 //!   output rule (pre-order at even depth, post-order at odd depth).
+//!   Each activation reconstructs all its `F-STP` answers (one per
+//!   admissible out-arc of `s′`, in the order `≺_{s′}`) in one pass from
+//!   the cached BFS tree, then recurses into them in that order.
 //!
 //! The current path `P` lives in global state, exactly as in the paper's
 //! space analysis: the engine keeps it only as the removal mask (every
@@ -53,18 +60,16 @@ pub struct PathEnumStats {
     /// Algorithmic work units (≈ arcs/vertices touched); the empirical
     /// stand-in for the paper's O(n + m)-per-solution accounting.
     pub work: u64,
-    /// Packed mode only: `F-STP` activations whose level cache already
-    /// held the reverse BFS for the current `(mask signature, banned
-    /// arc, s′)` key — sibling reuse within an activation plus genuine
-    /// cross-activation and cross-run reuse.
+    /// `F-STP` activations whose level cache already held the reverse
+    /// BFS for the current `(mask signature, s′, t)` key — reuse across
+    /// activations and across runs on the same graph.
     pub fstp_cache_hits: u64,
-    /// Packed mode only: `F-STP` activations that had to (re)run the
-    /// reverse BFS.
+    /// `F-STP` activations that had to (re)run the reverse BFS.
     pub fstp_cache_misses: u64,
 }
 
-/// Tuning knobs for [`enumerate_directed_st_paths_with`]: the Lemma 11
-/// ablation switch and the word-packed engine switch.
+/// Options for [`enumerate_directed_st_paths_with`]: the Lemma 11
+/// ablation switch.
 #[derive(Copy, Clone, Debug)]
 pub struct EnumerateOptions {
     /// Use the Lemma 11 *incremental* reachability sweep (O(n + m) for all
@@ -72,22 +77,15 @@ pub struct EnumerateOptions {
     /// is recomputed from scratch per prefix — O(k(n + m)) per
     /// continuation of length k — which is the design choice the paper's
     /// §3 revision of Read–Tarjan eliminates. Exposed for the ablation
-    /// bench (`cargo bench -p steiner-bench --bench ablation`).
+    /// bench (`cargo bench -p steiner-bench --bench ablation`); the
+    /// stream is the same either way.
     pub incremental_extendibility: bool,
-    /// Run the word-packed `E-STP`/`F-STP` engine (the default): `u64`
-    /// bitset BFS frontiers, a Zobrist-signature-keyed cross-branch
-    /// reverse-BFS cache, and flat per-activation child-run emission.
-    /// When `false`, the original per-vertex stamp engine runs instead —
-    /// the A/B reference. Both produce byte-identical streams; only the
-    /// `work`/cache counters differ (cache hits skip counted BFS work).
-    pub packed_frontiers: bool,
 }
 
 impl Default for EnumerateOptions {
     fn default() -> Self {
         EnumerateOptions {
             incremental_extendibility: true,
-            packed_frontiers: true,
         }
     }
 }
@@ -204,8 +202,8 @@ impl PathView for VirtualSourceView<'_> {
 }
 
 /// Reusable state for one (possibly nested) enumeration: masks, the
-/// epoch-stamped reach-`t` flags, and the LIFO arena holding each
-/// recursion frame's continuation `Q`. Size it once with
+/// per-level reverse-BFS caches, and the LIFO arena holding each
+/// activation's continuations `Q`. Size it once with
 /// [`PathScratch::preallocate`]; afterwards enumerations record any buffer
 /// growth in [`PathScratch::alloc_events`] (a warm scratch reports zero).
 ///
@@ -215,103 +213,93 @@ impl PathView for VirtualSourceView<'_> {
 #[derive(Clone, Debug, Default)]
 pub struct PathScratch {
     removed: Vec<bool>,
-    /// Packed mode: `u64`-word mirror of `removed`, rebuilt at run start
-    /// and maintained by every engine mask write thereafter.
+    /// `u64`-word mirror of `removed`, rebuilt at run start and
+    /// maintained by every engine mask write thereafter.
     removed_bits: Vec<u64>,
-    /// Packed mode: Zobrist XOR-fold of [`vsig`] over the removed
-    /// vertices — the incrementally maintained removal-mask signature
-    /// that keys the cross-branch `F-STP` cache. XOR-folding makes it
+    /// Zobrist XOR-fold of [`vsig`] over the removed vertices — the
+    /// incrementally maintained removal-mask signature that keys the
+    /// cross-branch `F-STP` cache. XOR-folding makes it
     /// history-independent: a balanced mask/unmask pair restores it.
     sig: u64,
-    /// Packed mode: per-vertex Zobrist hash table (`vsigs[v] = vsig(v)`),
-    /// so the per-toggle signature update is a load+xor instead of a
-    /// mix64 evaluation.
+    /// Per-vertex Zobrist hash table (`vsigs[v] = vsig(v)`), so the
+    /// per-toggle signature update is a load+xor instead of a mix64
+    /// evaluation.
     vsigs: Vec<u64>,
-    /// Packed mode: the transient candidate frontier `¬removed ∧
-    /// ¬reached` shared by every BFS and extendibility sweep. Fusing the
-    /// two exclusion tests into one bitset makes the per-arc probe a
-    /// single [`bit_take`]; the buffer is dead between uses, so one
-    /// instance serves every recursion level.
+    /// The transient candidate frontier `¬removed ∧ ¬reached` shared by
+    /// every BFS and extendibility sweep. Fusing the two exclusion tests
+    /// into one bitset makes the per-arc probe a single [`bit_take`]; the
+    /// buffer is dead between uses, so one instance serves every
+    /// recursion level.
     cand: Vec<u64>,
+    /// Epoch-stamped reach-`t` flags of the naive extendibility ablation.
     stamp: Vec<u32>,
     epoch: u32,
     queue: Vec<VertexId>,
     /// Per-recursion-level reverse-BFS caches: the `F-STP` BFS depends
-    /// only on the masks and the banned arc — both fixed across one
-    /// node's siblings — so each `E-STP` level computes it once and
-    /// reuses it for every sibling continuation. Level-local slices keep
-    /// deeper recursion from clobbering the cache. This is the small
-    /// per-level metadata; the arrays live in the strided arenas below.
+    /// only on the mask, `s′` and `t` — fixed across one node's siblings
+    /// — so each `E-STP` level computes it at most once per activation.
+    /// Level-local slices keep deeper recursion from clobbering the
+    /// cache. This is the small per-level metadata; the arrays live in
+    /// the strided arenas below.
     levels: Vec<LevelMeta>,
     /// Vertex count the level arenas are strided for: level `d` owns
-    /// `[d·stride, (d+1)·stride)` of `level_stamp`/`level_next_arc` and
+    /// `[d·stride, (d+1)·stride)` of `level_next_arc` and
     /// `[d·⌈stride/64⌉, (d+1)·⌈stride/64⌉)` of `level_admissible`.
     stride: usize,
-    /// Reference engine: each level's epoch-stamped reach-`t` flags.
-    level_stamp: Vec<u32>,
-    /// Each level's reverse-BFS tree (shared by both engines).
+    /// Each level's reverse-BFS tree.
     level_next_arc: Vec<ArcId>,
-    /// Packed engine: each level's `reached ∧ ¬removed` bitset at BFS
-    /// time — the legal heads for the smallest-admissible-first-arc scan
-    /// (derived from the candidate frontier left over by the BFS, so no
-    /// separate reached bitset is stored).
+    /// Each level's `reached ∧ ¬removed` bitset at BFS time — the legal
+    /// heads for the admissible-first-arc scan (derived from the
+    /// candidate frontier left over by the BFS, so no separate reached
+    /// bitset is stored).
     level_admissible: Vec<u64>,
     /// Continuation arena: frame `Q`s live at `[v_start..v_start + len]`.
     qv: Vec<VertexId>,
     qa: Vec<ArcId>,
     /// Extendible-index arena (same LIFO discipline).
     ext: Vec<u32>,
-    /// Packed mode: per-activation sibling-run frames (LIFO per batch).
+    /// Per-activation sibling-run frames (LIFO per batch).
     frames: Vec<QFrame>,
     allocs: u64,
 }
 
 /// One recursion level's `F-STP` cache state; its arrays are the level's
-/// slices of the [`PathScratch`] arenas. The reference engine uses the
-/// epoch-stamped `level_stamp` slice plus the per-activation `valid`
-/// flag; the packed engine uses the `level_admissible` slice plus the
-/// `(key_sig, key_s1, key_t)` signature key — the banned arc is *not*
-/// part of the key because its tail is always `s′` (it is the arc the
-/// activation arrived on), which the BFS masks regardless, so the BFS
-/// tree is independent of it. The `level_next_arc` slice (the
-/// reverse-BFS tree) is shared, so whichever engine recomputes the BFS
-/// invalidates the other's cache view.
+/// slices of the [`PathScratch`] arenas, keyed by `(key_sig, key_s1,
+/// key_t)`. The banned arc is *not* part of the key because its tail is
+/// always `s′` (it is the arc the activation arrived on), which the BFS
+/// masks regardless, so the BFS tree is independent of it.
 ///
-/// A flag is only ever set after the slices it vouches for were filled
+/// The flag is only ever set after the slices it vouches for were filled
 /// in, and a re-stride drops every level's metadata together with the
 /// arenas, so a valid flag never points at an unfilled slice.
 #[derive(Copy, Clone, Debug, Default)]
 struct LevelMeta {
-    epoch: u32,
-    valid: bool,
-    /// Packed cache key: removal-mask signature at BFS time.
+    /// Cache key: removal-mask signature at BFS time.
     key_sig: u64,
-    /// Packed cache key: `s′` (masked during the BFS, hence part of the
-    /// key rather than the signature).
+    /// Cache key: `s′` (masked during the BFS, hence part of the key
+    /// rather than the signature).
     key_s1: u32,
-    /// Packed cache key: the BFS target `t` — constant within one run,
-    /// but the cache deliberately survives across runs sharing the
-    /// scratch, and a later run may aim at a different target over the
-    /// same mask.
+    /// Cache key: the BFS target `t` — constant within one run, but the
+    /// cache deliberately survives across runs sharing the scratch, and
+    /// a later run may aim at a different target over the same mask.
     key_t: u32,
-    /// Whether the packed cache (and its key) is populated.
-    packed_valid: bool,
+    /// Whether the cache (and its key) is populated.
+    valid: bool,
 }
 
-/// Default cap on the number of per-level reverse-BFS caches that
+/// Cap on the number of per-level reverse-BFS caches that
 /// [`PathScratch::preallocate`] reserves arena space for. Deeper
 /// recursion levels grow the arenas on demand (each growth is counted in
 /// [`PathScratch::alloc_events`]), so the cap bounds reserved address
-/// space — not the reachable recursion depth. Override it per
-/// enumeration with [`PathScratch::preallocate_capped`].
-pub const DEFAULT_LEVEL_CACHE_CAP: usize = 512;
+/// space — not the reachable recursion depth.
+const LEVEL_CACHE_CAP: usize = 512;
 
 /// Fills in level `depth`'s `width`-element slice of a strided level
 /// arena and hands it back. Levels are reached in recursion order, so a
 /// level's slice starts where its predecessor's ends, and the first
 /// visit extends the arena by a resize — within the capacity
-/// [`PathScratch::preallocate_capped`] reserved for levels under the cap
-/// (no allocation event), past it a counted growth.
+/// [`PathScratch::preallocate`] reserved for levels under the cap (no
+/// allocation event), past it a counted growth.
 #[inline]
 fn level_slice<'a, T: Copy>(
     arena: &'a mut Vec<T>,
@@ -338,29 +326,26 @@ impl PathScratch {
 
     /// Sizes every buffer for a graph with `n` vertices (including any
     /// virtual source) and `m` arcs, so subsequent enumerations do not
-    /// allocate on instances whose recursion stays within
-    /// [`DEFAULT_LEVEL_CACHE_CAP`] levels. The per-level BFS caches live
-    /// in three flat arenas (two `n`-word arrays and one `⌈n/64⌉`-word
-    /// bitset per level) whose capacity is reserved here once, for
-    /// `min(n + 2, cap)` levels; a level's slice is only filled in when
-    /// the recursion first reaches it, so a shallow query touches a few
-    /// levels' worth of memory, not the reservation. The arenas are
+    /// allocate on instances whose recursion stays within 512 levels.
+    /// The per-level BFS caches live in two flat arenas (an `n`-word
+    /// array and a `⌈n/64⌉`-word bitset per level) whose capacity is
+    /// reserved here once, for `min(n + 2, 512)` levels; a level's slice
+    /// is only filled in when the recursion first reaches it, so a
+    /// shallow query touches a few levels' worth of memory, not the
+    /// reservation. The arenas are
     /// **not** sized for the worst case of the recursion (one level per
     /// frame — O(n) levels of O(n) words each, the same O(n²) order as
     /// the paper's output-queue space bound): levels past the cap grow
     /// the arenas on demand, counted in [`Self::alloc_events`].
     pub fn preallocate(&mut self, n: usize, m: usize) {
-        self.preallocate_capped(n, m, DEFAULT_LEVEL_CACHE_CAP);
+        self.preallocate_capped(n, m, LEVEL_CACHE_CAP);
     }
 
     /// As [`Self::preallocate`] with an explicit cap on the number of
-    /// levels the BFS-cache arenas reserve — the knob for embeddings
-    /// that run many enumerators side by side. It bounds reserved
-    /// address space (about `2n · min(n + 2, cap)` words), not touched
-    /// memory, which follows the depth the recursion actually reaches.
-    /// A small cap never changes results or reachable depth; deep runs
-    /// just grow the arenas on demand.
-    pub fn preallocate_capped(&mut self, n: usize, m: usize, level_cache_cap: usize) {
+    /// levels the BFS-cache arenas reserve. A small cap never changes
+    /// results or reachable depth; deep runs just grow the arenas on
+    /// demand.
+    fn preallocate_capped(&mut self, n: usize, m: usize, level_cache_cap: usize) {
         self.removed
             .reserve(n.saturating_sub(self.removed.capacity()));
         let nw = bit_words(n);
@@ -373,17 +358,15 @@ impl PathScratch {
         let depth_cap = (n + 2).min(level_cache_cap.max(1));
         self.levels
             .reserve(depth_cap.saturating_sub(self.levels.len()));
-        self.level_stamp
-            .reserve((depth_cap * n).saturating_sub(self.level_stamp.len()));
         self.level_next_arc
             .reserve((depth_cap * n).saturating_sub(self.level_next_arc.len()));
         self.level_admissible
             .reserve((depth_cap * nw).saturating_sub(self.level_admissible.len()));
-        // The reference engine holds one continuation per recursion level
-        // (O(n²) arena entries at worst); packed mode materializes each
-        // activation's whole sibling run up front, adding a degree-
-        // weighted term bounded by the arcs incident to the (distinct)
-        // path tips — hence the extra m-proportional slack on `qv`/`qa`.
+        // Each activation materializes its whole sibling run up front:
+        // one continuation per recursion level (O(n²) arena entries at
+        // worst) plus a degree-weighted term bounded by the arcs incident
+        // to the (distinct) path tips — hence the m-proportional slack on
+        // `qv`/`qa`.
         let arena = ((n + 2) * (n + 2)).min(1 << 18);
         let q_arena = ((n + 2) * (n + 2) + 32 * (m + 2)).min(1 << 18);
         self.qv.reserve(q_arena.saturating_sub(self.qv.capacity()));
@@ -400,21 +383,21 @@ impl PathScratch {
     /// the caller to mark sources / disallowed vertices before the run.
     ///
     /// Makes no assumption about the graph of the upcoming run, so the
-    /// packed engine's cross-run reverse-BFS caches are dropped — a
-    /// cached BFS tree from a *different* graph that happens to match
-    /// the signature key would reconstruct garbage. Callers that pin one
-    /// graph per scratch should use [`Self::begin_same_graph`].
+    /// cross-run reverse-BFS caches are dropped — a cached BFS tree from
+    /// a *different* graph that happens to match the signature key would
+    /// reconstruct garbage. Callers that pin one graph per scratch should
+    /// use [`Self::begin_same_graph`].
     pub fn begin(&mut self, n: usize) -> &mut [bool] {
         for lvl in &mut self.levels {
-            lvl.packed_valid = false;
+            lvl.valid = false;
         }
         self.begin_same_graph(n)
     }
 
     /// As [`Self::begin`], additionally promising that the arc structure
     /// (adjacency and arc ids) is unchanged since the previous run on
-    /// this scratch. Under that promise the packed engine's
-    /// signature-keyed reverse-BFS caches survive across runs — the
+    /// this scratch. Under that promise the signature-keyed reverse-BFS
+    /// caches survive across runs — the
     /// cross-branch reuse the Steiner enumerators lean on: two branch
     /// nodes with the same vertex set and target (common when distinct
     /// partial trees span the same vertices) replay each other's BFS
@@ -447,8 +430,7 @@ impl PathScratch {
                 + self.level_admissible.capacity())
                 * std::mem::size_of::<u64>()
             + self.frames.capacity() * std::mem::size_of::<QFrame>()
-            + (self.stamp.capacity() + self.ext.capacity() + self.level_stamp.capacity())
-                * std::mem::size_of::<u32>()
+            + (self.stamp.capacity() + self.ext.capacity()) * std::mem::size_of::<u32>()
             + (self.qa.capacity() + self.level_next_arc.capacity()) * std::mem::size_of::<ArcId>()
             + (self.queue.capacity() + self.qv.capacity()) * std::mem::size_of::<VertexId>())
             as u64
@@ -487,7 +469,6 @@ impl PathScratch {
         }
         self.stride = n;
         self.levels.clear();
-        self.level_stamp.clear();
         self.level_next_arc.clear();
         self.level_admissible.clear();
     }
@@ -497,22 +478,6 @@ impl PathScratch {
     #[cfg(test)]
     fn filled_levels(&self) -> usize {
         self.levels.len()
-    }
-
-    #[inline]
-    fn push_qv(&mut self, v: VertexId) {
-        if self.qv.len() == self.qv.capacity() {
-            self.allocs += 1;
-        }
-        self.qv.push(v);
-    }
-
-    #[inline]
-    fn push_qa(&mut self, a: ArcId) {
-        if self.qa.len() == self.qa.capacity() {
-            self.allocs += 1;
-        }
-        self.qa.push(a);
     }
 
     #[inline]
@@ -533,8 +498,6 @@ struct QFrame {
     a_start: usize,
     /// `k`.
     len: usize,
-    /// Position of `arcs[0]` within `out_adjacency(v₁)` — the order `≺_{s′}`.
-    first_pos: usize,
 }
 
 struct Engine<'v, 'x, V: PathView> {
@@ -547,104 +510,6 @@ struct Engine<'v, 'x, V: PathView> {
 }
 
 impl<V: PathView> Engine<'_, '_, V> {
-    /// `F-STP`: the `s′`-`t` path minimizing its first arc in `≺_{s′}`,
-    /// restricted to arcs strictly beyond `f_pos`, avoiding `e`, the masked
-    /// vertices, and `s′` itself after the first step.
-    ///
-    /// The reverse BFS from `t` depends only on the masks and `e` — both
-    /// fixed across one node's siblings — so it is computed **once per
-    /// `E-STP` activation** into the level-`depth` cache and reused for
-    /// every sibling (the former per-sibling BFS dominated the engine's
-    /// constant factor on large graphs).
-    fn f_stp(
-        &mut self,
-        s1: VertexId,
-        e: Option<ArcId>,
-        f_pos: Option<usize>,
-        depth: usize,
-    ) -> Option<QFrame> {
-        debug_assert!(!self.s.removed[s1.index()]);
-        let d = self.d;
-        let t = self.t;
-        self.s.level_mut(depth);
-        let s = &mut *self.s;
-        let n = s.stride;
-        let stamp = level_slice(&mut s.level_stamp, depth, n, 0u32, &mut s.allocs);
-        let next_arc = level_slice(
-            &mut s.level_next_arc,
-            depth,
-            n,
-            ArcId(u32::MAX),
-            &mut s.allocs,
-        );
-        let lvl = &mut s.levels[depth];
-        if !lvl.valid {
-            lvl.epoch += 1;
-            let ep = lvl.epoch;
-            // Reverse BFS from t with s′ masked: r(v) ⇔ v reaches t
-            // avoiding P.
-            s.removed[s1.index()] = true;
-            stamp[t.index()] = ep;
-            s.queue.clear();
-            s.queue.push(t);
-            let mut head = 0;
-            while head < s.queue.len() {
-                let u = s.queue[head];
-                head += 1;
-                for &(z, a) in d.in_adjacency(u) {
-                    self.stats.work += 1;
-                    if Some(a) == e || s.removed[z.index()] || stamp[z.index()] == ep {
-                        continue;
-                    }
-                    stamp[z.index()] = ep;
-                    next_arc[z.index()] = a;
-                    s.queue.push(z);
-                }
-            }
-            s.removed[s1.index()] = false;
-            lvl.valid = true;
-            // The BFS tree (`next_arc`) was rewritten: the packed cache,
-            // which shares it, no longer matches its recorded key.
-            lvl.packed_valid = false;
-        }
-        let ep = lvl.epoch;
-        let base = depth * n;
-        // Smallest admissible first arc.
-        let start = f_pos.map_or(0, |p| p + 1);
-        let out = d.out_adjacency(s1);
-        for (pos, &(y, a)) in out.iter().enumerate().skip(start) {
-            self.stats.work += 1;
-            if Some(a) == e
-                || self.s.removed[y.index()]
-                || self.s.level_stamp[base + y.index()] != ep
-            {
-                continue;
-            }
-            // Reconstruct s′ → y → … → t along the reverse-BFS tree.
-            let v_start = self.s.qv.len();
-            let a_start = self.s.qa.len();
-            self.s.push_qv(s1);
-            self.s.push_qv(y);
-            self.s.push_qa(a);
-            let mut len = 2;
-            let mut cur = y;
-            while cur != t {
-                let na = self.s.level_next_arc[base + cur.index()];
-                self.s.push_qa(na);
-                cur = d.head(na);
-                self.s.push_qv(cur);
-                len += 1;
-            }
-            return Some(QFrame {
-                v_start,
-                a_start,
-                len,
-                first_pos: pos,
-            });
-        }
-        None
-    }
-
     #[inline]
     fn qv(&self, q: QFrame, j: usize) -> VertexId {
         self.s.qv[q.v_start + j]
@@ -655,110 +520,18 @@ impl<V: PathView> Engine<'_, '_, V> {
         self.s.qa[q.a_start + j]
     }
 
-    /// Writes `removed[v] = on`, keeping the packed mirror bitset and the
-    /// Zobrist mask signature in sync in packed mode (the reference
-    /// engine never reads either). Every engine mask write is a strict
-    /// toggle — prefixes mask distinct, currently unmasked vertices and
-    /// the sweeps restore them exactly once — so the XOR fold stays a
-    /// faithful set hash.
+    /// Writes `removed[v] = on`, keeping the mirror bitset and the
+    /// Zobrist mask signature in sync. Every engine mask write is a
+    /// strict toggle — prefixes mask distinct, currently unmasked
+    /// vertices and the sweeps restore them exactly once — so the XOR
+    /// fold stays a faithful set hash.
     #[inline]
     fn mask_removed(&mut self, v: VertexId, on: bool) {
         let s = &mut *self.s;
         debug_assert_ne!(s.removed[v.index()], on, "mask writes are toggles");
         s.removed[v.index()] = on;
-        if self.options.packed_frontiers {
-            bit_assign(&mut s.removed_bits, v.index(), on);
-            s.sig ^= s.vsigs[v.index()];
-        }
-    }
-
-    /// Lemma 11 sweep: pushes onto the `ext` arena the descending list of
-    /// indices `i ∈ [2, k−1]` whose prefix `Q_i` is extendible with `P`.
-    fn extendible_indices(&mut self, q: QFrame) {
-        let k = q.len;
-        if k < 3 {
-            return;
-        }
-        // Mask v₁ … v_{k−2} (0-indexed 0..=k−3); v_{k−1} is the first tip.
-        for j in 0..=k - 3 {
-            let v = self.qv(q, j);
-            self.mask_removed(v, true);
-        }
-        self.s.epoch += 1;
-        let ep = self.s.epoch;
-        // Initial reverse BFS from t in D_{k−1}, skipping b_{k−1}.
-        let mut banned = self.qa(q, k - 2);
-        self.s.stamp[self.t.index()] = ep;
-        self.s.queue.clear();
-        self.s.queue.push(self.t);
-        let mut head = 0;
-        while head < self.s.queue.len() {
-            let u = self.s.queue[head];
-            head += 1;
-            for &(z, a) in self.d.in_adjacency(u) {
-                self.stats.work += 1;
-                if a == banned || self.s.removed[z.index()] || self.s.stamp[z.index()] == ep {
-                    continue;
-                }
-                self.s.stamp[z.index()] = ep;
-                self.s.queue.push(z);
-            }
-        }
-        let mut i = k - 1;
-        loop {
-            if self.s.stamp[self.qv(q, i - 1).index()] == ep {
-                self.s.push_ext(i as u32);
-            }
-            if i == 2 {
-                break;
-            }
-            // Transition D_i → D_{i−1}: unmask v_{i−1}, re-allow b_i, ban b_{i−1}.
-            let old_banned = banned;
-            banned = self.qa(q, i - 2);
-            let v_prev = self.qv(q, i - 2);
-            self.mask_removed(v_prev, false);
-            // The worklist reuses the BFS queue's tail as its own stack:
-            // the initial sweep's queue contents are no longer needed.
-            self.s.queue.clear();
-            // (a) the re-allowed arc b_i = (v_i, v_{i+1}) may connect its tail.
-            let (bt, bh) = self.d.arc(old_banned);
-            if self.s.stamp[bh.index()] == ep
-                && self.s.stamp[bt.index()] != ep
-                && !self.s.removed[bt.index()]
-            {
-                self.s.stamp[bt.index()] = ep;
-                self.s.queue.push(bt);
-            }
-            // (b) the newly unmasked v_{i−1} may now reach t directly.
-            if self.s.stamp[v_prev.index()] != ep {
-                for &(y, a) in self.d.out_adjacency(v_prev) {
-                    self.stats.work += 1;
-                    if a == banned || self.s.removed[y.index()] {
-                        continue;
-                    }
-                    if self.s.stamp[y.index()] == ep {
-                        self.s.stamp[v_prev.index()] = ep;
-                        self.s.queue.push(v_prev);
-                        break;
-                    }
-                }
-            }
-            // Propagate the new r-flags backwards over in-arcs.
-            while let Some(x) = self.s.queue.pop() {
-                for &(z, a) in self.d.in_adjacency(x) {
-                    self.stats.work += 1;
-                    if a == banned || self.s.removed[z.index()] || self.s.stamp[z.index()] == ep {
-                        continue;
-                    }
-                    self.s.stamp[z.index()] = ep;
-                    self.s.queue.push(z);
-                }
-            }
-            i -= 1;
-        }
-        // Only v₁ is still masked by this sweep (the loop unmasked the rest).
-        let v0 = self.qv(q, 0);
-        self.mask_removed(v0, false);
+        bit_assign(&mut s.removed_bits, v.index(), on);
+        s.sig ^= s.vsigs[v.index()];
     }
 
     /// Ablation variant of [`Self::extendible_indices`]: recomputes the
@@ -810,7 +583,7 @@ impl<V: PathView> Engine<'_, '_, V> {
     }
 
     /// Settles the deferred vertex `w` — the banned arc's tail, held
-    /// out of `cand` during a packed sweep flood so the flood needs no
+    /// out of `cand` during a sweep flood so the flood needs no
     /// per-arc ban test. Because `w` was never a propagation source, no
     /// other vertex's reached flag can depend on `w`, so the flood's
     /// result is exactly "reaches `t` without going through `w`", and
@@ -848,17 +621,18 @@ impl<V: PathView> Engine<'_, '_, V> {
         }
     }
 
-    /// Packed-mode Lemma 11 sweep — same transitions and results as
-    /// [`Self::extendible_indices`], probing the shared candidate
-    /// frontier `cand = ¬removed ∧ ¬reached` instead of a byte mask plus
-    /// an epoch stamp. Stamping a vertex and excluding it from further
-    /// probes are then one [`bit_take`]; a vertex is *reached* iff its
-    /// candidate and removed bits are both clear, which is what the
-    /// transition steps and the extendibility test check. The buffer is
-    /// seeded per frame in O(n/64) words from `removed_bits` (maintained
-    /// by [`Self::mask_removed`]) and is dead again on return, so the
-    /// BFS in [`Self::fstp_prepare_packed`] can reuse it at any depth.
-    fn extendible_indices_packed(&mut self, q: QFrame) {
+    /// Lemma 11 sweep: pushes onto the `ext` arena the descending list of
+    /// indices `i ∈ [2, k−1]` whose prefix `Q_i` is extendible with `P`.
+    ///
+    /// The sweep probes the shared candidate frontier `cand = ¬removed ∧
+    /// ¬reached`: stamping a vertex and excluding it from further probes
+    /// are one [`bit_take`]; a vertex is *reached* iff its candidate and
+    /// removed bits are both clear, which is what the transition steps
+    /// and the extendibility test check. The buffer is seeded per frame
+    /// in O(n/64) words from `removed_bits` (maintained by
+    /// [`Self::mask_removed`]) and is dead again on return, so the BFS in
+    /// [`Self::fstp_prepare`] can reuse it at any depth.
+    fn extendible_indices(&mut self, q: QFrame) {
         let k = q.len;
         if k < 3 {
             return;
@@ -960,7 +734,7 @@ impl<V: PathView> Engine<'_, '_, V> {
         debug_assert!(
             (0..self.s.removed.len())
                 .all(|v| self.s.removed[v] == bit_test(&self.s.removed_bits, v)),
-            "sweep restored the packed mask to the byte mirror"
+            "sweep restored the bit mask to the byte mirror"
         );
     }
 
@@ -998,73 +772,19 @@ impl<V: PathView> Engine<'_, '_, V> {
         })
     }
 
-    /// `E-STP(P, e, d, t)` — the recursion of Algorithm 1; `s1` is `P`'s
-    /// tip.
-    fn e_stp(&mut self, s1: VertexId, e: Option<ArcId>, depth: u32) -> ControlFlow<()> {
-        let lvl = depth as usize;
-        // A new activation: the level's cached reverse BFS (if any) was
-        // computed under a different path prefix.
-        self.s.level_mut(lvl).valid = false;
-        let mut f_pos: Option<usize> = None;
-        loop {
-            self.stats.work += 1;
-            let Some(q) = self.f_stp(s1, e, f_pos, lvl) else {
-                break;
-            };
-            let mut flow = ControlFlow::Continue(());
-            if depth.is_multiple_of(2) {
-                flow = self.emit(q);
-            }
-            if flow.is_continue() {
-                let ext_start = self.s.ext.len();
-                if self.options.incremental_extendibility {
-                    self.extendible_indices(q);
-                } else {
-                    self.extendible_indices_naive(q);
-                }
-                let ext_end = self.s.ext.len();
-                for idx in ext_start..ext_end {
-                    let i = self.s.ext[idx] as usize;
-                    let banned_child = self.qa(q, i - 1); // (v_i, v_{i+1})
-                    let tip = self.qv(q, i - 1);
-                    self.push_prefix(q, i);
-                    let f = self.e_stp(tip, Some(banned_child), depth + 1);
-                    self.pop_prefix(q, i);
-                    if f.is_break() {
-                        flow = ControlFlow::Break(());
-                        break;
-                    }
-                }
-                self.s.ext.truncate(ext_start);
-                if flow.is_continue() && depth % 2 == 1 {
-                    flow = self.emit(q);
-                }
-            }
-            // Release this frame's continuation before leaving the
-            // iteration (LIFO arena discipline).
-            self.s.qv.truncate(q.v_start);
-            self.s.qa.truncate(q.a_start);
-            flow?;
-            f_pos = Some(q.first_pos);
-        }
-        ControlFlow::Continue(())
-    }
-
-    /// Packed-mode `F-STP` preparation: makes the level-`depth` reverse-
-    /// BFS cache valid for the key `(mask signature, banned arc e, s′,
-    /// t)`.
+    /// `F-STP` preparation: makes the level-`depth` reverse-BFS cache
+    /// valid for the key `(mask signature, s′, t)`.
     ///
-    /// Unlike the reference path, the cache is **not** invalidated per
-    /// `E-STP` activation: the key compares the Zobrist XOR-fold of the
-    /// removal mask (maintained by [`Self::mask_removed`]) plus the
-    /// banned arc and `s′`, so any activation — in this run or a later
-    /// run sharing the scratch — whose admissible graph is identical
-    /// reuses the BFS tree verbatim. `s′` sits in the key rather than
-    /// the signature because the BFS masks it only temporarily. The BFS
-    /// is deterministic in `(mask, e, t)`, so a key match reproduces
-    /// `next_arc` (and hence every reconstruction) bit for bit — the
-    /// byte-identical-stream argument.
-    fn fstp_prepare_packed(&mut self, s1: VertexId, e: Option<ArcId>, depth: usize) {
+    /// The cache is **not** invalidated per `E-STP` activation: the key
+    /// compares the Zobrist XOR-fold of the removal mask (maintained by
+    /// [`Self::mask_removed`]) plus `s′` and `t`, so any activation — in
+    /// this run or a later run sharing the scratch — whose admissible
+    /// graph is identical reuses the BFS tree verbatim. `s′` sits in the
+    /// key rather than the signature because the BFS masks it only
+    /// temporarily. The BFS is deterministic in `(mask, s′, t)`, so a key
+    /// match reproduces `next_arc` (and hence every reconstruction) bit
+    /// for bit — the byte-identical-stream argument.
+    fn fstp_prepare(&mut self, s1: VertexId, e: Option<ArcId>, depth: usize) {
         debug_assert!(!self.s.removed[s1.index()]);
         let d = self.d;
         let t = self.t;
@@ -1088,7 +808,7 @@ impl<V: PathView> Engine<'_, '_, V> {
         let lvl = &mut s.levels[depth];
         let key_s1 = s1.index() as u32;
         let key_t = t.index() as u32;
-        if lvl.packed_valid && lvl.key_sig == s.sig && lvl.key_s1 == key_s1 && lvl.key_t == key_t {
+        if lvl.valid && lvl.key_sig == s.sig && lvl.key_s1 == key_s1 && lvl.key_t == key_t {
             self.stats.fstp_cache_hits += 1;
             return;
         }
@@ -1132,27 +852,24 @@ impl<V: PathView> Engine<'_, '_, V> {
         lvl.key_sig = s.sig;
         lvl.key_s1 = key_s1;
         lvl.key_t = key_t;
-        lvl.packed_valid = true;
-        // `next_arc` was rewritten: the reference cache view is stale.
-        lvl.valid = false;
+        lvl.valid = true;
     }
 
-    /// Packed-mode `E-STP`: the same recursion and emission order as
-    /// [`Self::e_stp`], with the whole sibling run materialized up
-    /// front. After the (possibly cached) reverse BFS, **all**
-    /// admissible continuations of this activation are reconstructed
-    /// back-to-back into the flat `qv`/`qa` arena in a single pass over
-    /// `out_adjacency(s′)` — the reference path's per-sibling resumed
-    /// scans and interleaved validity checks collapse into one
-    /// bitset-driven emission loop. This is sound because the sibling
-    /// set is fixed at activation time: every `push_prefix` a child
-    /// performs is undone by its `pop_prefix` before the next sibling,
-    /// so the lazily resumed reference scan sees exactly the admissible
-    /// set that existed when the activation began.
-    fn e_stp_packed(&mut self, s1: VertexId, e: Option<ArcId>, depth: u32) -> ControlFlow<()> {
+    /// `E-STP(P, e, d, t)` — the recursion of Algorithm 1; `s1` is `P`'s
+    /// tip. After the (possibly cached) reverse BFS, **all** admissible
+    /// continuations of this activation — the successive `F-STP` answers,
+    /// one per admissible out-arc of `s′` in the order `≺_{s′}` — are
+    /// reconstructed back-to-back into the flat `qv`/`qa` arena in a
+    /// single pass over `out_adjacency(s′)`. This equals the paper's
+    /// resumed per-sibling `F-STP` calls because the sibling set is fixed
+    /// at activation time: every `push_prefix` a child performs is undone
+    /// by its `pop_prefix` before the next sibling, so a resumed scan
+    /// would see exactly the admissible set that existed when the
+    /// activation began.
+    fn e_stp(&mut self, s1: VertexId, e: Option<ArcId>, depth: u32) -> ControlFlow<()> {
         let lvl = depth as usize;
         self.stats.work += 1;
-        self.fstp_prepare_packed(s1, e, lvl);
+        self.fstp_prepare(s1, e, lvl);
         // Flat child-run generation: one contiguous qv/qa run per
         // activation instead of one reconstruction per sibling visit.
         let frames_start = self.s.frames.len();
@@ -1166,7 +883,7 @@ impl<V: PathView> Engine<'_, '_, V> {
             let next_arc = &s.level_next_arc[lvl * n..(lvl + 1) * n];
             let admissible = &s.level_admissible[lvl * nw..(lvl + 1) * nw];
             let banned = e.unwrap_or(ArcId(u32::MAX));
-            for (pos, &(y, a)) in d.out_adjacency(s1).iter().enumerate() {
+            for &(y, a) in d.out_adjacency(s1) {
                 self.stats.work += 1;
                 if a == banned || !bit_test(admissible, y.index()) {
                     continue;
@@ -1192,7 +909,6 @@ impl<V: PathView> Engine<'_, '_, V> {
                         v_start,
                         a_start,
                         len,
-                        first_pos: pos,
                     },
                     &mut s.allocs,
                 );
@@ -1209,7 +925,7 @@ impl<V: PathView> Engine<'_, '_, V> {
             if flow.is_continue() {
                 let ext_start = self.s.ext.len();
                 if self.options.incremental_extendibility {
-                    self.extendible_indices_packed(q);
+                    self.extendible_indices(q);
                 } else {
                     self.extendible_indices_naive(q);
                 }
@@ -1219,7 +935,7 @@ impl<V: PathView> Engine<'_, '_, V> {
                     let banned_child = self.qa(q, i - 1); // (v_i, v_{i+1})
                     let tip = self.qv(q, i - 1);
                     self.push_prefix(q, i);
-                    let f = self.e_stp_packed(tip, Some(banned_child), depth + 1);
+                    let f = self.e_stp(tip, Some(banned_child), depth + 1);
                     self.pop_prefix(q, i);
                     if f.is_break() {
                         flow = ControlFlow::Break(());
@@ -1236,7 +952,7 @@ impl<V: PathView> Engine<'_, '_, V> {
             }
         }
         // Release the whole sibling run at once (the batch is the LIFO
-        // arena frame in packed mode).
+        // arena frame).
         self.s.frames.truncate(frames_start);
         self.s.qv.truncate(qv_mark);
         self.s.qa.truncate(qa_mark);
@@ -1279,29 +995,27 @@ pub fn enumerate_paths_view<V: PathView>(
     }
     let mut allocs = scratch.allocs;
     steiner_graph::csr::grow(&mut scratch.stamp, n, 0u32, &mut allocs);
-    if options.packed_frontiers {
-        // Rebuild the packed mirror and the Zobrist signature of the
-        // caller-written mask; from here on both are maintained
-        // incrementally by the engine's mask writes, so later cache
-        // lookups cost one u64 compare instead of an O(n) scan.
-        steiner_graph::csr::grow(&mut scratch.removed_bits, bit_words(n), 0u64, &mut allocs);
-        steiner_graph::csr::grow(&mut scratch.cand, bit_words(n), 0u64, &mut allocs);
-        if scratch.vsigs.len() < n {
-            if scratch.vsigs.capacity() < n {
-                allocs += 1;
-            }
-            let start = scratch.vsigs.len();
-            scratch.vsigs.extend((start..n).map(vsig));
+    // Rebuild the mirror bitset and the Zobrist signature of the
+    // caller-written mask; from here on both are maintained
+    // incrementally by the engine's mask writes, so later cache lookups
+    // cost one u64 compare instead of an O(n) scan.
+    steiner_graph::csr::grow(&mut scratch.removed_bits, bit_words(n), 0u64, &mut allocs);
+    steiner_graph::csr::grow(&mut scratch.cand, bit_words(n), 0u64, &mut allocs);
+    if scratch.vsigs.len() < n {
+        if scratch.vsigs.capacity() < n {
+            allocs += 1;
         }
-        let mut sig = 0u64;
-        for (v, &r) in scratch.removed.iter().enumerate() {
-            if r {
-                bit_set(&mut scratch.removed_bits, v);
-                sig ^= scratch.vsigs[v];
-            }
-        }
-        scratch.sig = sig;
+        let start = scratch.vsigs.len();
+        scratch.vsigs.extend((start..n).map(vsig));
     }
+    let mut sig = 0u64;
+    for (v, &r) in scratch.removed.iter().enumerate() {
+        if r {
+            bit_set(&mut scratch.removed_bits, v);
+            sig ^= scratch.vsigs[v];
+        }
+    }
+    scratch.sig = sig;
     scratch.allocs = allocs;
     scratch.restride(n);
     scratch.epoch = 0;
@@ -1320,11 +1034,7 @@ pub fn enumerate_paths_view<V: PathView>(
         stats,
         sink,
     };
-    let _ = if options.packed_frontiers {
-        engine.e_stp_packed(s, None, 0)
-    } else {
-        engine.e_stp(s, None, 0)
-    };
+    let _ = engine.e_stp(s, None, 0);
     let stats = engine.stats;
     scratch.qv.clear();
     scratch.qa.clear();
@@ -1680,7 +1390,6 @@ mod tests {
                     None,
                     EnumerateOptions {
                         incremental_extendibility: true,
-                        ..EnumerateOptions::default()
                     },
                     sink,
                 );
@@ -1693,7 +1402,6 @@ mod tests {
                     None,
                     EnumerateOptions {
                         incremental_extendibility: false,
-                        ..EnumerateOptions::default()
                     },
                     sink,
                 );
@@ -1719,7 +1427,6 @@ mod tests {
                 None,
                 EnumerateOptions {
                     incremental_extendibility: incremental,
-                    ..EnumerateOptions::default()
                 },
                 &mut sink,
             )
@@ -1738,7 +1445,7 @@ mod tests {
     #[test]
     fn thousand_vertex_path_graph_does_not_panic() {
         // Regression: `preallocate` caps the level cache at
-        // DEFAULT_LEVEL_CACHE_CAP (512) entries, but instances with
+        // LEVEL_CACHE_CAP (512) entries, but instances with
         // n > 510 can touch levels past the preallocation; every access
         // site must grow the cache on demand instead of indexing out of
         // bounds.
@@ -1817,121 +1524,73 @@ mod tests {
         let g = steiner_graph::generators::grid(30, 30);
         let csr = CsrDigraph::doubled(&g);
         let (n, m) = (csr.num_vertices(), csr.num_arcs());
-        for packed in [true, false] {
-            let mut scratch = PathScratch::new();
-            scratch.preallocate(n, m);
-            let reserved = scratch.capacity_bytes();
-            let mut seen = 0;
-            scratch.begin(n);
-            run_whole(
-                &csr,
-                VertexId(0),
-                VertexId::new(n - 1),
-                EnumerateOptions {
-                    packed_frontiers: packed,
-                    ..EnumerateOptions::default()
-                },
-                &mut scratch,
-                &mut |_| {
-                    seen += 1;
-                    if seen == 5 {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                },
-            );
-            assert_eq!(seen, 5);
-            let filled = scratch.filled_levels();
-            assert!(
-                (2..=16).contains(&filled),
-                "packed {packed}: {filled} levels filled in"
-            );
-            assert_eq!(scratch.level_next_arc.len(), filled * n);
-            if packed {
-                assert_eq!(scratch.level_admissible.len(), filled * bit_words(n));
-                assert!(scratch.level_stamp.is_empty(), "packed runs stamp no level");
-            } else {
-                assert_eq!(scratch.level_stamp.len(), filled * n);
-                assert!(scratch.level_admissible.is_empty());
-            }
-            assert_eq!(scratch.capacity_bytes(), reserved, "packed {packed}");
-            assert_eq!(scratch.alloc_events(), 0, "packed {packed}");
-        }
+        let mut scratch = PathScratch::new();
+        scratch.preallocate(n, m);
+        let reserved = scratch.capacity_bytes();
+        let mut seen = 0;
+        scratch.begin(n);
+        run_whole(
+            &csr,
+            VertexId(0),
+            VertexId::new(n - 1),
+            EnumerateOptions::default(),
+            &mut scratch,
+            &mut |_| {
+                seen += 1;
+                if seen == 5 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        );
+        assert_eq!(seen, 5);
+        let filled = scratch.filled_levels();
+        assert!((2..=16).contains(&filled), "{filled} levels filled in");
+        assert_eq!(scratch.level_next_arc.len(), filled * n);
+        assert_eq!(scratch.level_admissible.len(), filled * bit_words(n));
+        assert_eq!(scratch.capacity_bytes(), reserved);
+        assert_eq!(scratch.alloc_events(), 0);
     }
 
     #[test]
     fn restrided_scratch_matches_fresh_scratches() {
         // One scratch serves views of changing vertex counts, up and
         // down; each run re-strides the level arenas and must give the
-        // stream a fresh scratch gives, in both engines.
+        // stream a fresh scratch gives.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5e57_21de);
-        for packed in [true, false] {
-            let options = EnumerateOptions {
-                packed_frontiers: packed,
-                ..EnumerateOptions::default()
-            };
-            let run = |csr: &CsrDigraph, scratch: &mut PathScratch| {
-                let n = csr.num_vertices();
-                let mut got = Vec::new();
-                scratch.begin(n);
-                run_whole(
-                    csr,
-                    VertexId(0),
-                    VertexId::new(n - 1),
-                    options,
-                    scratch,
-                    &mut |p| {
-                        got.push(p.arcs.to_vec());
-                        ControlFlow::Continue(())
-                    },
-                );
-                got
-            };
-            let mut shared = PathScratch::new();
-            shared.preallocate(9, 40);
-            for _ in 0..60 {
-                let n = 3 + rng.gen_range(0..7usize);
-                let m = rng.gen_range(0..=(n * (n - 1)).min(18));
-                let d = steiner_graph::generators::random_digraph(n, m, &mut rng);
-                let csr = CsrDigraph::from_digraph(&d);
-                let want = run(&csr, &mut PathScratch::new());
-                assert_eq!(
-                    run(&csr, &mut shared),
-                    want,
-                    "packed {packed}: re-strided scratch; digraph {d:?}"
-                );
-                assert_eq!(shared.stride, n);
-            }
-        }
-    }
-
-    #[test]
-    fn packed_off_matches_packed_on() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xb17_5e7);
+        let run = |csr: &CsrDigraph, scratch: &mut PathScratch| {
+            let n = csr.num_vertices();
+            let mut got = Vec::new();
+            scratch.begin(n);
+            run_whole(
+                csr,
+                VertexId(0),
+                VertexId::new(n - 1),
+                EnumerateOptions::default(),
+                scratch,
+                &mut |p| {
+                    got.push(p.arcs.to_vec());
+                    ControlFlow::Continue(())
+                },
+            );
+            got
+        };
+        let mut shared = PathScratch::new();
+        shared.preallocate(9, 40);
         for _ in 0..60 {
-            let n = 3 + rng.gen_range(0..5usize);
-            let m = rng.gen_range(0..=(n * (n - 1)).min(16));
+            let n = 3 + rng.gen_range(0..7usize);
+            let m = rng.gen_range(0..=(n * (n - 1)).min(18));
             let d = steiner_graph::generators::random_digraph(n, m, &mut rng);
-            let (s, t) = (VertexId(0), VertexId::new(n - 1));
-            let run = |packed: bool| {
-                collect_arc_paths(|sink| {
-                    enumerate_directed_st_paths_with(
-                        &d,
-                        s,
-                        t,
-                        None,
-                        EnumerateOptions {
-                            packed_frontiers: packed,
-                            ..EnumerateOptions::default()
-                        },
-                        sink,
-                    );
-                })
-            };
-            assert_eq!(run(true), run(false), "identical stream; digraph {d:?}");
+            let csr = CsrDigraph::from_digraph(&d);
+            let want = run(&csr, &mut PathScratch::new());
+            assert_eq!(
+                run(&csr, &mut shared),
+                want,
+                "re-strided scratch; digraph {d:?}"
+            );
+            assert_eq!(shared.stride, n);
         }
     }
 
@@ -2028,34 +1687,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_scratch_does_not_allocate_in_reference_mode() {
-        let g = steiner_graph::generators::theta_chain(4, 3);
-        let csr = CsrDigraph::doubled(&g);
-        let (n, m) = (csr.num_vertices(), csr.num_arcs());
-        let mut scratch = PathScratch::new();
-        scratch.preallocate(n, m);
-        for round in 0..2 {
-            scratch.begin(n);
-            run_whole(
-                &csr,
-                VertexId(0),
-                VertexId(4),
-                EnumerateOptions {
-                    packed_frontiers: false,
-                    ..EnumerateOptions::default()
-                },
-                &mut scratch,
-                &mut |_| ControlFlow::Continue(()),
-            );
-            assert_eq!(
-                scratch.alloc_events(),
-                0,
-                "round {round}: preallocated scratch must not grow"
-            );
-        }
-    }
-
-    #[test]
     fn deltas_nest_and_stay_balanced_after_a_break() {
         // Every Extend is undone by a Retract, also when the sink stops
         // the run; only Path deltas count as emissions; a Path's suffix
@@ -2064,7 +1695,7 @@ mod tests {
         let csr = CsrDigraph::doubled(&g);
         let n = csr.num_vertices();
         let (s, t) = (VertexId(0), VertexId(4));
-        for (packed, stop) in [(true, 7), (false, 7), (true, u64::MAX), (false, u64::MAX)] {
+        for stop in [7, u64::MAX] {
             let mut scratch = PathScratch::new();
             scratch.begin(n);
             let mut tips = vec![s];
@@ -2073,10 +1704,7 @@ mod tests {
                 &csr,
                 s,
                 t,
-                EnumerateOptions {
-                    packed_frontiers: packed,
-                    ..EnumerateOptions::default()
-                },
+                EnumerateOptions::default(),
                 &mut scratch,
                 &mut |delta| match delta {
                     PathDelta::Extend { vertices, arcs } => {
@@ -2105,10 +1733,10 @@ mod tests {
                     }
                 },
             );
-            assert_eq!(tips, vec![s], "packed {packed}: balanced after the run");
+            assert_eq!(tips, vec![s], "stop {stop}: balanced after the run");
             assert_eq!(stats.emitted, paths);
-            assert_eq!(paths, stop.min(81), "packed {packed}");
-            assert!(max_depth >= 2, "packed {packed}: prefixes nest");
+            assert_eq!(paths, stop.min(81));
+            assert!(max_depth >= 2, "stop {stop}: prefixes nest");
         }
     }
 

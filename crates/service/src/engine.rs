@@ -948,9 +948,7 @@ where
     P: MinimalSteinerProblem + Send,
     P::Item: Send + SnapshotItem,
 {
-    let mut e = Enumeration::new(problem)
-        .with_packed_frontiers(opts.packed_frontiers.unwrap_or(true))
-        .cached(cache);
+    let mut e = Enumeration::new(problem).cached(cache);
     if let Some(n) = opts.limit {
         e = e.with_limit(n);
     }

@@ -92,14 +92,6 @@ pub struct QueryOptions {
     /// roots; `Some(false)` pins the root-only A/B reference path.
     /// Ignored for sequential runs.
     pub stealing: Option<bool>,
-    /// Word-packed path generation
-    /// ([`Enumeration::with_packed_frontiers`](steiner_core::Enumeration::with_packed_frontiers)).
-    /// `None` (the default) keeps packing on — the bitset `F-STP`
-    /// frontiers and cross-branch BFS-cache reuse are the serving
-    /// default; `Some(false)` pins the per-vertex reference enumerator
-    /// kept as the A/B conformance path. The delivered stream is
-    /// byte-identical either way.
-    pub packed_frontiers: Option<bool>,
 }
 
 impl QueryOptions {
@@ -138,13 +130,6 @@ impl QueryOptions {
     /// runs (see [`Self::stealing`]).
     pub fn stealing(mut self, on: bool) -> Self {
         self.stealing = Some(on);
-        self
-    }
-
-    /// Explicitly enable or disable word-packed path generation (see
-    /// [`Self::packed_frontiers`]).
-    pub fn packed_frontiers(mut self, on: bool) -> Self {
-        self.packed_frontiers = Some(on);
         self
     }
 }

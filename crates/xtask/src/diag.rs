@@ -13,7 +13,8 @@ pub struct Diagnostic {
     /// 1-based column.
     pub col: u32,
     /// Pass identifier (`hotpath-alloc`, `trail-balance`, `determinism`,
-    /// `panic-hygiene`, `unsafe-audit`, `lock-discipline`, `waiver`).
+    /// `panic-hygiene`, `unsafe-audit`, `lock-discipline`, `waiver`,
+    /// `hot-list`).
     pub pass: &'static str,
     /// What is wrong.
     pub message: String,

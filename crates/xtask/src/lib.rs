@@ -18,6 +18,10 @@
 //!    `SAFETY:` comment, unsafe-free crates deny unsafe, and the service
 //!    layer never blocks on a channel while holding a scheduler lock.
 //!
+//! The workspace run also reports a stale hot-path list (**hot-list**): an
+//! entry naming a missing file, or a function its file does not define,
+//! would otherwise drop out of pass 1 unnoticed.
+//!
 //! Waiver grammar: `// lint:allow(rule) <reason>` on the finding's line or
 //! the line above; the reason is mandatory. `expect`/`unreachable` messages
 //! and `SAFETY:` comments are the in-band waiver forms of their rules.

@@ -97,15 +97,14 @@ pub const HOT: &[(&str, &[&str])] = &[
     (
         "crates/paths/src/enumerate.rs",
         &[
-            "f_stp",
             "e_stp",
+            "fstp_prepare",
             "extendible_indices",
             "extendible_indices_naive",
+            "settle_deferred",
             "push_prefix",
             "pop_prefix",
             "emit",
-            "push_qv",
-            "push_qa",
             "push_ext",
             "qv",
             "qa",
@@ -113,10 +112,6 @@ pub const HOT: &[(&str, &[&str])] = &[
             "level_slice",
             "restride",
             "mask_removed",
-            "fstp_prepare_packed",
-            "e_stp_packed",
-            "extendible_indices_packed",
-            "settle_deferred",
         ],
     ),
 ];
@@ -239,7 +234,44 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
             }
         }
     }
+    diags.extend(check_hot_list(root, HOT)?);
     sort(&mut diags);
+    Ok(diags)
+}
+
+/// Reports every entry of `hot` whose file does not exist under `root`
+/// and every hot name that matches no `fn` in its file: the allocation
+/// pass only sees the functions the list names, so a deleted or renamed
+/// hot function would otherwise silently stop being policed.
+pub fn check_hot_list(root: &Path, hot: &[(&str, &[&str])]) -> io::Result<Vec<Diagnostic>> {
+    let stale = |path: &str, message: String| Diagnostic {
+        path: path.to_string(),
+        line: 1,
+        col: 1,
+        pass: "hot-list",
+        message,
+        hint: "update `workspace::HOT` to the moved, renamed or deleted code".to_string(),
+    };
+    let mut diags = Vec::new();
+    for &(rel, names) in hot {
+        let path = root.join(rel);
+        if !path.is_file() {
+            diags.push(stale(
+                rel,
+                format!("HOT lists `{rel}`, which does not exist"),
+            ));
+            continue;
+        }
+        let sf = SourceFile::parse(rel, &fs::read_to_string(&path)?);
+        for &name in names {
+            if !sf.fns.iter().any(|f| f.name == name) {
+                diags.push(stale(
+                    rel,
+                    format!("HOT names `{name}`, but `{rel}` defines no `fn {name}`"),
+                ));
+            }
+        }
+    }
     Ok(diags)
 }
 
@@ -321,4 +353,36 @@ pub fn find_root(explicit: Option<&str>) -> PathBuf {
         .and_then(|p| p.parent())
         .map(|p| p.to_path_buf())
         .unwrap_or(cwd)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stale_hot_entries_are_findings() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let bogus: &[(&str, &[&str])] = &[
+            ("crates/paths/src/gone.rs", &["e_stp"]),
+            (
+                "crates/paths/src/enumerate.rs",
+                &["e_stp", "f_stp_reference"],
+            ),
+        ];
+        let diags = check_hot_list(&root, bogus).expect("workspace sources are readable");
+        let messages: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(
+            messages,
+            [
+                "HOT lists `crates/paths/src/gone.rs`, which does not exist",
+                "HOT names `f_stp_reference`, but `crates/paths/src/enumerate.rs` defines no \
+                 `fn f_stp_reference`",
+            ]
+        );
+        assert!(diags.iter().all(|d| d.pass == "hot-list"));
+        assert!(
+            check_hot_list(&root, HOT).expect("readable").is_empty(),
+            "the real list names live functions"
+        );
+    }
 }

@@ -1,28 +1,25 @@
-//! Incremental-classification equivalence suite.
+//! Incremental-classification suite.
 //!
-//! The contract under test: the trail-backed incremental classifier
+//! `classify` in all four problems reads trail-backed connectivity state
 //! (`DynamicSpanning` reach/contract state threaded through the engines'
-//! descend/undo frames) delivers a solution stream **byte-identical** to
-//! the full per-node recomputation (`with_incremental(false)`, the
-//! pre-incremental engine kept as the conformance reference) — for all
-//! four problems, under every front-end (direct / queued / limit /
-//! iterator / `with_threads(k)` for k ∈ {1, 2, 4} / cached replay).
-//!
-//! Because both modes run through the same engine, a single diverging
-//! per-node verdict (Complete / Unique / Branch target) would change the
-//! stream; exact stream equality therefore pins the incremental layer's
-//! verdicts and component labels to the fresh spanning-growth pass at
-//! every search-tree node. (In debug builds the classifiers additionally
-//! cross-check each incremental fast-path verdict against a fresh pass
-//! inline, so these tests also execute that assertion at every node.)
+//! descend/undo frames) instead of recomputing every node from scratch.
+//! In debug builds each classifier cross-checks every incremental
+//! verdict against a fresh pass inline, so the random instances below
+//! run that assertion at every search-tree node, and their streams must
+//! equal the brute-force reference (`steiner::brute`). The instance
+//! tests check that the queued, limited and sharded front-ends deliver
+//! the direct stream byte for byte on deep-backtracking instances, whose
+//! digests the committed corpus (`tests/stream_digests.rs`) pins; the
+//! counter tests check that the incremental layer is what answers.
 
 use minimal_steiner::graph::{generators, DiGraph, UndirectedGraph, VertexId};
-use minimal_steiner::ResultCache;
+use minimal_steiner::steiner::brute;
 use minimal_steiner::{
-    DirectedSteinerTree, Enumeration, MinimalSteinerProblem, SteinerForest, SteinerTree,
-    TerminalSteinerTree,
+    DirectedSteinerTree, Enumeration, MinimalSteinerProblem, SteinerError, SteinerForest,
+    SteinerTree, TerminalSteinerTree,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Collects the full ordered stream of an enumeration.
 fn ordered<P>(e: Enumeration<P>) -> Vec<Vec<P::Item>>
@@ -33,60 +30,46 @@ where
     e.collect_vec().expect("valid instance")
 }
 
-/// Asserts byte-identical streams between incremental-on (the default)
-/// and incremental-off (fresh recomputation per node), across the
-/// direct, queued, limited, and sharded front-ends.
-fn assert_incremental_matches<P, F>(make: F)
+/// Asserts that the queued, sharded (root-only, k ∈ {1, 2, 4}) and
+/// limited front-ends deliver the direct stream byte for byte.
+fn assert_front_ends_agree<P, F>(make: F)
 where
     P: MinimalSteinerProblem + Send,
     P::Item: Send + std::fmt::Debug + PartialEq,
     F: Fn() -> P,
 {
-    let reference = ordered(Enumeration::new(make()).with_incremental(false));
-    let on = ordered(Enumeration::new(make()));
-    assert_eq!(on, reference, "direct stream");
+    let direct = ordered(Enumeration::new(make()));
     let queued = ordered(Enumeration::new(make()).with_default_queue());
-    assert_eq!(queued, reference, "queued stream");
+    assert_eq!(queued, direct, "queued stream");
     for k in [1usize, 2, 4] {
         let sharded = ordered(Enumeration::new(make()).with_threads(k));
-        assert_eq!(sharded, reference, "threads({k}) stream");
+        assert_eq!(sharded, direct, "threads({k}) stream");
     }
     // Limit cuts exercise mid-run termination (undo under early break).
-    let total = reference.len() as u64;
+    let total = direct.len() as u64;
     for limit in [1, 2, total / 2, total] {
         let capped = ordered(Enumeration::new(make()).with_limit(limit));
-        let want = &reference[..(limit.min(total)) as usize];
+        let want = &direct[..(limit.min(total)) as usize];
         assert_eq!(capped, want, "limit({limit}) prefix");
     }
 }
 
-/// Cached replay: a cold incremental run records the stream, the replay
-/// must equal the incremental-off reference byte for byte.
-fn assert_cached_replay_matches<P, F>(make: F)
-where
-    P: MinimalSteinerProblem + Send + 'static,
-    P::Item: Send + std::fmt::Debug + PartialEq + 'static,
-    F: Fn() -> P,
-{
-    let reference = ordered(Enumeration::new(make()).with_incremental(false));
-    let cache: ResultCache<P::Item> = ResultCache::new();
-    let cold = ordered(Enumeration::new(make()).cached(&cache));
-    let replay = ordered(Enumeration::new(make()).cached(&cache));
-    assert_eq!(cold, reference, "cold cached stream");
-    assert_eq!(replay, reference, "cached replay stream");
-    assert_eq!(cache.stats().hits, 1, "the second run was a replay");
-}
-
-fn grid_tree(g: &UndirectedGraph, w: Vec<VertexId>) -> SteinerTree<'_> {
-    SteinerTree::new(g, &w)
+/// The solutions of a stream as a set; fails on a duplicate.
+fn solution_set<T: Ord>(
+    stream: Result<Vec<Vec<T>>, SteinerError>,
+) -> Result<BTreeSet<Vec<T>>, TestCaseError> {
+    let stream = stream.map_err(|e| TestCaseError::fail(format!("unexpected error {e}")))?;
+    let len = stream.len();
+    let set: BTreeSet<Vec<T>> = stream.into_iter().collect();
+    prop_assert_eq!(set.len(), len, "duplicate solution emitted");
+    Ok(set)
 }
 
 #[test]
 fn steiner_tree_grid_all_front_ends() {
     let g = generators::grid(3, 4);
     let w = vec![VertexId(0), VertexId(11), VertexId(5)];
-    assert_incremental_matches(|| grid_tree(&g, w.clone()));
-    assert_cached_replay_matches(|| SteinerTree::from_graph(g.clone(), &w));
+    assert_front_ends_agree(|| SteinerTree::new(&g, &w));
 }
 
 #[test]
@@ -96,51 +79,47 @@ fn steiner_forest_grid_all_front_ends() {
         vec![VertexId(0), VertexId(11)],
         vec![VertexId(3), VertexId(8)],
     ];
-    assert_incremental_matches(|| SteinerForest::new(&g, &sets));
-    assert_cached_replay_matches(|| SteinerForest::from_graph(g.clone(), &sets));
+    assert_front_ends_agree(|| SteinerForest::new(&g, &sets));
 }
 
 #[test]
 fn terminal_steiner_grid_all_front_ends() {
     let g = generators::grid(3, 4);
     let w = vec![VertexId(0), VertexId(3), VertexId(8)];
-    assert_incremental_matches(|| TerminalSteinerTree::new(&g, &w));
-    assert_cached_replay_matches(|| TerminalSteinerTree::from_graph(g.clone(), &w));
+    assert_front_ends_agree(|| TerminalSteinerTree::new(&g, &w));
 }
 
 #[test]
 fn directed_steiner_layered_all_front_ends() {
     let (d, root) = generators::layered_digraph(3, 3);
     let w = vec![VertexId(7), VertexId(8), VertexId(9)];
-    assert_incremental_matches(|| DirectedSteinerTree::new(&d, root, &w));
-    assert_cached_replay_matches(|| DirectedSteinerTree::from_graph(d.clone(), root, &w));
+    assert_front_ends_agree(|| DirectedSteinerTree::new(&d, root, &w));
 }
 
 #[test]
 fn iterator_front_end_matches_reference() {
     let g = generators::theta_chain(3, 3);
     let w = [VertexId(0), VertexId(3)];
-    let reference = ordered(Enumeration::new(SteinerTree::new(&g, &w)).with_incremental(false));
+    let direct = ordered(Enumeration::new(SteinerTree::new(&g, &w)));
     let iterated: Vec<Vec<_>> = Enumeration::new(SteinerTree::from_graph(g, &w))
         .into_iter()
         .expect("valid instance")
         .collect();
-    assert_eq!(iterated, reference, "pull iterator stream");
+    assert_eq!(iterated, direct, "pull iterator stream");
 }
 
 /// Deep-backtrack ladder: theta chains drive the recursion `blocks`
 /// levels deep with `width`-way branching at every level, so every
 /// attach/contract delta is applied and undone `width^depth` times. Any
-/// missed or over-eager undo in the connectivity layer shows up as a
-/// diverging stream (and as a debug assertion in the per-node
-/// cross-check).
+/// missed or over-eager undo in the connectivity layer shows up in the
+/// per-node debug cross-check and as a diverging stream.
 #[test]
 fn deep_backtrack_ladder_tree_and_forest() {
     let g = generators::theta_chain(6, 3);
     let w = [VertexId(0), VertexId(6)];
-    assert_incremental_matches(|| SteinerTree::new(&g, &w));
+    assert_front_ends_agree(|| SteinerTree::new(&g, &w));
     let sets = vec![vec![VertexId(0), VertexId(6)]];
-    assert_incremental_matches(|| SteinerForest::new(&g, &sets));
+    assert_front_ends_agree(|| SteinerForest::new(&g, &sets));
     // A pendant bridge path hanging off the chain keeps the skeleton
     // non-trivial at every depth (forced-path collection under deep
     // undo).
@@ -151,7 +130,7 @@ fn deep_backtrack_ladder_tree_and_forest() {
     gp.add_edge_indices(3, n).unwrap();
     gp.add_edge_indices(n, n + 1).unwrap();
     let wp = [VertexId(0), VertexId(6), VertexId::new(n + 1)];
-    assert_incremental_matches(|| SteinerTree::new(&gp, &wp));
+    assert_front_ends_agree(|| SteinerTree::new(&gp, &wp));
 }
 
 #[test]
@@ -174,11 +153,10 @@ fn incremental_counters_report_the_skipped_passes() {
 
     // Tree classification serves Unique leaves incrementally and only
     // rebuilds at branch nodes. A grid has no bridges (nothing is ever
-    // forced — every leaf is Complete, which is O(1) in both modes), so
-    // use a theta-plus-pendants instance where, whichever pendant
-    // terminal the engine branches on first, every path runs through the
-    // hub and leaves the other pendant terminal forced: the leaf
-    // classifies incrementally.
+    // forced — every leaf is Complete), so use a theta-plus-pendants
+    // instance where, whichever pendant terminal the engine branches on
+    // first, every path runs through the hub and leaves the other
+    // pendant terminal forced: the leaf classifies incrementally.
     let (gp, wp) = hub_pendant_instance();
     let (run, stats) = Enumeration::new(SteinerTree::new(&gp, &wp)).with_stats();
     run.run().expect("valid instance");
@@ -188,16 +166,6 @@ fn incremental_counters_report_the_skipped_passes() {
         "unique leaves served incrementally"
     );
     assert!(stats.max_repair_span >= 1, "attach deltas are accounted");
-
-    // With incremental classification off, the counters flip: nothing is
-    // incremental, every non-trivial classify is a rebuild.
-    let (run, stats) = Enumeration::new(SteinerTree::new(&gp, &wp))
-        .with_incremental(false)
-        .with_stats();
-    run.run().expect("valid instance");
-    let stats = stats.get();
-    assert_eq!(stats.classify_incremental, 0);
-    assert!(stats.classify_rebuilds > 0);
 }
 
 #[test]
@@ -235,19 +203,16 @@ fn hub_pendant_instance() -> (UndirectedGraph, Vec<VertexId>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random connected multigraphs: the incremental Steiner-tree stream
-    /// equals the fresh-recomputation stream exactly.
+    /// Random connected multigraphs: the Steiner-tree stream is exactly
+    /// the brute-force set.
     #[test]
     fn tree_incremental_equals_reference(g in connected_graph(), mask in 1u8..128) {
         let w = terminal_subset(g.num_vertices(), mask, 4);
         if w.is_empty() {
             return Ok(());
         }
-        let on = Enumeration::new(SteinerTree::new(&g, &w)).collect_vec();
-        let off = Enumeration::new(SteinerTree::new(&g, &w))
-            .with_incremental(false)
-            .collect_vec();
-        prop_assert_eq!(on, off);
+        let got = solution_set(Enumeration::new(SteinerTree::new(&g, &w)).collect_vec())?;
+        prop_assert_eq!(got, brute::minimal_steiner_trees(&g, &w));
     }
 
     /// Random instances for the forest enumerator (pairs overlap and
@@ -259,11 +224,8 @@ proptest! {
             terminal_subset(n, m1, 3),
             terminal_subset(n, m2, 3),
         ];
-        let on = Enumeration::new(SteinerForest::new(&g, &sets)).collect_vec();
-        let off = Enumeration::new(SteinerForest::new(&g, &sets))
-            .with_incremental(false)
-            .collect_vec();
-        prop_assert_eq!(on, off);
+        let got = solution_set(Enumeration::new(SteinerForest::new(&g, &sets)).collect_vec())?;
+        prop_assert_eq!(got, brute::minimal_steiner_forests(&g, &sets));
     }
 
     /// Random instances for the terminal variant (barrier vertices in
@@ -274,11 +236,9 @@ proptest! {
         if w.len() < 2 {
             return Ok(());
         }
-        let on = Enumeration::new(TerminalSteinerTree::new(&g, &w)).collect_vec();
-        let off = Enumeration::new(TerminalSteinerTree::new(&g, &w))
-            .with_incremental(false)
-            .collect_vec();
-        prop_assert_eq!(on, off);
+        let run = Enumeration::new(TerminalSteinerTree::new(&g, &w)).collect_vec();
+        let got = solution_set(run)?;
+        prop_assert_eq!(got, brute::minimal_terminal_steiner_trees(&g, &w));
     }
 
     /// Random digraphs (cycles included) for the directed variant's
@@ -291,29 +251,29 @@ proptest! {
         if w.is_empty() {
             return Ok(());
         }
-        let on = Enumeration::new(DirectedSteinerTree::new(&d, root, &w)).collect_vec();
-        let off = Enumeration::new(DirectedSteinerTree::new(&d, root, &w))
-            .with_incremental(false)
-            .collect_vec();
-        prop_assert_eq!(on, off);
+        let run = match Enumeration::new(DirectedSteinerTree::new(&d, root, &w)).collect_vec() {
+            // An unreachable terminal leaves the brute oracle no solutions.
+            Err(SteinerError::UnreachableTerminal(_)) => Ok(Vec::new()),
+            run => run,
+        };
+        let got = solution_set(run)?;
+        prop_assert_eq!(got, brute::minimal_directed_steiner_trees(&d, root, &w));
     }
 
-    /// Sharded + incremental on random instances: the merged stream
-    /// equals the sequential reference for k ∈ {2, 4}.
+    /// Sharded runs on random instances: the merged stream equals the
+    /// sequential stream for k ∈ {2, 4}.
     #[test]
     fn sharded_incremental_equals_reference(g in connected_graph(), mask in 1u8..128) {
         let w = terminal_subset(g.num_vertices(), mask, 4);
         if w.is_empty() {
             return Ok(());
         }
-        let reference = Enumeration::new(SteinerTree::new(&g, &w))
-            .with_incremental(false)
-            .collect_vec();
+        let sequential = Enumeration::new(SteinerTree::new(&g, &w)).collect_vec();
         for k in [2usize, 4] {
             let sharded = Enumeration::new(SteinerTree::new(&g, &w))
                 .with_threads(k)
                 .collect_vec();
-            prop_assert_eq!(&sharded, &reference, "threads({})", k);
+            prop_assert_eq!(&sharded, &sequential, "threads({})", k);
         }
     }
 }

@@ -1,27 +1,24 @@
-//! Packed path-generation equivalence suite.
+//! Word-packed path-generation suite.
 //!
-//! The contract under test: the word-packed path generator (bitset
-//! `F-STP` frontiers, signature-keyed cross-branch BFS-cache reuse, flat
-//! child-run emission — `with_packed_frontiers(true)`, the default)
-//! delivers a solution stream **byte-identical** to the per-vertex
-//! reference enumerator (`with_packed_frontiers(false)`) — for all four
-//! problems, under every front-end (direct / queued / limit / iterator /
-//! `with_threads(k)` for k ∈ {1, 2, 4} / stealing / cached replay).
-//!
-//! Packing changes only how each branch node's child paths are computed:
-//! the same `E-STP` recursion tree is walked in the same order, so a
-//! single diverging child path (or child order) would change the stream.
-//! Exact stream equality therefore pins the packed engine's BFS trees,
-//! admissibility masks, and batch reconstruction to the reference at
-//! every branch node.
+//! Each branch node's child paths come from the word-packed path
+//! generator: bitset `F-STP` frontiers, a signature-keyed reverse-BFS
+//! cache that survives across branch nodes of one search, and flat
+//! child-run emission. A stale cached BFS tree or a wrong admissibility
+//! mask would drop, add or reorder children, so the random instances
+//! below must equal the brute-force reference (`steiner::brute`), the
+//! stealing front-ends must deliver the direct stream byte for byte on
+//! deep-backtracking instances (whose digests the committed corpus in
+//! `tests/stream_digests.rs` pins), and the counter tests check that
+//! the cache is hit and that the preallocated scratch never grows.
 
 use minimal_steiner::graph::{generators, DiGraph, UndirectedGraph, VertexId};
-use minimal_steiner::ResultCache;
+use minimal_steiner::steiner::brute;
 use minimal_steiner::{
-    DirectedSteinerTree, Enumeration, MinimalSteinerProblem, SteinerForest, SteinerTree,
-    TerminalSteinerTree,
+    DirectedSteinerTree, Enumeration, MinimalSteinerProblem, SteinerError, SteinerForest,
+    SteinerTree, TerminalSteinerTree,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Collects the full ordered stream of an enumeration.
 fn ordered<P>(e: Enumeration<P>) -> Vec<Vec<P::Item>>
@@ -32,59 +29,38 @@ where
     e.collect_vec().expect("valid instance")
 }
 
-/// Asserts byte-identical streams between packed-on (the default) and
-/// packed-off (the per-vertex reference enumerator), across the direct,
-/// queued, limited, sharded, and stealing front-ends.
-fn assert_packed_matches<P, F>(make: F)
+/// Asserts that `with_threads(k)` plus subtree stealing, k ∈ {1, 2, 4},
+/// delivers the direct stream byte for byte: stolen subtrees replay on a
+/// freshly prepared copy whose BFS caches start cold.
+fn assert_stealing_matches<P, F>(make: F)
 where
     P: MinimalSteinerProblem + Send,
     P::Item: Send + std::fmt::Debug + PartialEq,
     F: Fn() -> P,
 {
-    let reference = ordered(Enumeration::new(make()).with_packed_frontiers(false));
-    let on = ordered(Enumeration::new(make()));
-    assert_eq!(on, reference, "direct stream");
-    let queued = ordered(Enumeration::new(make()).with_default_queue());
-    assert_eq!(queued, reference, "queued stream");
+    let direct = ordered(Enumeration::new(make()));
     for k in [1usize, 2, 4] {
-        let sharded = ordered(Enumeration::new(make()).with_threads(k));
-        assert_eq!(sharded, reference, "threads({k}) stream");
         let stealing = ordered(Enumeration::new(make()).with_threads(k).with_stealing(true));
-        assert_eq!(stealing, reference, "threads({k}) stealing stream");
-    }
-    // Limit cuts exercise mid-run termination (Break propagation through
-    // the packed frame queue).
-    let total = reference.len() as u64;
-    for limit in [1, 2, total / 2, total] {
-        let capped = ordered(Enumeration::new(make()).with_limit(limit));
-        let want = &reference[..(limit.min(total)) as usize];
-        assert_eq!(capped, want, "limit({limit}) prefix");
+        assert_eq!(stealing, direct, "threads({k}) stealing stream");
     }
 }
 
-/// Cached replay: a cold packed run records the stream, the replay must
-/// equal the packed-off reference byte for byte.
-fn assert_cached_replay_matches<P, F>(make: F)
-where
-    P: MinimalSteinerProblem + Send + 'static,
-    P::Item: Send + std::fmt::Debug + PartialEq + 'static,
-    F: Fn() -> P,
-{
-    let reference = ordered(Enumeration::new(make()).with_packed_frontiers(false));
-    let cache: ResultCache<P::Item> = ResultCache::new();
-    let cold = ordered(Enumeration::new(make()).cached(&cache));
-    let replay = ordered(Enumeration::new(make()).cached(&cache));
-    assert_eq!(cold, reference, "cold cached stream");
-    assert_eq!(replay, reference, "cached replay stream");
-    assert_eq!(cache.stats().hits, 1, "the second run was a replay");
+/// The solutions of a stream as a set; fails on a duplicate.
+fn solution_set<T: Ord>(
+    stream: Result<Vec<Vec<T>>, SteinerError>,
+) -> Result<BTreeSet<Vec<T>>, TestCaseError> {
+    let stream = stream.map_err(|e| TestCaseError::fail(format!("unexpected error {e}")))?;
+    let len = stream.len();
+    let set: BTreeSet<Vec<T>> = stream.into_iter().collect();
+    prop_assert_eq!(set.len(), len, "duplicate solution emitted");
+    Ok(set)
 }
 
 #[test]
 fn steiner_tree_grid_all_front_ends() {
     let g = generators::grid(3, 4);
     let w = vec![VertexId(0), VertexId(11), VertexId(5)];
-    assert_packed_matches(|| SteinerTree::new(&g, &w));
-    assert_cached_replay_matches(|| SteinerTree::from_graph(g.clone(), &w));
+    assert_stealing_matches(|| SteinerTree::new(&g, &w));
 }
 
 #[test]
@@ -94,51 +70,49 @@ fn steiner_forest_grid_all_front_ends() {
         vec![VertexId(0), VertexId(11)],
         vec![VertexId(3), VertexId(8)],
     ];
-    assert_packed_matches(|| SteinerForest::new(&g, &sets));
-    assert_cached_replay_matches(|| SteinerForest::from_graph(g.clone(), &sets));
+    assert_stealing_matches(|| SteinerForest::new(&g, &sets));
 }
 
 #[test]
 fn terminal_steiner_grid_all_front_ends() {
     let g = generators::grid(3, 4);
     let w = vec![VertexId(0), VertexId(3), VertexId(8)];
-    assert_packed_matches(|| TerminalSteinerTree::new(&g, &w));
-    assert_cached_replay_matches(|| TerminalSteinerTree::from_graph(g.clone(), &w));
+    assert_stealing_matches(|| TerminalSteinerTree::new(&g, &w));
 }
 
 #[test]
 fn directed_steiner_layered_all_front_ends() {
     let (d, root) = generators::layered_digraph(3, 3);
     let w = vec![VertexId(7), VertexId(8), VertexId(9)];
-    assert_packed_matches(|| DirectedSteinerTree::new(&d, root, &w));
-    assert_cached_replay_matches(|| DirectedSteinerTree::from_graph(d.clone(), root, &w));
+    assert_stealing_matches(|| DirectedSteinerTree::new(&d, root, &w));
 }
 
 #[test]
 fn iterator_front_end_matches_reference() {
+    // The pull iterator runs the engine on its own worker thread, with
+    // its own prepared scratch.
     let g = generators::theta_chain(3, 3);
     let w = [VertexId(0), VertexId(3)];
-    let reference =
-        ordered(Enumeration::new(SteinerTree::new(&g, &w)).with_packed_frontiers(false));
+    let direct = ordered(Enumeration::new(SteinerTree::new(&g, &w)));
     let iterated: Vec<Vec<_>> = Enumeration::new(SteinerTree::from_graph(g, &w))
         .into_iter()
         .expect("valid instance")
         .collect();
-    assert_eq!(iterated, reference, "pull iterator stream");
+    assert_eq!(iterated, direct, "pull iterator stream");
 }
 
 /// Deep-backtrack ladder: theta chains drive the `E-STP` recursion
 /// `blocks` levels deep with `width`-way branching at every level, so
-/// every packed level cache is overwritten and revalidated many times
-/// under a deep prefix trail. Any stale BFS tree served past a mask
-/// change shows up as a diverging stream.
+/// every level cache is overwritten and revalidated many times under a
+/// deep prefix trail. Any stale BFS tree served past a mask change
+/// shows up as a diverging stream.
 #[test]
 fn deep_backtrack_ladder_tree_and_forest() {
     let g = generators::theta_chain(6, 3);
     let w = [VertexId(0), VertexId(6)];
-    assert_packed_matches(|| SteinerTree::new(&g, &w));
+    assert_stealing_matches(|| SteinerTree::new(&g, &w));
     let sets = vec![vec![VertexId(0), VertexId(6)]];
-    assert_packed_matches(|| SteinerForest::new(&g, &sets));
+    assert_stealing_matches(|| SteinerForest::new(&g, &sets));
 }
 
 /// A sibling-heavy theta multigraph drives repeated branch calls whose
@@ -146,7 +120,6 @@ fn deep_backtrack_ladder_tree_and_forest() {
 /// two root children spanning the *same* vertex set `{0, 1}`, so both
 /// descend into a `branch(w = 3)` call with an identical mask, target,
 /// and depth — the second must replay the first's cached reverse BFS.
-/// None when packing is off.
 #[test]
 fn theta_instance_reports_cache_hits() {
     // 0 ═ 1 (parallel pair), then a width-2 theta block 1–{2,4}–3.
@@ -165,21 +138,12 @@ fn theta_instance_reports_cache_hits() {
     );
     assert!(stats.fstp_cache_misses >= 1, "cold levels still compute");
     assert!(stats.path_gen_work > 0, "path work is attributed");
-
-    let (run, stats) = Enumeration::new(SteinerTree::new(&g, &w))
-        .with_packed_frontiers(false)
-        .with_stats();
-    run.run().expect("valid instance");
-    let stats = stats.get();
-    assert_eq!(stats.fstp_cache_hits, 0, "reference mode never hits");
-    assert_eq!(stats.fstp_cache_misses, 0, "reference mode never counts");
-    assert!(stats.path_gen_work > 0, "reference work is attributed too");
 }
 
-/// The no-allocator-traffic claim holds with packing on: after
-/// `prepare()`'s preallocation, a run on a conformance-sized instance
-/// performs zero scratch-growth events (bitset words, frame arenas, and
-/// flat `qv`/`qa` runs included).
+/// The no-allocator-traffic claim: after `prepare()`'s preallocation, a
+/// run on a conformance-sized instance performs zero scratch-growth
+/// events (bitset words, frame arenas, and flat `qv`/`qa` runs
+/// included).
 #[test]
 fn packed_run_reports_zero_scratch_allocs() {
     let g = generators::grid(4, 5);
@@ -190,30 +154,27 @@ fn packed_run_reports_zero_scratch_allocs() {
     assert!(stats.solutions > 0);
     assert_eq!(
         stats.scratch_allocs, 0,
-        "packed scratch is fully preallocated by prepare()"
+        "path scratch is fully preallocated by prepare()"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random connected multigraphs: the packed Steiner-tree stream
-    /// equals the reference stream exactly.
+    /// Random connected multigraphs: the Steiner-tree stream is exactly
+    /// the brute-force set.
     #[test]
     fn tree_packed_equals_reference(g in connected_graph(), mask in 1u8..128) {
         let w = terminal_subset(g.num_vertices(), mask, 4);
         if w.is_empty() {
             return Ok(());
         }
-        let on = Enumeration::new(SteinerTree::new(&g, &w)).collect_vec();
-        let off = Enumeration::new(SteinerTree::new(&g, &w))
-            .with_packed_frontiers(false)
-            .collect_vec();
-        prop_assert_eq!(on, off);
+        let got = solution_set(Enumeration::new(SteinerTree::new(&g, &w)).collect_vec())?;
+        prop_assert_eq!(got, brute::minimal_steiner_trees(&g, &w));
     }
 
     /// Random instances for the forest enumerator (per-branch contracted
-    /// doubled graphs, so the packed caches are rebuilt per branch).
+    /// doubled graphs, so the BFS caches are rebuilt per branch).
     #[test]
     fn forest_packed_equals_reference(g in connected_graph(), m1 in 1u8..128, m2 in 1u8..128) {
         let n = g.num_vertices();
@@ -221,11 +182,8 @@ proptest! {
             terminal_subset(n, m1, 3),
             terminal_subset(n, m2, 3),
         ];
-        let on = Enumeration::new(SteinerForest::new(&g, &sets)).collect_vec();
-        let off = Enumeration::new(SteinerForest::new(&g, &sets))
-            .with_packed_frontiers(false)
-            .collect_vec();
-        prop_assert_eq!(on, off);
+        let got = solution_set(Enumeration::new(SteinerForest::new(&g, &sets)).collect_vec())?;
+        prop_assert_eq!(got, brute::minimal_steiner_forests(&g, &sets));
     }
 
     /// Random instances for the terminal variant (component masks layer
@@ -236,11 +194,9 @@ proptest! {
         if w.len() < 2 {
             return Ok(());
         }
-        let on = Enumeration::new(TerminalSteinerTree::new(&g, &w)).collect_vec();
-        let off = Enumeration::new(TerminalSteinerTree::new(&g, &w))
-            .with_packed_frontiers(false)
-            .collect_vec();
-        prop_assert_eq!(on, off);
+        let run = Enumeration::new(TerminalSteinerTree::new(&g, &w)).collect_vec();
+        let got = solution_set(run)?;
+        prop_assert_eq!(got, brute::minimal_terminal_steiner_trees(&g, &w));
     }
 
     /// Random digraphs (cycles included) for the directed variant.
@@ -252,30 +208,30 @@ proptest! {
         if w.is_empty() {
             return Ok(());
         }
-        let on = Enumeration::new(DirectedSteinerTree::new(&d, root, &w)).collect_vec();
-        let off = Enumeration::new(DirectedSteinerTree::new(&d, root, &w))
-            .with_packed_frontiers(false)
-            .collect_vec();
-        prop_assert_eq!(on, off);
+        let run = match Enumeration::new(DirectedSteinerTree::new(&d, root, &w)).collect_vec() {
+            // An unreachable terminal leaves the brute oracle no solutions.
+            Err(SteinerError::UnreachableTerminal(_)) => Ok(Vec::new()),
+            run => run,
+        };
+        let got = solution_set(run)?;
+        prop_assert_eq!(got, brute::minimal_directed_steiner_trees(&d, root, &w));
     }
 
-    /// Sharded + stealing with packing on: the merged stream equals the
-    /// sequential packed-off reference for k ∈ {2, 4}.
+    /// Sharded + stealing on random instances: the merged stream equals
+    /// the sequential stream for k ∈ {2, 4}.
     #[test]
     fn sharded_packed_equals_reference(g in connected_graph(), mask in 1u8..128) {
         let w = terminal_subset(g.num_vertices(), mask, 4);
         if w.is_empty() {
             return Ok(());
         }
-        let reference = Enumeration::new(SteinerTree::new(&g, &w))
-            .with_packed_frontiers(false)
-            .collect_vec();
+        let sequential = Enumeration::new(SteinerTree::new(&g, &w)).collect_vec();
         for k in [2usize, 4] {
             let sharded = Enumeration::new(SteinerTree::new(&g, &w))
                 .with_threads(k)
                 .with_stealing(true)
                 .collect_vec();
-            prop_assert_eq!(&sharded, &reference, "threads({})", k);
+            prop_assert_eq!(&sharded, &sequential, "threads({})", k);
         }
     }
 }

@@ -276,24 +276,6 @@ fn sharded_errors_match_sequential_errors() {
 }
 
 #[test]
-fn sharded_level_cache_cap_is_deterministic_too() {
-    // The memory knob changes preallocation, never results — also under
-    // sharding, where every worker applies the same cap.
-    let g = generators::ladder(12);
-    let far = VertexId::new(g.num_vertices() - 1);
-    let w = [VertexId(0), far];
-    let sequential = ordered(Enumeration::new(SteinerTree::new(&g, &w)));
-    let capped = ordered(Enumeration::new(SteinerTree::new(&g, &w)).with_level_cache_cap(2));
-    assert_eq!(capped, sequential, "capped sequential stream");
-    let capped_sharded = ordered(
-        Enumeration::new(SteinerTree::new(&g, &w))
-            .with_level_cache_cap(2)
-            .with_threads(4),
-    );
-    assert_eq!(capped_sharded, sequential, "capped sharded stream");
-}
-
-#[test]
 fn sharded_limit_zero_delivers_nothing() {
     let g = generators::theta_chain(4, 3);
     let w = [VertexId(0), VertexId(4)];

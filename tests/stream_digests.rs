@@ -46,11 +46,11 @@ use std::ops::ControlFlow;
 /// Solutions per stream that the digest covers.
 const LIMIT: u64 = 2000;
 
-/// `(instance, solutions, digest)`, captured from the sequential engine
-/// (the `regions` entries from the engine that still prepared the whole
+/// `(instance, solutions, digest)`, captured from the sequential engine.
+/// The `regions` entries were captured while it still prepared the whole
 /// graph, before queries ran on their regions; the entries from
-/// `tree/grid-3x4` on from the engine that still carried the per-vertex
-/// reference path generator and the rebuild-only classifiers).
+/// `tree/grid-3x4` on while it still carried the per-vertex reference
+/// path generator and the rebuild-only classifiers.
 const CORPUS: &[(&str, u64, u64)] = &[
     ("tree/grid-5x6-corners", 2000, 0x20ddb314cf00d6cd),
     ("tree/theta-chain-5x3", 243, 0xa5565555561c02fe),
