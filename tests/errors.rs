@@ -313,6 +313,57 @@ where
     let prefix: Vec<_> = it.by_ref().collect();
     assert_eq!(it.error(), Some(SteinerError::DeadlineExceeded));
     assert_eq!(&prefix[..], &full[..prefix.len()]);
+
+    // A cached run whose deadline expires is a counted miss that stores
+    // nothing, and both front-ends publish the same cache fields.
+    let cache_fields = |s: minimal_steiner::EnumStats| {
+        (
+            s.cache_hits,
+            s.cache_misses,
+            s.evicted_entries,
+            s.compactions,
+            s.interned_bytes,
+        )
+    };
+    for threads in [1, 2] {
+        let cache = minimal_steiner::ResultCache::new();
+        let (e, push) = Enumeration::new(make())
+            .cached(&cache)
+            .with_deadline(past)
+            .with_threads(threads)
+            .with_stats();
+        assert_eq!(
+            e.for_each(|_| ControlFlow::Continue(())).unwrap_err(),
+            SteinerError::DeadlineExceeded
+        );
+        let (e, pull) = Enumeration::new(make())
+            .cached(&cache)
+            .with_deadline(past)
+            .with_threads(threads)
+            .with_stats();
+        let mut it = e.into_iter().unwrap();
+        it.by_ref().for_each(drop);
+        assert_eq!(it.error(), Some(SteinerError::DeadlineExceeded));
+        for (front_end, stats) in [("push", push.get()), ("pull", pull.get())] {
+            assert_eq!(
+                (stats.cache_hits, stats.cache_misses),
+                (0, 1),
+                "threads({threads}) {front_end}: an expired cached run is one miss"
+            );
+        }
+        assert_eq!(
+            cache_fields(push.get()),
+            cache_fields(pull.get()),
+            "threads({threads}): push and pull publish the same cache fields"
+        );
+        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(
+            cache.stats().entries,
+            0,
+            "a deadline'd prefix is never stored"
+        );
+        assert_eq!(cache.bytes(), 0);
+    }
 }
 
 #[test]

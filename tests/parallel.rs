@@ -250,6 +250,33 @@ fn sharded_single_solution_and_empty_instances() {
     let got =
         ordered(Enumeration::new(TerminalSteinerTree::new(&g, &[VertexId(3)])).with_threads(4));
     assert!(got.is_empty());
+    // Both trivial outcomes are delivered from the coordinator's prepared
+    // instance, so push and pull publish the sequential run's counters.
+    assert_trivial_outcome_matches_sequential(|| {
+        SteinerTree::from_graph(g.clone(), &[VertexId(3)])
+    });
+    assert_trivial_outcome_matches_sequential(|| {
+        TerminalSteinerTree::from_graph(g.clone(), &[VertexId(3)])
+    });
+}
+
+fn assert_trivial_outcome_matches_sequential<P>(make: impl Fn() -> P)
+where
+    P: MinimalSteinerProblem + Send + 'static,
+    P::Item: Send + 'static,
+{
+    let counters = |s: EnumStats| (s.solutions, s.work, s.preprocessing_work);
+    let sequential = counters(Enumeration::new(make()).run().expect("valid instance"));
+    for k in [2usize, 4] {
+        let push = Enumeration::new(make())
+            .with_threads(k)
+            .run()
+            .expect("valid instance");
+        assert_eq!(counters(push), sequential, "threads({k}) push");
+        let (e, handle) = Enumeration::new(make()).with_threads(k).with_stats();
+        e.into_iter().expect("valid instance").for_each(drop);
+        assert_eq!(counters(handle.get()), sequential, "threads({k}) pull");
+    }
 }
 
 #[test]

@@ -262,6 +262,14 @@ fn deadline_terminates_with_bounded_overshoot_and_valid_prefix() {
         elapsed - timeout
     );
     assert_eq!(session.report().deadline_exceeded, 1);
+    // The timed-out query was a cache miss, in its own stats and in the
+    // tenant's totals alike.
+    assert_eq!(outcome.stats.cache_misses, 1);
+    assert_eq!(session.report().stats.cache_misses, 1);
+    assert_eq!(
+        session.report().stats.cache_misses,
+        engine.cache_stats().0.misses
+    );
 
     // The delivered prefix is exactly the one-shot stream's prefix.
     let delivered = outcome.solutions.edges().unwrap();
