@@ -17,10 +17,16 @@
 //! (the merge point under
 //! [`with_threads`](crate::solver::Enumeration::with_threads), so cached
 //! streams are byte-identical to sequential ones). Only **complete**
-//! streams are stored: a run the consumer aborted early (a sink returning
-//! `Break` before the configured limit) is discarded, so a hit always
-//! reproduces exactly what a cold run of the same builder configuration
-//! would deliver.
+//! streams are stored: a run aborted early (a sink returning `Break`
+//! before the configured limit, or an expired deadline) is discarded, so
+//! a hit always reproduces exactly what a cold run of the same builder
+//! configuration would deliver.
+//!
+//! Push and pull replay a hit the same way: the lookup checks the entry's
+//! solutions out under refcounts (an eviction cannot free them), the
+//! replay copies them out under one lock and hands the references back,
+//! and delivery runs unlocked — so a slow consumer never holds the lock,
+//! and a sink may query the same cache.
 //!
 //! Capacity is bounded by [`ResultCache::with_capacity_bytes`]: entries
 //! are evicted least-recently-used, their solutions' refcounts released,
@@ -263,68 +269,12 @@ impl<Item: Copy + Eq + Hash> ResultCache<Item> {
         self.lock().store.bytes()
     }
 
-    /// Replays the stored stream for `key` into `deliver`, in original
-    /// order, counting a hit and touching the entry's LRU clock. Returns
-    /// the number of solutions delivered, or `None` on a miss (which is
-    /// counted too — callers fall through to a real enumeration).
-    ///
-    /// The stream is copied out of the arena under one short lock and
-    /// delivered **unlocked**, so the sink may freely touch this cache
-    /// (nested queries, `stats()`) without deadlocking, and a concurrent
-    /// eviction cannot disturb the replay.
-    pub(crate) fn replay(
-        &self,
-        key: &QueryKey,
-        deliver: &mut dyn FnMut(&[Item]) -> ControlFlow<()>,
-    ) -> Option<u64> {
-        let (flat, lens) = {
-            let mut inner = self.lock();
-            inner.epoch += 1;
-            let epoch = inner.epoch;
-            // Split the borrow: ids live in the map, payload in the store.
-            let Inner {
-                store,
-                map,
-                hits,
-                misses,
-                ..
-            } = &mut *inner;
-            let Some(entry) = map.get_mut(key) else {
-                *misses += 1;
-                return None;
-            };
-            entry.last_used = epoch;
-            *hits += 1;
-            let total: usize = entry.ids.iter().map(|&id| store.resolve(id).len()).sum();
-            let mut flat: Vec<Item> = Vec::with_capacity(total);
-            let mut lens: Vec<u32> = Vec::with_capacity(entry.ids.len());
-            for &id in &entry.ids {
-                let items = store.resolve(id);
-                flat.extend_from_slice(items);
-                lens.push(items.len() as u32);
-            }
-            (flat, lens)
-        };
-        let mut delivered = 0u64;
-        let mut start = 0usize;
-        for len in lens {
-            let end = start + len as usize;
-            delivered += 1;
-            if deliver(&flat[start..end]).is_break() {
-                break;
-            }
-            start = end;
-        }
-        Some(delivered)
-    }
-
-    /// Checks out the stored stream for `key` as owned ids, taking one
-    /// reference per solution so a concurrent eviction cannot free them.
-    /// Callers resolve at their own pace ([`Self::resolve_owned`]) and
-    /// must hand the references back via [`Self::release_ids`]. Counts a
-    /// hit or a miss. Used by the iterator front-end, whose consumer
-    /// outlives the lookup.
-    pub(crate) fn checkout(&self, key: &QueryKey) -> Option<Vec<SolutionId>> {
+    /// Looks `key` up, counting a hit or a miss (callers fall through to a
+    /// real enumeration on a miss). A hit touches the entry's LRU clock
+    /// and is **checked out**: its ids, with one reference taken per
+    /// solution, so an eviction between this lookup and the
+    /// [`Checkout::replay`] cannot free them.
+    pub(crate) fn checkout(&self, key: &QueryKey) -> Option<Checkout<Item>> {
         let mut inner = self.lock();
         inner.epoch += 1;
         let epoch = inner.epoch;
@@ -338,24 +288,10 @@ impl<Item: Copy + Eq + Hash> ResultCache<Item> {
         for &id in &ids {
             inner.store.acquire(id);
         }
-        Some(ids)
-    }
-
-    /// Copies the solutions for `ids` out of the arena under **one**
-    /// lock, flattened with a length table (the iterator front-end's
-    /// replay shape: its bounded channel may block per send, so it must
-    /// not hold the lock — or take it — per solution).
-    pub(crate) fn resolve_owned_batch(&self, ids: &[SolutionId]) -> (Vec<Item>, Vec<u32>) {
-        let inner = self.lock();
-        let total: usize = ids.iter().map(|&id| inner.store.resolve(id).len()).sum();
-        let mut flat: Vec<Item> = Vec::with_capacity(total);
-        let mut lens: Vec<u32> = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let items = inner.store.resolve(id);
-            flat.extend_from_slice(items);
-            lens.push(items.len() as u32);
-        }
-        (flat, lens)
+        Some(Checkout {
+            cache: self.clone(),
+            ids,
+        })
     }
 
     /// Interns one delivered solution while a cold run is being recorded
@@ -411,9 +347,9 @@ impl<Item: Copy + Eq + Hash> ResultCache<Item> {
         pressure
     }
 
-    /// Hands back references taken by [`Self::checkout`] or a rolled-back
-    /// recording, compacting when dead bytes dominate. Returns the
-    /// pressure (compactions only — releases never evict entries).
+    /// Hands back the references of a rolled-back recording, compacting
+    /// when dead bytes dominate. Returns the pressure (compactions only —
+    /// releases never evict entries).
     pub(crate) fn release_ids(&self, ids: &[SolutionId]) -> CachePressure {
         let mut inner = self.lock();
         for &id in ids {
@@ -464,6 +400,57 @@ impl<Item: Copy + Eq + Hash> ResultCache<Item> {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner<Item>> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// A stored stream checked out by [`ResultCache::checkout`], holding one
+/// reference per solution until [`Self::replay`] hands them back.
+pub(crate) struct Checkout<Item> {
+    cache: ResultCache<Item>,
+    ids: Vec<SolutionId>,
+}
+
+impl<Item: Copy + Eq + Hash> Checkout<Item> {
+    /// Delivers the checked-out stream into `deliver`, in original order,
+    /// and returns the number of solutions delivered (the one that
+    /// returned `Break` included). This is the cache's only replay path,
+    /// under both front-ends: the solutions are copied out of the arena
+    /// and the references handed back under **one** lock, then delivered
+    /// **unlocked** — so the sink may block (the iterator's bounded
+    /// channel) or re-enter this cache (nested queries, `stats()`)
+    /// without deadlocking.
+    pub(crate) fn replay(self, deliver: &mut dyn FnMut(&[Item]) -> ControlFlow<()>) -> u64 {
+        let (flat, lens) = {
+            let mut inner = self.cache.lock();
+            let total: usize = self
+                .ids
+                .iter()
+                .map(|&id| inner.store.resolve(id).len())
+                .sum();
+            let mut flat: Vec<Item> = Vec::with_capacity(total);
+            let mut lens: Vec<u32> = Vec::with_capacity(self.ids.len());
+            for &id in &self.ids {
+                let items = inner.store.resolve(id);
+                flat.extend_from_slice(items);
+                lens.push(items.len() as u32);
+            }
+            for &id in &self.ids {
+                inner.store.release(id);
+            }
+            inner.maybe_compact();
+            (flat, lens)
+        };
+        let mut delivered = 0u64;
+        let mut start = 0usize;
+        for len in lens {
+            let end = start + len as usize;
+            delivered += 1;
+            if deliver(&flat[start..end]).is_break() {
+                break;
+            }
+            start = end;
+        }
+        delivered
     }
 }
 
@@ -813,13 +800,16 @@ mod tests {
     }
 
     fn replay_all(cache: &ResultCache<EdgeId>, k: &QueryKey) -> Option<Vec<Vec<EdgeId>>> {
+        cache.checkout(k).map(collect)
+    }
+
+    fn collect(hit: Checkout<EdgeId>) -> Vec<Vec<EdgeId>> {
         let mut out = Vec::new();
-        cache
-            .replay(k, &mut |items| {
-                out.push(items.to_vec());
-                ControlFlow::Continue(())
-            })
-            .map(|_| out)
+        hit.replay(&mut |items| {
+            out.push(items.to_vec());
+            ControlFlow::Continue(())
+        });
+        out
     }
 
     #[test]
@@ -886,17 +876,21 @@ mod tests {
 
     #[test]
     fn checkout_survives_eviction() {
+        // One 25-item solution = 100 bytes; a second entry overflows.
         let cache = ResultCache::with_capacity_bytes(120);
-        let a = sols(&[25]);
+        let payload = |i: u32| vec![(0u32..25).map(|j| EdgeId(i * 1000 + j)).collect()];
+        let a: Vec<Vec<EdgeId>> = payload(0);
         record(&cache, key("st", 0, None), &a);
-        let ids = cache.checkout(&key("st", 0, None)).expect("hit");
+        let hit = cache.checkout(&key("st", 0, None)).expect("hit");
         // Evict the entry by inserting two more oversized ones.
-        record(&cache, key("st", 1, None), &sols(&[25]));
-        record(&cache, key("st", 2, None), &sols(&[25]));
-        // The checked-out references keep the payload alive.
-        let (flat, lens) = cache.resolve_owned_batch(&ids);
-        assert_eq!(flat[..lens[0] as usize], a[0]);
-        cache.release_ids(&ids);
+        record(&cache, key("st", 1, None), &payload(1));
+        record(&cache, key("st", 2, None), &payload(2));
+        assert_eq!(cache.stats().evictions, 2, "the checked-out entry is gone");
+        assert_eq!(cache.bytes(), 200, "but its references keep it alive");
+        // The replay delivers the evicted stream, then hands the
+        // references back.
+        assert_eq!(collect(hit), a);
+        assert_eq!(cache.bytes(), 100, "only the newest entry stays live");
     }
 
     #[test]
@@ -905,18 +899,15 @@ mod tests {
         let k = key("st", 3, None);
         record(&cache, k.clone(), &sols(&[2, 3]));
         let mut seen = 0;
-        cache
-            .replay(&k, &mut |_| {
-                // A sink that inspects — or even queries — the same cache
-                // must not deadlock: replay delivers outside the lock.
-                assert!(cache.stats().entries >= 1);
-                assert!(cache
-                    .replay(&key("st", 99, None), &mut |_| ControlFlow::Continue(()))
-                    .is_none());
-                seen += 1;
-                ControlFlow::Continue(())
-            })
-            .unwrap();
+        cache.checkout(&k).expect("hit").replay(&mut |_| {
+            // A sink that inspects — or even queries — the same cache
+            // must not deadlock: replay delivers outside the lock.
+            assert!(cache.stats().entries >= 1);
+            assert!(replay_all(&cache, &key("st", 99, None)).is_none());
+            assert_eq!(replay_all(&cache, &k).expect("nested hit").len(), 2);
+            seen += 1;
+            ControlFlow::Continue(())
+        });
         assert_eq!(seen, 2);
     }
 

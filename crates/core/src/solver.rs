@@ -42,7 +42,7 @@
 //! assert_eq!(trees.len(), 2);
 //! ```
 
-use crate::cache::{CachePressure, QueryKey, ResultCache};
+use crate::cache::{CachePressure, Checkout, QueryKey, ResultCache};
 use crate::intern::{SolutionId, SolutionSet};
 use crate::problem::{MinimalSteinerProblem, NodeStep, Prepared, RootShard, SteinerError};
 use crate::queue::{DirectSink, OutputQueue, QueueConfig, SolutionSink};
@@ -58,9 +58,10 @@ use steiner_paths::streaming::{self, MergeEvent, ShardMerge, ShardMsg};
 
 /// A shared, clonable handle to the statistics of one enumeration run,
 /// produced by [`Enumeration::with_stats`]. The final [`EnumStats`] are
-/// published when the run finishes (also on early termination); for the
-/// iterator front-end that happens on the worker thread, so read the
-/// handle only after the iterator is exhausted or dropped.
+/// published once, when the run finishes (also on early termination and
+/// on an expired deadline); for the iterator front-end that happens on
+/// the worker thread, so read the handle only after the iterator is
+/// exhausted or dropped.
 #[derive(Clone, Default)]
 pub struct StatsHandle(Arc<Mutex<EnumStats>>);
 
@@ -477,152 +478,82 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     /// this workspace are. The sink itself never crosses threads and
     /// needs no `Send`.
     pub fn for_each(
-        mut self,
+        self,
         mut sink: impl FnMut(&[P::Item]) -> ControlFlow<()>,
     ) -> Result<EnumStats, SteinerError>
     where
         P: Send,
         P::Item: Send,
     {
-        let cache = self.cache.take();
-        let interner = self.interner.take();
-        let handle = self.stats_handle.clone();
-        let limit = self.limit;
-
-        // The interning stage sits closest to the user sink, so it sees
-        // the final delivered stream (post-merge, post-queue, post-limit).
-        let mut interning = |items: &[P::Item]| -> ControlFlow<()> {
-            if let Some(set) = &interner {
-                set.intern(items);
-            }
-            sink(items)
-        };
-        let publish = |mut stats: EnumStats| -> EnumStats {
-            if let Some(set) = &interner {
-                stats.interned_bytes = stats.interned_bytes.max(set.bytes());
-            }
-            if let Some(h) = &handle {
-                h.set(stats);
-            }
-            stats
-        };
-
-        let Some(cache) = cache else {
-            return Ok(publish(self.run_plain(&mut interning)?));
-        };
-        let Some(key) = self.problem.cache_key() else {
-            // The problem opted out of caching: always a (counted) miss.
-            cache.note_miss();
-            let mut stats = self.run_plain(&mut interning)?;
-            stats.cache_misses = 1;
-            return Ok(publish(stats));
-        };
-        // Malformed instances must error identically warm and cold: the
-        // canonical fingerprints can make a malformed query (e.g. a
-        // duplicate terminal inside a forest set) collide with a valid
-        // query's key, so validate structurally before the lookup.
-        self.problem.validate()?;
-        let qkey = QueryKey { key, limit };
-        if let Some(delivered) = cache.replay(&qkey, &mut interning) {
-            return Ok(publish(EnumStats::for_cache_hit(delivered, cache.bytes())));
-        }
-        // Miss: run the engine, recording the delivered stream.
-        let mut ids: Vec<SolutionId> = Vec::new();
-        let mut delivered = 0u64;
-        let mut user_broke = false;
-        let run = {
-            let mut recording = |items: &[P::Item]| -> ControlFlow<()> {
-                ids.push(cache.intern(items));
-                delivered += 1;
-                let flow = interning(items);
-                if flow.is_break() {
-                    user_broke = true;
-                }
-                flow
-            };
-            self.run_plain(&mut recording)
-        };
-        match run {
-            Ok(mut stats) => {
-                // A stream is complete — and therefore cacheable — when
-                // the sink did not abort it, or when the abort coincided
-                // with the configured limit (the limit is part of the
-                // key, so the capped stream is the full answer for it).
-                let pressure = if !user_broke || Some(delivered) == limit {
-                    cache.store_entry(qkey, ids)
-                } else {
-                    cache.release_ids(&ids)
-                };
-                stats.cache_misses = 1;
-                stats.evicted_entries += pressure.evicted;
-                stats.compactions += pressure.compactions;
-                stats.interned_bytes = cache.bytes();
-                Ok(publish(stats))
-            }
-            Err(e) => {
-                let _ = cache.release_ids(&ids);
-                Err(e)
-            }
-        }
+        self.start()?.drive(&mut sink)
     }
 
-    /// The execution core under [`Self::for_each`]: dispatches to the
-    /// sharded pool or the sequential engine, with the limit/queue sink
-    /// chain already described on those methods. Cache and interner have
-    /// been peeled off by the caller.
-    fn run_plain(
-        mut self,
-        sink: &mut dyn FnMut(&[P::Item]) -> ControlFlow<()>,
-    ) -> Result<EnumStats, SteinerError>
-    where
-        P: Send,
-        P::Item: Send,
-    {
-        if let Some(shards) = self.split_shards() {
-            // The coordinator prepares its own instance so instance errors
-            // surface synchronously; under stealing it also executes the
-            // subtrees the merge claims inline. It never branches at the
-            // root: each worker generates the root's children itself.
-            // Prepared, it reports the instance size the queue follows.
-            self.problem.prepare()?;
-            let queue = self.queue_config();
-            let steal = self.steal_mode();
-            let mut original = self.problem;
-            let (stats, expired) = run_sharded(
-                &mut original,
-                shards,
-                steal,
-                queue,
-                self.limit,
-                self.deadline,
-                self.stats_handle.as_ref(),
-                sink,
-            )?;
-            if expired {
-                return Err(SteinerError::DeadlineExceeded);
+    /// The first half of both front-ends, run on the calling thread so
+    /// instance errors surface synchronously: the cache lookup (a keyed
+    /// instance is validated first; a hit is checked out, a miss opens the
+    /// recorder, a keyless problem counts a miss), then — unless the
+    /// lookup hit — the shard split, `prepare`, and the queue
+    /// configuration, read after `prepare` because the undirected problems
+    /// report their region's size only once it ran.
+    fn start(mut self) -> Result<Started<P>, SteinerError> {
+        let cache = self.cache.take();
+        let mut recorder = None;
+        let mut hit = None;
+        if let Some(cache) = &cache {
+            match self.problem.cache_key() {
+                Some(key) => {
+                    // Malformed instances must error identically warm and
+                    // cold: the canonical fingerprints can make a malformed
+                    // query (e.g. a duplicate terminal inside a forest set)
+                    // collide with a valid query's key, so validate
+                    // structurally before the lookup.
+                    self.problem.validate()?;
+                    let key = QueryKey {
+                        key,
+                        limit: self.limit,
+                    };
+                    hit = cache.checkout(&key);
+                    if hit.is_none() {
+                        recorder = Some(CacheRecorder::new(cache.clone(), key, self.limit));
+                    }
+                }
+                // The problem opted out of caching: always a (counted) miss.
+                None => cache.note_miss(),
             }
-            return Ok(stats);
         }
-        let prepared = self.problem.prepare()?;
-        let queue = self.queue_config();
-        let (stats, expired) = run_configured(
-            &mut self.problem,
-            prepared,
+        let (run, queue) = match hit {
+            Some(hit) => (Run::Replay(hit), None),
+            None => {
+                let shards = self.split_shards();
+                let prepared = self.problem.prepare()?;
+                let queue = self.queue_config();
+                let run = match (shards, prepared) {
+                    // The coordinator keeps its prepared instance: under
+                    // stealing it executes the subtrees the merge claims
+                    // inline. It never branches at the root — each worker
+                    // generates the root's children itself.
+                    (Some(shards), Prepared::Search) => Run::Sharded {
+                        steal: self.steal_mode(),
+                        original: self.problem,
+                        shards,
+                    },
+                    // Trivial outcomes (Empty/Single) are delivered from the
+                    // prepared instance without spawning a pool.
+                    (_, prepared) => Run::Sequential(self.problem, prepared),
+                };
+                (run, queue)
+            }
+        };
+        Ok(Started {
+            run,
             queue,
-            self.limit,
-            self.deadline,
-            sink,
-        );
-        if let Some(handle) = &self.stats_handle {
-            handle.set(stats);
-        }
-        if expired {
-            // The handle already carries the partial-run stats; the error
-            // is the caller-facing verdict (and triggers cache rollback
-            // in `for_each`'s recording path).
-            return Err(SteinerError::DeadlineExceeded);
-        }
-        Ok(stats)
+            limit: self.limit,
+            deadline: self.deadline,
+            interner: self.interner,
+            cache,
+            recorder,
+            stats_handle: self.stats_handle,
+        })
     }
 
     /// Runs the enumeration for its statistics alone (every solution is
@@ -663,11 +594,14 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
         Ok(n)
     }
 
-    /// **Pull front-end.** Validates and preprocesses on the calling
-    /// thread (so instance errors are returned synchronously), then runs
-    /// the enumeration on a dedicated large-stack worker thread, yielding
-    /// owned solutions through a bounded channel. Dropping the iterator
-    /// stops the producer at its next emission.
+    /// **Pull front-end.** Starts the run on the calling thread — cache
+    /// lookup (a keyed instance is validated first), shard split and
+    /// `prepare` — so instance errors are returned synchronously, then
+    /// drives the same delivery pipeline as [`Self::for_each`] on a
+    /// dedicated large-stack worker thread, yielding owned solutions
+    /// through a bounded channel. Dropping the iterator stops the producer
+    /// at its next emission; an error the run ends with is readable
+    /// through [`Solutions::error`].
     ///
     /// The problem must own its instance data (`P: 'static`); use the
     /// problems' `from_graph` constructors or `into_owned` adapters.
@@ -675,181 +609,156 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     /// Named after `IntoIterator::into_iter` deliberately — the trait
     /// itself cannot be implemented because preparation is fallible.
     ///
-    /// With [`Self::with_threads`], a coordinator thread hosts the shard
-    /// pool and its merge point; instance errors are still returned
-    /// synchronously (the original problem is prepared once up front for
-    /// validation before the workers re-prepare their own copies).
+    /// With [`Self::with_threads`], the worker thread hosts the shard pool
+    /// and its merge point.
     #[allow(clippy::should_implement_trait)]
-    pub fn into_iter(mut self) -> Result<Solutions<P::Item>, SteinerError>
+    pub fn into_iter(self) -> Result<Solutions<P::Item>, SteinerError>
     where
         P: Send + 'static,
         P::Item: Send + 'static,
     {
-        let cache = self.cache.take();
-        let interner = self.interner.take();
-        let limit = self.limit;
-        let deadline = self.deadline;
-        let handle = self.stats_handle.clone();
-        // Terminal-error slot shared with the worker thread, surfaced
-        // through [`Solutions::error`] once the stream ends.
-        let error_slot: Arc<Mutex<Option<SteinerError>>> = Arc::new(Mutex::new(None));
-        // Cache lookup first: a hit replays the interned stream without
-        // preparing (or even validating) anything — the stored stream
-        // proves the instance was valid.
-        let mut recorder = None;
-        // A cached() run whose problem reports no key still counts as a
-        // miss in the published stats (matching the push front-end).
-        let mut keyless_miss = None;
-        if let Some(cache) = &cache {
-            match self.problem.cache_key() {
-                Some(key) => {
-                    // Same rule as the push front-end: a malformed
-                    // instance errors before the lookup, warm or cold.
-                    self.problem.validate()?;
-                    let qkey = QueryKey { key, limit };
-                    if let Some(ids) = cache.checkout(&qkey) {
-                        let cache = cache.clone();
-                        let inner = streaming::Enumeration::spawn(move |send| {
-                            // One lock for the whole stream; sends (which
-                            // may block on the bounded channel) and
-                            // interning happen unlocked.
-                            let (flat, lens) = cache.resolve_owned_batch(&ids);
-                            cache.release_ids(&ids);
-                            let mut delivered = 0u64;
-                            let mut start = 0usize;
-                            for len in lens {
-                                let end = start + len as usize;
-                                let solution = flat[start..end].to_vec();
-                                start = end;
-                                if let Some(set) = &interner {
-                                    set.intern(&solution);
-                                }
-                                delivered += 1;
-                                if send(solution).is_break() {
-                                    break;
-                                }
-                            }
-                            if let Some(handle) = handle {
-                                // Fold the interner gauge in too, exactly
-                                // as the push front-end's publish() does.
-                                let mut bytes = cache.bytes();
-                                if let Some(set) = &interner {
-                                    bytes = bytes.max(set.bytes());
-                                }
-                                handle.set(EnumStats::for_cache_hit(delivered, bytes));
-                            }
-                        });
-                        // Replay never runs the engine, so it can neither
-                        // miss a deadline nor fail: the slot stays empty.
-                        return Ok(Solutions {
-                            inner,
-                            error: error_slot,
-                        });
-                    }
-                    recorder = Some(CacheRecorder::new(cache.clone(), qkey, limit));
-                }
-                None => {
-                    cache.note_miss();
-                    keyless_miss = Some(cache.clone());
+        let started = self.start()?;
+        let error: Arc<Mutex<Option<SteinerError>>> = Arc::default();
+        let slot = Arc::clone(&error);
+        let inner = streaming::Enumeration::spawn(move |send| {
+            if let Err(e) = started.drive(&mut |items| send(items.to_vec())) {
+                *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(e);
+            }
+        });
+        Ok(Solutions { inner, error })
+    }
+}
+
+/// An enumeration past [`Enumeration::start`], ready for
+/// [`Self::drive`] on any thread.
+struct Started<P: MinimalSteinerProblem> {
+    run: Run<P>,
+    queue: Option<QueueConfig>,
+    limit: Option<u64>,
+    deadline: Option<Instant>,
+    interner: Option<SolutionSet<P::Item>>,
+    cache: Option<ResultCache<P::Item>>,
+    /// Set on a keyed cache miss.
+    recorder: Option<CacheRecorder<P::Item>>,
+    stats_handle: Option<StatsHandle>,
+}
+
+/// Where a started run's solutions come from.
+enum Run<P: MinimalSteinerProblem> {
+    /// A cache hit: the checked-out stored stream.
+    Replay(Checkout<P::Item>),
+    /// The sequential engine on the prepared instance.
+    Sequential(P, Prepared<P::Item>),
+    /// The shard pool, merging on the coordinator's prepared `original`.
+    Sharded {
+        original: P,
+        shards: Vec<P>,
+        steal: StealMode,
+    },
+}
+
+impl<P: MinimalSteinerProblem + Send> Started<P>
+where
+    P::Item: Send,
+{
+    /// The second half of both front-ends: replays a hit or runs the
+    /// engine through one recorder → interner → `sink` chain, settles the
+    /// recording, and publishes the stats once — on every outcome, an
+    /// expired deadline included.
+    fn drive(
+        self,
+        sink: &mut dyn FnMut(&[P::Item]) -> ControlFlow<()>,
+    ) -> Result<EnumStats, SteinerError> {
+        let Started {
+            run,
+            queue,
+            limit,
+            deadline,
+            interner,
+            cache,
+            mut recorder,
+            stats_handle,
+        } = self;
+        let replay = matches!(run, Run::Replay(_));
+        // The recording and interning stages sit closest to the user sink,
+        // so they see the final delivered stream (post-merge, post-queue,
+        // post-limit).
+        let mut deliver = |items: &[P::Item]| -> ControlFlow<()> {
+            if let Some(r) = &mut recorder {
+                r.note(items);
+            }
+            if let Some(set) = &interner {
+                set.intern(items);
+            }
+            let flow = sink(items);
+            if flow.is_break() {
+                if let Some(r) = &mut recorder {
+                    r.broke = true;
                 }
             }
-        }
-        let shards = self.split_shards();
-        let prepared = self.problem.prepare()?;
-        let queue = self.queue_config();
-        let prepared = match (shards, prepared) {
-            (Some(shards), Prepared::Search) => {
-                // Trivial outcomes (Empty/Single) skip the pool entirely;
-                // a real search hands the prepared original over to the
-                // coordinator thread, which spawns the workers at once
-                // (each prepares its own copy and generates the root's
-                // children itself).
-                let steal = self.steal_mode();
-                let mut original = self.problem;
-                let worker_error = Arc::clone(&error_slot);
-                let inner = streaming::Enumeration::spawn(move |send| {
-                    let mut recorder = recorder;
-                    let (stats, expired) = run_sharded(
-                        &mut original,
-                        shards,
-                        steal,
-                        queue,
-                        limit,
-                        deadline,
-                        None,
-                        &mut |items: &[P::Item]| {
-                            deliver_to_iterator(&mut recorder, &interner, items, send)
-                        },
-                    )
-                    .expect("shard preparation failed although the original instance prepared");
-                    if expired {
-                        note_iterator_deadline(&mut recorder, &worker_error);
-                    }
-                    finish_iterator_worker(
-                        recorder,
-                        keyless_miss,
-                        &interner,
-                        stats,
-                        handle.as_ref(),
-                    );
-                });
-                return Ok(Solutions {
-                    inner,
-                    error: error_slot,
-                });
-            }
-            (_, prepared) => prepared,
+            flow
         };
-        let mut problem = self.problem;
-        let worker_error = Arc::clone(&error_slot);
-        let inner = steiner_paths::streaming::Enumeration::spawn(move |send| {
-            let mut recorder = recorder;
-            let (stats, expired) = run_configured(
+        let outcome = match run {
+            Run::Replay(hit) => {
+                let delivered = hit.replay(&mut deliver);
+                Ok((EnumStats::for_cache_hit(delivered, 0), false))
+            }
+            Run::Sequential(mut problem, prepared) => Ok(run_configured(
                 &mut problem,
                 prepared,
                 queue,
                 limit,
                 deadline,
-                &mut |items: &[P::Item]| deliver_to_iterator(&mut recorder, &interner, items, send),
-            );
-            if expired {
-                note_iterator_deadline(&mut recorder, &worker_error);
+                &mut deliver,
+            )),
+            Run::Sharded {
+                mut original,
+                shards,
+                steal,
+            } => run_sharded(
+                &mut original,
+                shards,
+                steal,
+                queue,
+                limit,
+                deadline,
+                &mut deliver,
+            ),
+        };
+        let (mut stats, verdict) = match outcome {
+            Ok((stats, false)) => (stats, Ok(())),
+            Ok((stats, true)) => (stats, Err(SteinerError::DeadlineExceeded)),
+            Err(e) => (EnumStats::default(), Err(e)),
+        };
+        if let Some(r) = recorder {
+            let pressure = r.settle(verdict.is_ok());
+            stats.evicted_entries += pressure.evicted;
+            stats.compactions += pressure.compactions;
+        }
+        if let Some(cache) = &cache {
+            if !replay {
+                stats.cache_misses = 1;
             }
-            finish_iterator_worker(recorder, keyless_miss, &interner, stats, handle.as_ref());
-        });
-        Ok(Solutions {
-            inner,
-            error: error_slot,
-        })
+            stats.interned_bytes = stats.interned_bytes.max(cache.bytes());
+        }
+        if let Some(set) = &interner {
+            stats.interned_bytes = stats.interned_bytes.max(set.bytes());
+        }
+        if let Some(handle) = &stats_handle {
+            handle.set(stats);
+        }
+        verdict.map(|()| stats)
     }
 }
 
-/// A deadline expired on the iterator front-end's worker: record the
-/// typed error for [`Solutions::error`] and mark a cold `cached()`
-/// recording as aborted so [`CacheRecorder::finish`] rolls it back — a
-/// deadline'd stream is a prefix, never the complete cacheable answer.
-fn note_iterator_deadline<Item: Copy + Eq + Hash>(
-    recorder: &mut Option<CacheRecorder<Item>>,
-    error: &Mutex<Option<SteinerError>>,
-) {
-    if let Some(r) = recorder.as_mut() {
-        r.broke = true;
-    }
-    error
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .get_or_insert(SteinerError::DeadlineExceeded);
-}
-
-/// Records a cold `cached()` run's delivered stream on the iterator
-/// front-end's worker thread; [`Self::finish`] stores complete streams
-/// and rolls aborted ones back, mirroring the push front-end's rule.
+/// Records a cold `cached()` run's delivered stream; [`Self::settle`]
+/// stores it when complete and rolls it back otherwise.
 struct CacheRecorder<Item: Copy + Eq + Hash> {
     cache: ResultCache<Item>,
     key: QueryKey,
     limit: Option<u64>,
     ids: Vec<SolutionId>,
-    delivered: u64,
+    /// The sink returned `Break`.
     broke: bool,
 }
 
@@ -860,79 +769,26 @@ impl<Item: Copy + Eq + Hash> CacheRecorder<Item> {
             key,
             limit,
             ids: Vec::new(),
-            delivered: 0,
             broke: false,
         }
     }
 
     fn note(&mut self, items: &[Item]) {
         self.ids.push(self.cache.intern(items));
-        self.delivered += 1;
     }
 
-    /// Stores or rolls back the recording; returns the cache (for final
-    /// byte accounting) and the pressure the settlement caused.
-    fn finish(self) -> (ResultCache<Item>, CachePressure) {
-        let pressure = if !self.broke || Some(self.delivered) == self.limit {
+    /// Stores the recording if the stream is complete, rolls it back
+    /// otherwise, and returns the pressure the settlement caused. A stream
+    /// is complete when the run ended on its own (`ran_to_end`: no error,
+    /// no expired deadline) without the sink aborting it, or when it
+    /// stopped exactly at the configured limit — the limit is part of the
+    /// key, so the capped stream is the full answer for it.
+    fn settle(self, ran_to_end: bool) -> CachePressure {
+        if (ran_to_end && !self.broke) || Some(self.ids.len() as u64) == self.limit {
             self.cache.store_entry(self.key, self.ids)
         } else {
             self.cache.release_ids(&self.ids)
-        };
-        (self.cache, pressure)
-    }
-}
-
-/// One delivery on the iterator front-end's worker: record for the cache
-/// (when a cold `cached()` run is underway), intern, and forward an owned
-/// copy to the channel. A failed send means the iterator was dropped —
-/// that counts as an abort for the recorder.
-fn deliver_to_iterator<Item: Copy + Eq + Hash>(
-    recorder: &mut Option<CacheRecorder<Item>>,
-    interner: &Option<SolutionSet<Item>>,
-    items: &[Item],
-    send: &mut dyn FnMut(Vec<Item>) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    if let Some(r) = recorder.as_mut() {
-        r.note(items);
-    }
-    if let Some(set) = interner {
-        set.intern(items);
-    }
-    let flow = send(items.to_vec());
-    if flow.is_break() {
-        if let Some(r) = recorder.as_mut() {
-            r.broke = true;
         }
-    }
-    flow
-}
-
-/// End of an iterator-front-end run: settle the cache recording, fold the
-/// cache/interner gauges into the stats, and publish them. `keyless_miss`
-/// carries the cache of a run that could not be keyed (counted as a miss
-/// but never recorded).
-fn finish_iterator_worker<Item: Copy + Eq + Hash>(
-    recorder: Option<CacheRecorder<Item>>,
-    keyless_miss: Option<ResultCache<Item>>,
-    interner: &Option<SolutionSet<Item>>,
-    mut stats: EnumStats,
-    handle: Option<&StatsHandle>,
-) {
-    if let Some(r) = recorder {
-        let (cache, pressure) = r.finish();
-        stats.cache_misses = 1;
-        stats.evicted_entries += pressure.evicted;
-        stats.compactions += pressure.compactions;
-        stats.interned_bytes = stats.interned_bytes.max(cache.bytes());
-    } else if let Some(cache) = keyless_miss {
-        stats.cache_misses = 1;
-        stats.interned_bytes = stats.interned_bytes.max(cache.bytes());
-    }
-    if let Some(set) = interner {
-        stats.interned_bytes = stats.interned_bytes.max(set.bytes());
-    }
-    if let Some(handle) = handle {
-        handle.set(stats);
     }
 }
 
@@ -1814,16 +1670,17 @@ impl<Item, M> Drop for PoolShutdownGuard<'_, Item, M> {
 }
 
 /// Spawns one worker per shard (each with the streaming module's large
-/// stack), merges deterministically on the calling thread, and publishes
-/// the merged statistics. The sequential and sharded front-ends share
-/// the limit/queue sink chain, so the delivered stream is identical.
+/// stack), merges deterministically on the calling thread, and returns
+/// the merged statistics with whether the deadline expired (the
+/// sequential engine's `run_configured` contract; publishing is the
+/// caller's). The sequential and sharded front-ends share the
+/// limit/queue sink chain, so the delivered stream is identical.
 ///
-/// `original` is the coordinator's own prepared instance. The workers
-/// start as soon as they are spawned — no coordinator pass over the
-/// root precedes them. Under stealing `original` is the executor for
-/// inline-claimed subtrees, and its statistics are folded into the
-/// merged totals.
-#[allow(clippy::too_many_arguments)]
+/// `original` is the coordinator's own prepared instance, whose `prepare`
+/// returned [`Prepared::Search`]. The workers start as soon as they are
+/// spawned — no coordinator pass over the root precedes them. Under
+/// stealing `original` is the executor for inline-claimed subtrees, and
+/// its statistics are folded into the merged totals.
 fn run_sharded<P>(
     original: &mut P,
     shards: Vec<P>,
@@ -1831,7 +1688,6 @@ fn run_sharded<P>(
     queue: Option<QueueConfig>,
     limit: Option<u64>,
     deadline: Option<Instant>,
-    stats_handle: Option<&StatsHandle>,
     sink: &mut dyn FnMut(&[P::Item]) -> ControlFlow<()>,
 ) -> Result<(EnumStats, bool), SteinerError>
 where
@@ -1840,11 +1696,7 @@ where
 {
     if limit == Some(0) {
         // Nothing may be delivered; skip spawning entirely.
-        let stats = EnumStats::default();
-        if let Some(handle) = stats_handle {
-            handle.set(stats);
-        }
-        return Ok((stats, false));
+        return Ok((EnumStats::default(), false));
     }
     let k = shards.len() as u32;
     // One release per `budget` needs clock resolution no coarser than the
@@ -1971,9 +1823,6 @@ where
     // across clocks).
     stats.solutions = outcome.delivered;
     stats.max_emission_gap = outcome.max_gap;
-    if let Some(handle) = stats_handle {
-        handle.set(stats);
-    }
     Ok((stats, outcome.deadline_expired))
 }
 
@@ -1986,13 +1835,15 @@ pub struct Solutions<Item> {
 }
 
 impl<Item> Solutions<Item> {
-    /// The run's terminal error, if any — today only
-    /// [`SteinerError::DeadlineExceeded`], recorded when the run's
-    /// [`Enumeration::with_deadline`] expired mid-stream (instance errors
-    /// are returned synchronously by [`Enumeration::into_iter`] instead).
-    /// The yielded prefix is still valid. Read it after the iterator is
-    /// exhausted: the worker publishes the verdict when the stream ends,
-    /// so a mid-stream read may race a just-expiring deadline.
+    /// The error the worker's run ended with, if any — the one
+    /// [`Enumeration::for_each`] would have returned for the same run. In
+    /// practice that is [`SteinerError::DeadlineExceeded`], when the run's
+    /// [`Enumeration::with_deadline`] expired mid-stream: instance errors
+    /// surface while the run starts, so [`Enumeration::into_iter`] returns
+    /// them synchronously. The yielded prefix is still valid. Read it
+    /// after the iterator is exhausted: the worker stores the verdict when
+    /// the stream ends, so a mid-stream read may race a just-expiring
+    /// deadline.
     pub fn error(&self) -> Option<SteinerError> {
         self.error.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }

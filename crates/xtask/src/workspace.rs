@@ -20,9 +20,13 @@ use crate::source::SourceFile;
 /// `solution` runs once per emission and maps region ids back to graph
 /// ids through `RegionIds::globalize` — the Lemma-11/Theorem-12
 /// path enumerator that dominates their inner loop (its delta emission
-/// is `push_prefix`/`pop_prefix`/`emit`), and the epoch-engine mutation
-/// paths (graph edits, delta replay, and cross-epoch skeleton
-/// carry-over) that run between queries on the serving graph.
+/// is `push_prefix`/`pop_prefix`/`emit`), the engine's own per-node
+/// recursion that calls them (`solver.rs`: `recurse`/`recurse_stealing`
+/// and `emit`, plus the per-solution `solution` and per-node `tick` impls
+/// of the sinks it drives — `ShardSink`, `DeadlineSink`, `InlineBridge`),
+/// and the epoch-engine mutation paths (graph edits, delta replay, and
+/// cross-epoch skeleton carry-over) that run between queries on the
+/// serving graph.
 pub const HOT: &[(&str, &[&str])] = &[
     (
         "crates/graph/src/epoch.rs",
@@ -38,6 +42,10 @@ pub const HOT: &[(&str, &[&str])] = &[
     ("crates/graph/src/spanning.rs", &["carry_over"]),
     ("crates/graph/src/region.rs", &["globalize"]),
     ("crates/core/src/problem.rs", &["follow"]),
+    (
+        "crates/core/src/solver.rs",
+        &["recurse", "recurse_stealing", "emit", "solution", "tick"],
+    ),
     (
         "crates/graph/src/csr.rs",
         &[
