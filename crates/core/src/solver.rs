@@ -381,8 +381,10 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     /// children, which costs O(n + m) each, but only descends into its
     /// own). No coordinator-side pass precedes the workers: they start
     /// at once and generate the root's children lazily, so the first
-    /// solution is one root child away. `k ≤ 1`, or a problem whose
-    /// `split_root` returns `None`, falls back to the sequential engine.
+    /// solution is one root child away. `k ≤ 1`, a problem whose
+    /// `split_root` returns `None`, or an instance whose `prepare` needs
+    /// no search ([`Prepared::Empty`] / [`Prepared::Single`]) runs on the
+    /// sequential engine.
     pub fn with_threads(mut self, k: usize) -> Self {
         self.threads = k.max(1);
         self
