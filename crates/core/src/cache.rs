@@ -176,6 +176,15 @@ impl<Item: Copy + Eq + Hash> Inner<Item> {
             0
         }
     }
+
+    /// Drops one reference per id, then compacts when dead bytes
+    /// dominate. Returns how many compactions ran.
+    fn release(&mut self, ids: &[SolutionId]) -> u64 {
+        for &id in ids {
+            self.store.release(id);
+        }
+        self.maybe_compact()
+    }
 }
 
 impl<Item> Default for Inner<Item> {
@@ -351,13 +360,9 @@ impl<Item: Copy + Eq + Hash> ResultCache<Item> {
     /// when dead bytes dominate. Returns the pressure (compactions only —
     /// releases never evict entries).
     pub(crate) fn release_ids(&self, ids: &[SolutionId]) -> CachePressure {
-        let mut inner = self.lock();
-        for &id in ids {
-            inner.store.release(id);
-        }
         CachePressure {
             evicted: 0,
-            compactions: inner.maybe_compact(),
+            compactions: self.lock().release(ids),
         }
     }
 
@@ -434,10 +439,7 @@ impl<Item: Copy + Eq + Hash> Checkout<Item> {
                 flat.extend_from_slice(items);
                 lens.push(items.len() as u32);
             }
-            for &id in &self.ids {
-                inner.store.release(id);
-            }
-            inner.maybe_compact();
+            inner.release(&self.ids);
             (flat, lens)
         };
         let mut delivered = 0u64;
