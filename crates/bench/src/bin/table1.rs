@@ -301,36 +301,27 @@ fn st_rows(rows: &mut Vec<Row>) {
         // and the page faults show up as per-solution replay cost.
         drop(session);
         drop(live);
-        // Sharded A/B pair: root-only child distribution vs second-level
-        // subtree stealing. On a multi-core host the stealing row should
-        // close the skew gap; on a 1-CPU builder both rows measure pure
-        // coordination overhead (BENCH_core.json carries
+        // Sharded run (4 workers, subtree stealing). On a 1-CPU host it
+        // measures pure coordination overhead (BENCH_core.json carries
         // `host_logical_cpus` so readers can tell which regime applies).
-        for (label, stealing) in [
-            ("improved, sharded x4 (root-only)", false),
-            ("improved, sharded x4 (stealing)", true),
-        ] {
-            let run = Enumeration::new(SteinerTree::new(&inst.graph, &inst.terminals))
-                .with_threads(4)
-                .with_stealing(stealing);
-            let delays = record_delays(CAP, |emit| {
-                run.for_each(|_| flow(emit())).expect("valid instance");
-            });
-            rows.push(Row {
-                problem: "Steiner Tree (§4)".into(),
-                algorithm: label.into(),
-                claimed: "O(n+m) amortized".into(),
-                instance: inst.name.clone(),
-                n: inst.graph.num_vertices(),
-                m: inst.graph.num_edges(),
-                t: 4,
-                solutions: delays.solutions,
-                delays,
-                max_work_gap: None,
-                work_gap_over_nm: None,
-                path_gen_fraction: None,
-            });
-        }
+        let run = Enumeration::new(SteinerTree::new(&inst.graph, &inst.terminals)).with_threads(4);
+        let delays = record_delays(CAP, |emit| {
+            run.for_each(|_| flow(emit())).expect("valid instance");
+        });
+        rows.push(Row {
+            problem: "Steiner Tree (§4)".into(),
+            algorithm: "improved, sharded x4".into(),
+            claimed: "O(n+m) amortized".into(),
+            instance: inst.name.clone(),
+            n: inst.graph.num_vertices(),
+            m: inst.graph.num_edges(),
+            t: 4,
+            solutions: delays.solutions,
+            delays,
+            max_work_gap: None,
+            work_gap_over_nm: None,
+            path_gen_fraction: None,
+        });
         // Cached replay: the identical query twice through a ResultCache.
         // The cold run records its delivered stream (the `with_limit`
         // makes the capped stream complete for the cache key); the warm

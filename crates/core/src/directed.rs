@@ -517,7 +517,7 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
 
     const NAME: &'static str = "minimal directed Steiner tree";
 
-    fn split_root(&self, _shard: crate::problem::RootShard) -> Option<Self> {
+    fn split_root(&self) -> Option<Self> {
         Some(DirectedSteinerTree {
             d: self.d.clone(),
             root: self.root,

@@ -620,7 +620,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
 
     const NAME: &'static str = "minimal Steiner forest";
 
-    fn split_root(&self, _shard: crate::problem::RootShard) -> Option<Self> {
+    fn split_root(&self) -> Option<Self> {
         Some(SteinerForest {
             g: self.g.clone(),
             sets: self.sets.clone(),

@@ -278,7 +278,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
         crate::problem::validate_terminal_list(&self.terminals, self.g.num_vertices())
     }
 
-    fn split_root(&self, _shard: crate::problem::RootShard) -> Option<Self> {
+    fn split_root(&self) -> Option<Self> {
         // A fresh copy of the instance data; the worker prepares it
         // itself and the engine applies the root-child filter.
         Some(SteinerTree {

@@ -107,7 +107,7 @@ pub use directed::DirectedSteinerTree;
 pub use forest::SteinerForest;
 pub use improved::SteinerTree;
 pub use intern::{SolutionId, SolutionInterner, SolutionSet};
-pub use problem::{MinimalSteinerProblem, NodeStep, Prepared, RootShard, SteinerError};
+pub use problem::{MinimalSteinerProblem, NodeStep, Prepared, SteinerError};
 pub use queue::{DirectSink, OutputQueue, QueueConfig, SolutionSink};
 pub use snapshot::{SnapshotError, SnapshotItem};
 pub use solver::{Enumeration, Solutions, StatsHandle};

@@ -170,30 +170,6 @@ pub enum Prepared<Item> {
     Search,
 }
 
-/// The slice of the root node's children one worker of a sharded
-/// enumeration owns: the children whose zero-based index `i` (in the
-/// engine's deterministic child order) satisfies `i % modulus == index`.
-///
-/// Produced by [`Enumeration::with_threads`](crate::solver::Enumeration::with_threads)
-/// and handed to [`MinimalSteinerProblem::split_root`] as a hint; the
-/// engine itself applies the filter, so problems only need to return a
-/// fresh instance copy.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct RootShard {
-    /// This worker's residue class, `0 ≤ index < modulus`.
-    pub index: u32,
-    /// The number of workers the root's children are split across.
-    pub modulus: u32,
-}
-
-impl RootShard {
-    /// Whether root child `child` belongs to this shard.
-    #[inline]
-    pub fn owns(&self, child: u64) -> bool {
-        child % self.modulus as u64 == self.index as u64
-    }
-}
-
 /// A replayable checkpoint of one enumeration-tree node: the **absolute**
 /// partial state its root-to-node descent applies to a freshly prepared
 /// instance.
@@ -355,17 +331,14 @@ pub trait MinimalSteinerProblem {
     /// configuration) but no search state: each worker calls `prepare` on
     /// its own copy, so preprocessing is deterministic per shard and the
     /// root's children come out in the same order on every worker. The
-    /// `shard` value is a hint (the engine applies the child filter
-    /// itself); implementations may use it for shard-aware preprocessing
-    /// but are not required to store it.
+    /// engine decides which root children each worker descends into.
     ///
     /// The default returns `None`, meaning the problem does not support
     /// sharding and `with_threads` falls back to the sequential engine.
-    fn split_root(&self, shard: RootShard) -> Option<Self>
+    fn split_root(&self) -> Option<Self>
     where
         Self: Sized,
     {
-        let _ = shard;
         None
     }
 
@@ -391,9 +364,9 @@ pub trait MinimalSteinerProblem {
     /// absolute (reproducible on a freshly prepared copy), not relative
     /// to the recorder's current descent.
     ///
-    /// The default returns `None`, meaning the problem does not support
-    /// work stealing: sharded runs keep root-only sharding and subtrees
-    /// never migrate.
+    /// The default returns `None`, meaning subtrees of this problem never
+    /// migrate: sharded runs still split the root's children across the
+    /// workers, but each worker descends into its own children alone.
     fn record_subtree(&self) -> Option<SubtreeRecord<Self::Item>> {
         None
     }

@@ -19,16 +19,13 @@
 //! pool of worker threads: the root node's children are split round-robin
 //! (child `i` goes to worker `i mod k`), every worker owns an independent
 //! problem copy ([`MinimalSteinerProblem::split_root`]) with its own
-//! scratch pools and statistics, and a deterministic merge
-//! ([`steiner_paths::streaming::ShardMerge`]) re-interleaves the
-//! per-worker streams so the delivered sequence is **identical to the
-//! sequential front-end**, including under limits, queues, and early
-//! termination. [`Enumeration::with_stealing`] adds a second level of
-//! parallelism on top: workers that drain their residue class early
-//! claim whole subtrees published at deeper branch nodes (see
-//! [`crate::steal`]), and the merge splices each stolen subtree's stream
-//! back in at its exact tree position, so the delivered order still
-//! matches the sequential engine byte for byte.
+//! scratch pools and statistics, and workers steal whole subtrees that
+//! busy workers publish at deeper branch nodes (see [`crate::steal`]). A
+//! deterministic merge ([`steiner_paths::streaming::ShardMerge`])
+//! re-interleaves the per-worker streams and splices each stolen
+//! subtree's stream back in at its exact tree position, so the delivered
+//! sequence is **identical to the sequential front-end**, including under
+//! limits, queues, and early termination.
 //!
 //! ```
 //! use steiner_core::{Enumeration, SteinerTree};
@@ -44,7 +41,7 @@
 
 use crate::cache::{CachePressure, Checkout, QueryKey, ResultCache};
 use crate::intern::{SolutionId, SolutionSet};
-use crate::problem::{MinimalSteinerProblem, NodeStep, Prepared, RootShard, SteinerError};
+use crate::problem::{MinimalSteinerProblem, NodeStep, Prepared, SteinerError};
 use crate::queue::{DirectSink, OutputQueue, QueueConfig, SolutionSink};
 use crate::stats::EnumStats;
 use crate::steal::{PendingTask, StealObserver, StealPool, StealSchedule};
@@ -224,7 +221,6 @@ pub struct Enumeration<P: MinimalSteinerProblem> {
     deadline: Option<Instant>,
     stats_handle: Option<StatsHandle>,
     threads: usize,
-    stealing: bool,
     steal_schedule: Option<StealSchedule>,
     interner: Option<SolutionSet<P::Item>>,
     cache: Option<ResultCache<P::Item>>,
@@ -241,7 +237,6 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
             deadline: None,
             stats_handle: None,
             threads: 1,
-            stealing: false,
             steal_schedule: None,
             interner: None,
             cache: None,
@@ -371,69 +366,53 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     /// ([`MinimalSteinerProblem::split_root`]) with its own `prepare()`,
     /// scratch pools, and statistics; workers communicate only through
     /// bounded channels, so a worker ahead of the merge point blocks
-    /// instead of buffering unboundedly. The published stats are the
-    /// workers' counters [merged](EnumStats::merge), with `solutions` set
-    /// to the delivered count and `max_emission_gap` re-measured as the
-    /// delivery gap on the merged work clock.
+    /// instead of buffering unboundedly. No coordinator-side pass
+    /// precedes the workers: they start at once and generate the root's
+    /// children lazily, so the first solution is one root child away.
     ///
-    /// Sharding pays off when the subtrees under the root carry the bulk
-    /// of the work (the usual case: every worker re-generates the root's
-    /// children, which costs O(n + m) each, but only descends into its
-    /// own). No coordinator-side pass precedes the workers: they start
-    /// at once and generate the root's children lazily, so the first
-    /// solution is one root child away. `k ≤ 1`, a problem whose
-    /// `split_root` returns `None`, or an instance whose `prepare` needs
-    /// no search ([`Prepared::Empty`] / [`Prepared::Single`]) runs on the
-    /// sequential engine.
+    /// Every sharded run also **steals work**, so a root with few
+    /// children or one dominant subtree still keeps every worker busy: a
+    /// worker reaching a branch child while the shared [`crate::steal`]
+    /// pool is hungry *publishes* the child as a replayable checkpoint
+    /// instead of descending; an idle worker (or the merge point itself)
+    /// claims and executes it, and the merge splices the subtree's
+    /// stream back in at its exact position (asserted across every
+    /// front-end in `tests/stealing.rs`). A problem whose
+    /// [`MinimalSteinerProblem::record_subtree`] declines keeps only the
+    /// root-residue split.
+    ///
+    /// The published stats are the workers' and the coordinator's
+    /// counters [merged](EnumStats::merge), with `solutions` set to the
+    /// delivered count and `max_emission_gap` re-measured as the delivery
+    /// gap on the merged work clock; accepted steals and refused offers
+    /// are reported in [`EnumStats::subtrees_stolen`] /
+    /// [`EnumStats::steal_failures`]. `k ≤ 1`, a problem whose
+    /// `split_root` returns `None`, `with_limit(0)`, or an instance whose
+    /// `prepare` needs no search ([`Prepared::Empty`] /
+    /// [`Prepared::Single`]) runs on the sequential engine.
     pub fn with_threads(mut self, k: usize) -> Self {
         self.threads = k.max(1);
         self
     }
 
-    /// **Second-level work stealing** for [`Self::with_threads`] runs.
-    ///
-    /// Root-only sharding load-balances poorly when the root has few
-    /// children or one subtree dominates. With stealing on, a worker
-    /// reaching a branch child while the shared [`crate::steal`] pool is
-    /// hungry *publishes* the child as a replayable checkpoint instead
-    /// of descending; an idle worker (or the merge point itself) claims
-    /// and executes it, and the merge splices the subtree's stream back
-    /// in at its exact position — the delivered stream stays
-    /// **byte-identical to the sequential engine** regardless of which
-    /// worker executed which subtree (asserted across every front-end in
-    /// `tests/stealing.rs`).
-    ///
-    /// Accepted steals and refused offers are reported in
-    /// [`EnumStats::subtrees_stolen`] / [`EnumStats::steal_failures`].
-    /// No effect without `with_threads(k ≥ 2)`, and problems that do not
-    /// support subtree checkpoints
-    /// ([`MinimalSteinerProblem::record_subtree`]) silently fall back to
-    /// root-only sharding. Off by default here; the service layer turns
-    /// it on for pooled queries.
-    pub fn with_stealing(mut self, on: bool) -> Self {
-        self.stealing = on;
+    /// Does nothing: [`Self::with_threads`] always steals work. Kept so
+    /// existing callers still compile; a later change to the benchmark
+    /// package, its last user, deletes it.
+    #[deprecated(since = "0.2.0", note = "`with_threads` always steals; drop the call")]
+    pub fn with_stealing(self, _on: bool) -> Self {
         self
     }
 
     /// **Scripted stealing** (test instrument): replaces the adaptive
-    /// spawn policy with a deterministic [`StealSchedule`], so steal
-    /// interleavings replay exactly — even on a single-core CI machine.
-    /// Implies [`Self::with_stealing`]. Scripted runs widen the shard
-    /// channels to [`SCRIPTED_CHANNEL_CAPACITY`] so adversarial scripts
-    /// cannot wedge the pipeline; that sizing makes schedules unsuitable
-    /// as a production policy.
+    /// spawn policy of [`Self::with_threads`] runs with a deterministic
+    /// [`StealSchedule`], so steal interleavings replay exactly — even on
+    /// a single-core CI machine. Scripted runs widen the shard channels
+    /// to [`SCRIPTED_CHANNEL_CAPACITY`] so adversarial scripts cannot
+    /// wedge the pipeline; that sizing makes schedules unsuitable as a
+    /// production policy.
     pub fn with_steal_schedule(mut self, schedule: StealSchedule) -> Self {
-        self.stealing = true;
         self.steal_schedule = Some(schedule);
         self
-    }
-
-    fn steal_mode(&self) -> StealMode {
-        match (&self.steal_schedule, self.stealing) {
-            (Some(s), _) => StealMode::Scripted(s.clone()),
-            (None, true) => StealMode::Auto,
-            (None, false) => StealMode::Off,
-        }
     }
 
     /// A shared reference to the wrapped problem.
@@ -453,19 +432,14 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     }
 
     /// The workers' problem copies for a sharded run, or `None` when the
-    /// problem does not support sharding (or only one thread is asked).
+    /// problem does not support sharding, only one thread is asked, or
+    /// the limit allows no solution at all.
     fn split_shards(&self) -> Option<Vec<P>> {
-        if self.threads <= 1 {
+        if self.threads <= 1 || self.limit == Some(0) {
             return None;
         }
-        let k = self.threads as u32;
-        (0..k)
-            .map(|i| {
-                self.problem.split_root(RootShard {
-                    index: i,
-                    modulus: k,
-                })
-            })
+        (0..self.threads)
+            .map(|_| self.problem.split_root())
             .collect()
     }
 
@@ -530,14 +504,14 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
                 let prepared = self.problem.prepare()?;
                 let queue = self.queue_config();
                 let run = match (shards, prepared) {
-                    // The coordinator keeps its prepared instance: under
-                    // stealing it executes the subtrees the merge claims
-                    // inline. It never branches at the root — each worker
-                    // generates the root's children itself.
+                    // The coordinator keeps its prepared instance: it
+                    // executes the subtrees the merge claims inline. It
+                    // never branches at the root — each worker generates
+                    // the root's children itself.
                     (Some(shards), Prepared::Search) => Run::Sharded {
-                        steal: self.steal_mode(),
                         original: self.problem,
                         shards,
+                        schedule: self.steal_schedule,
                     },
                     // Trivial outcomes (Empty/Single) are delivered from the
                     // prepared instance without spawning a pool.
@@ -651,11 +625,12 @@ enum Run<P: MinimalSteinerProblem> {
     Replay(Checkout<P::Item>),
     /// The sequential engine on the prepared instance.
     Sequential(P, Prepared<P::Item>),
-    /// The shard pool, merging on the coordinator's prepared `original`.
+    /// The shard pool, merging on the coordinator's prepared `original`;
+    /// `schedule` scripts the steals (`None`: the adaptive policy).
     Sharded {
         original: P,
         shards: Vec<P>,
-        steal: StealMode,
+        schedule: Option<StealSchedule>,
     },
 }
 
@@ -716,11 +691,11 @@ where
             Run::Sharded {
                 mut original,
                 shards,
-                steal,
+                schedule,
             } => run_sharded(
                 &mut original,
                 shards,
-                steal,
+                schedule.as_ref(),
                 queue,
                 limit,
                 deadline,
@@ -1012,14 +987,21 @@ impl<Item: Copy> SolutionSink<Item> for ShardSink<'_, Item> {
     }
 }
 
-/// How a sharded run participates in subtree work stealing.
-enum StealMode {
-    /// Root-only sharding (the default, and the A/B reference stream).
-    Off,
-    /// Adaptive stealing: publish subtrees while the pool is hungry.
-    Auto,
-    /// Deterministic scripted stealing (test instrument).
-    Scripted(StealSchedule),
+/// The slice of the root node's children one shard worker owns: the
+/// children whose zero-based index `i` (in the engine's deterministic
+/// child order) satisfies `i % modulus == index`.
+struct RootShard {
+    /// This worker's residue class, `0 ≤ index < modulus`.
+    index: u32,
+    /// The number of workers the root's children are split across.
+    modulus: u32,
+}
+
+impl RootShard {
+    /// Whether root child `child` belongs to this shard.
+    fn owns(&self, child: u64) -> bool {
+        child % u64::from(self.modulus) == u64::from(self.index)
+    }
 }
 
 /// Shard- and task-channel capacity under a scripted
@@ -1043,8 +1025,12 @@ const STEAL_PENDING_CAPACITY: usize = 1024;
 /// spawn-set determinism; test instances stay far below it.
 const SCRIPTED_PENDING_CAPACITY: usize = 4096;
 
-/// Everything a shard worker needs to participate in stealing.
-struct StealRuntime<'a, Item> {
+/// One shard worker's stealing state, threaded through
+/// [`recurse_stealing`] and [`run_steal_loop`]: the shared pool, the
+/// optional script and observer, the tree address of the node currently
+/// being considered, and the per-worker opportunity counter for
+/// [`crate::steal::StealRule::EveryNth`].
+struct StealContext<'a, Item> {
     pool: &'a StealPool<Item, Batch<Item>>,
     /// `None` = adaptive policy.
     schedule: Option<&'a StealSchedule>,
@@ -1053,15 +1039,6 @@ struct StealRuntime<'a, Item> {
     worker: usize,
     /// Tick granularity for stolen-task sinks (same as the root sink's).
     tick_every: Option<u64>,
-}
-
-/// The per-worker stealing state threaded through [`recurse_stealing`]:
-/// the shared pool, the optional script, the tree address of the node
-/// currently being considered, and the per-worker opportunity counter
-/// for [`crate::steal::StealRule::EveryNth`].
-struct StealContext<'a, Item> {
-    pool: &'a StealPool<Item, Batch<Item>>,
-    schedule: Option<&'a StealSchedule>,
     /// Child-index path from the engine root to the current child.
     path: Vec<u64>,
     /// Spawn opportunities seen so far by this worker.
@@ -1085,6 +1062,13 @@ impl<Item: Copy> StealContext<'_, Item> {
         match self.schedule {
             Some(schedule) => schedule.matches(&self.path, self.chances),
             None => self.pool.wants_task(),
+        }
+    }
+
+    /// Reports one retired subtree to the schedule's observer, if any.
+    fn note_retired(&self) {
+        if let Some(observer) = self.observer {
+            observer.note(self.worker);
         }
     }
 }
@@ -1183,7 +1167,6 @@ fn recurse_stealing<P: MinimalSteinerProblem>(
 fn execute_stolen_task<P: MinimalSteinerProblem>(
     p: &mut P,
     task: &PendingTask<P::Item, Batch<P::Item>>,
-    tick_every: Option<u64>,
     scratch: &mut Vec<P::Item>,
     ctx: &mut StealContext<'_, P::Item>,
 ) -> ControlFlow<()> {
@@ -1194,7 +1177,7 @@ fn execute_stolen_task<P: MinimalSteinerProblem>(
             flat: Vec::new(),
             lens: Vec::new(),
         },
-        tick_every,
+        tick_every: ctx.tick_every,
         // No catch-up tick: the task stream's clock baselines at its
         // first message.
         last_tick: p.stats().work,
@@ -1227,20 +1210,17 @@ fn execute_stolen_task<P: MinimalSteinerProblem>(
 /// can ever be drained.
 fn run_steal_loop<P: MinimalSteinerProblem>(
     p: &mut P,
-    rt: &StealRuntime<'_, P::Item>,
     ctx: &mut StealContext<'_, P::Item>,
     scratch: &mut Vec<P::Item>,
 ) {
-    while let Some(task) = rt.pool.take(rt.worker as u64) {
-        let flow = execute_stolen_task(p, &task, rt.tick_every, scratch, ctx);
-        rt.pool.task_done();
+    while let Some(task) = ctx.pool.take(ctx.worker as u64) {
+        let flow = execute_stolen_task(p, &task, scratch, ctx);
+        ctx.pool.task_done();
         if flow.is_break() {
-            rt.pool.shutdown();
+            ctx.pool.shutdown();
             return;
         }
-        if let Some(observer) = rt.observer {
-            observer.note(rt.worker);
-        }
+        ctx.note_retired();
     }
 }
 
@@ -1260,38 +1240,29 @@ fn send_child_done<Item>(sink: &ShardSink<'_, Item>, child: u64, work: u64) -> C
 /// its residue class, and reports a `ChildDone` boundary after each
 /// owned child. Returns the worker's final statistics.
 ///
-/// With `steal`, owned children and their descendants pass through
-/// steal points ([`steal_point`]), and after the root phase the
-/// worker becomes a pool executor ([`run_steal_loop`]). The worker's
-/// own `Done` is sent **before** the steal phase: the merge must be able
-/// to finish this worker's stream while the worker produces into task
-/// channels that only the merge drains — deferring `Done` to the end
-/// would deadlock the pipeline.
+/// Owned children and their descendants pass through steal points
+/// ([`steal_point`]), and after the root phase the worker becomes a pool
+/// executor ([`run_steal_loop`]). The worker's own `Done` is sent
+/// **before** the steal phase: the merge must be able to finish this
+/// worker's stream while the worker produces into task channels that
+/// only the merge drains — deferring `Done` to the end would deadlock
+/// the pipeline.
 fn run_shard_worker<P: MinimalSteinerProblem>(
     p: &mut P,
     shard: RootShard,
-    steal: Option<&StealRuntime<'_, P::Item>>,
+    ctx: &mut StealContext<'_, P::Item>,
     sink: &mut ShardSink<'_, P::Item>,
 ) -> Result<EnumStats, SteinerError> {
     let prepared = match p.prepare() {
         Ok(prepared) => prepared,
         Err(e) => {
             let _ = sink.tx.send(ShardMsg::Failed);
-            if let Some(rt) = steal {
-                // This root phase is over before it began; without the
-                // hand-off the pool would wait for it forever.
-                rt.pool.root_done();
-            }
+            // This root phase is over before it began; without the
+            // hand-off the pool would wait for it forever.
+            ctx.pool.root_done();
             return Err(e);
         }
     };
-    let mut ctx = steal.map(|rt| StealContext {
-        pool: rt.pool,
-        schedule: rt.schedule,
-        path: Vec::new(),
-        chances: 0,
-        supported: true,
-    });
     let (n, _) = p.instance_size();
     let mut scratch: Vec<P::Item> = Vec::with_capacity(n + 1);
     let mut children_total = 0u64;
@@ -1330,7 +1301,6 @@ fn run_shard_worker<P: MinimalSteinerProblem>(
                 }
                 NodeStep::Branch(at) => {
                     let mut next_child = 0u64;
-                    let steal_rt = steal;
                     let (children, flow) = p.branch(at, &mut |q| {
                         let this = next_child;
                         next_child += 1;
@@ -1341,32 +1311,19 @@ fn run_shard_worker<P: MinimalSteinerProblem>(
                             return ControlFlow::Continue(());
                         }
                         sink.child = this;
-                        match ctx.as_mut() {
-                            Some(ctx) => {
-                                ctx.path.push(this);
-                                let f = (|| {
-                                    if steal_point(q, ctx, sink)? {
-                                        return send_child_done(sink, this, q.stats().work);
-                                    }
-                                    recurse_stealing(q, 1, sink, &mut scratch, ctx)?;
-                                    sink.flush(q.stats().work)?;
-                                    send_child_done(sink, this, q.stats().work)?;
-                                    if let Some(rt) = steal_rt {
-                                        if let Some(observer) = rt.observer {
-                                            observer.note(rt.worker);
-                                        }
-                                    }
-                                    ControlFlow::Continue(())
-                                })();
-                                ctx.path.pop();
-                                f
+                        ctx.path.push(this);
+                        let f = (|| {
+                            if steal_point(q, ctx, sink)? {
+                                return send_child_done(sink, this, q.stats().work);
                             }
-                            None => {
-                                recurse(q, 1, sink, &mut scratch)?;
-                                sink.flush(q.stats().work)?;
-                                send_child_done(sink, this, q.stats().work)
-                            }
-                        }
+                            recurse_stealing(q, 1, sink, &mut scratch, ctx)?;
+                            sink.flush(q.stats().work)?;
+                            send_child_done(sink, this, q.stats().work)?;
+                            ctx.note_retired();
+                            ControlFlow::Continue(())
+                        })();
+                        ctx.path.pop();
+                        f
                     });
                     p.stats_mut().note_node(children, 0);
                     children_total = next_child;
@@ -1397,18 +1354,13 @@ fn run_shard_worker<P: MinimalSteinerProblem>(
     } else {
         flow
     };
-    if let Some(rt) = steal {
-        rt.pool.root_done();
-        match (&mut ctx, flow) {
-            (Some(ctx), ControlFlow::Continue(())) => {
-                run_steal_loop(p, rt, ctx, &mut scratch);
-            }
-            _ => {
-                // The merge hung up mid-root-phase: nothing will drain
-                // the pending task channels, so close the pool now.
-                rt.pool.shutdown();
-            }
-        }
+    ctx.pool.root_done();
+    if flow.is_continue() {
+        run_steal_loop(p, ctx, &mut scratch);
+    } else {
+        // The merge hung up mid-root-phase: nothing will drain the
+        // pending task channels, so close the pool now.
+        ctx.pool.shutdown();
     }
     p.seal_stats();
     p.stats_mut().note_end();
@@ -1532,7 +1484,7 @@ fn run_inline_task<P: MinimalSteinerProblem>(
 fn run_merge<P: MinimalSteinerProblem>(
     mut merge: ShardMerge<Batch<P::Item>>,
     original: &mut P,
-    pool: Option<&StealPool<P::Item, Batch<P::Item>>>,
+    pool: &StealPool<P::Item, Batch<P::Item>>,
     queue: Option<QueueConfig>,
     limit: Option<u64>,
     deadline: Option<Instant>,
@@ -1610,7 +1562,7 @@ fn run_merge<P: MinimalSteinerProblem>(
                     }
                 }
                 MergeEvent::Subtree { task, rx } => {
-                    match pool.and_then(|pool| pool.claim_for_merge(task)) {
+                    match pool.claim_for_merge(task) {
                         Some(claimed) => {
                             let flow = run_inline_task(
                                 original,
@@ -1622,7 +1574,7 @@ fn run_merge<P: MinimalSteinerProblem>(
                                 &clock,
                                 &mut scratch,
                             );
-                            pool.expect("claimed from this pool").task_done();
+                            pool.task_done();
                             if flow.is_break() {
                                 break;
                             }
@@ -1661,13 +1613,11 @@ fn run_merge<P: MinimalSteinerProblem>(
 /// returns, but also on panic-unwind through the merge — so workers
 /// blocked in [`StealPool::take`] always wake and the thread scope can
 /// join.
-struct PoolShutdownGuard<'a, Item, M>(Option<&'a StealPool<Item, M>>);
+struct PoolShutdownGuard<'a, Item, M>(&'a StealPool<Item, M>);
 
 impl<Item, M> Drop for PoolShutdownGuard<'_, Item, M> {
     fn drop(&mut self) {
-        if let Some(pool) = self.0 {
-            pool.shutdown();
-        }
+        self.0.shutdown();
     }
 }
 
@@ -1680,13 +1630,14 @@ impl<Item, M> Drop for PoolShutdownGuard<'_, Item, M> {
 ///
 /// `original` is the coordinator's own prepared instance, whose `prepare`
 /// returned [`Prepared::Search`]. The workers start as soon as they are
-/// spawned — no coordinator pass over the root precedes them. Under
-/// stealing `original` is the executor for inline-claimed subtrees, and
-/// its statistics are folded into the merged totals.
+/// spawned — no coordinator pass over the root precedes them. `original`
+/// is the executor for inline-claimed subtrees, and its statistics
+/// (its `prepare` included) are folded into the merged totals.
+/// `schedule` scripts the steals; `None` runs the adaptive policy.
 fn run_sharded<P>(
     original: &mut P,
     shards: Vec<P>,
-    steal: StealMode,
+    schedule: Option<&StealSchedule>,
     queue: Option<QueueConfig>,
     limit: Option<u64>,
     deadline: Option<Instant>,
@@ -1696,10 +1647,6 @@ where
     P: MinimalSteinerProblem + Send,
     P::Item: Send,
 {
-    if limit == Some(0) {
-        // Nothing may be delivered; skip spawning entirely.
-        return Ok((EnumStats::default(), false));
-    }
     let k = shards.len() as u32;
     // One release per `budget` needs clock resolution no coarser than the
     // budget itself; half of it keeps heartbeat traffic negligible. A
@@ -1717,40 +1664,33 @@ where
     };
     let error: Mutex<Option<SteinerError>> = Mutex::new(None);
     let merged: Mutex<EnumStats> = Mutex::new(EnumStats::default());
-    let scripted = matches!(steal, StealMode::Scripted(_));
-    let (schedule, pool) = match &steal {
-        StealMode::Off => (None, None),
-        StealMode::Auto => (
-            None,
-            Some(StealPool::new(k as usize, STEAL_PENDING_CAPACITY, 8, false)),
-        ),
-        StealMode::Scripted(s) => (
-            Some(s),
-            Some(StealPool::new(
-                k as usize,
-                SCRIPTED_PENDING_CAPACITY,
-                SCRIPTED_CHANNEL_CAPACITY,
-                s.pins_claims(),
-            )),
-        ),
-    };
-    let observer = schedule.and_then(|s| s.observer());
     // Modest per-worker runway: capacity × BATCH_SOLUTIONS solutions may
     // be in flight per worker, which decouples the pool from the merge
     // point without letting workers burn far past an early termination.
     // Scripted steal runs instead buy determinism with buffer space (see
     // SCRIPTED_CHANNEL_CAPACITY).
-    let chan_cap = if scripted {
-        SCRIPTED_CHANNEL_CAPACITY
-    } else {
-        8
+    let (pool, chan_cap) = match schedule {
+        None => (
+            StealPool::new(k as usize, STEAL_PENDING_CAPACITY, 8, false),
+            8,
+        ),
+        Some(s) => (
+            StealPool::new(
+                k as usize,
+                SCRIPTED_PENDING_CAPACITY,
+                SCRIPTED_CHANNEL_CAPACITY,
+                s.pins_claims(),
+            ),
+            SCRIPTED_CHANNEL_CAPACITY,
+        ),
     };
+    let observer = schedule.and_then(|s| s.observer());
     let (txs, rxs) = streaming::shard_channels(k as usize, chan_cap);
     let outcome = std::thread::scope(|scope| {
         for (i, (mut problem, tx)) in shards.into_iter().zip(txs).enumerate() {
             let error = &error;
             let merged = &merged;
-            let pool_ref = pool.as_ref();
+            let pool = &pool;
             std::thread::Builder::new()
                 .name(format!("steiner-shard-{i}"))
                 .stack_size(streaming::DEFAULT_STACK_BYTES)
@@ -1759,13 +1699,16 @@ where
                         index: i as u32,
                         modulus: k,
                     };
-                    let steal_rt = pool_ref.map(|pool| StealRuntime {
+                    let mut ctx = StealContext {
                         pool,
                         schedule,
                         observer,
                         worker: i,
                         tick_every,
-                    });
+                        path: Vec::new(),
+                        chances: 0,
+                        supported: true,
+                    };
                     let mut shard_sink = ShardSink {
                         tx: &tx,
                         child: 0,
@@ -1776,8 +1719,7 @@ where
                         tick_every,
                         last_tick: 0,
                     };
-                    match run_shard_worker(&mut problem, shard, steal_rt.as_ref(), &mut shard_sink)
-                    {
+                    match run_shard_worker(&mut problem, shard, &mut ctx, &mut shard_sink) {
                         Ok(stats) => merged
                             .lock()
                             .unwrap_or_else(|e| e.into_inner())
@@ -1795,11 +1737,11 @@ where
         // Close the pool however the merge exits (completion, early
         // break, or panic): workers blocked in `take` must wake or the
         // scope never joins.
-        let _shutdown = PoolShutdownGuard(pool.as_ref());
+        let _shutdown = PoolShutdownGuard(&pool);
         run_merge(
             ShardMerge::new(rxs),
             original,
-            pool.as_ref(),
+            &pool,
             queue,
             limit,
             deadline,
@@ -1813,13 +1755,10 @@ where
     }
     debug_assert!(!outcome.failed, "failure without a recorded error");
     let mut stats = *merged.lock().unwrap_or_else(|e| e.into_inner());
-    if pool.is_some() {
-        // Inline-claimed subtrees ran on the coordinator's original
-        // instance: fold its counters in so stolen work is accounted
-        // exactly once.
-        original.seal_stats();
-        stats.merge(original.stats());
-    }
+    // Inline-claimed subtrees ran on the coordinator's original instance:
+    // fold its counters in so stolen work is accounted exactly once.
+    original.seal_stats();
+    stats.merge(original.stats());
     // The user-facing view: what was delivered, and the gap actually
     // observed on the merged clock (worker-local gaps are meaningless
     // across clocks).

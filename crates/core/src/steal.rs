@@ -1,10 +1,11 @@
 //! Subtree work stealing for the sharded front-end.
 //!
-//! Root-only sharding ([`Enumeration::with_threads`](crate::solver::Enumeration::with_threads))
-//! splits the root's children round-robin, which collapses when the root
-//! has fewer children than workers or when one subtree dwarfs the rest.
-//! This module adds the second level: a busy worker reaching a branch
-//! child may *publish* it — a self-contained
+//! A sharded run ([`Enumeration::with_threads`](crate::solver::Enumeration::with_threads))
+//! splits the root's children round-robin, which alone would collapse
+//! when the root has fewer children than workers or when one subtree
+//! dwarfs the rest. Every sharded run therefore steals at a second
+//! level: a busy worker reaching a branch child may *publish* it — a
+//! self-contained
 //! [`SubtreeRecord`] checkpoint pushed
 //! into the pool's bounded pending deque — instead of
 //! descending, leaving a [`Spawned`](steiner_paths::streaming::ShardMsg)

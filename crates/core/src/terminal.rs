@@ -431,7 +431,7 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
         crate::problem::validate_terminal_list(&self.terminals, self.g.num_vertices())
     }
 
-    fn split_root(&self, _shard: crate::problem::RootShard) -> Option<Self> {
+    fn split_root(&self) -> Option<Self> {
         Some(TerminalSteinerTree {
             g: self.g.clone(),
             terminals: self.terminals.clone(),

@@ -948,7 +948,9 @@ where
     P: MinimalSteinerProblem + Send,
     P::Item: Send + SnapshotItem,
 {
-    let mut e = Enumeration::new(problem).cached(cache);
+    let mut e = Enumeration::new(problem)
+        .cached(cache)
+        .with_threads(opts.threads);
     if let Some(n) = opts.limit {
         e = e.with_limit(n);
     }
@@ -957,15 +959,6 @@ where
     }
     if opts.queue {
         e = e.with_default_queue();
-    }
-    if opts.threads > 1 {
-        // Stealing defaults on for pooled queries: a multi-tenant engine
-        // cannot afford a sharded run collapsing to one worker on a
-        // skew-rooted instance; `stealing(false)` keeps the root-only
-        // path available as an A/B reference.
-        e = e
-            .with_threads(opts.threads)
-            .with_stealing(opts.stealing.unwrap_or(true));
     }
     let (e, handle) = e.with_stats();
     let mut solutions = Vec::new();

@@ -77,21 +77,15 @@ pub struct QueryOptions {
     /// [`SteinerError::DeadlineExceeded`] with an empty prefix.
     pub deadline: Option<Instant>,
     /// Shard the run across this many worker threads
-    /// ([`Enumeration::with_threads`](steiner_core::Enumeration::with_threads));
-    /// `0` and `1` both mean sequential. The delivered stream is
+    /// ([`Enumeration::with_threads`](steiner_core::Enumeration::with_threads),
+    /// which steals subtrees so a skew-rooted instance keeps every worker
+    /// busy); `0` and `1` both mean sequential. The delivered stream is
     /// byte-identical either way.
     pub threads: usize,
     /// Route emissions through the Theorem-20 output queue
     /// ([`Enumeration::with_default_queue`](steiner_core::Enumeration::with_default_queue))
     /// for a worst-case (rather than amortized) delay bound.
     pub queue: bool,
-    /// Second-level subtree work stealing for sharded runs
-    /// ([`Enumeration::with_stealing`](steiner_core::Enumeration::with_stealing)).
-    /// `None` (the default) enables stealing whenever `threads > 1` —
-    /// pooled queries should not collapse to one worker on skewed
-    /// roots; `Some(false)` pins the root-only A/B reference path.
-    /// Ignored for sequential runs.
-    pub stealing: Option<bool>,
 }
 
 impl QueryOptions {
@@ -123,13 +117,6 @@ impl QueryOptions {
     /// Route emissions through the Theorem-20 output queue.
     pub fn queued(mut self) -> Self {
         self.queue = true;
-        self
-    }
-
-    /// Explicitly enable or disable subtree work stealing for sharded
-    /// runs (see [`Self::stealing`]).
-    pub fn stealing(mut self, on: bool) -> Self {
-        self.stealing = Some(on);
         self
     }
 }

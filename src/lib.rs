@@ -37,11 +37,11 @@
 //!   through the paper's Theorem-20 output queue for a worst-case (rather
 //!   than amortized) delay bound;
 //! * **sharded** — [`Enumeration::with_threads`] splits the root's
-//!   children across a worker pool and merges deterministically, so the
-//!   delivered stream is identical to the sequential one (composable
-//!   with all of the above); [`Enumeration::with_stealing`] adds
-//!   second-level subtree work stealing for skew-rooted instances
-//!   without changing a byte of the stream.
+//!   children across a worker pool whose workers also steal deeper
+//!   subtrees from each other (so skew-rooted instances keep every
+//!   worker busy), and merges deterministically, so the delivered stream
+//!   is identical to the sequential one (composable with all of the
+//!   above).
 //!
 //! ```
 //! use minimal_steiner::graph::{generators, VertexId};

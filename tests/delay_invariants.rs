@@ -290,13 +290,13 @@ fn sharded_queue_bounds_maximum_delivery_gap() {
 
 #[test]
 fn stealing_queue_bounds_maximum_delivery_gap() {
-    // The work-stealing analogue of the sharded max-gap bound: a
-    // scripted schedule forces subtrees to be published mid-stream, so
+    // The scripted analogue of the sharded max-gap bound: a
+    // schedule forces subtrees to be published mid-stream, so
     // parts of the delivered stream arrive over dedicated task channels
     // spliced in at their `Spawned` markers. The merged work clock
     // baselines each task stream at its first message and adds deltas
     // from then on, so the delivery-gap bound must survive unchanged —
-    // same budget, heartbeat, and slack terms as the root-only sharded
+    // same budget, heartbeat, and slack terms as the adaptive sharded
     // test above.
     use minimal_steiner::StealSchedule;
     let g = generators::theta_chain(14, 2);

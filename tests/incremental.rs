@@ -30,8 +30,8 @@ where
     e.collect_vec().expect("valid instance")
 }
 
-/// Asserts that the queued, sharded (root-only, k ∈ {1, 2, 4}) and
-/// limited front-ends deliver the direct stream byte for byte.
+/// Asserts that the queued, sharded (k ∈ {1, 2, 4}) and limited
+/// front-ends deliver the direct stream byte for byte.
 fn assert_front_ends_agree<P, F>(make: F)
 where
     P: MinimalSteinerProblem + Send,

@@ -40,7 +40,7 @@ where
 {
     let direct = ordered(Enumeration::new(make()));
     for k in [1usize, 2, 4] {
-        let stealing = ordered(Enumeration::new(make()).with_threads(k).with_stealing(true));
+        let stealing = ordered(Enumeration::new(make()).with_threads(k));
         assert_eq!(stealing, direct, "threads({k}) stealing stream");
     }
 }
@@ -229,7 +229,6 @@ proptest! {
         for k in [2usize, 4] {
             let sharded = Enumeration::new(SteinerTree::new(&g, &w))
                 .with_threads(k)
-                .with_stealing(true)
                 .collect_vec();
             prop_assert_eq!(&sharded, &sequential, "threads({})", k);
         }

@@ -10,7 +10,7 @@
 //! (not just set-wise) equality.
 
 use minimal_steiner::graph::{generators, EdgeId, VertexId};
-use minimal_steiner::steiner::problem::{NodeStep, Prepared, RootShard, SubtreeRecord};
+use minimal_steiner::steiner::problem::{NodeStep, Prepared, SubtreeRecord};
 use minimal_steiner::{
     DirectedSteinerTree, EnumStats, Enumeration, MinimalSteinerProblem, SteinerError,
     SteinerForest, SteinerTree, TerminalSteinerTree,
@@ -253,27 +253,27 @@ fn sharded_single_solution_and_empty_instances() {
     // Both trivial outcomes are delivered from the coordinator's prepared
     // instance, so push and pull publish the sequential run's counters.
     assert_trivial_outcome_matches_sequential(|| {
-        SteinerTree::from_graph(g.clone(), &[VertexId(3)])
+        Enumeration::new(SteinerTree::from_graph(g.clone(), &[VertexId(3)]))
     });
     assert_trivial_outcome_matches_sequential(|| {
-        TerminalSteinerTree::from_graph(g.clone(), &[VertexId(3)])
+        Enumeration::new(TerminalSteinerTree::from_graph(g.clone(), &[VertexId(3)]))
     });
 }
 
-fn assert_trivial_outcome_matches_sequential<P>(make: impl Fn() -> P)
+/// Asserts that `make()` sharded over k ∈ {2, 4} workers publishes the
+/// sequential run's `(solutions, work, preprocessing_work)` on the push
+/// and the pull front-end alike.
+fn assert_trivial_outcome_matches_sequential<P>(make: impl Fn() -> Enumeration<P>)
 where
     P: MinimalSteinerProblem + Send + 'static,
     P::Item: Send + 'static,
 {
     let counters = |s: EnumStats| (s.solutions, s.work, s.preprocessing_work);
-    let sequential = counters(Enumeration::new(make()).run().expect("valid instance"));
+    let sequential = counters(make().run().expect("valid instance"));
     for k in [2usize, 4] {
-        let push = Enumeration::new(make())
-            .with_threads(k)
-            .run()
-            .expect("valid instance");
+        let push = make().with_threads(k).run().expect("valid instance");
         assert_eq!(counters(push), sequential, "threads({k}) push");
-        let (e, handle) = Enumeration::new(make()).with_threads(k).with_stats();
+        let (e, handle) = make().with_threads(k).with_stats();
         e.into_iter().expect("valid instance").for_each(drop);
         assert_eq!(counters(handle.get()), sequential, "threads({k}) pull");
     }
@@ -312,6 +312,16 @@ fn sharded_limit_zero_delivers_nothing() {
         .for_each(|_| panic!("nothing may be delivered"))
         .expect("valid instance");
     assert_eq!(stats.solutions, 0);
+    // A zero limit runs no search, so push and pull publish the
+    // sequential run's counters: the prepared instance's, not zeros.
+    let sequential = Enumeration::new(SteinerTree::new(&g, &w))
+        .with_limit(0)
+        .run()
+        .expect("valid instance");
+    assert!(sequential.preprocessing_work > 0, "prepare did work");
+    assert_trivial_outcome_matches_sequential(|| {
+        Enumeration::new(SteinerTree::from_graph(g.clone(), &w)).with_limit(0)
+    });
 }
 
 /// A test-only problem whose root has `fanout` leaf children: child `i`
@@ -396,7 +406,7 @@ impl MinimalSteinerProblem for FanRoot {
         (u64::from(self.fanout), ControlFlow::Continue(()))
     }
 
-    fn split_root(&self, _shard: RootShard) -> Option<Self> {
+    fn split_root(&self) -> Option<Self> {
         Some(FanRoot::new(self.fanout).0)
     }
 
@@ -427,37 +437,33 @@ fn coordinator_instance_generates_no_root_children() {
     // branch at the root before (or while) the workers run. The first
     // solution is child 0's.
     let first = vec![vec![EdgeId(0)]];
-    for stealing in [false, true] {
-        let (root, generated) = FanRoot::new(300);
-        let mut pushed = Vec::new();
-        Enumeration::new(root)
-            .with_threads(2)
-            .with_stealing(stealing)
-            .for_each(|items| {
-                pushed.push(items.to_vec());
-                ControlFlow::Break(())
-            })
-            .expect("valid instance");
-        assert_eq!(pushed, first, "push, stealing {stealing}");
-        assert_eq!(
-            generated.load(Ordering::Relaxed),
-            0,
-            "push front-end, stealing {stealing}: the coordinator generated root children"
-        );
+    let (root, generated) = FanRoot::new(300);
+    let mut pushed = Vec::new();
+    Enumeration::new(root)
+        .with_threads(2)
+        .for_each(|items| {
+            pushed.push(items.to_vec());
+            ControlFlow::Break(())
+        })
+        .expect("valid instance");
+    assert_eq!(pushed, first, "push");
+    assert_eq!(
+        generated.load(Ordering::Relaxed),
+        0,
+        "push front-end: the coordinator generated root children"
+    );
 
-        let (root, generated) = FanRoot::new(300);
-        let pulled: Vec<Vec<EdgeId>> = Enumeration::new(root)
-            .with_threads(2)
-            .with_stealing(stealing)
-            .into_iter()
-            .expect("valid instance")
-            .take(1)
-            .collect();
-        assert_eq!(pulled, first, "pull, stealing {stealing}");
-        assert_eq!(
-            generated.load(Ordering::Relaxed),
-            0,
-            "pull front-end, stealing {stealing}: the coordinator generated root children"
-        );
-    }
+    let (root, generated) = FanRoot::new(300);
+    let pulled: Vec<Vec<EdgeId>> = Enumeration::new(root)
+        .with_threads(2)
+        .into_iter()
+        .expect("valid instance")
+        .take(1)
+        .collect();
+    assert_eq!(pulled, first, "pull");
+    assert_eq!(
+        generated.load(Ordering::Relaxed),
+        0,
+        "pull front-end: the coordinator generated root children"
+    );
 }

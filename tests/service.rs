@@ -100,8 +100,8 @@ fn served_streams_are_byte_identical_to_one_shot_runs() {
     assert_eq!(edge_stats.hits + arc_stats.hits, 4 * 2 * 4 - 4);
 }
 
-/// Pooled sharded queries steal by default; `stealing(false)` keeps the
-/// root-only reference path, and both deliver the sequential stream.
+/// Pooled sharded queries steal subtrees and deliver the sequential
+/// stream.
 #[test]
 fn pooled_queries_steal_by_default_and_match_the_reference() {
     // A multi-terminal grid: the enumeration tree has depth, so the
@@ -114,21 +114,16 @@ fn pooled_queries_steal_by_default_and_match_the_reference() {
     let query = Query::SteinerTree { terminals: w };
     let engine = EnumerationEngine::new(g);
     let session = engine.session("ab-test");
-    // Fresh cache entries per option set would mask differences — the
-    // cache key ignores execution options, so each run below would
-    // replay the first one's stream. That is exactly what the test
-    // wants to rule out, so the *first* run uses the reference path and
-    // the stealing runs must reproduce it bit for bit.
-    let reference = session
-        .run(
-            query.clone(),
-            QueryOptions::default().threads(4).stealing(false),
-        )
+    // The cache key ignores execution options, so only the *first* run
+    // executes cold: that stealing run must reproduce the sequential
+    // stream bit for bit, and the later runs replay its recording.
+    let cold = session
+        .run(query.clone(), QueryOptions::default().threads(4))
         .unwrap();
-    assert_eq!(reference.solutions.edges().unwrap(), &want[..]);
+    assert_eq!(cold.stats.cache_hits, 0, "the first run is cold");
+    assert_eq!(cold.solutions.edges().unwrap(), &want[..]);
     for opts in [
-        QueryOptions::default().threads(4), // stealing defaults on
-        QueryOptions::default().threads(4).stealing(true),
+        QueryOptions::default().threads(4),
         QueryOptions::default().threads(2).queued(),
     ] {
         let outcome = session.run(query.clone(), opts).unwrap();

@@ -1,9 +1,10 @@
 //! Determinism and coverage for second-level work stealing in the
-//! sharded front-end (`Enumeration::with_stealing` /
-//! `Enumeration::with_steal_schedule`).
+//! sharded front-end (`Enumeration::with_threads`, which always steals,
+//! and `Enumeration::with_steal_schedule`).
 //!
-//! The contract under test: with stealing enabled, the delivered stream
-//! stays **byte-identical to the sequential run** for every problem
+//! The contract under test: with subtrees migrating between workers,
+//! the delivered stream stays **byte-identical to the sequential run**
+//! for every problem
 //! type, thread count, and front-end (direct, queued, limited, early
 //! break, pull iterator, cached) — no matter which worker executed
 //! which subtree, and no matter how pathological the steal
@@ -12,10 +13,11 @@
 //! enumeration tree, so these tests replay identically on a single-core
 //! CI container.
 
-use minimal_steiner::graph::{generators, VertexId};
+use minimal_steiner::graph::{generators, EdgeId, VertexId};
+use minimal_steiner::steiner::problem::{NodeStep, Prepared};
 use minimal_steiner::{
     DirectedSteinerTree, EnumStats, Enumeration, MinimalSteinerProblem, ResultCache, StealObserver,
-    StealSchedule, SteinerForest, SteinerTree, TerminalSteinerTree,
+    StealSchedule, SteinerError, SteinerForest, SteinerTree, TerminalSteinerTree,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -42,10 +44,10 @@ where
     (stream, handle.get())
 }
 
-/// Asserts that stealing (adaptive), stealing off (the A/B reference),
-/// and the queued chain all reproduce the sequential stream exactly for
-/// k ∈ {1, 2, 4}, and that `with_limit` under stealing delivers exactly
-/// the sequential prefix.
+/// Asserts that adaptive stealing reproduces the sequential stream
+/// exactly on the direct and the queued chain for k ∈ {1, 2, 4}, and
+/// that `with_limit` under stealing delivers exactly the sequential
+/// prefix.
 fn assert_stealing_matches<P, F>(make: F)
 where
     P: MinimalSteinerProblem + Send,
@@ -54,18 +56,11 @@ where
 {
     let sequential = ordered(Enumeration::new(make()));
     for k in [1usize, 2, 4] {
-        let stealing = ordered(Enumeration::new(make()).with_threads(k).with_stealing(true));
+        let stealing = ordered(Enumeration::new(make()).with_threads(k));
         assert_eq!(stealing, sequential, "threads({k}) stealing direct");
-        let reference = ordered(
-            Enumeration::new(make())
-                .with_threads(k)
-                .with_stealing(false),
-        );
-        assert_eq!(reference, sequential, "threads({k}) root-only reference");
         let queued = ordered(
             Enumeration::new(make())
                 .with_threads(k)
-                .with_stealing(true)
                 .with_default_queue(),
         );
         assert_eq!(queued, sequential, "threads({k}) stealing queued");
@@ -78,12 +73,7 @@ where
     };
     for k in [2usize, 4] {
         for &limit in &cuts {
-            let capped = ordered(
-                Enumeration::new(make())
-                    .with_threads(k)
-                    .with_stealing(true)
-                    .with_limit(limit),
-            );
+            let capped = ordered(Enumeration::new(make()).with_threads(k).with_limit(limit));
             let want = &sequential[..(limit.min(total)) as usize];
             assert_eq!(capped, want, "threads({k}) stealing with_limit({limit})");
         }
@@ -357,7 +347,6 @@ fn stealing_iterator_front_end_matches_and_stops_on_drop() {
 
     let adaptive: Vec<Vec<_>> = Enumeration::new(SteinerTree::from_graph(g, &w))
         .with_threads(4)
-        .with_stealing(true)
         .into_iter()
         .expect("valid instance")
         .collect();
@@ -403,7 +392,7 @@ fn stealing_cached_runs_fill_and_replay_identically() {
 /// two-path theta bottleneck into the corner (vertex 3) of a 3×3 grid
 /// holding the remaining terminals. The root's first branch connects
 /// terminal 3 across the bottleneck, so the root has exactly **two**
-/// children — root-only sharding with k = 4 permanently starves workers
+/// children — a root-residue split alone with k = 4 would starve workers
 /// 2 and 3 — while the grid side branches richly at depths 2–3.
 fn starved_root_instance() -> (minimal_steiner::graph::UndirectedGraph, Vec<VertexId>) {
     let g = minimal_steiner::graph::UndirectedGraph::from_edges(
@@ -469,18 +458,14 @@ fn starved_root_with_stealing_keeps_every_worker_busy() {
 
 #[test]
 fn root_only_reference_starves_late_workers_on_a_two_child_root() {
-    // The A/B contrast for the regression above: with stealing off, the
-    // same instance delivers the same stream but only via workers 0 and
-    // 1 (there is nothing observable to count without a schedule, so
-    // this asserts the stream-level contract the reference provides).
+    // The adaptive counterpart of the scripted regression above: workers
+    // 2 and 3 own no root child, so they only ever run stolen subtrees
+    // (which ones is timing-dependent, so this asserts the stream-level
+    // contract alone).
     let (g, w) = starved_root_instance();
     let sequential = ordered(Enumeration::new(SteinerTree::new(&g, &w)));
-    let reference = ordered(
-        Enumeration::new(SteinerTree::new(&g, &w))
-            .with_threads(4)
-            .with_stealing(false),
-    );
-    assert_eq!(reference, sequential);
+    let adaptive = ordered(Enumeration::new(SteinerTree::new(&g, &w)).with_threads(4));
+    assert_eq!(adaptive, sequential);
 }
 
 // ---------------------------------------------------------------------
@@ -510,22 +495,120 @@ fn skewed_workload_records_steals_in_merged_stats() {
     );
 }
 
+/// A test-only problem that shards but cannot checkpoint subtrees (it
+/// keeps the default `record_subtree`): a complete `fanout`-ary tree of
+/// the given depth whose leaf at choice path `c₁…c_d` is the solution
+/// `{level · fanout + c_level}`.
+struct NoCheckpoints {
+    fanout: u32,
+    depth: usize,
+    choices: Vec<u32>,
+    stats: EnumStats,
+}
+
+impl NoCheckpoints {
+    fn new(fanout: u32, depth: usize) -> Self {
+        NoCheckpoints {
+            fanout,
+            depth,
+            choices: Vec::new(),
+            stats: EnumStats::default(),
+        }
+    }
+}
+
+impl MinimalSteinerProblem for NoCheckpoints {
+    type Item = EdgeId;
+    type Branch = ();
+
+    const NAME: &'static str = "no-checkpoint test problem";
+
+    fn validate(&self) -> Result<(), SteinerError> {
+        Ok(())
+    }
+
+    fn prepare(&mut self) -> Result<Prepared<EdgeId>, SteinerError> {
+        Ok(Prepared::Search)
+    }
+
+    fn instance_size(&self) -> (usize, usize) {
+        let edges = self.fanout as usize * self.depth;
+        (edges + 1, edges)
+    }
+
+    fn stats(&self) -> &EnumStats {
+        &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut EnumStats {
+        &mut self.stats
+    }
+
+    fn classify(&mut self, _out: &mut Vec<EdgeId>) -> NodeStep<()> {
+        if self.choices.len() == self.depth {
+            NodeStep::Complete
+        } else {
+            NodeStep::Branch(())
+        }
+    }
+
+    fn solution(&self, out: &mut Vec<EdgeId>) {
+        let edge = |(level, &c): (usize, &u32)| EdgeId(level as u32 * self.fanout + c);
+        out.extend(self.choices.iter().enumerate().map(edge));
+    }
+
+    fn branch(
+        &mut self,
+        _at: (),
+        child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
+    ) -> (u64, ControlFlow<()>) {
+        for c in 0..self.fanout {
+            self.stats.work += 1;
+            self.choices.push(c);
+            let flow = child(self);
+            self.choices.pop();
+            if flow.is_break() {
+                return (u64::from(c) + 1, flow);
+            }
+        }
+        (u64::from(self.fanout), ControlFlow::Continue(()))
+    }
+
+    fn split_root(&self) -> Option<Self> {
+        Some(NoCheckpoints::new(self.fanout, self.depth))
+    }
+}
+
 #[test]
 fn stealing_off_records_no_steals() {
-    let g = generators::theta_chain(5, 3);
-    let w = [VertexId(0), VertexId(5)];
-    let (stream, stats) = ordered_with_stats(
-        Enumeration::new(SteinerTree::new(&g, &w))
-            .with_threads(4)
-            .with_stealing(false),
-    );
-    assert_eq!(stream.len(), 243);
-    assert_eq!(stats.subtrees_stolen, 0);
-    assert_eq!(stats.steal_failures, 0);
+    // A problem whose `record_subtree` declines still shards by root
+    // residue through the work-stealing pool: the stream is the sequential
+    // one and no subtree ever migrates, under the adaptive policy and
+    // under a script that asks for a steal at every depth.
+    let make = || NoCheckpoints::new(3, 5);
+    let sequential = ordered(Enumeration::new(make()));
+    assert_eq!(sequential.len(), 243);
+    for k in [2usize, 4] {
+        let runs = [
+            ("adaptive", Enumeration::new(make()).with_threads(k)),
+            (
+                "scripted",
+                Enumeration::new(make())
+                    .with_threads(k)
+                    .with_steal_schedule(StealSchedule::new().steal_at_depths(1, 5)),
+            ),
+        ];
+        for (label, run) in runs {
+            let (stream, stats) = ordered_with_stats(run);
+            assert_eq!(stream, sequential, "threads({k}) {label} stream");
+            assert_eq!(stats.subtrees_stolen, 0, "threads({k}) {label}");
+            assert_eq!(stats.steal_failures, 0, "threads({k}) {label}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
-// Property-based sweep: random instances, every front-end, on/off.
+// Property-based sweep: random instances, every front-end.
 // ---------------------------------------------------------------------
 
 /// One randomized conformance check: sequential vs stealing (adaptive
@@ -540,7 +623,7 @@ fn prop_check_tree(seed: u64) -> Result<(), TestCaseError> {
     let make = || SteinerTree::new(&g, &w);
     let sequential = ordered(Enumeration::new(make()));
     for k in [2usize, 4] {
-        let adaptive = ordered(Enumeration::new(make()).with_threads(k).with_stealing(true));
+        let adaptive = ordered(Enumeration::new(make()).with_threads(k));
         prop_assert_eq!(&adaptive, &sequential, "adaptive threads({})", k);
         let scripted = ordered(
             Enumeration::new(make())

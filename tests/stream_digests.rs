@@ -192,7 +192,6 @@ where
     let mut f = Folder::new();
     Enumeration::new(borrowed())
         .with_threads(2)
-        .with_stealing(true)
         .with_limit(LIMIT)
         .for_each(|s| {
             f.add(s);
