@@ -1267,18 +1267,11 @@ fn run_shard_worker<P: MinimalSteinerProblem>(
     let mut scratch: Vec<P::Item> = Vec::with_capacity(n + 1);
     let mut children_total = 0u64;
     let flow = match prepared {
-        Prepared::Empty => ControlFlow::Continue(()),
-        Prepared::Single(items) => {
-            // Exactly one solution, found without search: shard 0 owns it.
-            if shard.index == 0 {
-                let mut single = items;
-                single.sort_unstable();
-                p.stats_mut().note_emission();
-                sink.solution(&single, p.stats().work)
-            } else {
-                ControlFlow::Continue(())
-            }
-        }
+        Prepared::Empty | Prepared::Single(_) => unreachable!(
+            "the pool is spawned only after the coordinator's prepare returned \
+             Search, and each worker prepares a split_root copy of the same \
+             instance, deterministically"
+        ),
         Prepared::Search => {
             match p.classify(&mut scratch) {
                 NodeStep::Complete => {
@@ -1333,7 +1326,7 @@ fn run_shard_worker<P: MinimalSteinerProblem>(
         }
     };
     let flow = if flow.is_continue() {
-        // Root-leaf / `Single` emissions may still sit in the batch.
+        // A root-leaf emission may still sit in the batch.
         sink.flush(p.stats().work)
     } else {
         flow

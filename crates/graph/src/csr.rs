@@ -14,7 +14,6 @@
 //! the host graph, steady-state rebuilds report zero growth events.
 
 use crate::digraph::DiGraph;
-use crate::epoch::{ArcDelta, EdgeDelta};
 use crate::ids::{ArcId, EdgeId, VertexId};
 use crate::undirected::UndirectedGraph;
 
@@ -228,31 +227,6 @@ impl CsrUndirected {
         self.allocs = allocs;
     }
 
-    /// Applies an epoch delta in place: the endpoint table is patched
-    /// directly from the delta records (`O(|delta|)` — the records carry
-    /// exactly the `push`/`swap_remove` edits the source graph performed),
-    /// then adjacency is re-sorted by the usual counting pass. After
-    /// warm-up this allocates nothing, versus re-reading the whole source
-    /// graph in [`Self::rebuild_from_graph`].
-    ///
-    /// `n` is the (unchanged) vertex count of the source graph.
-    pub fn apply_delta(&mut self, n: usize, delta: &[EdgeDelta]) {
-        let mut allocs = self.allocs;
-        for d in delta {
-            match *d {
-                EdgeDelta::Inserted { e, u, v } => {
-                    debug_assert_eq!(e.index(), self.endpoints.len(), "dense insert");
-                    push_tracked(&mut self.endpoints, (u, v), &mut allocs);
-                }
-                EdgeDelta::Removed { e, .. } => {
-                    self.endpoints.swap_remove(e.index());
-                }
-            }
-        }
-        self.allocs = allocs;
-        self.rebuild_adjacency(n);
-    }
-
     /// Reserves for rebuilds with up to `n` vertices and `m` edges, so
     /// they do not allocate.
     pub fn preallocate(&mut self, n: usize, m: usize) {
@@ -458,52 +432,6 @@ impl CsrDigraph {
         self.out_off[0] = 0;
         self.in_off[0] = 0;
         self.allocs = allocs;
-    }
-
-    /// Applies an arc-level epoch delta in place (see
-    /// [`CsrUndirected::apply_delta`]): patches the arc table from the
-    /// records, then re-sorts adjacency.
-    pub fn apply_delta(&mut self, n: usize, delta: &[ArcDelta]) {
-        let mut allocs = self.allocs;
-        for d in delta {
-            match *d {
-                ArcDelta::Inserted { a, tail, head } => {
-                    debug_assert_eq!(a.index(), self.arcs.len(), "dense insert");
-                    push_tracked(&mut self.arcs, (tail, head), &mut allocs);
-                }
-                ArcDelta::Removed { a, .. } => {
-                    self.arcs.swap_remove(a.index());
-                }
-            }
-        }
-        self.allocs = allocs;
-        self.rebuild_adjacency(n);
-    }
-
-    /// Applies an undirected epoch delta to the **doubled** view: edge `e`
-    /// owns arcs `2e`/`2e + 1`, so an edge-level `swap_remove` becomes the
-    /// paired arc move that keeps the arithmetic arc↔edge mapping intact.
-    pub fn apply_delta_doubled(&mut self, n: usize, delta: &[EdgeDelta]) {
-        let mut allocs = self.allocs;
-        for d in delta {
-            match *d {
-                EdgeDelta::Inserted { e, u, v } => {
-                    debug_assert_eq!(2 * e.index(), self.arcs.len(), "dense insert");
-                    push_tracked(&mut self.arcs, (u, v), &mut allocs);
-                    push_tracked(&mut self.arcs, (v, u), &mut allocs);
-                }
-                EdgeDelta::Removed { e, .. } => {
-                    let last = self.arcs.len() / 2 - 1;
-                    if e.index() != last {
-                        self.arcs[2 * e.index()] = self.arcs[2 * last];
-                        self.arcs[2 * e.index() + 1] = self.arcs[2 * last + 1];
-                    }
-                    self.arcs.truncate(2 * last);
-                }
-            }
-        }
-        self.allocs = allocs;
-        self.rebuild_adjacency(n);
     }
 
     /// Reserves for rebuilds with up to `n` vertices and `m` arcs, so
@@ -741,6 +669,12 @@ mod tests {
         assert_eq!(csr.arc(ArcId(3)).0, g.endpoints(EdgeId(1)).1);
     }
 
+    // The next three tests are named for the in-place delta replay the
+    // views once had. Every query now rebuilds its views, so they check
+    // that a view reused across mutation batches of an epoch graph —
+    // including an insert after a removal, which renumbers ids — equals a
+    // fresh build.
+
     #[test]
     fn apply_delta_tracks_mutated_graph() {
         use crate::epoch::{EpochGraph, GraphMutation};
@@ -748,7 +682,7 @@ mod tests {
         let mut eg = EpochGraph::new(g);
         let mut csr = CsrUndirected::from_graph(eg.graph());
         csr.preallocate(6, 12);
-        let mut epoch = eg.epoch();
+        let warm = csr.alloc_events();
         let batches: Vec<Vec<GraphMutation>> = vec![
             vec![GraphMutation::InsertEdge {
                 u: VertexId(4),
@@ -765,11 +699,9 @@ mod tests {
         ];
         for batch in &batches {
             eg.batch_apply(batch).unwrap();
-            for rec in eg.deltas_since(epoch).expect("log covers the gap") {
-                csr.apply_delta(eg.graph().num_vertices(), &rec.edits);
-            }
-            epoch = eg.epoch();
+            csr.rebuild_from_graph(eg.graph());
             let fresh = CsrUndirected::from_graph(eg.graph());
+            assert_eq!(csr.num_edges(), fresh.num_edges());
             for v in eg.graph().vertices() {
                 assert_eq!(csr.adjacency(v), fresh.adjacency(v), "vertex {v}");
             }
@@ -777,23 +709,26 @@ mod tests {
                 assert_eq!(csr.endpoints(e), fresh.endpoints(e));
             }
         }
+        assert_eq!(csr.alloc_events(), warm, "reserved rebuilds do not grow");
     }
 
     #[test]
     fn apply_delta_doubled_tracks_mutated_graph() {
-        use crate::epoch::EpochGraph;
+        use crate::epoch::{EpochGraph, GraphMutation};
         let g = UndirectedGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
         let mut eg = EpochGraph::new(g);
         let mut csr = CsrDigraph::doubled(eg.graph());
-        let mut epoch = eg.epoch();
-        eg.insert_edge(VertexId(4), VertexId(0)).unwrap();
-        eg.remove_edge(EdgeId(1)).unwrap();
-        for rec in eg.deltas_since(epoch).unwrap() {
-            csr.apply_delta_doubled(eg.graph().num_vertices(), &rec.edits);
-        }
-        epoch = eg.epoch();
-        let _ = epoch;
+        eg.batch_apply(&[
+            GraphMutation::RemoveEdge(EdgeId(1)),
+            GraphMutation::InsertEdge {
+                u: VertexId(4),
+                v: VertexId(0),
+            },
+        ])
+        .unwrap();
+        csr.rebuild_doubled(eg.graph());
         let fresh = CsrDigraph::doubled(eg.graph());
+        assert_eq!(csr.num_arcs(), fresh.num_arcs());
         for v in eg.graph().vertices() {
             assert_eq!(csr.out_adjacency(v), fresh.out_adjacency(v));
             assert_eq!(csr.in_adjacency(v), fresh.in_adjacency(v));
@@ -805,23 +740,24 @@ mod tests {
         use crate::epoch::{ArcMutation, EpochDigraph};
         let d = DiGraph::from_arcs(5, &[(0, 1), (1, 2), (3, 4)]).unwrap();
         let mut ed = EpochDigraph::new(d);
-        let mut csr = CsrDigraph::from_digraph(ed.digraph());
-        let epoch = ed.epoch();
+        let mut csr = CsrDigraph::from_digraph(ed.graph());
         ed.batch_apply(&[
+            ArcMutation::RemoveArc(ArcId(0)),
             ArcMutation::InsertArc {
                 tail: VertexId(2),
                 head: VertexId(3),
             },
-            ArcMutation::RemoveArc(ArcId(0)),
         ])
         .unwrap();
-        for rec in ed.deltas_since(epoch).unwrap() {
-            csr.apply_delta(ed.digraph().num_vertices(), &rec.edits);
-        }
-        let fresh = CsrDigraph::from_digraph(ed.digraph());
-        for v in ed.digraph().vertices() {
+        csr.rebuild_from_digraph(ed.graph());
+        let fresh = CsrDigraph::from_digraph(ed.graph());
+        assert_eq!(csr.num_arcs(), fresh.num_arcs());
+        for v in ed.graph().vertices() {
             assert_eq!(csr.out_adjacency(v), fresh.out_adjacency(v));
             assert_eq!(csr.in_adjacency(v), fresh.in_adjacency(v));
+        }
+        for a in ed.graph().arcs() {
+            assert_eq!(csr.arc(a), fresh.arc(a));
         }
     }
 

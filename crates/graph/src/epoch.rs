@@ -1,5 +1,4 @@
-//! Graph epochs: mutable graphs with region-level fingerprints and delta
-//! logs.
+//! Graph epochs: mutable graphs with region-level fingerprints.
 //!
 //! The enumeration engine serves cached replay traffic keyed on graph
 //! fingerprints. A whole-graph fingerprint cold-starts every cached query
@@ -12,20 +11,22 @@
 //! adjacency lists are sorted by edge id (see [`UndirectedGraph`]), iff
 //! every enumeration stream confined to that region is byte-identical.
 //!
-//! [`EpochGraph`] / [`EpochDigraph`] wrap a graph with:
+//! [`Epoch`] wraps either graph kind ([`EpochGraph`], [`EpochDigraph`])
+//! with:
 //!
 //! * a monotone **epoch counter**, advanced once per mutation batch,
 //! * a maintained [`RegionMap`] (region fingerprints kept incrementally on
-//!   inserts, recomputed and diffed on removals),
-//! * a bounded **delta log** ([`EpochGraph::deltas_since`]) so CSR views
-//!   and classification state can replay mutations instead of rebuilding.
+//!   inserts, recomputed and diffed on removals).
+//!
+//! What differs between the kinds — the edit type, the labeling, the
+//! counts and the edits themselves — is the [`EpochKind`] trait.
 //!
 //! All hashes use fixed splitmix64-style constants, so fingerprints are
 //! stable across processes and can be embedded in snapshots.
 
-use crate::digraph::{DiGraph, RemovedArc};
+use crate::digraph::DiGraph;
 use crate::ids::{ArcId, EdgeId, VertexId};
-use crate::undirected::{RemovedEdge, UndirectedGraph};
+use crate::undirected::UndirectedGraph;
 use crate::{GraphError, Result};
 
 /// Seed for per-vertex hashes.
@@ -34,9 +35,6 @@ const SEED_VERTEX: u64 = 0x9e37_79b9_7f4a_7c15;
 const SEED_EDGE: u64 = 0xd1b5_4a32_d192_ed03;
 /// Seed for per-arc hashes.
 const SEED_ARC: u64 = 0x8cb9_2ba7_2f3d_8dd7;
-
-/// How many epoch deltas each wrapper retains for replay.
-const DELTA_LOG_CAP: usize = 64;
 
 /// splitmix64 finalizer: a cheap, fixed, well-mixing 64-bit permutation.
 #[inline]
@@ -214,12 +212,6 @@ impl RegionMap {
         pairs.dedup();
         RegionSignature { pairs }
     }
-
-    /// Region ids whose fingerprint differs between `self` and `newer`
-    /// (changed, appeared, or disappeared), sorted ascending.
-    pub fn diff(&self, newer: &RegionMap) -> Vec<u32> {
-        diff_fps(&self.fps, &newer.fps)
-    }
 }
 
 /// Merge-walk of two sorted fingerprint tables; ids present in exactly one
@@ -361,67 +353,106 @@ pub enum ArcMutation {
     RemoveArc(ArcId),
 }
 
-/// A structural delta record for one undirected edge, precise enough for a
-/// CSR view to mirror the endpoint-table edit without rescanning the graph.
+/// The shape of one edit of either kind, as [`Epoch::validate`] and
+/// [`Epoch::batch_apply`] read it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EdgeDelta {
-    /// Edge `e = {u, v}` was appended.
-    Inserted {
-        /// Id assigned to the new edge.
-        e: EdgeId,
-        /// First endpoint.
-        u: VertexId,
-        /// Second endpoint.
-        v: VertexId,
-    },
-    /// Edge `e = {u, v}` was removed; `moved` is the `(old id, u, v)` of
-    /// the edge renumbered onto the freed id, if any.
-    Removed {
-        /// Id the removed edge held (now reused by `moved`, if present).
-        e: EdgeId,
-        /// First endpoint of the removed edge.
-        u: VertexId,
-        /// Second endpoint of the removed edge.
-        v: VertexId,
-        /// The relocated edge: `(old id, endpoints…)`.
-        moved: Option<(EdgeId, VertexId, VertexId)>,
-    },
+pub enum Edit {
+    /// Insert the edge `{u, v}` or the arc `(tail, head)`.
+    Insert(VertexId, VertexId),
+    /// Remove the edge or arc with this id.
+    Remove(usize),
 }
 
-/// A structural delta record for one arc (see [`EdgeDelta`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ArcDelta {
-    /// Arc `a = (tail, head)` was appended.
-    Inserted {
-        /// Id assigned to the new arc.
-        a: ArcId,
-        /// Tail endpoint.
-        tail: VertexId,
-        /// Head endpoint.
-        head: VertexId,
-    },
-    /// Arc `a` was removed; `moved` is the relocated arc, if any.
-    Removed {
-        /// Id the removed arc held.
-        a: ArcId,
-        /// Tail endpoint of the removed arc.
-        tail: VertexId,
-        /// Head endpoint of the removed arc.
-        head: VertexId,
-        /// The relocated arc: `(old id, tail, head)`.
-        moved: Option<(ArcId, VertexId, VertexId)>,
-    },
+impl From<GraphMutation> for Edit {
+    fn from(mu: GraphMutation) -> Edit {
+        match mu {
+            GraphMutation::InsertEdge { u, v } => Edit::Insert(u, v),
+            GraphMutation::RemoveEdge(e) => Edit::Remove(e.index()),
+        }
+    }
 }
 
-/// The delta log entry produced by one mutation batch.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeltaRecord<D> {
-    /// The epoch this batch produced (post-mutation counter value).
-    pub epoch: u64,
-    /// The structural edits, in application order.
-    pub edits: Vec<D>,
-    /// Region ids whose fingerprint changed, sorted ascending.
-    pub touched: Vec<u32>,
+impl From<ArcMutation> for Edit {
+    fn from(mu: ArcMutation) -> Edit {
+        match mu {
+            ArcMutation::InsertArc { tail, head } => Edit::Insert(tail, head),
+            ArcMutation::RemoveArc(a) => Edit::Remove(a.index()),
+        }
+    }
+}
+
+/// What [`Epoch`] needs from a graph kind: its edit type, its full
+/// region labeling, its counts, and the two structural edits.
+pub trait EpochKind {
+    /// One edit to this kind of graph.
+    type Mutation: Copy + Into<Edit>;
+
+    /// Labels every region from scratch.
+    fn region_map(&self) -> RegionMap;
+
+    /// Number of vertices.
+    fn num_vertices(&self) -> usize;
+
+    /// Number of edges or arcs.
+    fn num_items(&self) -> usize;
+
+    /// Inserts a validated edge or arc under the next dense id and
+    /// returns its hash, the term it adds to its region's fingerprint.
+    fn insert(&mut self, u: VertexId, v: VertexId) -> u64;
+
+    /// Removes a validated edge or arc; the last one is renumbered onto
+    /// its id.
+    fn remove(&mut self, id: usize);
+}
+
+impl EpochKind for UndirectedGraph {
+    type Mutation = GraphMutation;
+
+    fn region_map(&self) -> RegionMap {
+        RegionMap::of_undirected(self)
+    }
+
+    fn num_vertices(&self) -> usize {
+        UndirectedGraph::num_vertices(self)
+    }
+
+    fn num_items(&self) -> usize {
+        self.num_edges()
+    }
+
+    fn insert(&mut self, u: VertexId, v: VertexId) -> u64 {
+        let e = self.add_edge(u, v).expect("batch validated");
+        edge_hash(e, u, v)
+    }
+
+    fn remove(&mut self, id: usize) {
+        self.remove_edge(EdgeId::new(id)).expect("batch validated");
+    }
+}
+
+impl EpochKind for DiGraph {
+    type Mutation = ArcMutation;
+
+    fn region_map(&self) -> RegionMap {
+        RegionMap::of_digraph(self)
+    }
+
+    fn num_vertices(&self) -> usize {
+        DiGraph::num_vertices(self)
+    }
+
+    fn num_items(&self) -> usize {
+        self.num_arcs()
+    }
+
+    fn insert(&mut self, tail: VertexId, head: VertexId) -> u64 {
+        let a = self.add_arc(tail, head).expect("batch validated");
+        arc_hash(a, tail, head)
+    }
+
+    fn remove(&mut self, id: usize) {
+        self.remove_arc(ArcId::new(id)).expect("batch validated");
+    }
 }
 
 /// Summary of one applied mutation batch.
@@ -433,38 +464,37 @@ pub struct MutationReport {
     pub touched: Vec<u32>,
 }
 
-/// An [`UndirectedGraph`] under epoch management: every mutation batch
-/// advances the epoch, updates region fingerprints, and appends a replay
-/// delta. Read access is by `Deref`-style accessors; structural writes
-/// must go through the mutation API so the bookkeeping stays truthful.
+/// A graph under epoch management: every mutation batch advances the
+/// epoch and updates the region fingerprints. Read access is by
+/// [`Self::graph`]; structural writes must go through
+/// [`Self::batch_apply`] so the bookkeeping stays truthful.
 #[derive(Clone, Debug)]
-pub struct EpochGraph {
-    g: UndirectedGraph,
+pub struct Epoch<G> {
+    g: G,
     epoch: u64,
     regions: RegionMap,
-    log: Vec<DeltaRecord<EdgeDelta>>,
 }
 
-impl EpochGraph {
+/// An [`UndirectedGraph`] under epoch management.
+pub type EpochGraph = Epoch<UndirectedGraph>;
+
+/// A [`DiGraph`] under epoch management; its regions are weak components.
+pub type EpochDigraph = Epoch<DiGraph>;
+
+impl<G: EpochKind> Epoch<G> {
     /// Wraps a graph at epoch 0, computing its region map.
-    pub fn new(g: UndirectedGraph) -> Self {
-        let regions = RegionMap::of_undirected(&g);
-        EpochGraph {
+    pub fn new(g: G) -> Self {
+        let regions = g.region_map();
+        Epoch {
             g,
             epoch: 0,
             regions,
-            log: Vec::new(),
         }
     }
 
     /// The wrapped graph (read-only).
-    pub fn graph(&self) -> &UndirectedGraph {
+    pub fn graph(&self) -> &G {
         &self.g
-    }
-
-    /// Unwraps the graph, discarding epoch state.
-    pub fn into_inner(self) -> UndirectedGraph {
-        self.g
     }
 
     /// Current epoch (0 for a freshly wrapped graph).
@@ -477,25 +507,18 @@ impl EpochGraph {
         &self.regions
     }
 
-    /// Whole-graph fingerprint: XOR fold of the maintained region
-    /// fingerprints — no rescan of the graph.
-    pub fn fingerprint(&self) -> u64 {
-        self.regions.fold()
-    }
-
     /// Checks a batch against the current graph without applying anything,
-    /// simulating the evolving edge count so later edits in the batch see
-    /// the ids earlier ones create or free.
-    pub fn validate(&self, batch: &[GraphMutation]) -> Result<()> {
+    /// simulating the evolving edge or arc count so later edits in the
+    /// batch see the ids earlier ones create or free.
+    pub fn validate(&self, batch: &[G::Mutation]) -> Result<()> {
         let n = self.g.num_vertices();
-        let mut m = self.g.num_edges();
-        for mu in batch {
-            match *mu {
-                GraphMutation::InsertEdge { u, v } => {
+        let mut m = self.g.num_items();
+        for &mu in batch {
+            match mu.into() {
+                Edit::Insert(u, v) => {
                     if u.index() >= n || v.index() >= n {
-                        let worst = u.index().max(v.index());
                         return Err(GraphError::VertexOutOfRange {
-                            vertex: worst,
+                            vertex: u.index().max(v.index()),
                             num_vertices: n,
                         });
                     }
@@ -504,10 +527,10 @@ impl EpochGraph {
                     }
                     m += 1;
                 }
-                GraphMutation::RemoveEdge(e) => {
-                    if e.index() >= m {
+                Edit::Remove(id) => {
+                    if id >= m {
                         return Err(GraphError::EdgeOutOfRange {
-                            edge: e.index(),
+                            edge: id,
                             num_edges: m,
                         });
                     }
@@ -518,43 +541,24 @@ impl EpochGraph {
         Ok(())
     }
 
-    /// Inserts one edge; sugar for a single-edit [`Self::batch_apply`].
-    /// Returns the new edge's id alongside the mutation report.
-    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> Result<(EdgeId, MutationReport)> {
-        let report = self.batch_apply(&[GraphMutation::InsertEdge { u, v }])?;
-        Ok((EdgeId::new(self.g.num_edges() - 1), report))
-    }
-
-    /// Removes one edge; sugar for a single-edit [`Self::batch_apply`].
-    pub fn remove_edge(&mut self, e: EdgeId) -> Result<MutationReport> {
-        self.batch_apply(&[GraphMutation::RemoveEdge(e)])
-    }
-
     /// Applies a mutation batch atomically: the whole batch is validated
     /// up front, then applied as **one** epoch step. Returns the new epoch
     /// and the touched-region set (regions whose fingerprint changed).
-    pub fn batch_apply(&mut self, batch: &[GraphMutation]) -> Result<MutationReport> {
+    pub fn batch_apply(&mut self, batch: &[G::Mutation]) -> Result<MutationReport> {
         self.validate(batch)?;
         // lint:allow(alloc) per-batch diff baseline: mutations are the cold side
         let old_fps = self.regions.fps.clone();
-        // lint:allow(alloc) one delta record per batch, bounded by the log cap
-        let mut edits = Vec::with_capacity(batch.len());
         let mut removed_any = false;
-        for mu in batch {
-            match *mu {
-                GraphMutation::InsertEdge { u, v } => {
-                    let e = self.g.add_edge(u, v).expect("batch validated");
-                    edits.push(EdgeDelta::Inserted { e, u, v });
+        for &mu in batch {
+            match mu.into() {
+                Edit::Insert(u, v) => {
+                    let hash = self.g.insert(u, v);
                     if !removed_any {
-                        self.apply_insert_fp(e, u, v);
+                        self.apply_insert_fp(u, v, hash);
                     }
                 }
-                GraphMutation::RemoveEdge(e) => {
-                    let RemovedEdge {
-                        endpoints: (u, v),
-                        moved,
-                    } = self.g.remove_edge(e).expect("batch validated");
-                    edits.push(EdgeDelta::Removed { e, u, v, moved });
+                Edit::Remove(id) => {
+                    self.g.remove(id);
                     removed_any = true;
                 }
             }
@@ -562,40 +566,30 @@ impl EpochGraph {
         if removed_any {
             // Removals can split regions and renumber edges; recompute and
             // let the fingerprint diff pick up every affected region.
-            self.regions = RegionMap::of_undirected(&self.g);
+            self.regions = self.g.region_map();
         }
-        let touched = diff_fps(&old_fps, &self.regions.fps);
         self.epoch += 1;
-        self.log.push(DeltaRecord {
-            epoch: self.epoch,
-            edits,
-            // lint:allow(alloc) the touched set is part of the per-batch record
-            touched: touched.clone(),
-        });
-        if self.log.len() > DELTA_LOG_CAP {
-            let excess = self.log.len() - DELTA_LOG_CAP;
-            self.log.drain(..excess);
-        }
         Ok(MutationReport {
             epoch: self.epoch,
-            touched,
+            touched: diff_fps(&old_fps, &self.regions.fps),
         })
     }
 
-    /// Incrementally folds an inserted edge into the region map: same
-    /// region is an O(log R) fingerprint update; distinct regions merge
-    /// into the smaller canonical id with an O(n) relabel.
-    fn apply_insert_fp(&mut self, e: EdgeId, u: VertexId, v: VertexId) {
-        let eh = edge_hash(e, u, v);
+    /// Incrementally folds an inserted edge or arc with hash `hash` into
+    /// the region map: same region is an O(log R) fingerprint update;
+    /// distinct regions merge into the smaller canonical id with an O(n)
+    /// relabel.
+    fn apply_insert_fp(&mut self, u: VertexId, v: VertexId, hash: u64) {
         let ru = self.regions.region[u.index()];
         let rv = self.regions.region[v.index()];
+        let fps = &mut self.regions.fps;
+        let slot = |fps: &[(u32, u64)], r: u32| {
+            fps.binary_search_by_key(&r, |&(id, _)| id)
+                .expect("region exists")
+        };
         if ru == rv {
-            let idx = self
-                .regions
-                .fps
-                .binary_search_by_key(&ru, |&(r, _)| r)
-                .expect("region exists");
-            self.regions.fps[idx].1 ^= eh;
+            let idx = slot(fps, ru);
+            fps[idx].1 ^= hash;
             return;
         }
         let (keep, gone) = if ru < rv { (ru, rv) } else { (rv, ru) };
@@ -604,238 +598,9 @@ impl EpochGraph {
                 *r = keep;
             }
         }
-        let gone_idx = self
-            .regions
-            .fps
-            .binary_search_by_key(&gone, |&(r, _)| r)
-            .expect("region exists");
-        let (_, gone_fp) = self.regions.fps.remove(gone_idx);
-        let keep_idx = self
-            .regions
-            .fps
-            .binary_search_by_key(&keep, |&(r, _)| r)
-            .expect("region exists");
-        self.regions.fps[keep_idx].1 ^= gone_fp ^ eh;
-    }
-
-    /// The contiguous delta records covering `(since_epoch, current]`, or
-    /// `None` if the log has been truncated past `since_epoch` (or the
-    /// epoch is from the future). `Some(&[])` means "already current".
-    pub fn deltas_since(&self, since_epoch: u64) -> Option<&[DeltaRecord<EdgeDelta>]> {
-        if since_epoch > self.epoch {
-            return None;
-        }
-        if since_epoch == self.epoch {
-            return Some(&[]);
-        }
-        let oldest = self.epoch - self.log.len() as u64; // epoch before first record
-        if since_epoch < oldest {
-            return None;
-        }
-        Some(&self.log[(since_epoch - oldest) as usize..])
-    }
-}
-
-/// A [`DiGraph`] under epoch management (see [`EpochGraph`]).
-#[derive(Clone, Debug)]
-pub struct EpochDigraph {
-    d: DiGraph,
-    epoch: u64,
-    regions: RegionMap,
-    log: Vec<DeltaRecord<ArcDelta>>,
-}
-
-impl EpochDigraph {
-    /// Wraps a digraph at epoch 0, computing its weak-component region map.
-    pub fn new(d: DiGraph) -> Self {
-        let regions = RegionMap::of_digraph(&d);
-        EpochDigraph {
-            d,
-            epoch: 0,
-            regions,
-            log: Vec::new(),
-        }
-    }
-
-    /// The wrapped digraph (read-only).
-    pub fn digraph(&self) -> &DiGraph {
-        &self.d
-    }
-
-    /// Unwraps the digraph, discarding epoch state.
-    pub fn into_inner(self) -> DiGraph {
-        self.d
-    }
-
-    /// Current epoch (0 for a freshly wrapped digraph).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The maintained region map (always consistent with [`Self::digraph`]).
-    pub fn regions(&self) -> &RegionMap {
-        &self.regions
-    }
-
-    /// Whole-digraph fingerprint: XOR fold of the maintained region
-    /// fingerprints — no rescan of the digraph.
-    pub fn fingerprint(&self) -> u64 {
-        self.regions.fold()
-    }
-
-    /// Checks a batch against the current digraph without applying it.
-    pub fn validate(&self, batch: &[ArcMutation]) -> Result<()> {
-        let n = self.d.num_vertices();
-        let mut m = self.d.num_arcs();
-        for mu in batch {
-            match *mu {
-                ArcMutation::InsertArc { tail, head } => {
-                    if tail.index() >= n || head.index() >= n {
-                        let worst = tail.index().max(head.index());
-                        return Err(GraphError::VertexOutOfRange {
-                            vertex: worst,
-                            num_vertices: n,
-                        });
-                    }
-                    if tail == head {
-                        return Err(GraphError::SelfLoop {
-                            vertex: tail.index(),
-                        });
-                    }
-                    m += 1;
-                }
-                ArcMutation::RemoveArc(a) => {
-                    if a.index() >= m {
-                        return Err(GraphError::EdgeOutOfRange {
-                            edge: a.index(),
-                            num_edges: m,
-                        });
-                    }
-                    m -= 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Inserts one arc; sugar for a single-edit [`Self::batch_apply`].
-    /// Returns the new arc's id alongside the mutation report.
-    pub fn insert_arc(
-        &mut self,
-        tail: VertexId,
-        head: VertexId,
-    ) -> Result<(ArcId, MutationReport)> {
-        let report = self.batch_apply(&[ArcMutation::InsertArc { tail, head }])?;
-        Ok((ArcId::new(self.d.num_arcs() - 1), report))
-    }
-
-    /// Removes one arc; sugar for a single-edit [`Self::batch_apply`].
-    pub fn remove_arc(&mut self, a: ArcId) -> Result<MutationReport> {
-        self.batch_apply(&[ArcMutation::RemoveArc(a)])
-    }
-
-    /// Applies a mutation batch atomically as one epoch step (see
-    /// [`EpochGraph::batch_apply`]).
-    pub fn batch_apply(&mut self, batch: &[ArcMutation]) -> Result<MutationReport> {
-        self.validate(batch)?;
-        // lint:allow(alloc) per-batch diff baseline: mutations are the cold side
-        let old_fps = self.regions.fps.clone();
-        // lint:allow(alloc) one delta record per batch, bounded by the log cap
-        let mut edits = Vec::with_capacity(batch.len());
-        let mut removed_any = false;
-        for mu in batch {
-            match *mu {
-                ArcMutation::InsertArc { tail, head } => {
-                    let a = self.d.add_arc(tail, head).expect("batch validated");
-                    edits.push(ArcDelta::Inserted { a, tail, head });
-                    if !removed_any {
-                        self.apply_insert_fp(a, tail, head);
-                    }
-                }
-                ArcMutation::RemoveArc(a) => {
-                    let RemovedArc {
-                        endpoints: (tail, head),
-                        moved,
-                    } = self.d.remove_arc(a).expect("batch validated");
-                    edits.push(ArcDelta::Removed {
-                        a,
-                        tail,
-                        head,
-                        moved,
-                    });
-                    removed_any = true;
-                }
-            }
-        }
-        if removed_any {
-            self.regions = RegionMap::of_digraph(&self.d);
-        }
-        let touched = diff_fps(&old_fps, &self.regions.fps);
-        self.epoch += 1;
-        self.log.push(DeltaRecord {
-            epoch: self.epoch,
-            edits,
-            // lint:allow(alloc) the touched set is part of the per-batch record
-            touched: touched.clone(),
-        });
-        if self.log.len() > DELTA_LOG_CAP {
-            let excess = self.log.len() - DELTA_LOG_CAP;
-            self.log.drain(..excess);
-        }
-        Ok(MutationReport {
-            epoch: self.epoch,
-            touched,
-        })
-    }
-
-    /// Incrementally folds an inserted arc into the weak-component map.
-    fn apply_insert_fp(&mut self, a: ArcId, tail: VertexId, head: VertexId) {
-        let ah = arc_hash(a, tail, head);
-        let rt = self.regions.region[tail.index()];
-        let rh = self.regions.region[head.index()];
-        if rt == rh {
-            let idx = self
-                .regions
-                .fps
-                .binary_search_by_key(&rt, |&(r, _)| r)
-                .expect("region exists");
-            self.regions.fps[idx].1 ^= ah;
-            return;
-        }
-        let (keep, gone) = if rt < rh { (rt, rh) } else { (rh, rt) };
-        for r in self.regions.region.iter_mut() {
-            if *r == gone {
-                *r = keep;
-            }
-        }
-        let gone_idx = self
-            .regions
-            .fps
-            .binary_search_by_key(&gone, |&(r, _)| r)
-            .expect("region exists");
-        let (_, gone_fp) = self.regions.fps.remove(gone_idx);
-        let keep_idx = self
-            .regions
-            .fps
-            .binary_search_by_key(&keep, |&(r, _)| r)
-            .expect("region exists");
-        self.regions.fps[keep_idx].1 ^= gone_fp ^ ah;
-    }
-
-    /// The contiguous delta records covering `(since_epoch, current]` (see
-    /// [`EpochGraph::deltas_since`]).
-    pub fn deltas_since(&self, since_epoch: u64) -> Option<&[DeltaRecord<ArcDelta>]> {
-        if since_epoch > self.epoch {
-            return None;
-        }
-        if since_epoch == self.epoch {
-            return Some(&[]);
-        }
-        let oldest = self.epoch - self.log.len() as u64;
-        if since_epoch < oldest {
-            return None;
-        }
-        Some(&self.log[(since_epoch - oldest) as usize..])
+        let (_, gone_fp) = fps.remove(slot(fps, gone));
+        let idx = slot(fps, keep);
+        fps[idx].1 ^= gone_fp ^ hash;
     }
 }
 
@@ -862,6 +627,58 @@ mod tests {
     fn two_component_graph() -> UndirectedGraph {
         // Component A: {0,1,2}; component B: {3,4}; 5 isolated.
         UndirectedGraph::from_edges(6, &[(0, 1), (1, 2), (3, 4)]).unwrap()
+    }
+
+    fn ins(u: u32, v: u32) -> GraphMutation {
+        GraphMutation::InsertEdge {
+            u: VertexId(u),
+            v: VertexId(v),
+        }
+    }
+
+    /// Applies `steps` random batches of 1–4 mixed edits, inserts twice as
+    /// likely as removals, and checks after each batch that the maintained
+    /// region map equals a fresh labeling. `edit` turns the generic shape
+    /// into the kind's mutation.
+    fn check_random_batches<G: EpochKind>(
+        mut eg: Epoch<G>,
+        seed: u64,
+        steps: u64,
+        edit: impl Fn(Edit) -> G::Mutation,
+    ) {
+        let mut rng = Rng(seed);
+        let n = eg.graph().num_vertices();
+        let mut insert_after_removal = 0;
+        for step in 0..steps {
+            let mut m = eg.graph().num_items();
+            let mut removed = false;
+            let len = 1 + rng.below(4);
+            let batch: Vec<G::Mutation> = (0..len)
+                .map(|_| {
+                    if m == 0 || rng.below(3) > 0 {
+                        let u = rng.below(n);
+                        let v = (u + 1 + rng.below(n - 1)) % n;
+                        m += 1;
+                        insert_after_removal += usize::from(removed);
+                        edit(Edit::Insert(VertexId::new(u), VertexId::new(v)))
+                    } else {
+                        let id = rng.below(m);
+                        m -= 1;
+                        removed = true;
+                        edit(Edit::Remove(id))
+                    }
+                })
+                .collect();
+            let report = eg.batch_apply(&batch).unwrap();
+            assert_eq!(
+                eg.regions(),
+                &eg.graph().region_map(),
+                "maintained region map drifted at step {step}"
+            );
+            assert_eq!((report.epoch, eg.epoch()), (step + 1, step + 1));
+        }
+        // An insert after a removal skips the incremental fold.
+        assert!(insert_after_removal > 0, "no batch reached that path");
     }
 
     #[test]
@@ -895,7 +712,7 @@ mod tests {
     fn insert_in_one_region_leaves_others_untouched() {
         let mut eg = EpochGraph::new(two_component_graph());
         let before = eg.regions().clone();
-        let (_, report) = eg.insert_edge(VertexId(0), VertexId(2)).unwrap();
+        let report = eg.batch_apply(&[ins(0, 2)]).unwrap();
         assert_eq!(report.epoch, 1);
         assert_eq!(report.touched, vec![0]);
         assert_eq!(
@@ -909,7 +726,7 @@ mod tests {
     #[test]
     fn insert_merging_regions_touches_both() {
         let mut eg = EpochGraph::new(two_component_graph());
-        let (_, report) = eg.insert_edge(VertexId(2), VertexId(3)).unwrap();
+        let report = eg.batch_apply(&[ins(2, 3)]).unwrap();
         assert_eq!(report.touched, vec![0, 3]);
         assert_eq!(eg.regions().region_of(VertexId(4)), Some(0));
         assert_eq!(eg.regions().fingerprint(3), None, "region 3 merged away");
@@ -921,7 +738,9 @@ mod tests {
         let g = UndirectedGraph::from_edges(6, &[(3, 4), (0, 1), (1, 2)]).unwrap();
         let mut eg = EpochGraph::new(g);
         // Removing {1,2} splits region 0 into {0,1} and {2}.
-        let report = eg.remove_edge(EdgeId(2)).unwrap();
+        let report = eg
+            .batch_apply(&[GraphMutation::RemoveEdge(EdgeId(2))])
+            .unwrap();
         assert!(report.touched.contains(&0));
         assert!(report.touched.contains(&2), "new region 2 appears");
         assert!(!report.touched.contains(&3), "region 3 untouched");
@@ -934,59 +753,28 @@ mod tests {
         // edge 2 (in region 3) onto id 1 — edge ids appear in solution
         // sets, so region 3's fingerprint must change too.
         let mut eg = EpochGraph::new(two_component_graph());
-        let report = eg.remove_edge(EdgeId(1)).unwrap();
+        let report = eg
+            .batch_apply(&[GraphMutation::RemoveEdge(EdgeId(1))])
+            .unwrap();
         assert!(report.touched.contains(&3), "renumbered region invalidated");
     }
 
     #[test]
     fn maintained_fingerprints_match_fresh_recompute() {
-        let mut rng = Rng(0x5eed);
-        let mut eg = EpochGraph::new(UndirectedGraph::new(12));
-        for step in 0..300 {
-            let m = eg.graph().num_edges();
-            if m == 0 || rng.below(3) > 0 {
-                let u = VertexId::new(rng.below(12));
-                let mut v = VertexId::new(rng.below(12));
-                if u == v {
-                    v = VertexId::new((v.index() + 1) % 12);
-                }
-                eg.insert_edge(u, v).unwrap();
-            } else {
-                eg.remove_edge(EdgeId::new(rng.below(m))).unwrap();
-            }
-            let fresh = RegionMap::of_undirected(eg.graph());
-            assert_eq!(
-                eg.regions(),
-                &fresh,
-                "maintained region map drifted at step {step}"
-            );
-            assert_eq!(eg.epoch(), step + 1);
-        }
+        let eg = EpochGraph::new(UndirectedGraph::new(12));
+        check_random_batches(eg, 0x5eed, 300, |edit| match edit {
+            Edit::Insert(u, v) => GraphMutation::InsertEdge { u, v },
+            Edit::Remove(id) => GraphMutation::RemoveEdge(EdgeId::new(id)),
+        });
     }
 
     #[test]
     fn digraph_maintained_fingerprints_match_fresh_recompute() {
-        let mut rng = Rng(0xbeef);
-        let mut ed = EpochDigraph::new(DiGraph::new(9));
-        for step in 0..200 {
-            let m = ed.digraph().num_arcs();
-            if m == 0 || rng.below(3) > 0 {
-                let t = VertexId::new(rng.below(9));
-                let mut h = VertexId::new(rng.below(9));
-                if t == h {
-                    h = VertexId::new((h.index() + 1) % 9);
-                }
-                ed.insert_arc(t, h).unwrap();
-            } else {
-                ed.remove_arc(ArcId::new(rng.below(m))).unwrap();
-            }
-            let fresh = RegionMap::of_digraph(ed.digraph());
-            assert_eq!(
-                ed.regions(),
-                &fresh,
-                "maintained digraph region map drifted at step {step}"
-            );
-        }
+        let ed = EpochDigraph::new(DiGraph::new(9));
+        check_random_batches(ed, 0xbeef, 200, |edit| match edit {
+            Edit::Insert(tail, head) => ArcMutation::InsertArc { tail, head },
+            Edit::Remove(id) => ArcMutation::RemoveArc(ArcId::new(id)),
+        });
     }
 
     #[test]
@@ -1010,39 +798,37 @@ mod tests {
     #[test]
     fn batch_is_atomic_on_invalid_edit() {
         let mut eg = EpochGraph::new(two_component_graph());
-        let before_fp = eg.fingerprint();
-        let err = eg.batch_apply(&[
-            GraphMutation::InsertEdge {
-                u: VertexId(0),
-                v: VertexId(5),
-            },
-            GraphMutation::RemoveEdge(EdgeId(99)),
-        ]);
+        let before = eg.regions().clone();
+        let err = eg.batch_apply(&[ins(0, 5), GraphMutation::RemoveEdge(EdgeId(99))]);
         assert!(matches!(err, Err(GraphError::EdgeOutOfRange { .. })));
         assert_eq!(eg.epoch(), 0, "failed batch does not advance the epoch");
-        assert_eq!(eg.fingerprint(), before_fp);
+        assert_eq!(eg.regions(), &before);
         assert_eq!(eg.graph().num_edges(), 3);
     }
 
     #[test]
     fn deltas_since_covers_recent_epochs_and_truncates() {
+        // Named for the replay log this counter used to index: the epoch
+        // advances once per applied batch, empty or multi-edit alike, and
+        // a long run of batches keeps nothing but the counter.
         let mut eg = EpochGraph::new(UndirectedGraph::new(4));
-        for _ in 0..3 {
-            eg.insert_edge(VertexId(0), VertexId(1)).unwrap();
+        let report = eg.batch_apply(&[]).unwrap();
+        assert_eq!((report.epoch, report.touched), (1, vec![]));
+        // {2,3} is renumbered onto the freed id 0, then {1,2} joins it.
+        let batch = [
+            ins(0, 1),
+            ins(2, 3),
+            GraphMutation::RemoveEdge(EdgeId(0)),
+            ins(1, 2),
+        ];
+        let report = eg.batch_apply(&batch).unwrap();
+        assert_eq!((report.epoch, report.touched), (2, vec![1, 2, 3]));
+        assert_eq!(eg.graph().endpoints(EdgeId(0)), (VertexId(2), VertexId(3)));
+        for _ in 0..100 {
+            eg.batch_apply(&[ins(0, 3)]).unwrap();
         }
-        assert_eq!(eg.deltas_since(3).map(|d| d.len()), Some(0));
-        assert_eq!(eg.deltas_since(1).map(|d| d.len()), Some(2));
-        assert_eq!(eg.deltas_since(0).map(|d| d.len()), Some(3));
-        assert!(eg.deltas_since(9).is_none(), "future epoch");
-        for _ in 0..DELTA_LOG_CAP {
-            eg.insert_edge(VertexId(2), VertexId(3)).unwrap();
-        }
-        assert!(eg.deltas_since(0).is_none(), "log truncated");
-        let cur = eg.epoch();
-        assert_eq!(
-            eg.deltas_since(cur - DELTA_LOG_CAP as u64).map(|d| d.len()),
-            Some(DELTA_LOG_CAP)
-        );
+        assert_eq!(eg.epoch(), 102);
+        assert_eq!(eg.regions(), &RegionMap::of_undirected(eg.graph()));
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //!   pruning ([`spanning`], Propositions 3/26/32),
 //! * **line graphs** and the Theorem 39 construction ([`line_graph`]),
 //! * claw detection ([`clawfree`], §7),
+//! * **graph epochs** ([`epoch`]): batched edits to either graph kind
+//!   with per-region fingerprints, so a mutation invalidates only the
+//!   cached answers whose regions changed,
 //! * workload **generators** ([`generators`]) and plain-text I/O ([`io`]).
 //!
 //! Vertices and edges are dense `u32` indices wrapped in [`VertexId`] /

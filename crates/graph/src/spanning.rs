@@ -17,7 +17,6 @@
 //! spanning-growth pass per node.
 
 use crate::digraph::DiGraph;
-use crate::epoch::{EdgeDelta, RegionMap};
 use crate::ids::{ArcId, EdgeId, VertexId};
 use crate::traversal::{bfs, BfsForest};
 use crate::undirected::UndirectedGraph;
@@ -431,9 +430,6 @@ pub struct DynamicSpanning {
     id_bound: usize,
     /// Component labels under contract deltas.
     comps: UnionFind,
-    /// Sorted region ids the skeleton occupies (scratch for
-    /// [`Self::carry_over`]).
-    carry_scratch: Vec<u32>,
     queries: u64,
     explored: u64,
     max_explored: u64,
@@ -573,67 +569,6 @@ impl DynamicSpanning {
     /// back. O(undone deltas).
     pub fn undo_to(&mut self, mark: SpanMark) {
         self.comps.rollback(mark.unions);
-    }
-
-    /// **Cross-epoch reclassification.** Attempts to carry the prepared
-    /// skeleton across a graph mutation batch instead of re-running
-    /// skeleton construction. `regions` must be the *pre-mutation* region
-    /// map the skeleton was prepared against; `delta` is the epoch log
-    /// entry ([`crate::EpochGraph::deltas_since`]).
-    ///
-    /// Returns `true` when every mutated edge — and every edge the
-    /// dense-id invariant renumbered — lies in regions the skeleton does
-    /// not occupy: such edits cannot create, destroy, or renumber a
-    /// skeleton edge, so the prepared classification state is still exact
-    /// and the caller skips `prepare()`. Returns `false` otherwise (the
-    /// caller rebuilds). Conservative by design: a `false` is never
-    /// wrong, merely slower. O(n + |delta| · log R), allocation-free
-    /// after warm-up.
-    pub fn carry_over(&mut self, regions: &RegionMap, delta: &[EdgeDelta]) -> bool {
-        if delta.is_empty() {
-            return true;
-        }
-        if regions.num_vertices() != self.n {
-            return false;
-        }
-        self.carry_scratch.clear();
-        for v in 0..self.n {
-            let occupied = self.off[v] < self.off[v + 1] || self.barrier[v];
-            if occupied {
-                if let Some(r) = regions.region_of(VertexId::new(v)) {
-                    self.carry_scratch.push(r);
-                }
-            }
-        }
-        self.carry_scratch.sort_unstable();
-        self.carry_scratch.dedup();
-        for d in delta {
-            let affected = match *d {
-                EdgeDelta::Inserted { u, v, .. } => {
-                    self.occupies_region_of(regions, u) || self.occupies_region_of(regions, v)
-                }
-                EdgeDelta::Removed { u, v, moved, .. } => {
-                    self.occupies_region_of(regions, u)
-                        || self.occupies_region_of(regions, v)
-                        || moved.is_some_and(|(_, a, b)| {
-                            self.occupies_region_of(regions, a)
-                                || self.occupies_region_of(regions, b)
-                        })
-                }
-            };
-            if affected {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Whether the skeleton occupies `v`'s region (conservatively `true`
-    /// for vertices the region map does not cover).
-    fn occupies_region_of(&self, regions: &RegionMap, v: VertexId) -> bool {
-        regions
-            .region_of(v)
-            .is_none_or(|r| self.carry_scratch.binary_search(&r).is_ok())
     }
 
     /// **Forced query.** Whether `w` has a skeleton path to a non-barrier
@@ -968,55 +903,42 @@ mod tests {
 
     #[test]
     fn carry_over_absorbs_foreign_region_edits_only() {
-        use crate::epoch::EpochGraph;
-        // Two components: skeleton lives on {0,1,2}; {3,4,5} is foreign.
-        let g = UndirectedGraph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]).unwrap();
+        // Named for the cross-epoch carry-over this structure once had.
+        // A mutated graph now gets its skeleton rebuilt, in place: a
+        // removal in a foreign region that renumbers a skeleton edge
+        // shows the new id, and an in-region insert that closes a cycle
+        // ends the forced path.
+        use crate::epoch::{EpochGraph, GraphMutation};
+        // Region {0,1,2} is a path; {3,4,5} is foreign.
+        let g = UndirectedGraph::from_edges(6, &[(0, 1), (3, 4), (4, 5), (1, 2)]).unwrap();
         let mut eg = EpochGraph::new(g);
         let mut ds = DynamicSpanning::new();
-        ds.begin_skeleton(6);
-        for e in [EdgeId(0), EdgeId(1)] {
-            let (u, v) = eg.graph().endpoints(e);
-            ds.add_edge(u, v, e.index() as u32);
-        }
-        ds.finish_skeleton();
-        assert!(ds.is_forced(VertexId(2), |v| v == VertexId(0)));
-
-        // Insert inside the foreign region: absorbed, state still exact.
-        let pre = eg.regions().clone();
-        eg.insert_edge(VertexId(3), VertexId(5)).unwrap();
-        let delta = &eg.deltas_since(0).unwrap().last().unwrap().edits;
-        assert!(ds.carry_over(&pre, delta), "foreign insert absorbed");
-        assert!(ds.is_forced(VertexId(2), |v| v == VertexId(0)));
-
-        // Remove the last edge (no renumbering) in the foreign region.
-        let pre = eg.regions().clone();
-        let since = eg.epoch();
-        eg.remove_edge(EdgeId(4)).unwrap();
-        let delta = &eg.deltas_since(since).unwrap()[0].edits;
-        assert!(ds.carry_over(&pre, delta), "foreign removal absorbed");
-
-        // Insert touching the skeleton region: signals rebuild.
-        let pre = eg.regions().clone();
-        let since = eg.epoch();
-        eg.insert_edge(VertexId(0), VertexId(2)).unwrap();
-        let delta = &eg.deltas_since(since).unwrap()[0].edits;
-        assert!(!ds.carry_over(&pre, delta), "in-region insert rebuilds");
-
-        // A removal that renumbers an edge with a skeleton-region endpoint
-        // must also signal rebuild, even if the removed edge is foreign.
-        let pre = eg.regions().clone();
-        let since = eg.epoch();
-        // Current edges: last-added {0,2} holds the largest id; removing a
-        // foreign edge renumbers it.
-        eg.remove_edge(EdgeId(2)).unwrap();
-        let delta = &eg.deltas_since(since).unwrap()[0].edits;
-        assert!(
-            !ds.carry_over(&pre, delta),
-            "renumbered skeleton edge rebuilds"
-        );
-
-        // Empty delta is always absorbed.
-        assert!(ds.carry_over(&pre, &[]));
+        let rebuild_and_collect = |ds: &mut DynamicSpanning, g: &UndirectedGraph| {
+            let bridge = crate::bridges::bridges(g, None);
+            ds.begin_skeleton(g.num_vertices());
+            for e in g.edges().filter(|e| bridge[e.index()]) {
+                let (u, v) = g.endpoints(e);
+                ds.add_edge(u, v, e.index() as u32);
+            }
+            ds.finish_skeleton();
+            let mut ids = Vec::new();
+            ds.begin_collect();
+            let forced =
+                ds.collect_forced_path(VertexId(2), |v| v == VertexId(0), |id| ids.push(id));
+            ids.sort_unstable();
+            forced.then_some(ids)
+        };
+        assert_eq!(rebuild_and_collect(&mut ds, eg.graph()), Some(vec![0, 3]));
+        // Removing the foreign {3,4} moves {1,2} from id 3 onto id 1.
+        eg.batch_apply(&[GraphMutation::RemoveEdge(EdgeId(1))])
+            .unwrap();
+        assert_eq!(rebuild_and_collect(&mut ds, eg.graph()), Some(vec![0, 1]));
+        eg.batch_apply(&[GraphMutation::InsertEdge {
+            u: VertexId(0),
+            v: VertexId(2),
+        }])
+        .unwrap();
+        assert_eq!(rebuild_and_collect(&mut ds, eg.graph()), None);
     }
 
     #[test]

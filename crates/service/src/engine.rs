@@ -15,7 +15,9 @@ use steiner_core::{
     CacheStats, DirectedSteinerTree, EnumStats, Enumeration, MinimalSteinerProblem, ResultCache,
     SnapshotError, SnapshotItem, SteinerError, SteinerForest, SteinerTree, TerminalSteinerTree,
 };
-use steiner_graph::epoch::{ArcMutation, EpochDigraph, EpochGraph, GraphMutation};
+use steiner_graph::epoch::{
+    ArcMutation, Epoch, EpochDigraph, EpochGraph, EpochKind, GraphMutation,
+};
 use steiner_graph::{ArcId, DiGraph, EdgeId, GraphError, UndirectedGraph};
 
 use crate::query::{Query, QueryOptions, QueryOutcome, SolutionItems, Ticket};
@@ -230,15 +232,18 @@ impl Shared {
 
     /// Read access to the serving undirected graph.
     fn read_graph(&self) -> RwLockReadGuard<'_, EpochGraph> {
-        self.graph.read().unwrap_or_else(|e| e.into_inner())
+        read_epoch(&self.graph)
     }
 
     /// Read access to the serving directed view, when present.
     fn read_digraph(&self) -> Option<RwLockReadGuard<'_, EpochDigraph>> {
-        self.digraph
-            .as_ref()
-            .map(|d| d.read().unwrap_or_else(|e| e.into_inner()))
+        self.digraph.as_ref().map(read_epoch)
     }
+}
+
+/// Read access to one serving graph, recovering from a poisoned lock.
+fn read_epoch<G>(graph: &RwLock<Epoch<G>>) -> RwLockReadGuard<'_, Epoch<G>> {
+    graph.read().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A lifetime snapshot of one tenant's scheduler state and counters.
@@ -261,41 +266,31 @@ pub struct TenantReport {
     pub stats: EnumStats,
 }
 
-/// Shared read access to the engine's serving undirected graph,
-/// returned by [`EnumerationEngine::graph`]. Derefs to the
-/// [`UndirectedGraph`]; holding it blocks mutation batches (they take
-/// the write side), so drop it promptly.
-pub struct GraphRef<'a>(RwLockReadGuard<'a, EpochGraph>);
+/// Shared read access to one of the engine's serving graphs: the
+/// undirected graph ([`GraphRef`], from [`EnumerationEngine::graph`]) or
+/// the directed view ([`DigraphRef`], from
+/// [`EnumerationEngine::digraph`]). Derefs to the graph; holding it
+/// blocks mutation batches (they take the write side), so drop it
+/// promptly.
+pub struct EpochRef<'a, G>(RwLockReadGuard<'a, Epoch<G>>);
 
-impl GraphRef<'_> {
+/// Read access to the serving [`UndirectedGraph`] (see [`EpochRef`]).
+pub type GraphRef<'a> = EpochRef<'a, UndirectedGraph>;
+
+/// Read access to the serving directed view (see [`EpochRef`]).
+pub type DigraphRef<'a> = EpochRef<'a, DiGraph>;
+
+impl<G: EpochKind> EpochRef<'_, G> {
     /// The graph's mutation epoch (bumped once per committed batch).
     pub fn epoch(&self) -> u64 {
         self.0.epoch()
     }
 }
 
-impl Deref for GraphRef<'_> {
-    type Target = UndirectedGraph;
-    fn deref(&self) -> &UndirectedGraph {
+impl<G: EpochKind> Deref for EpochRef<'_, G> {
+    type Target = G;
+    fn deref(&self) -> &G {
         self.0.graph()
-    }
-}
-
-/// Shared read access to the engine's directed view, returned by
-/// [`EnumerationEngine::digraph`]. See [`GraphRef`].
-pub struct DigraphRef<'a>(RwLockReadGuard<'a, EpochDigraph>);
-
-impl DigraphRef<'_> {
-    /// The directed view's mutation epoch.
-    pub fn epoch(&self) -> u64 {
-        self.0.epoch()
-    }
-}
-
-impl Deref for DigraphRef<'_> {
-    type Target = DiGraph;
-    fn deref(&self) -> &DiGraph {
-        self.0.digraph()
     }
 }
 
@@ -309,8 +304,9 @@ impl Deref for DigraphRef<'_> {
 /// every completed stream is byte-identical to a one-shot
 /// [`Enumeration`] run of the same query.
 ///
-/// The graphs are **live**: [`Self::apply_mutations`] (and its directed
-/// sibling) inserts and removes edges between queries. Each batch is
+/// The graphs are **live**: [`Self::apply_mutations`] and
+/// [`Self::apply_arc_mutations`] insert and remove edges and arcs
+/// between queries. Each batch is
 /// serialized against in-flight work — queries admitted before the
 /// batch finish against the old graph, queries admitted after it run
 /// against the new one — and the result caches drop exactly the
@@ -472,13 +468,13 @@ impl EnumerationEngine {
     /// Read access to the undirected graph every undirected query runs
     /// against. The returned guard blocks mutation batches while held.
     pub fn graph(&self) -> GraphRef<'_> {
-        GraphRef(self.shared.read_graph())
+        EpochRef(self.shared.read_graph())
     }
 
     /// Read access to the directed view, when the engine was built
     /// with one. The returned guard blocks mutation batches while held.
     pub fn digraph(&self) -> Option<DigraphRef<'_>> {
-        self.shared.read_digraph().map(DigraphRef)
+        self.shared.read_digraph().map(EpochRef)
     }
 
     /// Inserts and removes edges in the serving undirected graph as one
@@ -493,19 +489,7 @@ impl EnumerationEngine {
     /// The batch is validated up front: on error nothing changes, no
     /// fence goes up, and queries are not delayed.
     pub fn apply_mutations(&self, batch: &[GraphMutation]) -> Result<MutationOutcome, GraphError> {
-        let _serial = self
-            .shared
-            .mutation_lock
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        self.shared.read_graph().validate(batch)?;
-        self.fence()?;
-        let report = {
-            let mut g = self.shared.graph.write().unwrap_or_else(|e| e.into_inner());
-            g.batch_apply(batch).expect("batch was pre-validated")
-        };
-        let (retained, invalidated) = self.shared.edge_cache.invalidate_regions(&report.touched);
-        Ok(self.commit_epoch(report.touched, retained, invalidated))
+        self.mutate(&self.shared.graph, &self.shared.edge_cache, batch)
     }
 
     /// [`Self::apply_mutations`] for a single edit.
@@ -514,34 +498,46 @@ impl EnumerationEngine {
     }
 
     /// Inserts and removes arcs in the directed view as one atomic
-    /// batch — the directed sibling of [`Self::apply_mutations`],
-    /// invalidating arc-item cache entries by touched region. Fails
-    /// with [`GraphError::Precondition`] when the engine has no
-    /// directed view.
+    /// batch, with the same serialization and validation as
+    /// [`Self::apply_mutations`]; it drops the arc-item cache entries
+    /// whose region signature intersects a touched region and leaves
+    /// the edge-item cache alone. Fails with
+    /// [`GraphError::Precondition`] when the engine has no directed
+    /// view.
     pub fn apply_arc_mutations(
         &self,
         batch: &[ArcMutation],
+    ) -> Result<MutationOutcome, GraphError> {
+        let Some(digraph) = self.shared.digraph.as_ref() else {
+            return Err(GraphError::Precondition {
+                message: NO_DIGRAPH.to_string(),
+            });
+        };
+        self.mutate(digraph, &self.shared.arc_cache, batch)
+    }
+
+    /// The one mutation body behind both entry points: takes the
+    /// mutation lock, validates under the read lock, raises the fence,
+    /// applies under the write lock, invalidates `cache` by touched
+    /// region, and commits the epoch.
+    fn mutate<G: EpochKind, Item: Copy + Eq + std::hash::Hash>(
+        &self,
+        graph: &RwLock<Epoch<G>>,
+        cache: &ResultCache<Item>,
+        batch: &[G::Mutation],
     ) -> Result<MutationOutcome, GraphError> {
         let _serial = self
             .shared
             .mutation_lock
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let Some(digraph) = self.shared.digraph.as_ref() else {
-            return Err(GraphError::Precondition {
-                message: NO_DIGRAPH.to_string(),
-            });
-        };
-        digraph
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .validate(batch)?;
+        read_epoch(graph).validate(batch)?;
         self.fence()?;
         let report = {
-            let mut d = digraph.write().unwrap_or_else(|e| e.into_inner());
-            d.batch_apply(batch).expect("batch was pre-validated")
+            let mut g = graph.write().unwrap_or_else(|e| e.into_inner());
+            g.batch_apply(batch).expect("batch was pre-validated")
         };
-        let (retained, invalidated) = self.shared.arc_cache.invalidate_regions(&report.touched);
+        let (retained, invalidated) = cache.invalidate_regions(&report.touched);
         Ok(self.commit_epoch(report.touched, retained, invalidated))
     }
 
@@ -918,7 +914,7 @@ fn execute(shared: &Shared, query: &Query, opts: &QueryOptions) -> QueryOutcome 
         }
         Query::DirectedSteinerTree { root, terminals } => match shared.read_digraph() {
             Some(d) => run(
-                DirectedSteinerTree::new(d.digraph(), *root, terminals),
+                DirectedSteinerTree::new(d.graph(), *root, terminals),
                 &shared.arc_cache,
                 opts,
                 SolutionItems::Arcs,

@@ -98,7 +98,7 @@ mod query;
 mod session;
 
 pub use engine::{
-    DigraphRef, EngineConfig, EnumerationEngine, GraphRef, MutationOutcome, TenantReport,
+    DigraphRef, EngineConfig, EnumerationEngine, EpochRef, GraphRef, MutationOutcome, TenantReport,
 };
 pub use query::{Query, QueryOptions, QueryOutcome, SolutionItems, Ticket};
 pub use session::Session;

@@ -24,22 +24,14 @@ use crate::source::SourceFile;
 /// recursion that calls them (`solver.rs`: `recurse`/`recurse_stealing`
 /// and `emit`, plus the per-solution `solution` and per-node `tick` impls
 /// of the sinks it drives — `ShardSink`, `DeadlineSink`, `InlineBridge`),
-/// and the epoch-engine mutation paths (graph edits, delta replay, and
-/// cross-epoch skeleton carry-over) that run between queries on the
+/// and the epoch-engine mutation path (the batch, its graph edits and
+/// the incremental fingerprint fold) that runs between queries on the
 /// serving graph.
 pub const HOT: &[(&str, &[&str])] = &[
     (
         "crates/graph/src/epoch.rs",
-        &[
-            "insert_edge",
-            "remove_edge",
-            "insert_arc",
-            "remove_arc",
-            "batch_apply",
-            "apply_insert_fp",
-        ],
+        &["insert", "remove", "batch_apply", "apply_insert_fp"],
     ),
-    ("crates/graph/src/spanning.rs", &["carry_over"]),
     ("crates/graph/src/region.rs", &["globalize"]),
     ("crates/core/src/problem.rs", &["follow"]),
     (
@@ -49,8 +41,6 @@ pub const HOT: &[(&str, &[&str])] = &[
     (
         "crates/graph/src/csr.rs",
         &[
-            "apply_delta",
-            "apply_delta_doubled",
             "bit_test",
             "bit_set",
             "bit_clear",

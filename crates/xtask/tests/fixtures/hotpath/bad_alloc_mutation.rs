@@ -1,6 +1,6 @@
 //! Known-bad: the epoch-engine mutation paths allocate without waivers —
 //! a fresh touched-set per edit in `batch_apply`, a rebuilt label vector
-//! in `apply_insert_fp`, and a collected occupancy set in `carry_over`.
+//! in `apply_insert_fp`, and a copied label table in `remove`.
 
 struct Engine {
     labels: Vec<u32>,
@@ -25,7 +25,7 @@ fn apply_insert_fp(engine: &mut Engine, gone: u32, keep: u32) {
     engine.labels = relabeled;
 }
 
-fn carry_over(engine: &Engine, delta: &[u32]) -> bool {
+fn remove(engine: &Engine, edits: &[u32]) -> bool {
     let occupied = engine.labels.to_vec();
-    delta.iter().all(|r| !occupied.contains(r))
+    edits.iter().all(|r| !occupied.contains(r))
 }
