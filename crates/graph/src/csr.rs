@@ -669,10 +669,10 @@ mod tests {
         assert_eq!(csr.arc(ArcId(3)).0, g.endpoints(EdgeId(1)).1);
     }
 
-    // The next three tests are named for the in-place delta replay the
-    // views once had. Every query now rebuilds its views, so they check
-    // that a view reused across mutation batches of an epoch graph —
-    // including an insert after a removal, which renumbers ids — equals a
+    // The next three tests keep the names of the in-place delta replay
+    // the views once had. Every query now rebuilds its views, so they
+    // check that a view reused across mutation batches of an epoch graph
+    // (removals renumber ids; batches insert after a removal) equals a
     // fresh build.
 
     #[test]

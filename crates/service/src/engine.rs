@@ -306,11 +306,11 @@ impl<G: EpochKind> Deref for EpochRef<'_, G> {
 ///
 /// The graphs are **live**: [`Self::apply_mutations`] and
 /// [`Self::apply_arc_mutations`] insert and remove edges and arcs
-/// between queries. Each batch is
-/// serialized against in-flight work — queries admitted before the
-/// batch finish against the old graph, queries admitted after it run
-/// against the new one — and the result caches drop exactly the
-/// entries whose touched regions changed ([`MutationOutcome`]).
+/// between queries. Each batch is serialized against in-flight work —
+/// queries admitted before the batch finish against the old graph,
+/// queries admitted after it run against the new one — and the result
+/// caches drop exactly the entries whose touched regions changed
+/// ([`MutationOutcome`]).
 ///
 /// Dropping the engine drains gracefully: new submissions are refused,
 /// queued queries still execute, and every outstanding [`Ticket`]
