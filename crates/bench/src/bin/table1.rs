@@ -131,11 +131,15 @@ fn st_rows(rows: &mut Vec<Row>) {
             work_gap_over_nm: Some(stats.max_emission_gap as f64 / nm),
             path_gen_fraction: None,
         });
-        let run =
-            Enumeration::new(SteinerTree::new(&inst.graph, &inst.terminals)).with_default_queue();
+        // The queue rows report the delivery gap: the Theorem-20 delay the
+        // consumer sees behind the queue, on the engine's work counter.
+        let (run, stats) = Enumeration::new(SteinerTree::new(&inst.graph, &inst.terminals))
+            .with_default_queue()
+            .with_stats();
         let delays = record_delays(CAP, |emit| {
             run.for_each(|_| flow(emit())).expect("valid instance");
         });
+        let stats = stats.get();
         rows.push(Row {
             problem: "Steiner Tree (§4)".into(),
             algorithm: "improved + queue (Thm 20)".into(),
@@ -146,8 +150,8 @@ fn st_rows(rows: &mut Vec<Row>) {
             t: inst.terminals.len(),
             solutions: delays.solutions,
             delays,
-            max_work_gap: None,
-            work_gap_over_nm: None,
+            max_work_gap: Some(stats.max_delivery_gap),
+            work_gap_over_nm: Some(stats.max_delivery_gap as f64 / nm),
             path_gen_fraction: None,
         });
     }
@@ -479,10 +483,13 @@ fn forest_rows(rows: &mut Vec<Row>) {
             work_gap_over_nm: Some(stats.max_emission_gap as f64 / nm),
             path_gen_fraction: None,
         });
-        let run = Enumeration::new(SteinerForest::new(&g, &sets)).with_default_queue();
+        let (run, stats) = Enumeration::new(SteinerForest::new(&g, &sets))
+            .with_default_queue()
+            .with_stats();
         let delays = record_delays(CAP, |emit| {
             run.for_each(|_| flow(emit())).expect("valid instance");
         });
+        let stats = stats.get();
         rows.push(Row {
             problem: "Steiner Forest (§5)".into(),
             algorithm: "improved + queue (Thm 25)".into(),
@@ -493,8 +500,8 @@ fn forest_rows(rows: &mut Vec<Row>) {
             t: sets.len(),
             solutions: delays.solutions,
             delays,
-            max_work_gap: None,
-            work_gap_over_nm: None,
+            max_work_gap: Some(stats.max_delivery_gap),
+            work_gap_over_nm: Some(stats.max_delivery_gap as f64 / nm),
             path_gen_fraction: None,
         });
     }
@@ -525,11 +532,13 @@ fn terminal_rows(rows: &mut Vec<Row>) {
             work_gap_over_nm: Some(stats.max_emission_gap as f64 / nm),
             path_gen_fraction: None,
         });
-        let run = Enumeration::new(TerminalSteinerTree::new(&inst.graph, &inst.terminals))
-            .with_default_queue();
+        let (run, stats) = Enumeration::new(TerminalSteinerTree::new(&inst.graph, &inst.terminals))
+            .with_default_queue()
+            .with_stats();
         let delays = record_delays(CAP, |emit| {
             run.for_each(|_| flow(emit())).expect("valid instance");
         });
+        let stats = stats.get();
         rows.push(Row {
             problem: "Terminal Steiner Tree (§5.1)".into(),
             algorithm: "improved + queue (Thm 31)".into(),
@@ -540,8 +549,8 @@ fn terminal_rows(rows: &mut Vec<Row>) {
             t: inst.terminals.len(),
             solutions: delays.solutions,
             delays,
-            max_work_gap: None,
-            work_gap_over_nm: None,
+            max_work_gap: Some(stats.max_delivery_gap),
+            work_gap_over_nm: Some(stats.max_delivery_gap as f64 / nm),
             path_gen_fraction: None,
         });
     }
@@ -571,10 +580,13 @@ fn directed_rows(rows: &mut Vec<Row>) {
             work_gap_over_nm: Some(stats.max_emission_gap as f64 / nm),
             path_gen_fraction: None,
         });
-        let run = Enumeration::new(DirectedSteinerTree::new(&d, root, &w)).with_default_queue();
+        let (run, stats) = Enumeration::new(DirectedSteinerTree::new(&d, root, &w))
+            .with_default_queue()
+            .with_stats();
         let delays = record_delays(CAP, |emit| {
             run.for_each(|_| flow(emit())).expect("valid instance");
         });
+        let stats = stats.get();
         rows.push(Row {
             problem: "Directed Steiner Tree (§5.2)".into(),
             algorithm: "improved + queue (Thm 36)".into(),
@@ -585,8 +597,8 @@ fn directed_rows(rows: &mut Vec<Row>) {
             t: w.len(),
             solutions: delays.solutions,
             delays,
-            max_work_gap: None,
-            work_gap_over_nm: None,
+            max_work_gap: Some(stats.max_delivery_gap),
+            work_gap_over_nm: Some(stats.max_delivery_gap as f64 / nm),
             path_gen_fraction: None,
         });
     }

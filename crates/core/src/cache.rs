@@ -417,14 +417,13 @@ pub(crate) struct Checkout<Item> {
 
 impl<Item: Copy + Eq + Hash> Checkout<Item> {
     /// Delivers the checked-out stream into `deliver`, in original order,
-    /// and returns the number of solutions delivered (the one that
-    /// returned `Break` included). This is the cache's only replay path,
+    /// until it returns `Break`. This is the cache's only replay path,
     /// under both front-ends: the solutions are copied out of the arena
     /// and the references handed back under **one** lock, then delivered
     /// **unlocked** — so the sink may block (the iterator's bounded
     /// channel) or re-enter this cache (nested queries, `stats()`)
     /// without deadlocking.
-    pub(crate) fn replay(self, deliver: &mut dyn FnMut(&[Item]) -> ControlFlow<()>) -> u64 {
+    pub(crate) fn replay(self, deliver: &mut dyn FnMut(&[Item]) -> ControlFlow<()>) {
         let (flat, lens) = {
             let mut inner = self.cache.lock();
             let total: usize = self
@@ -442,17 +441,14 @@ impl<Item: Copy + Eq + Hash> Checkout<Item> {
             inner.release(&self.ids);
             (flat, lens)
         };
-        let mut delivered = 0u64;
         let mut start = 0usize;
         for len in lens {
             let end = start + len as usize;
-            delivered += 1;
             if deliver(&flat[start..end]).is_break() {
                 break;
             }
             start = end;
         }
-        delivered
     }
 }
 

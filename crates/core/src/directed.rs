@@ -23,8 +23,6 @@
 use crate::problem::{
     BranchRun, MinimalSteinerProblem, NodeStep, Prepared, SteinerError, SubtreeRecord,
 };
-use crate::queue::{DirectSink, OutputQueue, QueueConfig, SolutionSink};
-use crate::solver::run_sink_lenient;
 use crate::stats::EnumStats;
 use crate::trail::{FrameLog, ScratchUsage};
 use std::borrow::Cow;
@@ -908,101 +906,6 @@ impl DirectedSteinerTree<'_> {
     }
 }
 
-/// Enumerates all minimal directed Steiner trees of `(d, terminals, root)`
-/// through an arbitrary [`SolutionSink`].
-///
-/// The root is dropped from `terminals` if present (it is trivially
-/// reached). With no (other) terminals the single empty tree is emitted.
-/// If some terminal is unreachable from the root there are no solutions.
-///
-/// **Deprecated shim** over the [`Enumeration`](crate::solver::Enumeration)
-/// builder — new code should write `solver::run_with_sink(&mut DirectedSteinerTree::new(d, root, terminals), emitter)`.
-/// The shim keeps the pre-0.2 lenient contract: empty, disconnected, or
-/// unreachable instances silently emit nothing (where the builder returns
-/// a typed [`SteinerError`]), and out-of-range ids panic.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Enumeration::new(DirectedSteinerTree::new(d, root, terminals))` with a custom sink"
-)]
-pub fn enumerate_minimal_directed_steiner_trees_with(
-    d: &DiGraph,
-    root: VertexId,
-    terminals: &[VertexId],
-    emitter: &mut dyn SolutionSink<ArcId>,
-) -> EnumStats {
-    let mut terminals = terminals.to_vec();
-    terminals.sort_unstable();
-    terminals.dedup();
-    // The historical contract panicked on an out-of-range root (indexing
-    // inside the reachability sweep) even with no terminals; keep that on
-    // the early-return path too.
-    assert!(
-        root.index() < d.num_vertices(),
-        "root {root} out of range (digraph has {} vertices)",
-        d.num_vertices()
-    );
-    if terminals.is_empty() || terminals == [root] {
-        // Historical lenient contract: the empty tree is the unique
-        // solution when no terminal besides the root is requested.
-        let mut stats = EnumStats::default();
-        stats.preprocessing_work = (d.num_vertices() + d.num_arcs()) as u64;
-        stats.note_emission();
-        let _ = emitter.solution(&[], stats.work);
-        let _ = emitter.finish();
-        stats.note_end();
-        return stats;
-    }
-    let mut problem = DirectedSteinerTree::new(d, root, &terminals);
-    run_sink_lenient(&mut problem, emitter)
-}
-
-/// Enumerates all minimal directed Steiner trees with amortized O(n + m)
-/// time per solution (Theorem 36), emitting directly.
-///
-/// **Deprecated shim** over the [`Enumeration`](crate::solver::Enumeration)
-/// builder — new code should write `Enumeration::new(DirectedSteinerTree::new(d, root, terminals)).for_each(sink)`.
-/// The shim keeps the pre-0.2 lenient contract: empty, disconnected, or
-/// unreachable instances silently emit nothing (where the builder returns
-/// a typed [`SteinerError`]), and out-of-range ids panic.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Enumeration::new(DirectedSteinerTree::new(d, root, terminals)).for_each(sink)`"
-)]
-pub fn enumerate_minimal_directed_steiner_trees(
-    d: &DiGraph,
-    root: VertexId,
-    terminals: &[VertexId],
-    sink: &mut dyn FnMut(&[ArcId]) -> ControlFlow<()>,
-) -> EnumStats {
-    let mut direct = DirectSink { sink };
-    #[allow(deprecated)]
-    enumerate_minimal_directed_steiner_trees_with(d, root, terminals, &mut direct)
-}
-
-/// Queued variant: worst-case O(n + m) delay with O(n²) space (Theorem 36).
-///
-/// **Deprecated shim** over the [`Enumeration`](crate::solver::Enumeration)
-/// builder — new code should write `Enumeration::new(DirectedSteinerTree::new(d, root, terminals)).with_queue(config).for_each(sink)`.
-/// The shim keeps the pre-0.2 lenient contract: empty, disconnected, or
-/// unreachable instances silently emit nothing (where the builder returns
-/// a typed [`SteinerError`]), and out-of-range ids panic.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Enumeration::new(DirectedSteinerTree::new(d, root, terminals)).with_queue(config).for_each(sink)`"
-)]
-pub fn enumerate_minimal_directed_steiner_trees_queued(
-    d: &DiGraph,
-    root: VertexId,
-    terminals: &[VertexId],
-    config: Option<QueueConfig>,
-    sink: &mut dyn FnMut(&[ArcId]) -> ControlFlow<()>,
-) -> EnumStats {
-    let config = config.unwrap_or_else(|| QueueConfig::for_graph(d.num_vertices(), d.num_arcs()));
-    let mut queue = OutputQueue::new(config, sink);
-    #[allow(deprecated)]
-    enumerate_minimal_directed_steiner_trees_with(d, root, terminals, &mut queue)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1063,15 +966,15 @@ mod tests {
 
     #[test]
     fn no_terminals_gives_empty_tree_via_shim() {
-        #![allow(deprecated)]
+        // The shim emitted the empty tree for an empty terminal list; the
+        // builder reports the empty instance, an error that
+        // `means_no_solutions`.
         let d = DiGraph::from_arcs(2, &[(0, 1)]).unwrap();
-        let mut got = BTreeSet::new();
-        enumerate_minimal_directed_steiner_trees(&d, VertexId(0), &[], &mut |arcs| {
-            got.insert(arcs.to_vec());
-            ControlFlow::Continue(())
-        });
-        assert_eq!(got.len(), 1);
-        assert!(got.contains(&Vec::new()));
+        let err = Enumeration::new(DirectedSteinerTree::new(&d, VertexId(0), &[]))
+            .run()
+            .unwrap_err();
+        assert_eq!(err, SteinerError::EmptyInstance);
+        assert!(err.means_no_solutions());
     }
 
     #[test]

@@ -24,8 +24,6 @@
 use crate::problem::{
     BranchRun, MinimalSteinerProblem, NodeStep, Prepared, SteinerError, SubtreeRecord,
 };
-use crate::queue::{DirectSink, OutputQueue, QueueConfig, SolutionSink};
-use crate::solver::run_sink_lenient;
 use crate::stats::EnumStats;
 use crate::trail::{FrameLog, ScratchUsage};
 use std::borrow::Cow;
@@ -949,95 +947,6 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
     }
 }
 
-/// Enumerates all minimal Steiner forests of `(g, sets)` through an
-/// arbitrary [`SolutionSink`].
-///
-/// **Deprecated shim** over the [`Enumeration`](crate::solver::Enumeration)
-/// builder — new code should write `solver::run_with_sink(&mut SteinerForest::new(g, sets), emitter)`.
-/// The shim keeps the pre-0.2 lenient contract: empty, disconnected, or
-/// unreachable instances silently emit nothing (where the builder returns
-/// a typed [`SteinerError`]), and out-of-range ids panic.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Enumeration::new(SteinerForest::new(g, sets))` with a custom sink"
-)]
-pub fn enumerate_minimal_steiner_forests_with(
-    g: &UndirectedGraph,
-    sets: &[Vec<VertexId>],
-    emitter: &mut dyn SolutionSink<EdgeId>,
-) -> EnumStats {
-    if sets.is_empty() {
-        // Historical lenient contract: no constraints, so the empty forest
-        // is the unique minimal Steiner forest.
-        let mut stats = EnumStats::default();
-        stats.preprocessing_work = (g.num_vertices() + g.num_edges()) as u64;
-        stats.note_emission();
-        let _ = emitter.solution(&[], stats.work);
-        let _ = emitter.finish();
-        stats.note_end();
-        return stats;
-    }
-    // Historical lenient contract: duplicate members within a set were
-    // silently deduplicated (the strict API reports them).
-    let deduped: Vec<Vec<VertexId>> = sets
-        .iter()
-        .map(|set| {
-            let mut s = set.clone();
-            s.sort_unstable();
-            s.dedup();
-            s
-        })
-        .collect();
-    let mut problem = SteinerForest::new(g, &deduped);
-    run_sink_lenient(&mut problem, emitter)
-}
-
-/// Enumerates all minimal Steiner forests of `(g, sets)` with amortized
-/// O(n + m) time per solution (Theorem 25), emitting directly.
-///
-/// **Deprecated shim** over the [`Enumeration`](crate::solver::Enumeration)
-/// builder — new code should write `Enumeration::new(SteinerForest::new(g, sets)).for_each(sink)`.
-/// The shim keeps the pre-0.2 lenient contract: empty, disconnected, or
-/// unreachable instances silently emit nothing (where the builder returns
-/// a typed [`SteinerError`]), and out-of-range ids panic.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Enumeration::new(SteinerForest::new(g, sets)).for_each(sink)`"
-)]
-pub fn enumerate_minimal_steiner_forests(
-    g: &UndirectedGraph,
-    sets: &[Vec<VertexId>],
-    sink: &mut dyn FnMut(&[EdgeId]) -> ControlFlow<()>,
-) -> EnumStats {
-    let mut direct = DirectSink { sink };
-    #[allow(deprecated)]
-    enumerate_minimal_steiner_forests_with(g, sets, &mut direct)
-}
-
-/// Queued variant: worst-case O(n + m) delay via the output queue
-/// (Theorem 25).
-///
-/// **Deprecated shim** over the [`Enumeration`](crate::solver::Enumeration)
-/// builder — new code should write `Enumeration::new(SteinerForest::new(g, sets)).with_queue(config).for_each(sink)`.
-/// The shim keeps the pre-0.2 lenient contract: empty, disconnected, or
-/// unreachable instances silently emit nothing (where the builder returns
-/// a typed [`SteinerError`]), and out-of-range ids panic.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Enumeration::new(SteinerForest::new(g, sets)).with_queue(config).for_each(sink)`"
-)]
-pub fn enumerate_minimal_steiner_forests_queued(
-    g: &UndirectedGraph,
-    sets: &[Vec<VertexId>],
-    config: Option<QueueConfig>,
-    sink: &mut dyn FnMut(&[EdgeId]) -> ControlFlow<()>,
-) -> EnumStats {
-    let config = config.unwrap_or_else(|| QueueConfig::for_graph(g.num_vertices(), g.num_edges()));
-    let mut queue = OutputQueue::new(config, sink);
-    #[allow(deprecated)]
-    enumerate_minimal_steiner_forests_with(g, sets, &mut queue)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1220,13 +1129,13 @@ mod tests {
 
     #[test]
     fn deprecated_shim_treats_disconnected_as_empty() {
-        #![allow(deprecated)]
+        // The shim's lenient "no solutions" is the builder's typed error
+        // that `means_no_solutions`.
         let g = UndirectedGraph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let mut got = BTreeSet::new();
-        enumerate_minimal_steiner_forests(&g, &[vec![VertexId(0), VertexId(2)]], &mut |e| {
-            got.insert(e.to_vec());
-            ControlFlow::Continue(())
-        });
-        assert!(got.is_empty());
+        let err = Enumeration::new(SteinerForest::new(&g, &[vec![VertexId(0), VertexId(2)]]))
+            .for_each(|_| panic!("a disconnected set has no forest"))
+            .unwrap_err();
+        assert_eq!(err, SteinerError::DisconnectedTerminals { set: 0 });
+        assert!(err.means_no_solutions());
     }
 }

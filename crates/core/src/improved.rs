@@ -27,17 +27,11 @@
 //! (Theorem 17). Running the enumeration through
 //! [`Enumeration::with_queue`](crate::solver::Enumeration::with_queue)
 //! yields the worst-case delay bound of Theorem 20 at O(n²) space.
-//!
-//! The free functions at the bottom are the pre-`Enumeration` entry
-//! points, kept as deprecated shims.
 
 use crate::partial::{Extension, PartialTree};
 use crate::problem::{
     BranchRun, MinimalSteinerProblem, NodeStep, Prepared, SteinerError, SubtreeRecord,
 };
-use crate::queue::{DirectSink, OutputQueue, QueueConfig, SolutionSink};
-use crate::simple::normalize_terminals;
-use crate::solver::run_sink_lenient;
 use crate::stats::EnumStats;
 use crate::trail::{FrameLog, ScratchUsage};
 use std::borrow::Cow;
@@ -734,73 +728,6 @@ pub(crate) fn find_terminal_beyond_csr(
     unreachable!("one side of a tree edge avoids the partial tree")
 }
 
-/// Enumerates all minimal Steiner trees of `(g, terminals)` through an
-/// arbitrary [`SolutionSink`].
-///
-/// **Deprecated shim** over the [`Enumeration`](crate::solver::Enumeration)
-/// builder — new code should write `solver::run_with_sink(&mut SteinerTree::new(g, terminals), emitter)`.
-/// The shim keeps the pre-0.2 lenient contract: empty, disconnected, or
-/// unreachable instances silently emit nothing (where the builder returns
-/// a typed [`SteinerError`]), and out-of-range ids panic.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Enumeration::new(SteinerTree::new(g, terminals))` with a custom sink"
-)]
-pub fn enumerate_minimal_steiner_trees_with(
-    g: &UndirectedGraph,
-    terminals: &[VertexId],
-    emitter: &mut dyn SolutionSink<EdgeId>,
-) -> EnumStats {
-    let mut problem = SteinerTree::new(g, &normalize_terminals(terminals));
-    run_sink_lenient(&mut problem, emitter)
-}
-
-/// Enumerates all minimal Steiner trees with amortized O(n + m) time per
-/// solution (Theorem 17), emitting each solution the moment it is found.
-///
-/// **Deprecated shim** over the [`Enumeration`](crate::solver::Enumeration)
-/// builder — new code should write `Enumeration::new(SteinerTree::new(g, terminals)).for_each(sink)`.
-/// The shim keeps the pre-0.2 lenient contract: empty, disconnected, or
-/// unreachable instances silently emit nothing (where the builder returns
-/// a typed [`SteinerError`]), and out-of-range ids panic.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Enumeration::new(SteinerTree::new(g, terminals)).for_each(sink)`"
-)]
-pub fn enumerate_minimal_steiner_trees(
-    g: &UndirectedGraph,
-    terminals: &[VertexId],
-    sink: &mut dyn FnMut(&[EdgeId]) -> ControlFlow<()>,
-) -> EnumStats {
-    let mut problem = SteinerTree::new(g, &normalize_terminals(terminals));
-    let mut direct = DirectSink { sink };
-    run_sink_lenient(&mut problem, &mut direct)
-}
-
-/// Enumerates all minimal Steiner trees with worst-case O(n + m) delay via
-/// the output-queue method (Theorem 20; O(n²) space for the buffer).
-///
-/// **Deprecated shim** over the [`Enumeration`](crate::solver::Enumeration)
-/// builder — new code should write `Enumeration::new(SteinerTree::new(g, terminals)).with_queue(config).for_each(sink)`.
-/// The shim keeps the pre-0.2 lenient contract: empty, disconnected, or
-/// unreachable instances silently emit nothing (where the builder returns
-/// a typed [`SteinerError`]), and out-of-range ids panic.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Enumeration::new(SteinerTree::new(g, terminals)).with_queue(config).for_each(sink)`"
-)]
-pub fn enumerate_minimal_steiner_trees_queued(
-    g: &UndirectedGraph,
-    terminals: &[VertexId],
-    config: Option<QueueConfig>,
-    sink: &mut dyn FnMut(&[EdgeId]) -> ControlFlow<()>,
-) -> EnumStats {
-    let config = config.unwrap_or_else(|| QueueConfig::for_graph(g.num_vertices(), g.num_edges()));
-    let mut problem = SteinerTree::new(g, &normalize_terminals(terminals));
-    let mut queue = OutputQueue::new(config, sink);
-    run_sink_lenient(&mut problem, &mut queue)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -987,21 +914,35 @@ mod tests {
 
     #[test]
     fn deprecated_shims_still_work() {
-        #![allow(deprecated)]
+        // The shims are gone; what they wrapped stays public: the engine
+        // run through a caller's own sink, direct or queued.
+        use crate::queue::{DirectSink, OutputQueue, QueueConfig};
+        use crate::solver::run_with_sink;
         let g = steiner_graph::generators::theta_chain(3, 3);
         let w = [VertexId(0), VertexId(3)];
         let (new_api, _) = collect(&g, &w);
-        let mut old_api = BTreeSet::new();
-        enumerate_minimal_steiner_trees(&g, &w, &mut |edges| {
-            old_api.insert(edges.to_vec());
+        let mut direct = BTreeSet::new();
+        let mut sink = |edges: &[EdgeId]| {
+            direct.insert(edges.to_vec());
             ControlFlow::Continue(())
-        });
-        assert_eq!(new_api, old_api);
+        };
+        run_with_sink(
+            &mut SteinerTree::new(&g, &w),
+            &mut DirectSink { sink: &mut sink },
+        )
+        .expect("valid instance");
+        assert_eq!(new_api, direct);
         let mut queued = BTreeSet::new();
-        enumerate_minimal_steiner_trees_queued(&g, &w, None, &mut |edges| {
+        let mut sink = |edges: &[EdgeId]| {
             queued.insert(edges.to_vec());
             ControlFlow::Continue(())
-        });
+        };
+        let config = QueueConfig::for_graph(g.num_vertices(), g.num_edges());
+        run_with_sink(
+            &mut SteinerTree::new(&g, &w),
+            &mut OutputQueue::new(config, &mut sink),
+        )
+        .expect("valid instance");
         assert_eq!(new_api, queued);
     }
 }

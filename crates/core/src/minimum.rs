@@ -17,9 +17,8 @@
 //!   its full DP-graph machinery, which the paper itself does not use).
 
 use crate::improved::SteinerTree;
-use crate::queue::DirectSink;
 use crate::simple::normalize_terminals;
-use crate::solver::run_sink_lenient;
+use crate::solver::Enumeration;
 use crate::stats::EnumStats;
 use std::ops::ControlFlow;
 use steiner_graph::traversal::bfs;
@@ -121,25 +120,27 @@ pub fn minimum_steiner_tree_size(g: &UndirectedGraph, terminals: &[VertexId]) ->
 /// edge sets of optimum cardinality), by running the minimal-tree
 /// enumerator and keeping the optimum-size solutions. Returns the optimum
 /// size alongside the enumeration statistics, or `None` when no Steiner
-/// tree exists.
+/// tree exists. An empty terminal list has optimum 0 and no trees to
+/// enumerate.
 pub fn enumerate_minimum_steiner_trees(
     g: &UndirectedGraph,
     terminals: &[VertexId],
     sink: &mut dyn FnMut(&[EdgeId]) -> ControlFlow<()>,
 ) -> Option<(usize, EnumStats)> {
     let opt = minimum_steiner_tree_size(g, terminals)?;
-    let mut filtered = |edges: &[EdgeId]| {
+    let filtered = |edges: &[EdgeId]| {
         if edges.len() == opt {
             sink(edges)
         } else {
             ControlFlow::Continue(())
         }
     };
-    let mut problem = SteinerTree::new(g, &normalize_terminals(terminals));
-    let mut direct = DirectSink {
-        sink: &mut filtered,
+    let problem = SteinerTree::new(g, &normalize_terminals(terminals));
+    let stats = match Enumeration::new(problem).for_each(filtered) {
+        Ok(stats) => stats,
+        Err(e) if e.means_no_solutions() => EnumStats::default(),
+        Err(_) => return None,
     };
-    let stats = run_sink_lenient(&mut problem, &mut direct);
     Some((opt, stats))
 }
 

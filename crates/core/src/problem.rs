@@ -138,9 +138,9 @@ impl std::fmt::Display for SteinerError {
 impl SteinerError {
     /// Whether this error describes a *valid* instance that simply has no
     /// solutions (empty, disconnected, or unreachable), as opposed to a
-    /// malformed one (duplicate or out-of-range ids). The deprecated
-    /// pre-0.2 entry points and the keyword-search layer treat the former
-    /// as "enumerate nothing". The runtime conditions
+    /// malformed one (duplicate or out-of-range ids). The keyword-search
+    /// layer and [`crate::minimum::enumerate_minimum_steiner_trees`] treat
+    /// the former as "enumerate nothing". The runtime conditions
     /// ([`Self::DeadlineExceeded`], [`Self::AdmissionRejected`],
     /// [`Self::Unsupported`]) are neither: the instance may well have
     /// solutions that were not (fully) delivered.

@@ -125,8 +125,12 @@ fn emit<P: MinimalSteinerProblem>(
 }
 
 /// Runs a prepared problem to completion through `emitter`, finishing and
-/// sealing the statistics. This is the engine under every front-end; the
-/// deprecated free-function shims call it directly.
+/// sealing the statistics. This is the engine under every front-end:
+/// [`Enumeration`] drives it through its delivery chain, whose head is
+/// `emitter`. Called directly, it runs the search through any
+/// [`SolutionSink`] (for example an [`OutputQueue`] or a [`DirectSink`]
+/// around a closure); the returned stats then carry the engine counters
+/// only, and leave the delivery counters at 0.
 pub fn run_prepared<P: MinimalSteinerProblem>(
     p: &mut P,
     prepared: Prepared<P::Item>,
@@ -164,23 +168,6 @@ pub fn run_with_sink<P: MinimalSteinerProblem>(
 ) -> Result<EnumStats, SteinerError> {
     let prepared = p.prepare()?;
     Ok(run_prepared(p, prepared, emitter))
-}
-
-/// Backwards-compatibility runner for the deprecated free functions: their
-/// lenient contract treated empty, disconnected, and unreachable instances
-/// as "no solutions" rather than errors (and panicked on ids out of
-/// range). New code should use [`Enumeration`] and match on
-/// [`SteinerError`] instead.
-pub(crate) fn run_sink_lenient<P: MinimalSteinerProblem>(
-    p: &mut P,
-    emitter: &mut dyn SolutionSink<P::Item>,
-) -> EnumStats {
-    match run_with_sink(p, emitter) {
-        Ok(stats) => stats,
-        Err(e) if e.means_no_solutions() => *p.stats(),
-        // lint:allow(panic) documented back-compat contract: the deprecated free functions panicked on invalid instances
-        Err(e) => panic!("invalid {} instance: {e}", P::NAME),
-    }
 }
 
 enum QueueOpt {
@@ -327,10 +314,10 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     /// node), so the overshoot past the deadline is bounded by a constant
     /// number of node expansions — the same linear-delay granularity the
     /// paper's guarantee is stated in. Under [`Self::with_threads`] the
-    /// check runs at the merge point; workers stop at their next
-    /// (bounded) channel send. A cache **hit** is never interrupted:
-    /// replay is O(output) with no search, and the stored stream is only
-    /// ever a complete answer.
+    /// check runs at the merge point, where the ticks are the workers'
+    /// heartbeats; workers stop at their next (bounded) channel send. A
+    /// cache **hit** is never interrupted: replay is O(output) with no
+    /// search, and the stored stream is only ever a complete answer.
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
@@ -381,15 +368,21 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     /// [`MinimalSteinerProblem::record_subtree`] declines keeps only the
     /// root-residue split.
     ///
-    /// The published stats are the workers' and the coordinator's
-    /// counters [merged](EnumStats::merge), with `solutions` set to the
-    /// delivered count and `max_emission_gap` re-measured as the delivery
-    /// gap on the merged work clock; accepted steals and refused offers
-    /// are reported in [`EnumStats::subtrees_stolen`] /
-    /// [`EnumStats::steal_failures`]. `k ≤ 1`, a problem whose
-    /// `split_root` returns `None`, `with_limit(0)`, or an instance whose
-    /// `prepare` needs no search ([`Prepared::Empty`] /
-    /// [`Prepared::Single`]) runs on the sequential engine.
+    /// The published engine counters are the workers' and the
+    /// coordinator's counters [merged](EnumStats::merge): `solutions` sums
+    /// every instance's emissions (under a limit the workers emit ahead of
+    /// the merge, so it can exceed what was delivered) and
+    /// `max_emission_gap` is the largest gap any instance saw on its own
+    /// work counter. The delivery counters come from the merge point's
+    /// delivery chain, the same one a sequential run uses:
+    /// [`EnumStats::delivered`] is what the sink got and
+    /// [`EnumStats::max_delivery_gap`] is measured on the merged work
+    /// clock. Accepted steals and refused offers are reported in
+    /// [`EnumStats::subtrees_stolen`] / [`EnumStats::steal_failures`].
+    /// `k ≤ 1`, a problem whose `split_root` returns `None`,
+    /// `with_limit(0)`, or an instance whose `prepare` needs no search
+    /// ([`Prepared::Empty`] / [`Prepared::Single`]) runs on the
+    /// sequential engine.
     pub fn with_threads(mut self, k: usize) -> Self {
         self.threads = k.max(1);
         self
@@ -497,12 +490,26 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
                 None => cache.note_miss(),
             }
         }
-        let (run, queue) = match hit {
-            Some(hit) => (Run::Replay(hit), None),
+        let (run, route) = match hit {
+            // A hit has no work clock to release a queue on, and it is
+            // never interrupted: replay is O(output) with no search, and
+            // the stored stream is only ever a complete answer.
+            Some(hit) => (
+                Run::Replay(hit),
+                Route {
+                    queue: None,
+                    limit: self.limit,
+                    deadline: None,
+                },
+            ),
             None => {
                 let shards = self.split_shards();
                 let prepared = self.problem.prepare()?;
-                let queue = self.queue_config();
+                let route = Route {
+                    queue: self.queue_config(),
+                    limit: self.limit,
+                    deadline: self.deadline,
+                };
                 let run = match (shards, prepared) {
                     // The coordinator keeps its prepared instance: it
                     // executes the subtrees the merge claims inline. It
@@ -517,14 +524,12 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
                     // prepared instance without spawning a pool.
                     (_, prepared) => Run::Sequential(self.problem, prepared),
                 };
-                (run, queue)
+                (run, route)
             }
         };
         Ok(Started {
             run,
-            queue,
-            limit: self.limit,
-            deadline: self.deadline,
+            route,
             interner: self.interner,
             cache,
             recorder,
@@ -556,18 +561,13 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
         Ok(out)
     }
 
-    /// Counts the solutions (respecting [`Self::with_limit`]).
+    /// Counts the delivered solutions (respecting [`Self::with_limit`]).
     pub fn count(self) -> Result<u64, SteinerError>
     where
         P: Send,
         P::Item: Send,
     {
-        let mut n = 0u64;
-        self.for_each(|_| {
-            n += 1;
-            ControlFlow::Continue(())
-        })?;
-        Ok(n)
+        Ok(self.run()?.delivered)
     }
 
     /// **Pull front-end.** Starts the run on the calling thread — cache
@@ -609,9 +609,7 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
 /// [`Self::drive`] on any thread.
 struct Started<P: MinimalSteinerProblem> {
     run: Run<P>,
-    queue: Option<QueueConfig>,
-    limit: Option<u64>,
-    deadline: Option<Instant>,
+    route: Route,
     interner: Option<SolutionSet<P::Item>>,
     cache: Option<ResultCache<P::Item>>,
     /// Set on a keyed cache miss.
@@ -639,8 +637,9 @@ where
     P::Item: Send,
 {
     /// The second half of both front-ends: replays a hit or runs the
-    /// engine through one recorder → interner → `sink` chain, settles the
-    /// recording, and publishes the stats once — on every outcome, an
+    /// engine through the one delivery chain ([`deliver_through`]) into a
+    /// recorder → interner → `sink` stage, settles the recording, and
+    /// publishes the stats once — on every outcome, a replay and an
     /// expired deadline included.
     fn drive(
         self,
@@ -648,9 +647,7 @@ where
     ) -> Result<EnumStats, SteinerError> {
         let Started {
             run,
-            queue,
-            limit,
-            deadline,
+            route,
             interner,
             cache,
             mut recorder,
@@ -675,38 +672,30 @@ where
             }
             flow
         };
-        let outcome = match run {
+        let (outcome, delivery) = deliver_through(route, &mut deliver, |head| match run {
             Run::Replay(hit) => {
-                let delivered = hit.replay(&mut deliver);
-                Ok((EnumStats::for_cache_hit(delivered, 0), false))
+                hit.replay(&mut |items| head.solution(items, 0));
+                Ok(EnumStats::for_cache_hit())
             }
-            Run::Sequential(mut problem, prepared) => Ok(run_configured(
-                &mut problem,
-                prepared,
-                queue,
-                limit,
-                deadline,
-                &mut deliver,
-            )),
+            Run::Sequential(mut problem, prepared) => {
+                Ok(run_sequential(&mut problem, prepared, route.limit, head))
+            }
             Run::Sharded {
                 mut original,
                 shards,
                 schedule,
-            } => run_sharded(
-                &mut original,
-                shards,
-                schedule.as_ref(),
-                queue,
-                limit,
-                deadline,
-                &mut deliver,
-            ),
-        };
+            } => run_sharded(&mut original, shards, schedule.as_ref(), route, head),
+        });
         let (mut stats, verdict) = match outcome {
-            Ok((stats, false)) => (stats, Ok(())),
-            Ok((stats, true)) => (stats, Err(SteinerError::DeadlineExceeded)),
+            Ok(stats) if delivery.expired => (stats, Err(SteinerError::DeadlineExceeded)),
+            Ok(stats) => (stats, Ok(())),
             Err(e) => (EnumStats::default(), Err(e)),
         };
+        stats.delivered = delivery.delivered;
+        stats.max_delivery_gap = delivery.max_gap;
+        if replay {
+            stats.solutions = delivery.delivered;
+        }
         if let Some(r) = recorder {
             let pressure = r.settle(verdict.is_ok());
             stats.evicted_entries += pressure.evicted;
@@ -769,24 +758,106 @@ impl<Item: Copy + Eq + Hash> CacheRecorder<Item> {
     }
 }
 
-/// The `with_limit` state machine, shared verbatim by the sequential and
-/// sharded sink chains so their delivery semantics cannot drift apart:
-/// once the cap is reached the wrapped delivery is not invoked at all,
-/// and the delivery that exhausts the cap returns `Break`.
-struct LimitCap {
-    remaining: Option<u64>,
+/// How a started run delivers: the output queue, the `with_limit` cap and
+/// the deadline. [`deliver_through`] builds the delivery chain from it.
+#[derive(Clone, Copy)]
+struct Route {
+    queue: Option<QueueConfig>,
+    limit: Option<u64>,
+    deadline: Option<Instant>,
 }
 
-impl LimitCap {
-    fn new(limit: Option<u64>) -> Self {
-        LimitCap { remaining: limit }
+/// Engine ticks between two deadline clock reads. A tick fires once per
+/// search-tree node, so the overshoot past an expired deadline is at most
+/// this many node expansions (each O(n + m) in the worst case) — bounded,
+/// and cheap enough that `Instant::now` stays invisible in profiles.
+pub const DEADLINE_CHECK_INTERVAL: u32 = 32;
+
+/// The first stage of the delivery chain. It records the work it is
+/// handed on every solution and every tick as the run's delivery clock,
+/// which the [`EndStage`] reads. With a deadline it also reads the wall
+/// clock at every solution and every [`DEADLINE_CHECK_INTERVAL`]-th tick,
+/// and aborts the run (plain `Break`: the queue is *not* flushed) once
+/// the deadline passed, latching the expiry the front-end turns into
+/// [`SteinerError::DeadlineExceeded`].
+struct Guard<'a, Item: Copy> {
+    clock: &'a Cell<u64>,
+    deadline: Option<Instant>,
+    ticks: u32,
+    expired: bool,
+    next: &'a mut dyn SolutionSink<Item>,
+}
+
+impl<Item: Copy> Guard<'_, Item> {
+    /// Moves the delivery clock to the end of the run, where no solution
+    /// or tick reports the work done since the last one.
+    fn advance(&mut self, work: u64) {
+        self.clock.set(work);
     }
 
-    fn deliver(&mut self, deliver: impl FnOnce() -> ControlFlow<()>) -> ControlFlow<()> {
+    fn check(&mut self) -> ControlFlow<()> {
+        if let Some(deadline) = self.deadline {
+            // lint:allow(clock) the sanctioned deadline clock: work-metered so Instant::now stays off the per-node path
+            if Instant::now() >= deadline {
+                self.expired = true;
+                return ControlFlow::Break(());
+            }
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+impl<Item: Copy> SolutionSink<Item> for Guard<'_, Item> {
+    fn solution(&mut self, items: &[Item], work: u64) -> ControlFlow<()> {
+        self.clock.set(work);
+        self.check()?;
+        self.next.solution(items, work)
+    }
+
+    fn tick(&mut self, work: u64) -> ControlFlow<()> {
+        self.clock.set(work);
+        if self.deadline.is_some() {
+            self.ticks += 1;
+            if self.ticks >= DEADLINE_CHECK_INTERVAL {
+                self.ticks = 0;
+                self.check()?;
+            }
+        }
+        self.next.tick(work)
+    }
+
+    fn finish(&mut self) -> ControlFlow<()> {
+        self.next.finish()
+    }
+}
+
+/// The last stage of the delivery chain, in front of the consumer: it
+/// owns the `with_limit` cap and times every hand-off on the delivery
+/// clock the [`Guard`] records. Once the cap is reached the consumer is
+/// not called again, and the delivery that exhausts it returns `Break`.
+struct EndStage<'a, Item> {
+    sink: &'a mut dyn FnMut(&[Item]) -> ControlFlow<()>,
+    clock: &'a Cell<u64>,
+    remaining: Option<u64>,
+    delivered: u64,
+    last: u64,
+    max_gap: u64,
+}
+
+impl<Item> EndStage<'_, Item> {
+    fn deliver(&mut self, items: &[Item]) -> ControlFlow<()> {
         if self.remaining == Some(0) {
             return ControlFlow::Break(());
         }
-        let flow = deliver();
+        let now = self.clock.get();
+        // The wait before the first delivery holds `prepare` and the
+        // queue's warm-up, which Theorem 20 excludes from its gap bound.
+        if self.delivered > 0 {
+            self.max_gap = self.max_gap.max(now - self.last);
+        }
+        self.last = now;
+        self.delivered += 1;
+        let flow = (self.sink)(items);
         if let Some(r) = &mut self.remaining {
             *r -= 1;
             if *r == 0 {
@@ -797,110 +868,90 @@ impl LimitCap {
     }
 }
 
-/// Engine ticks between two deadline clock reads. A tick fires once per
-/// search-tree node, so the overshoot past an expired deadline is at most
-/// this many node expansions (each O(n + m) in the worst case) — bounded,
-/// and cheap enough that `Instant::now` stays invisible in profiles.
-pub const DEADLINE_CHECK_INTERVAL: u32 = 32;
-
-/// The outermost stage of the sink chain when a deadline is set: reads
-/// the clock at every solution and every [`DEADLINE_CHECK_INTERVAL`]-th
-/// tick, and aborts the run (plain `Break`, the queue is *not* flushed)
-/// once the deadline passes, latching the expiry in a shared flag the
-/// front-end converts into [`SteinerError::DeadlineExceeded`].
-struct DeadlineSink<'a, Item: Copy> {
-    deadline: Instant,
-    expired: &'a Cell<bool>,
-    ticks: u32,
-    inner: &'a mut dyn SolutionSink<Item>,
+/// What a run's delivery chain measured.
+struct Delivery {
+    /// Solutions handed to the consumer.
+    delivered: u64,
+    /// The largest gap between consecutive deliveries, trailing gap to
+    /// the end of the run included.
+    max_gap: u64,
+    /// The deadline expired before the run completed.
+    expired: bool,
 }
 
-impl<'a, Item: Copy> DeadlineSink<'a, Item> {
-    fn new(
-        deadline: Instant,
-        expired: &'a Cell<bool>,
-        inner: &'a mut dyn SolutionSink<Item>,
-    ) -> Self {
-        DeadlineSink {
-            deadline,
-            expired,
+/// Builds the delivery chain — [`Guard`], then the output queue or a
+/// [`DirectSink`], then the [`EndStage`] in front of `sink` — and runs
+/// `source` into its head. Every front-end delivers through here: the
+/// sequential engine, the shard merge with its inline stolen tasks, and
+/// cache replay. `source` leaves the delivery clock at the end of its run
+/// ([`Guard::advance`]); the gap from the last delivery to there counts.
+fn deliver_through<Item: Copy, R>(
+    route: Route,
+    sink: &mut dyn FnMut(&[Item]) -> ControlFlow<()>,
+    source: impl FnOnce(&mut Guard<'_, Item>) -> R,
+) -> (R, Delivery) {
+    let clock = Cell::new(0u64);
+    let mut end = EndStage {
+        sink,
+        clock: &clock,
+        remaining: route.limit,
+        delivered: 0,
+        last: 0,
+        max_gap: 0,
+    };
+    let (out, expired) = {
+        let mut to_end = |items: &[Item]| end.deliver(items);
+        let mut direct;
+        let mut queued;
+        let next: &mut dyn SolutionSink<Item> = match route.queue {
+            None => {
+                direct = DirectSink { sink: &mut to_end };
+                &mut direct
+            }
+            Some(config) => {
+                queued = OutputQueue::new(config, &mut to_end);
+                &mut queued
+            }
+        };
+        let mut head = Guard {
+            clock: &clock,
+            deadline: route.deadline,
             ticks: 0,
-            inner,
-        }
-    }
-
-    fn check(&self) -> ControlFlow<()> {
-        // lint:allow(clock) the sanctioned deadline clock: work-metered so Instant::now stays off the per-node path
-        if Instant::now() >= self.deadline {
-            self.expired.set(true);
-            return ControlFlow::Break(());
-        }
-        ControlFlow::Continue(())
-    }
+            expired: false,
+            next,
+        };
+        let out = source(&mut head);
+        (out, head.expired)
+    };
+    let trailing = if end.delivered > 0 {
+        clock.get() - end.last
+    } else {
+        0
+    };
+    let delivery = Delivery {
+        delivered: end.delivered,
+        max_gap: end.max_gap.max(trailing),
+        expired,
+    };
+    (out, delivery)
 }
 
-impl<Item: Copy> SolutionSink<Item> for DeadlineSink<'_, Item> {
-    fn solution(&mut self, items: &[Item], work: u64) -> ControlFlow<()> {
-        self.check()?;
-        self.inner.solution(items, work)
-    }
-
-    fn tick(&mut self, work: u64) -> ControlFlow<()> {
-        self.ticks += 1;
-        if self.ticks >= DEADLINE_CHECK_INTERVAL {
-            self.ticks = 0;
-            self.check()?;
-        }
-        self.inner.tick(work)
-    }
-
-    fn finish(&mut self) -> ControlFlow<()> {
-        self.inner.finish()
-    }
-}
-
-/// Assembles the sink chain (deadline guard, optional output queue,
-/// limit cap) and runs the prepared problem. The second return value
-/// reports whether the deadline expired mid-run (the stats then describe
-/// the partial run).
-fn run_configured<P: MinimalSteinerProblem>(
+/// Runs the sequential engine on a prepared problem into the delivery
+/// chain's `head`, whose clock is the engine's work counter. A zero limit
+/// runs no search (a deadline cannot expire on a run that never starts).
+fn run_sequential<P: MinimalSteinerProblem>(
     p: &mut P,
     prepared: Prepared<P::Item>,
-    queue: Option<QueueConfig>,
     limit: Option<u64>,
-    deadline: Option<Instant>,
-    sink: &mut dyn FnMut(&[P::Item]) -> ControlFlow<()>,
-) -> (EnumStats, bool) {
-    let mut cap = LimitCap::new(limit);
-    let mut limited = |items: &[P::Item]| -> ControlFlow<()> { cap.deliver(|| sink(items)) };
+    head: &mut Guard<'_, P::Item>,
+) -> EnumStats {
     if limit == Some(0) {
-        // Nothing may be delivered; skip the search entirely (a deadline
-        // cannot expire on a run that never starts).
         p.stats_mut().note_end();
-        return (*p.stats(), false);
+        return *p.stats();
     }
-    let expired = Cell::new(false);
-    let stats = match (queue, deadline) {
-        (None, None) => {
-            let mut direct = DirectSink { sink: &mut limited };
-            run_prepared(p, prepared, &mut direct)
-        }
-        (None, Some(d)) => {
-            let mut direct = DirectSink { sink: &mut limited };
-            let mut guarded = DeadlineSink::new(d, &expired, &mut direct);
-            run_prepared(p, prepared, &mut guarded)
-        }
-        (Some(config), None) => {
-            let mut queued = OutputQueue::new(config, &mut limited);
-            run_prepared(p, prepared, &mut queued)
-        }
-        (Some(config), Some(d)) => {
-            let mut queued = OutputQueue::new(config, &mut limited);
-            let mut guarded = DeadlineSink::new(d, &expired, &mut queued);
-            run_prepared(p, prepared, &mut guarded)
-        }
-    };
-    (stats, expired.get())
+    let stats = run_prepared(p, prepared, head);
+    head.advance(stats.work);
+    stats
 }
 
 /// A block of consecutive solutions from one root child, stored flat
@@ -1360,18 +1411,6 @@ fn run_shard_worker<P: MinimalSteinerProblem>(
     Ok(*p.stats())
 }
 
-/// What the merge point measured while delivering the merged stream.
-struct MergeOutcome {
-    delivered: u64,
-    /// Maximum delivery gap on the merged work clock (trailing gap
-    /// included, mirroring [`EnumStats::note_end`]).
-    max_gap: u64,
-    /// A worker reported `Failed` (its error is in the shared slot).
-    failed: bool,
-    /// The deadline expired before the merged stream completed.
-    deadline_expired: bool,
-}
-
 /// Unpacks one flat batch, handing each solution onward in order.
 fn each_solution<Item>(
     batch: &Batch<Item>,
@@ -1389,216 +1428,106 @@ fn each_solution<Item>(
 /// The merge point's sink for **inline** execution of a claimed pool
 /// task: translates the executing instance's private work counter into
 /// merged-clock advances ([`ShardMerge::advance_external`]) and forwards
-/// solutions and ticks into the merge's emitter chain, so an inlined
-/// subtree is indistinguishable — stream *and* clock — from one
-/// delivered over a task channel.
+/// solutions and ticks, stamped with the merged clock, into the delivery
+/// chain's head — so an inlined subtree is indistinguishable, stream
+/// *and* clock, from one delivered over a task channel.
 struct InlineBridge<'a, Item: Copy> {
     merge: &'a mut ShardMerge<Batch<Item>>,
-    emitter: &'a mut dyn SolutionSink<Item>,
-    clock: &'a Cell<u64>,
+    head: &'a mut dyn SolutionSink<Item>,
     /// The executing instance's work at the previous callback.
     last: u64,
 }
 
 impl<Item: Copy> InlineBridge<'_, Item> {
-    fn advance(&mut self, work: u64) {
+    fn advance(&mut self, work: u64) -> u64 {
         let delta = work.saturating_sub(self.last);
         if delta > 0 {
             self.merge.advance_external(delta);
             self.last = work;
         }
-        self.clock.set(self.merge.work());
+        self.merge.work()
     }
 }
 
 impl<Item: Copy> SolutionSink<Item> for InlineBridge<'_, Item> {
     fn solution(&mut self, items: &[Item], work: u64) -> ControlFlow<()> {
-        self.advance(work);
-        self.emitter.solution(items, self.merge.work())
+        let merged = self.advance(work);
+        self.head.solution(items, merged)
     }
 
     fn tick(&mut self, work: u64) -> ControlFlow<()> {
-        self.advance(work);
-        self.emitter.tick(self.merge.work())
+        let merged = self.advance(work);
+        self.head.tick(merged)
     }
 }
 
-/// Inline execution of a claimed pool task at the merge point, on the
-/// coordinator's original instance: the subtree's solutions flow
-/// straight into the emitter chain (no channel round-trip), at exactly
-/// the position its `Spawned` marker holds in the merged stream. This is
-/// what keeps the adaptive mode deadlock-free: a marker whose task
-/// nobody claimed can never leave the merge waiting on a channel nobody
-/// fills. No nested spawning — a subtree the merge executes must
-/// terminate on its own.
-#[allow(clippy::too_many_arguments)]
-fn run_inline_task<P: MinimalSteinerProblem>(
-    original: &mut P,
-    task: &PendingTask<P::Item, Batch<P::Item>>,
-    merge: &mut ShardMerge<Batch<P::Item>>,
-    emitter: &mut dyn SolutionSink<P::Item>,
-    deadline: Option<Instant>,
-    expired: &Cell<bool>,
-    clock: &Cell<u64>,
-    scratch: &mut Vec<P::Item>,
-) -> ControlFlow<()> {
-    let depth = task.addr.len() as u32;
-    let mut bridge = InlineBridge {
-        merge,
-        emitter,
-        clock,
-        last: original.stats().work,
-    };
-    match deadline {
-        Some(d) => {
-            let mut guarded = DeadlineSink::new(d, expired, &mut bridge);
-            original.replay_subtree(&task.record, &mut |q| {
-                recurse(q, depth, &mut guarded, scratch)
-            })
-        }
-        None => original.replay_subtree(&task.record, &mut |q| {
-            recurse(q, depth, &mut bridge, scratch)
-        }),
-    }
-}
-
-/// Drains the shard merge on the calling thread, applying the limit cap
-/// and the optional output queue to the merged stream — the same sink
-/// chain as the sequential `run_configured`, driven by the merged work
-/// clock. The deadline (when set) is checked per merge event — batches
-/// arrive at most [`BATCH_SOLUTIONS`] solutions apart and workers emit
-/// heartbeat ticks, so expiry is noticed promptly; the abort drops the
-/// merge, which hangs up every worker channel.
+/// Drains the shard merge on the calling thread into the delivery
+/// chain's `head` — the same chain a sequential run delivers through —
+/// stamping every solution and tick with the merged work clock. The
+/// deadline is the head's: batches arrive at most [`BATCH_SOLUTIONS`]
+/// solutions apart and workers emit heartbeat ticks, so expiry is noticed
+/// promptly, and the abort drops the merge, which hangs up every worker
+/// channel. Returns whether a worker reported `Failed` (its error is in
+/// the shared slot).
 ///
 /// `Spawned` markers (work stealing) splice a subtree's stream in at
 /// the marker position: a task already claimed by a worker is awaited on
 /// its channel ([`ShardMerge::enter_subtree`]), an unclaimed one is
-/// executed inline on `original` ([`run_inline_task`]).
+/// executed inline on `original` — the subtree's solutions flow straight
+/// into the chain (no channel round-trip) at exactly the position its
+/// marker holds. This is what keeps the adaptive mode deadlock-free: a
+/// marker whose task nobody claimed can never leave the merge waiting on
+/// a channel nobody fills. No nested spawning — a subtree the merge
+/// executes must terminate on its own.
 fn run_merge<P: MinimalSteinerProblem>(
     mut merge: ShardMerge<Batch<P::Item>>,
     original: &mut P,
     pool: &StealPool<P::Item, Batch<P::Item>>,
-    queue: Option<QueueConfig>,
-    limit: Option<u64>,
-    deadline: Option<Instant>,
-    sink: &mut dyn FnMut(&[P::Item]) -> ControlFlow<()>,
-) -> MergeOutcome {
-    let mut delivered = 0u64;
-    let mut max_gap = 0u64;
-    let mut last_emit = 0u64;
-    let clock = Cell::new(0u64);
-    let mut failed = false;
-    let deadline_expired = Cell::new(false);
-    // Completion beats expiry when both race to the same event: a
-    // `Finished` stream is the complete answer, deadline or not.
-    let expired_now = || {
-        // lint:allow(clock) final deadline verdict for the DeadlineExceeded error path
-        let hit = matches!(deadline, Some(d) if Instant::now() >= d);
-        if hit {
-            deadline_expired.set(true);
-        }
-        hit
-    };
-    {
-        let mut cap = LimitCap::new(limit);
-        let mut deliver = |items: &[P::Item]| -> ControlFlow<()> {
-            cap.deliver(|| {
-                let now = clock.get();
-                if delivered > 0 {
-                    // Inter-delivery gaps only: the latency to the *first*
-                    // delivery includes every worker's preprocessing and
-                    // the queue's deliberate warm-up buffering, which
-                    // Theorem 20 excludes from its gap bound.
-                    max_gap = max_gap.max(now - last_emit);
+    head: &mut Guard<'_, P::Item>,
+) -> bool {
+    let (n, _) = original.instance_size();
+    let mut scratch: Vec<P::Item> = Vec::with_capacity(n + 1);
+    loop {
+        let flow = match merge.next_event() {
+            MergeEvent::Item(batch) => {
+                let work = merge.work();
+                each_solution(&batch, |sol| head.solution(sol, work))
+            }
+            MergeEvent::Tick => head.tick(merge.work()),
+            MergeEvent::Subtree { task, rx } => match pool.claim_for_merge(task) {
+                Some(claimed) => {
+                    let depth = claimed.addr.len() as u32;
+                    let mut bridge = InlineBridge {
+                        merge: &mut merge,
+                        head: &mut *head,
+                        last: original.stats().work,
+                    };
+                    let flow = original.replay_subtree(&claimed.record, &mut |q| {
+                        recurse(q, depth, &mut bridge, &mut scratch)
+                    });
+                    pool.task_done();
+                    flow
                 }
-                last_emit = now;
-                delivered += 1;
-                sink(items)
-            })
+                // Claimed by a worker (or claims are pinned): suspend the
+                // enclosing stream and await the subtree on its own
+                // channel.
+                None => {
+                    merge.enter_subtree(rx);
+                    ControlFlow::Continue(())
+                }
+            },
+            // Completion beats expiry: a finished stream is the complete
+            // answer, deadline or not, so the flush is not guarded.
+            MergeEvent::Finished => {
+                head.advance(merge.work());
+                let _ = head.finish();
+                return false;
+            }
+            MergeEvent::Failed => return true,
         };
-        let mut direct;
-        let mut queued;
-        let emitter: &mut dyn SolutionSink<P::Item> = match queue {
-            None => {
-                direct = DirectSink { sink: &mut deliver };
-                &mut direct
-            }
-            Some(config) => {
-                queued = OutputQueue::new(config, &mut deliver);
-                &mut queued
-            }
-        };
-        let (n, _) = original.instance_size();
-        let mut scratch: Vec<P::Item> = Vec::with_capacity(n + 1);
-        loop {
-            match merge.next_event() {
-                MergeEvent::Item(batch) => {
-                    if expired_now() {
-                        // Abort: buffered queue output is dropped, not
-                        // flushed — matching the sequential
-                        // deadline-abort semantics.
-                        break;
-                    }
-                    clock.set(merge.work());
-                    let work = merge.work();
-                    if each_solution(&batch, |sol| emitter.solution(sol, work)).is_break() {
-                        break;
-                    }
-                }
-                MergeEvent::Tick => {
-                    if expired_now() {
-                        break;
-                    }
-                    clock.set(merge.work());
-                    if emitter.tick(merge.work()).is_break() {
-                        break;
-                    }
-                }
-                MergeEvent::Subtree { task, rx } => {
-                    match pool.claim_for_merge(task) {
-                        Some(claimed) => {
-                            let flow = run_inline_task(
-                                original,
-                                &claimed,
-                                &mut merge,
-                                &mut *emitter,
-                                deadline,
-                                &deadline_expired,
-                                &clock,
-                                &mut scratch,
-                            );
-                            pool.task_done();
-                            if flow.is_break() {
-                                break;
-                            }
-                        }
-                        // Claimed by a worker (or claims are pinned):
-                        // suspend the enclosing stream and await the
-                        // subtree on its own channel.
-                        None => merge.enter_subtree(rx),
-                    }
-                }
-                MergeEvent::Finished => {
-                    clock.set(merge.work());
-                    let _ = emitter.finish();
-                    break;
-                }
-                MergeEvent::Failed => {
-                    failed = true;
-                    break;
-                }
-            }
+        if flow.is_break() {
+            return false;
         }
-    }
-    // Trailing gap, as in `EnumStats::note_end`.
-    if delivered > 0 {
-        max_gap = max_gap.max(clock.get() - last_emit);
-    }
-    MergeOutcome {
-        delivered,
-        max_gap,
-        failed,
-        deadline_expired: deadline_expired.get(),
     }
 }
 
@@ -1615,11 +1544,8 @@ impl<Item, M> Drop for PoolShutdownGuard<'_, Item, M> {
 }
 
 /// Spawns one worker per shard (each with the streaming module's large
-/// stack), merges deterministically on the calling thread, and returns
-/// the merged statistics with whether the deadline expired (the
-/// sequential engine's `run_configured` contract; publishing is the
-/// caller's). The sequential and sharded front-ends share the
-/// limit/queue sink chain, so the delivered stream is identical.
+/// stack), merges deterministically on the calling thread into the
+/// delivery chain's `head`, and returns the merged statistics.
 ///
 /// `original` is the coordinator's own prepared instance, whose `prepare`
 /// returned [`Prepared::Search`]. The workers start as soon as they are
@@ -1631,11 +1557,9 @@ fn run_sharded<P>(
     original: &mut P,
     shards: Vec<P>,
     schedule: Option<&StealSchedule>,
-    queue: Option<QueueConfig>,
-    limit: Option<u64>,
-    deadline: Option<Instant>,
-    sink: &mut dyn FnMut(&[P::Item]) -> ControlFlow<()>,
-) -> Result<(EnumStats, bool), SteinerError>
+    route: Route,
+    head: &mut Guard<'_, P::Item>,
+) -> Result<EnumStats, SteinerError>
 where
     P: MinimalSteinerProblem + Send,
     P::Item: Send,
@@ -1647,7 +1571,7 @@ where
     // solution-free stretch leaves the merge blocked on `next_event` with
     // no chance to read the clock — at the delay-budget granularity the
     // queue would have used (4(n + m) work units).
-    let tick_every = match (queue, deadline) {
+    let tick_every = match (route.queue, route.deadline) {
         (Some(c), _) => Some((c.budget / 2).max(1)),
         (None, Some(_)) => {
             let (n, m) = original.instance_size();
@@ -1679,7 +1603,7 @@ where
     };
     let observer = schedule.and_then(|s| s.observer());
     let (txs, rxs) = streaming::shard_channels(k as usize, chan_cap);
-    let outcome = std::thread::scope(|scope| {
+    let failed = std::thread::scope(|scope| {
         for (i, (mut problem, tx)) in shards.into_iter().zip(txs).enumerate() {
             let error = &error;
             let merged = &merged;
@@ -1731,33 +1655,20 @@ where
         // break, or panic): workers blocked in `take` must wake or the
         // scope never joins.
         let _shutdown = PoolShutdownGuard(&pool);
-        run_merge(
-            ShardMerge::new(rxs),
-            original,
-            &pool,
-            queue,
-            limit,
-            deadline,
-            sink,
-        )
+        run_merge(ShardMerge::new(rxs), original, &pool, head)
         // Dropping the merge hangs up every worker channel; the scope
         // then joins the workers (propagating any worker panic).
     });
     if let Some(e) = error.into_inner().unwrap_or_else(|e| e.into_inner()) {
         return Err(e);
     }
-    debug_assert!(!outcome.failed, "failure without a recorded error");
+    debug_assert!(!failed, "failure without a recorded error");
     let mut stats = *merged.lock().unwrap_or_else(|e| e.into_inner());
     // Inline-claimed subtrees ran on the coordinator's original instance:
     // fold its counters in so stolen work is accounted exactly once.
     original.seal_stats();
     stats.merge(original.stats());
-    // The user-facing view: what was delivered, and the gap actually
-    // observed on the merged clock (worker-local gaps are meaningless
-    // across clocks).
-    stats.solutions = outcome.delivered;
-    stats.max_emission_gap = outcome.max_gap;
-    Ok((stats, outcome.deadline_expired))
+    Ok(stats)
 }
 
 /// Iterator over the solutions of a background enumeration, returned by

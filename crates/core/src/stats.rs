@@ -9,8 +9,14 @@
 /// Counters describing one enumeration run.
 ///
 /// Returned by every [`Enumeration`](crate::solver::Enumeration)
-/// front-end (and readable mid-run through a
-/// [`StatsHandle`](crate::solver::StatsHandle)):
+/// front-end, and published once, when the run ends, through a
+/// [`StatsHandle`](crate::solver::StatsHandle). Two groups measure two
+/// different places: the engine counters ([`Self::solutions`],
+/// [`Self::max_emission_gap`], work, nodes) describe what the search
+/// emitted, before the output queue and the limit; the delivery counters
+/// ([`Self::delivered`], [`Self::max_delivery_gap`]) describe what the
+/// consumer received, counted once at the end of the delivery chain on
+/// every front-end.
 ///
 /// ```
 /// use steiner_core::{Enumeration, SteinerTree};
@@ -21,13 +27,18 @@
 ///     .run()
 ///     .unwrap();
 /// assert_eq!(stats.solutions, 2);
+/// assert_eq!(stats.delivered, 2); // no queue, no limit: every emission is delivered
 /// assert_eq!(stats.deficient_internal_nodes, 0); // the ≥2-children invariant
 /// assert!(stats.max_emission_gap <= stats.work); // gaps live on the work clock
 /// assert_eq!(stats.cache_hits + stats.cache_misses, 0); // no cache attached
 /// ```
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct EnumStats {
-    /// Solutions handed to the sink.
+    /// Solutions the engine emitted: [`Self::note_emission`] calls,
+    /// before the output queue and the limit. A queued run stopped by its
+    /// limit emits ahead of what it delivers (up to the queue's buffer),
+    /// so this can exceed [`Self::delivered`]; a sharded run sums every
+    /// instance's emissions; a cache replay reports the replayed count.
     pub solutions: u64,
     /// Work units (≈ vertices + arcs touched) spent after preprocessing.
     pub work: u64,
@@ -45,9 +56,28 @@ pub struct EnumStats {
     pub deficient_internal_nodes: u64,
     /// Maximum recursion depth reached.
     pub max_depth: u32,
-    /// Maximum work-unit gap between two consecutive emissions (the
-    /// empirical delay in work units).
+    /// Maximum work-unit gap between two consecutive engine emissions,
+    /// plus the trailing gap to the end of the search: the engine's own
+    /// delay, before the output queue. A sharded run reports the maximum
+    /// over its instances, each measured on its own work counter.
     pub max_emission_gap: u64,
+    /// Solutions handed to the consumer, counted by the end stage of the
+    /// delivery chain — after the output queue and the
+    /// [`with_limit`](crate::solver::Enumeration::with_limit) cap — on
+    /// every front-end: push, pull, sharded, cache replay and the service.
+    /// The solution a sink answers with `Break` counts.
+    pub delivered: u64,
+    /// Largest gap between consecutive deliveries on the run's delivery
+    /// clock, plus the trailing gap from the last delivery to the end of
+    /// the run. The wait before the first delivery is excluded: it holds
+    /// `prepare` and the queue's warm-up, which Theorem 20 excludes too.
+    /// Under the output queue on a sequential run this is the measured
+    /// Theorem-20 delay. The clock is the engine's work counter on a
+    /// sequential run and the merged clock on a sharded run, which sums
+    /// the workers' counters and so also counts work done concurrently:
+    /// a sharded figure is not a Theorem-20 bound. A cache replay has no
+    /// clock, so its gap is 0.
+    pub max_delivery_gap: u64,
     /// Heap allocations performed by the search *after* `prepare()`
     /// returned: buffer-growth events recorded by the reusable scratch
     /// structures (trail, CSR rebuilds, path-enumerator arenas). The
@@ -139,13 +169,11 @@ pub struct EnumStats {
 
 impl EnumStats {
     /// The statistics of a run served entirely from a
-    /// [`ResultCache`](crate::cache::ResultCache): `delivered` solutions,
-    /// one cache hit, no engine work.
-    pub(crate) fn for_cache_hit(delivered: u64, interned_bytes: u64) -> Self {
+    /// [`ResultCache`](crate::cache::ResultCache): one cache hit, no
+    /// engine work.
+    pub(crate) fn for_cache_hit() -> Self {
         EnumStats {
-            solutions: delivered,
             cache_hits: 1,
-            interned_bytes,
             ..EnumStats::default()
         }
     }
@@ -184,17 +212,20 @@ impl EnumStats {
 
     /// Folds another run's counters into this one — the aggregation rule
     /// of the sharded front-end
-    /// ([`Enumeration::with_threads`](crate::solver::Enumeration::with_threads)):
-    /// additive counters sum (each worker's work, nodes, and allocations
-    /// are real costs paid on some thread; `peak_scratch_bytes` sums
-    /// because every worker owns its own scratch heaps), extrema take the
-    /// maximum. Note two sharding artifacts: the root node is expanded
-    /// once *per worker*, so `nodes` counts it `k` times, and each
-    /// worker's `max_emission_gap` is measured against its own work
-    /// clock (the sharded driver overrides the merged value with the
-    /// user-visible delivery gap).
+    /// ([`Enumeration::with_threads`](crate::solver::Enumeration::with_threads))
+    /// and of the service's per-tenant totals: additive counters sum
+    /// (each worker's work, nodes, emissions and allocations are real
+    /// costs paid on some thread; `peak_scratch_bytes` sums because every
+    /// worker owns its own scratch heaps; `delivered` sums across runs),
+    /// extrema and gaps take the maximum. Note two sharding artifacts:
+    /// the root node is expanded once *per worker*, so `nodes` counts it
+    /// `k` times, and each worker's `max_emission_gap` is measured against
+    /// its own work clock. A sharded run's delivery counters come from the
+    /// merge point's delivery chain, not from this fold.
     pub fn merge(&mut self, other: &EnumStats) {
         self.solutions += other.solutions;
+        self.delivered += other.delivered;
+        self.max_delivery_gap = self.max_delivery_gap.max(other.max_delivery_gap);
         self.work += other.work;
         self.preprocessing_work += other.preprocessing_work;
         self.nodes += other.nodes;
@@ -314,8 +345,14 @@ mod tests {
         b.note_emission();
         b.note_emission();
         b.note_node(0, 5);
+        a.delivered = 1;
+        a.max_delivery_gap = 30;
+        b.delivered = 2;
+        b.max_delivery_gap = 12;
         a.merge(&b);
         assert_eq!(a.solutions, 3);
+        assert_eq!(a.delivered, 3, "deliveries sum");
+        assert_eq!(a.max_delivery_gap, 30, "the delivery gap takes the max");
         assert_eq!(a.work, 140);
         assert_eq!(a.preprocessing_work, 7);
         assert_eq!(a.nodes, 2);

@@ -41,9 +41,6 @@ use crate::partial::{Extension, PartialTree};
 use crate::problem::{
     BranchRun, MinimalSteinerProblem, NodeStep, Prepared, SteinerError, SubtreeRecord,
 };
-use crate::queue::{DirectSink, OutputQueue, QueueConfig, SolutionSink};
-use crate::simple::normalize_terminals;
-use crate::solver::run_sink_lenient;
 use crate::stats::EnumStats;
 use crate::trail::{FrameLog, ScratchUsage, Trail, TrailMark};
 use std::borrow::Cow;
@@ -1169,75 +1166,6 @@ impl TerminalSteinerTree<'_> {
     }
 }
 
-/// Enumerates all minimal terminal Steiner trees of `(g, terminals)`
-/// through an arbitrary [`SolutionSink`].
-///
-/// Degenerate cases: |W| ≤ 1 has no solutions (every tree has a
-/// non-terminal leaf); |W| = 2 reduces to `s`-`t` path enumeration.
-///
-/// **Deprecated shim** over the [`Enumeration`](crate::solver::Enumeration)
-/// builder — new code should write `solver::run_with_sink(&mut TerminalSteinerTree::new(g, terminals), emitter)`.
-/// The shim keeps the pre-0.2 lenient contract: empty, disconnected, or
-/// unreachable instances silently emit nothing (where the builder returns
-/// a typed [`SteinerError`]), and out-of-range ids panic.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Enumeration::new(TerminalSteinerTree::new(g, terminals))` with a custom sink"
-)]
-pub fn enumerate_minimal_terminal_steiner_trees_with(
-    g: &UndirectedGraph,
-    terminals: &[VertexId],
-    emitter: &mut dyn SolutionSink<EdgeId>,
-) -> EnumStats {
-    let mut problem = TerminalSteinerTree::new(g, &normalize_terminals(terminals));
-    run_sink_lenient(&mut problem, emitter)
-}
-
-/// Enumerates all minimal terminal Steiner trees with amortized O(n + m)
-/// time per solution (Theorem 31), emitting directly.
-///
-/// **Deprecated shim** over the [`Enumeration`](crate::solver::Enumeration)
-/// builder — new code should write `Enumeration::new(TerminalSteinerTree::new(g, terminals)).for_each(sink)`.
-/// The shim keeps the pre-0.2 lenient contract: empty, disconnected, or
-/// unreachable instances silently emit nothing (where the builder returns
-/// a typed [`SteinerError`]), and out-of-range ids panic.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Enumeration::new(TerminalSteinerTree::new(g, terminals)).for_each(sink)`"
-)]
-pub fn enumerate_minimal_terminal_steiner_trees(
-    g: &UndirectedGraph,
-    terminals: &[VertexId],
-    sink: &mut dyn FnMut(&[EdgeId]) -> ControlFlow<()>,
-) -> EnumStats {
-    let mut problem = TerminalSteinerTree::new(g, &normalize_terminals(terminals));
-    let mut direct = DirectSink { sink };
-    run_sink_lenient(&mut problem, &mut direct)
-}
-
-/// Queued variant: worst-case O(n + m) delay (Theorem 31).
-///
-/// **Deprecated shim** over the [`Enumeration`](crate::solver::Enumeration)
-/// builder — new code should write `Enumeration::new(TerminalSteinerTree::new(g, terminals)).with_queue(config).for_each(sink)`.
-/// The shim keeps the pre-0.2 lenient contract: empty, disconnected, or
-/// unreachable instances silently emit nothing (where the builder returns
-/// a typed [`SteinerError`]), and out-of-range ids panic.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Enumeration::new(TerminalSteinerTree::new(g, terminals)).with_queue(config).for_each(sink)`"
-)]
-pub fn enumerate_minimal_terminal_steiner_trees_queued(
-    g: &UndirectedGraph,
-    terminals: &[VertexId],
-    config: Option<QueueConfig>,
-    sink: &mut dyn FnMut(&[EdgeId]) -> ControlFlow<()>,
-) -> EnumStats {
-    let config = config.unwrap_or_else(|| QueueConfig::for_graph(g.num_vertices(), g.num_edges()));
-    let mut problem = TerminalSteinerTree::new(g, &normalize_terminals(terminals));
-    let mut queue = OutputQueue::new(config, sink);
-    run_sink_lenient(&mut problem, &mut queue)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1437,15 +1365,23 @@ mod tests {
 
     #[test]
     fn deprecated_shims_still_work() {
-        #![allow(deprecated)]
+        // The shims are gone; the engine still runs through a caller's
+        // own sink.
+        use crate::queue::DirectSink;
+        use crate::solver::run_with_sink;
         let g = steiner_graph::generators::grid(3, 4);
         let w = [VertexId(0), VertexId(3), VertexId(8)];
         let new_api = collect(&g, &w);
-        let mut old_api = BTreeSet::new();
-        enumerate_minimal_terminal_steiner_trees(&g, &w, &mut |edges| {
-            old_api.insert(edges.to_vec());
+        let mut via_sink = BTreeSet::new();
+        let mut sink = |edges: &[EdgeId]| {
+            via_sink.insert(edges.to_vec());
             ControlFlow::Continue(())
-        });
-        assert_eq!(new_api, old_api);
+        };
+        run_with_sink(
+            &mut TerminalSteinerTree::new(&g, &w),
+            &mut DirectSink { sink: &mut sink },
+        )
+        .expect("valid instance");
+        assert_eq!(new_api, via_sink);
     }
 }

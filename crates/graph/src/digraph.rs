@@ -8,17 +8,6 @@ use crate::ids::{ArcId, EdgeId, VertexId};
 use crate::undirected::UndirectedGraph;
 use crate::{adjacency_lists, GraphError, Result};
 
-/// Outcome of [`DiGraph::remove_arc`]: the endpoints that were removed,
-/// plus the id reassignment (if any) the dense-id invariant forced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RemovedArc {
-    /// `(tail, head)` of the arc that was removed.
-    pub endpoints: (VertexId, VertexId),
-    /// When the removed arc was not the last one, the previous last arc
-    /// takes over the freed id: `(old_id, tail, head)` of that relocated arc.
-    pub moved: Option<(ArcId, VertexId, VertexId)>,
-}
-
 /// A directed multigraph stored as out/in adjacency lists plus an endpoint
 /// table indexed by arc id.
 ///
@@ -110,9 +99,9 @@ impl DiGraph {
     /// takes over the freed id (`swap_remove` semantics), and its adjacency
     /// entries are repositioned so lists stay sorted by arc id.
     ///
-    /// Returns the removed endpoints plus the renumbering performed, so
-    /// delta-aware consumers can mirror the id reassignment.
-    pub fn remove_arc(&mut self, a: ArcId) -> Result<RemovedArc> {
+    /// Returns the removed arc's `(tail, head)`. Ids held from before the
+    /// removal do not survive it: the last id now names another arc.
+    pub fn remove_arc(&mut self, a: ArcId) -> Result<(VertexId, VertexId)> {
         let m = self.num_arcs();
         if a.index() >= m {
             return Err(GraphError::EdgeOutOfRange {
@@ -125,18 +114,12 @@ impl DiGraph {
         Self::drop_adj_entry(&mut self.in_adj[head.index()], a);
         let last = ArcId::new(m - 1);
         self.endpoints.swap_remove(a.index());
-        let moved = if a != last {
+        if a != last {
             let (t, h) = self.endpoints[a.index()];
             Self::renumber_adj_entry(&mut self.out_adj[t.index()], last, a);
             Self::renumber_adj_entry(&mut self.in_adj[h.index()], last, a);
-            Some((last, t, h))
-        } else {
-            None
-        };
-        Ok(RemovedArc {
-            endpoints: (tail, head),
-            moved,
-        })
+        }
+        Ok((tail, head))
     }
 
     /// Removes the entry for `a` from one adjacency list, preserving the

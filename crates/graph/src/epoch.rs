@@ -781,12 +781,13 @@ mod tests {
     fn removal_keeps_adjacency_sorted_and_ids_dense() {
         let mut g =
             UndirectedGraph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]).unwrap();
-        let rm = g.remove_edge(EdgeId(1)).unwrap();
-        assert_eq!(rm.endpoints, (VertexId(0), VertexId(2)));
-        assert_eq!(rm.moved, Some((EdgeId(4), VertexId(1), VertexId(2))));
+        let last = g.endpoints(EdgeId(4));
+        let removed = g.remove_edge(EdgeId(1)).unwrap();
+        assert_eq!(removed, (VertexId(0), VertexId(2)));
         assert_eq!(g.num_edges(), 4);
         // Edge 1 is now the old edge 4 = {1,2}.
-        assert_eq!(g.endpoints(EdgeId(1)), (VertexId(1), VertexId(2)));
+        assert_eq!(last, (VertexId(1), VertexId(2)));
+        assert_eq!(g.endpoints(EdgeId(1)), last);
         for v in g.vertices() {
             let ids: Vec<EdgeId> = g.adjacency(v).iter().map(|&(_, e)| e).collect();
             let mut sorted = ids.clone();

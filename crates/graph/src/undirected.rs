@@ -8,17 +8,6 @@
 use crate::ids::{EdgeId, VertexId};
 use crate::{adjacency_lists, GraphError, Result};
 
-/// Outcome of [`UndirectedGraph::remove_edge`]: the endpoints that were
-/// removed, plus the id reassignment (if any) the dense-id invariant forced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RemovedEdge {
-    /// Endpoints of the edge that was removed.
-    pub endpoints: (VertexId, VertexId),
-    /// When the removed edge was not the last one, the previous last edge
-    /// takes over the freed id: `(old_id, u, v)` of that relocated edge.
-    pub moved: Option<(EdgeId, VertexId, VertexId)>,
-}
-
 /// An undirected multigraph stored as an adjacency list plus an endpoint
 /// table indexed by edge id.
 ///
@@ -110,10 +99,9 @@ impl UndirectedGraph {
     /// its adjacency entries are repositioned so lists stay sorted by
     /// edge id. O(deg(u) + deg(v) + deg(moved endpoints)).
     ///
-    /// Returns the removed endpoints plus the renumbering performed, so
-    /// delta-aware consumers (epoch logs, CSR views, caches) can mirror
-    /// the id reassignment without rescanning the graph.
-    pub fn remove_edge(&mut self, e: EdgeId) -> Result<RemovedEdge> {
+    /// Returns the removed edge's endpoints. Ids held from before the
+    /// removal do not survive it: the last id now names another edge.
+    pub fn remove_edge(&mut self, e: EdgeId) -> Result<(VertexId, VertexId)> {
         let m = self.num_edges();
         if e.index() >= m {
             return Err(GraphError::EdgeOutOfRange {
@@ -126,18 +114,12 @@ impl UndirectedGraph {
         Self::drop_adj_entry(&mut self.adj[v.index()], e);
         let last = EdgeId::new(m - 1);
         self.endpoints.swap_remove(e.index());
-        let moved = if e != last {
+        if e != last {
             let (a, b) = self.endpoints[e.index()];
             Self::renumber_adj_entry(&mut self.adj[a.index()], last, e);
             Self::renumber_adj_entry(&mut self.adj[b.index()], last, e);
-            Some((last, a, b))
-        } else {
-            None
-        };
-        Ok(RemovedEdge {
-            endpoints: (u, v),
-            moved,
-        })
+        }
+        Ok((u, v))
     }
 
     /// Removes the entry for `e` from one adjacency list, preserving the

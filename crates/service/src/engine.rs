@@ -84,6 +84,10 @@ impl Default for EngineConfig {
 /// What one mutation batch did to the engine, returned by
 /// [`EnumerationEngine::apply_mutations`] /
 /// [`EnumerationEngine::apply_arc_mutations`].
+///
+/// Edge and arc ids are dense per epoch, and a removal renumbers the last
+/// id onto the removed one, so ids read from an earlier epoch's solutions
+/// may name different edges (or arcs) after the batch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MutationOutcome {
     /// The serving epoch *after* the batch: every query admitted from

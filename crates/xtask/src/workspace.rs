@@ -23,7 +23,8 @@ use crate::source::SourceFile;
 /// is `push_prefix`/`pop_prefix`/`emit`), the engine's own per-node
 /// recursion that calls them (`solver.rs`: `recurse`/`recurse_stealing`
 /// and `emit`, plus the per-solution `solution` and per-node `tick` impls
-/// of the sinks it drives — `ShardSink`, `DeadlineSink`, `InlineBridge`),
+/// of the sinks it drives — `ShardSink`, the delivery chain's `Guard`,
+/// `InlineBridge` — and the chain end stage's per-delivery `deliver`),
 /// and the epoch-engine mutation path (the batch, its graph edits and
 /// the incremental fingerprint fold) that runs between queries on the
 /// serving graph.
@@ -36,7 +37,14 @@ pub const HOT: &[(&str, &[&str])] = &[
     ("crates/core/src/problem.rs", &["follow"]),
     (
         "crates/core/src/solver.rs",
-        &["recurse", "recurse_stealing", "emit", "solution", "tick"],
+        &[
+            "recurse",
+            "recurse_stealing",
+            "emit",
+            "solution",
+            "tick",
+            "deliver",
+        ],
     ),
     (
         "crates/graph/src/csr.rs",

@@ -93,10 +93,10 @@
 //!
 //! # Migrating from the 0.1 free functions
 //!
-//! The twelve pre-0.2 entry points remain available as deprecated shims;
-//! see the table below (and the README) for their replacements.
+//! The twelve pre-0.2 entry points were deprecated shims in 0.2 and are
+//! removed; the table below (and the README) lists their replacements.
 //!
-//! | Deprecated free function | Replacement |
+//! | Removed free function | Replacement |
 //! |---|---|
 //! | `steiner::improved::enumerate_minimal_steiner_trees(g, w, sink)` | `Enumeration::new(SteinerTree::new(g, w)).for_each(sink)` |
 //! | `steiner::improved::enumerate_minimal_steiner_trees_queued(g, w, cfg, sink)` | `…with_queue(cfg)` / `…with_default_queue()` before `for_each` |
@@ -105,10 +105,11 @@
 //! | `steiner::terminal::enumerate_minimal_terminal_steiner_trees*(g, w, …)` | `Enumeration::new(TerminalSteinerTree::new(g, w))…` |
 //! | `steiner::directed::enumerate_minimal_directed_steiner_trees*(d, r, w, …)` | `Enumeration::new(DirectedSteinerTree::new(d, r, w))…` |
 //!
-//! The shims keep the historical lenient semantics (empty, disconnected,
-//! or unreachable instances silently produce no solutions); the builder
+//! The shims kept the historical lenient semantics (empty, disconnected,
+//! or unreachable instances silently produced no solutions); the builder
 //! returns a [`SteinerError`] for those, so migrated code can distinguish
-//! "no solutions" from "invalid instance".
+//! "no solutions" from "invalid instance"
+//! ([`SteinerError::means_no_solutions`]).
 
 #![deny(unsafe_code)]
 

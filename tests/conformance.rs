@@ -180,71 +180,55 @@ fn directed_steiner_tree_conforms_to_brute_oracle() {
     }
 }
 
-/// The deprecated free-function shims delegate to the same engine: their
-/// solution sets must match the builder's on every problem.
+/// The deprecated free-function shims are gone; what they wrapped stays
+/// public. `run_with_sink` — the engine through a caller's own
+/// [`SolutionSink`](minimal_steiner::SolutionSink) — delivers the
+/// builder's stream, in order, on every problem.
 #[test]
-#[allow(deprecated)]
 fn deprecated_shims_match_the_engine() {
-    use minimal_steiner::steiner::directed::enumerate_minimal_directed_steiner_trees;
-    use minimal_steiner::steiner::forest::enumerate_minimal_steiner_forests;
-    use minimal_steiner::steiner::improved::enumerate_minimal_steiner_trees;
-    use minimal_steiner::steiner::terminal::enumerate_minimal_terminal_steiner_trees;
+    use minimal_steiner::steiner::solver::run_with_sink;
+    use minimal_steiner::steiner::DirectSink;
+
+    fn via_sink<P: MinimalSteinerProblem>(mut p: P) -> Vec<Vec<P::Item>> {
+        let mut out = Vec::new();
+        let mut sink = |items: &[P::Item]| {
+            out.push(items.to_vec());
+            ControlFlow::Continue(())
+        };
+        run_with_sink(&mut p, &mut DirectSink { sink: &mut sink }).expect("valid instance");
+        out
+    }
 
     let g: UndirectedGraph = generators::grid(3, 4);
     let w = [VertexId(0), VertexId(7), VertexId(11)];
-    let via_builder: BTreeSet<Vec<_>> = Enumeration::new(SteinerTree::new(&g, &w))
+    let via_builder = Enumeration::new(SteinerTree::new(&g, &w))
         .collect_vec()
-        .unwrap()
-        .into_iter()
-        .collect();
-    let mut via_shim = BTreeSet::new();
-    enumerate_minimal_steiner_trees(&g, &w, &mut |e| {
-        via_shim.insert(e.to_vec());
-        ControlFlow::Continue(())
-    });
-    assert_eq!(via_builder, via_shim);
+        .unwrap();
+    assert_eq!(via_builder, via_sink(SteinerTree::new(&g, &w)));
 
     let sets = vec![
         vec![VertexId(0), VertexId(11)],
         vec![VertexId(3), VertexId(8)],
     ];
-    let via_builder: BTreeSet<Vec<_>> = Enumeration::new(SteinerForest::new(&g, &sets))
+    let via_builder = Enumeration::new(SteinerForest::new(&g, &sets))
         .collect_vec()
-        .unwrap()
-        .into_iter()
-        .collect();
-    let mut via_shim = BTreeSet::new();
-    enumerate_minimal_steiner_forests(&g, &sets, &mut |e| {
-        via_shim.insert(e.to_vec());
-        ControlFlow::Continue(())
-    });
-    assert_eq!(via_builder, via_shim);
+        .unwrap();
+    assert_eq!(via_builder, via_sink(SteinerForest::new(&g, &sets)));
 
-    let via_builder: BTreeSet<Vec<_>> = Enumeration::new(TerminalSteinerTree::new(&g, &w))
+    let via_builder = Enumeration::new(TerminalSteinerTree::new(&g, &w))
         .collect_vec()
-        .unwrap()
-        .into_iter()
-        .collect();
-    let mut via_shim = BTreeSet::new();
-    enumerate_minimal_terminal_steiner_trees(&g, &w, &mut |e| {
-        via_shim.insert(e.to_vec());
-        ControlFlow::Continue(())
-    });
-    assert_eq!(via_builder, via_shim);
+        .unwrap();
+    assert_eq!(via_builder, via_sink(TerminalSteinerTree::new(&g, &w)));
 
     let d = DiGraph::from_arcs(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
     let (root, dw) = (VertexId(0), [VertexId(3)]);
-    let via_builder: BTreeSet<Vec<_>> = Enumeration::new(DirectedSteinerTree::new(&d, root, &dw))
+    let via_builder = Enumeration::new(DirectedSteinerTree::new(&d, root, &dw))
         .collect_vec()
-        .unwrap()
-        .into_iter()
-        .collect();
-    let mut via_shim = BTreeSet::new();
-    enumerate_minimal_directed_steiner_trees(&d, root, &dw, &mut |a| {
-        via_shim.insert(a.to_vec());
-        ControlFlow::Continue(())
-    });
-    assert_eq!(via_builder, via_shim);
+        .unwrap();
+    assert_eq!(
+        via_builder,
+        via_sink(DirectedSteinerTree::new(&d, root, &dw))
+    );
 }
 
 /// Dropping the pull iterator early must stop the worker without hanging

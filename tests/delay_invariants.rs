@@ -8,11 +8,12 @@
 //! bounds the worst-case work gap between consecutive emissions.
 
 use minimal_steiner::graph::{generators, EdgeId, VertexId};
+use minimal_steiner::service::{EnumerationEngine, Query, QueryOptions};
 use minimal_steiner::steiner::queue::{OutputQueue, QueueConfig, SolutionSink};
 use minimal_steiner::steiner::simple::enumerate_minimal_steiner_trees_simple;
 use minimal_steiner::steiner::solver::run_with_sink;
 use minimal_steiner::steiner::EnumStats;
-use minimal_steiner::{DirectedSteinerTree, Enumeration, SteinerForest, SteinerTree};
+use minimal_steiner::{DirectedSteinerTree, Enumeration, ResultCache, SteinerForest, SteinerTree};
 use std::cell::{Cell, RefCell};
 use std::ops::ControlFlow;
 
@@ -69,9 +70,9 @@ fn amortized_work_per_solution_is_linear() {
 fn queue_bounds_worst_case_gap() {
     // Without the queue, gaps can reach a large multiple of n + m; with
     // it, once warm-up has filled, consecutive releases are at most
-    // `budget` apart in work units. We measure the user-visible gap by
-    // wrapping the sink with a work probe: the queue's own release
-    // schedule is driven by the same counter recorded in stats.
+    // `budget` apart in work units, plus the few node costs between due
+    // checks. The published `max_delivery_gap` is that user-visible gap,
+    // measured on the same counter that drives the release schedule.
     let g = generators::grid(3, 6);
     let w = [VertexId(0), VertexId(5), VertexId(12), VertexId(17)];
     let direct = run_tree(&g, &w);
@@ -89,6 +90,16 @@ fn queue_bounds_worst_case_gap() {
         .run()
         .expect("valid instance");
     assert_eq!(queued.solutions, direct.solutions);
+    assert_eq!(
+        queued.delivered, direct.solutions,
+        "the queue loses nothing"
+    );
+    assert!(
+        queued.max_delivery_gap <= config.budget + 6 * nm,
+        "delivery gap {} exceeds budget {} + 6(n+m)",
+        queued.max_delivery_gap,
+        config.budget
+    );
 }
 
 #[test]
@@ -172,10 +183,12 @@ fn queue_bounds_maximum_release_gap_on_deep_instances() {
     // adversarial instance — a deep, narrow theta chain whose enumeration
     // tree descends ~`blocks` levels between some consecutive leaves —
     // the direct front-end's max emission gap exceeds the queue budget,
-    // while the queued front-end's releases stay within
+    // while the queued front-end's deliveries stay within
     // `budget + slack·(n+m)` of each other (a release fires at the first
     // due check after the budget elapses, and due checks are at most a
-    // few node-costs apart).
+    // few node-costs apart). The published `max_delivery_gap` measures
+    // exactly that, on the engine's work counter, flush and trailing gap
+    // included.
     let g = generators::theta_chain(14, 2); // depth ~14, 2^14 solutions
     let w = [VertexId(0), VertexId(14)];
     let nm = (g.num_vertices() + g.num_edges()) as u64;
@@ -193,56 +206,23 @@ fn queue_bounds_maximum_release_gap_on_deep_instances() {
         max_buffer: 1 << 20, // keep the R3 overflow clause out of the way
     };
     let max_allowed = budget + 6 * nm;
-
-    // Probe the release schedule exactly as in the minimum-gap test.
-    let current_work = Cell::new(0u64);
-    let release_works: RefCell<Vec<u64>> = RefCell::new(Vec::new());
-    let in_flush = Cell::new(false);
-    struct Probe<'a> {
-        inner: OutputQueue<'a, EdgeId>,
-        current_work: &'a Cell<u64>,
-        in_flush: &'a Cell<bool>,
-    }
-    impl SolutionSink<EdgeId> for Probe<'_> {
-        fn solution(&mut self, items: &[EdgeId], work: u64) -> ControlFlow<()> {
-            self.current_work.set(work);
-            self.inner.solution(items, work)
-        }
-        fn tick(&mut self, work: u64) -> ControlFlow<()> {
-            self.current_work.set(work);
-            self.inner.tick(work)
-        }
-        fn finish(&mut self) -> ControlFlow<()> {
-            self.in_flush.set(true);
-            self.inner.finish()
-        }
-    }
-    {
-        let mut user_sink = |_: &[EdgeId]| {
-            if !in_flush.get() {
-                release_works.borrow_mut().push(current_work.get());
-            }
-            ControlFlow::Continue(())
-        };
-        let mut probe = Probe {
-            inner: OutputQueue::new(config, &mut user_sink),
-            current_work: &current_work,
-            in_flush: &in_flush,
-        };
-        run_with_sink(&mut SteinerTree::new(&g, &w), &mut probe).expect("valid instance");
-    }
-    let release_works = release_works.into_inner();
-    assert!(release_works.len() > 10, "many scheduled releases happened");
-    for pair in release_works.windows(2) {
-        assert!(
-            pair[1] - pair[0] <= max_allowed,
-            "releases at work {} and {} are further apart than budget {} + slack {}",
-            pair[0],
-            pair[1],
-            budget,
-            6 * nm
-        );
-    }
+    let queued = Enumeration::new(SteinerTree::new(&g, &w))
+        .with_queue(config)
+        .run()
+        .expect("valid instance");
+    assert_eq!(
+        queued.delivered, direct.solutions,
+        "the queue loses nothing"
+    );
+    // Scheduled releases are at least a budget apart (the minimum-gap
+    // test above), so the largest gap cannot undercut it.
+    assert!(
+        (budget..=max_allowed).contains(&queued.max_delivery_gap),
+        "delivery gap {} outside [budget {}, budget + slack {}]",
+        queued.max_delivery_gap,
+        budget,
+        max_allowed
+    );
 }
 
 #[test]
@@ -253,7 +233,7 @@ fn sharded_queue_bounds_maximum_delivery_gap() {
     // per-worker heartbeats arrive every `budget/2` work units and a
     // message can advance the clock by a whole heartbeat interval — so
     // the bound carries an extra `budget/2 + slack` term. The published
-    // `max_emission_gap` of a sharded run *is* the delivery gap on the
+    // `max_delivery_gap` of a sharded run is the delivery gap on the
     // merged clock, so it is asserted directly.
     let g = generators::theta_chain(14, 2);
     let w = [VertexId(0), VertexId(14)];
@@ -271,16 +251,16 @@ fn sharded_queue_bounds_maximum_delivery_gap() {
             .with_queue(config)
             .run()
             .expect("valid instance");
-        assert_eq!(stats.solutions, sequential_count, "the queue loses nothing");
+        assert_eq!(stats.delivered, sequential_count, "the queue loses nothing");
         // Extra terms over the sequential bound: one worker heartbeat
         // (budget/2) of clock resolution, plus up to k root children of
         // sink-silent generation work per merged message.
         let slack = (4 + 4 * k as u64) * nm;
         let max_allowed = budget + budget / 2 + slack;
         assert!(
-            stats.max_emission_gap <= max_allowed,
+            stats.max_delivery_gap <= max_allowed,
             "threads({k}): merged delivery gap {} exceeds budget {} + heartbeat {} + slack {}",
-            stats.max_emission_gap,
+            stats.max_delivery_gap,
             budget,
             budget / 2,
             slack
@@ -316,7 +296,7 @@ fn stealing_queue_bounds_maximum_delivery_gap() {
             .with_queue(config)
             .run()
             .expect("valid instance");
-        assert_eq!(stats.solutions, sequential_count, "the queue loses nothing");
+        assert_eq!(stats.delivered, sequential_count, "the queue loses nothing");
         assert!(
             stats.subtrees_stolen > 0,
             "threads({k}): the script must force mid-stream steals"
@@ -324,14 +304,123 @@ fn stealing_queue_bounds_maximum_delivery_gap() {
         let slack = (4 + 4 * k as u64) * nm;
         let max_allowed = budget + budget / 2 + slack;
         assert!(
-            stats.max_emission_gap <= max_allowed,
+            stats.max_delivery_gap <= max_allowed,
             "threads({k}): stolen-stream delivery gap {} exceeds budget {} + heartbeat {} + slack {}",
-            stats.max_emission_gap,
+            stats.max_delivery_gap,
             budget,
             budget / 2,
             slack
         );
     }
+}
+
+/// The delivery counters come from one place, the end of the delivery
+/// chain, so they agree with what the consumer got on every front-end:
+/// threads × queue × limit × push and pull, a cached cold run and its
+/// replay, and a service cold run and its repeat. On the sequential
+/// queued cells — deterministic, on the engine's own work counter — the
+/// measured gap meets the Theorem-20 budget plus a few node costs.
+#[test]
+fn delivery_stats_agree_on_every_front_end() {
+    let g = generators::grid(3, 6);
+    let w = [VertexId(0), VertexId(5), VertexId(12), VertexId(17)];
+    let nm = (g.num_vertices() + g.num_edges()) as u64;
+    let budget = QueueConfig::for_graph(g.num_vertices(), g.num_edges()).budget;
+    let total = run_tree(&g, &w).solutions;
+    assert!(total > 100, "every limit below cuts the stream");
+    fn check(failures: &mut Vec<String>, cell: &str, got: u64, want: u64, stats: EnumStats) {
+        if got != want {
+            failures.push(format!("{cell}: the sink got {got}, expected {want}"));
+        }
+        if stats.delivered != got {
+            failures.push(format!(
+                "{cell}: delivered = {}, the sink got {got}",
+                stats.delivered
+            ));
+        }
+    }
+    let mut failures = Vec::new();
+    for threads in [1usize, 2, 4] {
+        for queued in [false, true] {
+            for limit in [None, Some(10u64), Some(100)] {
+                for pull in [false, true] {
+                    let cell = format!(
+                        "threads({threads}) queue={queued} limit={limit:?} {}",
+                        if pull { "pull" } else { "push" }
+                    );
+                    let mut e = Enumeration::new(SteinerTree::from_graph(g.clone(), &w))
+                        .with_threads(threads);
+                    if queued {
+                        e = e.with_default_queue();
+                    }
+                    if let Some(k) = limit {
+                        e = e.with_limit(k);
+                    }
+                    let (e, handle) = e.with_stats();
+                    let got = if pull {
+                        e.into_iter().expect("valid instance").count() as u64
+                    } else {
+                        let mut n = 0u64;
+                        e.for_each(|_| {
+                            n += 1;
+                            ControlFlow::Continue(())
+                        })
+                        .expect("valid instance");
+                        n
+                    };
+                    let stats = handle.get();
+                    check(
+                        &mut failures,
+                        &cell,
+                        got,
+                        limit.map_or(total, |k| k.min(total)),
+                        stats,
+                    );
+                    if threads == 1 && queued && stats.max_delivery_gap > budget + 6 * nm {
+                        failures.push(format!(
+                            "{cell}: delivery gap {} exceeds budget {budget} + 6(n+m) = {}",
+                            stats.max_delivery_gap,
+                            budget + 6 * nm
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    let cache = ResultCache::new();
+    for cell in ["cached (cold)", "cached (replay)"] {
+        let mut n = 0u64;
+        let stats = Enumeration::new(SteinerTree::new(&g, &w))
+            .cached(&cache)
+            .with_default_queue()
+            .with_limit(10)
+            .for_each(|_| {
+                n += 1;
+                ControlFlow::Continue(())
+            })
+            .expect("valid instance");
+        check(&mut failures, cell, n, 10, stats);
+    }
+    assert_eq!(cache.stats().hits, 1, "the second cached run is a replay");
+    let engine = EnumerationEngine::new(g);
+    let session = engine.session("matrix");
+    let query = Query::SteinerTree {
+        terminals: w.to_vec(),
+    };
+    for cell in ["service (cold)", "service (repeat)"] {
+        let outcome = session
+            .run(query.clone(), QueryOptions::default().limit(10).queued())
+            .expect("the engine admits the query");
+        outcome.status.expect("the query completes");
+        check(
+            &mut failures,
+            cell,
+            outcome.solutions.len() as u64,
+            10,
+            outcome.stats,
+        );
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 #[test]

@@ -195,61 +195,60 @@ fn errors_display_and_propagate_as_std_error() {
     assert!(boxed.to_string().contains("connected components"));
 }
 
-/// The deprecated shims keep the historical lenient contract for the
-/// conditions that used to be silent (and still panic on what used to
-/// panic, e.g. out-of-range ids).
+/// The deprecated shims, which treated some errors as "no solutions",
+/// are gone. On the inputs they were lenient about, the builder returns
+/// typed errors, and `means_no_solutions` separates the instances that
+/// have no solution from the malformed ones.
 #[test]
-#[allow(deprecated)]
 fn shims_keep_lenient_semantics() {
-    use minimal_steiner::steiner::improved::enumerate_minimal_steiner_trees;
-    use std::ops::ControlFlow;
-
     let g = UndirectedGraph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-    let mut count = 0u64;
-    // Disconnected: silently no solutions.
-    enumerate_minimal_steiner_trees(&g, &[VertexId(0), VertexId(2)], &mut |_| {
-        count += 1;
-        ControlFlow::Continue(())
-    });
-    assert_eq!(count, 0);
-    // Empty terminal list: silently no solutions.
-    enumerate_minimal_steiner_trees(&g, &[], &mut |_| {
-        count += 1;
-        ControlFlow::Continue(())
-    });
-    assert_eq!(count, 0);
-    // Duplicates: silently deduplicated (one terminal -> one empty tree).
-    enumerate_minimal_steiner_trees(&g, &[VertexId(0), VertexId(0)], &mut |e| {
-        assert!(e.is_empty());
-        count += 1;
-        ControlFlow::Continue(())
-    });
-    assert_eq!(count, 1);
-    // Forest sets with duplicate members: silently deduplicated.
-    use minimal_steiner::steiner::forest::enumerate_minimal_steiner_forests;
-    let mut forests = 0u64;
-    enumerate_minimal_steiner_forests(
+    let tree_error = |w: &[VertexId]| {
+        Enumeration::new(SteinerTree::new(&g, w))
+            .for_each(|_| panic!("an invalid instance delivers nothing"))
+            .unwrap_err()
+    };
+    // Disconnected: no solutions.
+    let err = tree_error(&[VertexId(0), VertexId(2)]);
+    assert_eq!(err, SteinerError::DisconnectedTerminals { set: 0 });
+    assert!(err.means_no_solutions());
+    // Empty terminal list: no solutions.
+    let err = tree_error(&[]);
+    assert_eq!(err, SteinerError::EmptyInstance);
+    assert!(err.means_no_solutions());
+    // Duplicates, which the shim silently deduplicated: malformed.
+    let err = tree_error(&[VertexId(0), VertexId(0)]);
+    assert_eq!(err, SteinerError::DuplicateTerminal(VertexId(0)));
+    assert!(!err.means_no_solutions());
+    // Forest sets with duplicate members, also deduplicated by the shim.
+    let err = Enumeration::new(SteinerForest::new(
         &g,
         &[vec![VertexId(0), VertexId(0), VertexId(1)]],
-        &mut |e| {
-            assert_eq!(e.len(), 1);
-            forests += 1;
-            ControlFlow::Continue(())
-        },
-    );
-    assert_eq!(forests, 1);
+    ))
+    .run()
+    .unwrap_err();
+    assert_eq!(err, SteinerError::DuplicateTerminal(VertexId(0)));
+    assert!(!err.means_no_solutions());
 }
 
+/// The shims panicked on out-of-range ids; the builder rejects the same
+/// input with a typed error, whose message is the one the shim panicked
+/// with — so a caller that treats the error as fatal still sees it.
 #[test]
 #[should_panic(expected = "out of range")]
-#[allow(deprecated)]
 fn shims_still_panic_on_out_of_range_ids() {
-    use minimal_steiner::steiner::improved::enumerate_minimal_steiner_trees;
-    use std::ops::ControlFlow;
     let g = path3();
-    enumerate_minimal_steiner_trees(&g, &[VertexId(0), VertexId(9)], &mut |_| {
-        ControlFlow::Continue(())
-    });
+    let err = Enumeration::new(SteinerTree::new(&g, &[VertexId(0), VertexId(9)]))
+        .run()
+        .unwrap_err();
+    assert_eq!(
+        err,
+        SteinerError::TerminalOutOfRange {
+            terminal: VertexId(9),
+            num_vertices: 3,
+        }
+    );
+    assert!(!err.means_no_solutions());
+    panic!("{err}");
 }
 
 // ---------------------------------------------------------------------

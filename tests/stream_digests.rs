@@ -9,7 +9,8 @@
 //! [`EnumerationEngine`] session running the query cold, then again) —
 //! so a change that reorders, drops or adds a single solution anywhere
 //! in the first [`LIMIT`] fails here, even when the solution *set*
-//! (which `brute.rs` checks) is unchanged.
+//! (which `brute.rs` checks) is unchanged. Every front-end's published
+//! `EnumStats::delivered` must also equal the number of solutions folded.
 //!
 //! The instances include long-prefix ones (grids with corner terminals,
 //! theta chains, a layered digraph): there the path engine's recursion
@@ -143,74 +144,52 @@ impl Folder {
     }
 }
 
-/// The digest of the sequential direct-push stream.
-fn direct<P>(p: P) -> Digest
+/// One front-end's run: its label, the digest of what its consumer got,
+/// and the `delivered` count its stats published.
+type Run = (&'static str, Digest, u64);
+
+/// The push front-end's run of `e`, capped at [`LIMIT`].
+fn push<P>(label: &'static str, e: Enumeration<P>) -> Run
 where
     P: MinimalSteinerProblem + Send,
     P::Item: Send,
 {
     let mut f = Folder::new();
-    Enumeration::new(p)
+    let stats = e
         .with_limit(LIMIT)
         .for_each(|s| {
             f.add(s);
             ControlFlow::Continue(())
         })
         .expect("corpus instances are valid");
-    f.finish()
+    (label, f.finish(), stats.delivered)
 }
 
-/// The digests of every front-end, labelled; the first is the direct
-/// stream.
-fn front_ends<P, Q>(borrowed: impl Fn() -> P, owned: impl Fn() -> Q) -> Vec<(&'static str, Digest)>
+/// The runs of every front-end; the first is the direct stream.
+fn front_ends<P, Q>(borrowed: impl Fn() -> P, owned: impl Fn() -> Q) -> Vec<Run>
 where
     P: MinimalSteinerProblem + Send,
     P::Item: Send,
     Q: MinimalSteinerProblem<Item = P::Item> + Send + 'static,
     Q::Item: Send + 'static,
 {
-    let mut out = vec![("direct", direct(borrowed()))];
+    let mut out = vec![
+        push("direct", Enumeration::new(borrowed())),
+        push("queued", Enumeration::new(borrowed()).with_default_queue()),
+    ];
     let mut f = Folder::new();
-    Enumeration::new(borrowed())
-        .with_default_queue()
-        .with_limit(LIMIT)
-        .for_each(|s| {
-            f.add(s);
-            ControlFlow::Continue(())
-        })
-        .expect("corpus instances are valid");
-    out.push(("queued", f.finish()));
-    let mut f = Folder::new();
-    for s in Enumeration::new(owned())
-        .with_limit(LIMIT)
-        .into_iter()
-        .expect("corpus instances are valid")
-    {
+    let (e, stats) = Enumeration::new(owned()).with_limit(LIMIT).with_stats();
+    for s in e.into_iter().expect("corpus instances are valid") {
         f.add(&s);
     }
-    out.push(("into_iter", f.finish()));
-    let mut f = Folder::new();
-    Enumeration::new(borrowed())
-        .with_threads(2)
-        .with_limit(LIMIT)
-        .for_each(|s| {
-            f.add(s);
-            ControlFlow::Continue(())
-        })
-        .expect("corpus instances are valid");
-    out.push(("threads(2)+stealing", f.finish()));
+    out.push(("into_iter", f.finish(), stats.get().delivered));
+    out.push(push(
+        "threads(2)+stealing",
+        Enumeration::new(borrowed()).with_threads(2),
+    ));
     let cache = ResultCache::new();
     for label in ["cached (cold)", "cached (replay)"] {
-        let mut f = Folder::new();
-        Enumeration::new(borrowed())
-            .with_limit(LIMIT)
-            .cached(&cache)
-            .for_each(|s| {
-                f.add(s);
-                ControlFlow::Continue(())
-            })
-            .expect("corpus instances are valid");
-        out.push((label, f.finish()));
+        out.push(push(label, Enumeration::new(borrowed()).cached(&cache)));
     }
     assert_eq!(cache.stats().hits, 1, "the second cached run is a replay");
     out
@@ -218,7 +197,7 @@ where
 
 /// The digests of `query` served by an [`EnumerationEngine`] over `g`
 /// (and `d`): once cold, then repeated, which replays the engine's cache.
-fn served(g: UndirectedGraph, d: Option<DiGraph>, query: Query) -> [(&'static str, Digest); 2] {
+fn served(g: UndirectedGraph, d: Option<DiGraph>, query: Query) -> [Run; 2] {
     let config = EngineConfig {
         workers: 1,
         ..EngineConfig::default()
@@ -236,7 +215,7 @@ fn served(g: UndirectedGraph, d: Option<DiGraph>, query: Query) -> [(&'static st
             SolutionItems::Edges(v) => v.iter().for_each(|s| f.add(s)),
             SolutionItems::Arcs(v) => v.iter().for_each(|s| f.add(s)),
         }
-        (label, f.finish())
+        (label, f.finish(), outcome.stats.delivered)
     })
 }
 
@@ -271,8 +250,9 @@ fn regions() -> UndirectedGraph {
         }
     }
     // Edges 0..59 of each region are its spanning tree; 70 is a chord.
-    let removed = g.remove_edge(EdgeId::new(70)).expect("edge 70 exists");
-    assert_eq!(removed.moved.map(|(old, _, _)| old), Some(EdgeId::new(359)));
+    let last = g.endpoints(EdgeId::new(359));
+    g.remove_edge(EdgeId::new(70)).expect("edge 70 exists");
+    assert_eq!(g.endpoints(EdgeId::new(70)), last, "edge 359 moved to 70");
     g
 }
 
@@ -321,7 +301,7 @@ fn theta_multigraph() -> UndirectedGraph {
         .expect("valid edge list")
 }
 
-fn tree(g: UndirectedGraph, w: Vec<VertexId>) -> Vec<(&'static str, Digest)> {
+fn tree(g: UndirectedGraph, w: Vec<VertexId>) -> Vec<Run> {
     let mut out = front_ends(
         || SteinerTree::new(&g, &w),
         || SteinerTree::from_graph(g.clone(), &w),
@@ -330,7 +310,7 @@ fn tree(g: UndirectedGraph, w: Vec<VertexId>) -> Vec<(&'static str, Digest)> {
     out
 }
 
-fn forest(g: UndirectedGraph, sets: Vec<Vec<VertexId>>) -> Vec<(&'static str, Digest)> {
+fn forest(g: UndirectedGraph, sets: Vec<Vec<VertexId>>) -> Vec<Run> {
     let mut out = front_ends(
         || SteinerForest::new(&g, &sets),
         || SteinerForest::from_graph(g.clone(), &sets),
@@ -339,7 +319,7 @@ fn forest(g: UndirectedGraph, sets: Vec<Vec<VertexId>>) -> Vec<(&'static str, Di
     out
 }
 
-fn terminal(g: UndirectedGraph, w: Vec<VertexId>) -> Vec<(&'static str, Digest)> {
+fn terminal(g: UndirectedGraph, w: Vec<VertexId>) -> Vec<Run> {
     let mut out = front_ends(
         || TerminalSteinerTree::new(&g, &w),
         || TerminalSteinerTree::from_graph(g.clone(), &w),
@@ -348,7 +328,7 @@ fn terminal(g: UndirectedGraph, w: Vec<VertexId>) -> Vec<(&'static str, Digest)>
     out
 }
 
-fn directed(d: DiGraph, root: VertexId, w: Vec<VertexId>) -> Vec<(&'static str, Digest)> {
+fn directed(d: DiGraph, root: VertexId, w: Vec<VertexId>) -> Vec<Run> {
     let mut out = front_ends(
         || DirectedSteinerTree::new(&d, root, &w),
         || DirectedSteinerTree::from_graph(d.clone(), root, &w),
@@ -359,7 +339,7 @@ fn directed(d: DiGraph, root: VertexId, w: Vec<VertexId>) -> Vec<(&'static str, 
 }
 
 /// Every corpus instance, by name, with the digests of all front-ends.
-fn instances() -> Vec<(&'static str, Vec<(&'static str, Digest)>)> {
+fn instances() -> Vec<(&'static str, Vec<Run>)> {
     let corners = vs(&[0, 5, 24, 29]);
     let random_sets = |seed| {
         let (g, w) = random_graph(seed, 6);
@@ -496,8 +476,12 @@ fn every_front_end_reproduces_the_committed_corpus() {
     for ((name, runs), &(_, solutions, hash)) in got.iter().zip(CORPUS) {
         let want = Digest { solutions, hash };
         assert!(want.solutions > 0, "{name}: a corpus stream is nonempty");
-        for (front_end, digest) in runs {
+        for (front_end, digest, delivered) in runs {
             assert_eq!(*digest, want, "{name}: {front_end} stream");
+            assert_eq!(
+                *delivered, digest.solutions,
+                "{name}: {front_end} stats.delivered is the folded count"
+            );
         }
     }
 }
@@ -508,7 +492,7 @@ fn every_front_end_reproduces_the_committed_corpus() {
 fn print_corpus() {
     for (name, runs) in instances() {
         let d = runs[0].1;
-        for (front_end, other) in &runs {
+        for (front_end, other, _) in &runs {
             assert_eq!(
                 *other, d,
                 "{name}: {front_end} diverges from the direct stream"
