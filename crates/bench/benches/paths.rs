@@ -82,11 +82,10 @@ fn bench_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// Subroutine-level `F-STP` bench: the enumerator on a cold scratch
-/// (bitset BFS, within-run signature reuse) and replaying an identical
-/// query on a warm same-graph scratch (cache-hit path) — so regressions
-/// in the reverse-BFS core are caught without running the full engine
-/// sweep.
+/// Subroutine-level `F-STP` bench: the enumerator on a fresh scratch
+/// (its buffers sized by the first run) and rerunning the identical
+/// query on a warm scratch — so regressions in the reverse-BFS core are
+/// caught without running the full engine sweep.
 fn bench_fstp(c: &mut Criterion) {
     use steiner_paths::enumerate::{enumerate_paths_view, EnumerateOptions, PathScratch};
     use steiner_paths::visit::WholePaths;
@@ -98,12 +97,8 @@ fn bench_fstp(c: &mut Criterion) {
         let csr = steiner_graph::CsrDigraph::doubled(&inst.graph);
         let (s, t) = (inst.terminals[0], inst.terminals[1]);
         let n = csr.num_vertices();
-        let run = |scratch: &mut PathScratch, fresh: bool| {
-            if fresh {
-                scratch.begin(n);
-            } else {
-                scratch.begin_same_graph(n);
-            }
+        let run = |scratch: &mut PathScratch| {
+            scratch.begin(n);
             let mut count = 0u64;
             let mut whole = WholePaths::new(s);
             enumerate_paths_view(
@@ -126,20 +121,15 @@ fn bench_fstp(c: &mut Criterion) {
             count
         };
         group.bench_function(BenchmarkId::new("cold", &inst.name), |b| {
-            let mut scratch = PathScratch::new();
-            scratch.preallocate(n, csr.num_arcs());
-            // `begin` drops the signature caches: every level recomputes
-            // at least once per iteration, as in a first-ever run.
-            b.iter(|| run(&mut scratch, true))
+            // A fresh scratch per iteration: the run sizes every buffer.
+            b.iter(|| run(&mut PathScratch::new()))
         });
-        group.bench_function(BenchmarkId::new("cache_hit", &inst.name), |b| {
+        group.bench_function(BenchmarkId::new("warm", &inst.name), |b| {
             let mut scratch = PathScratch::new();
             scratch.preallocate(n, csr.num_arcs());
-            // Warm the caches once; each iteration then replays the
-            // identical query through `begin_same_graph`, so the BFS
-            // trees are served from the signature cache.
-            run(&mut scratch, true);
-            b.iter(|| run(&mut scratch, false))
+            // Each iteration reruns the identical query through `begin`
+            // on the same preallocated scratch.
+            b.iter(|| run(&mut scratch))
         });
     }
     group.finish();

@@ -822,9 +822,7 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             let mut bs = std::mem::take(&mut search.pool[depth]);
             bs.sources.clear();
             bs.sources.extend_from_slice(&search.tree_vertices);
-            // Same prepared CSR on every branch of this search: keep
-            // the per-level BFS caches across branch nodes.
-            bs.path.begin_same_graph(search.csr.num_vertices() + 1);
+            bs.path.begin(search.csr.num_vertices() + 1);
             (bs, Arc::clone(&search.csr), depth)
         };
         let mut run = BranchRun::new();
@@ -852,8 +850,7 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             },
         );
         self.stats.path_gen_work += pstats.work;
-        self.stats.fstp_cache_hits += pstats.fstp_cache_hits;
-        self.stats.fstp_cache_misses += pstats.fstp_cache_misses;
+        self.stats.fstp_cache_misses += pstats.activations;
         let search = self.search.as_mut().expect("search state");
         search.pool[depth] = bs;
         search.depth = depth;

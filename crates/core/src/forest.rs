@@ -903,9 +903,6 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         let (w, w2) = pair;
         let (cw, cw2) = (ds.vertex_map[w.index()], ds.vertex_map[w2.index()]);
         ds.doubled.rebuild_doubled_from_csr(&ds.cg);
-        // The doubled graph was just rebuilt from this branch's
-        // contraction, so stale BFS trees from other contractions must
-        // not survive: full `begin`, not `begin_same_graph`.
         ds.path.begin(ds.doubled.num_vertices());
         let mut run = BranchRun::new();
         let ForestDepthScratch {
@@ -934,8 +931,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
             },
         );
         self.stats.path_gen_work += pstats.work;
-        self.stats.fstp_cache_hits += pstats.fstp_cache_hits;
-        self.stats.fstp_cache_misses += pstats.fstp_cache_misses;
+        self.stats.fstp_cache_misses += pstats.activations;
         let search = self.search.as_mut().expect("search state");
         search.pool[depth] = ds;
         search.depth = depth;

@@ -594,10 +594,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             // before the children mutate it.
             bs.sources.clear();
             bs.sources.extend_from_slice(&search.t.vertices);
-            // Same prepared CSR on every branch of this search, so the
-            // per-level BFS caches may survive across branch nodes (the
-            // path enumerator's cross-branch reuse).
-            bs.path.begin_same_graph(search.csr.num_vertices() + 1);
+            bs.path.begin(search.csr.num_vertices() + 1);
             (bs, Arc::clone(&search.doubled), depth)
         };
         let mut run = BranchRun::new();
@@ -625,8 +622,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             },
         );
         self.stats.path_gen_work += pstats.work;
-        self.stats.fstp_cache_hits += pstats.fstp_cache_hits;
-        self.stats.fstp_cache_misses += pstats.fstp_cache_misses;
+        self.stats.fstp_cache_misses += pstats.activations;
         let search = self.search.as_mut().expect("search state");
         search.pool[depth] = bs;
         search.depth = depth;

@@ -324,11 +324,12 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     }
 
     /// [`Self::with_deadline`] measured from now: the run aborts once
-    /// `timeout` has elapsed.
-    pub fn with_timeout(self, timeout: Duration) -> Self {
+    /// `timeout` has elapsed. A timeout too long for an [`Instant`] to
+    /// represent sets no deadline.
+    pub fn with_timeout(mut self, timeout: Duration) -> Self {
         // lint:allow(clock) with_timeout anchors the caller's duration to the sanctioned deadline clock
-        let deadline = Instant::now() + timeout;
-        self.with_deadline(deadline)
+        self.deadline = Instant::now().checked_add(timeout);
+        self
     }
 
     /// Publishes the run's [`EnumStats`] through a clonable handle —

@@ -151,15 +151,16 @@ pub struct EnumStats {
     /// `E-STP`/`F-STP` enumerator) across all branch-node calls — a
     /// subset of [`Self::work`], surfaced so the size-sweep bench can
     /// report the path-generation share directly. Sums under
-    /// [`Self::merge`]. A reverse BFS served from the signature cache
-    /// ([`Self::fstp_cache_hits`]) counts no BFS work.
+    /// [`Self::merge`].
     pub path_gen_work: u64,
-    /// Per-level `F-STP` reverse-BFS trees served from the path
-    /// enumerator's signature cache (keyed on the removal mask, `s′`
-    /// and `t`) instead of recomputed. Sums under [`Self::merge`].
+    /// Always 0: the path enumerator keeps no reverse BFS across `E-STP`
+    /// activations, so none is ever served from a cache. Kept, with
+    /// [`Self::fstp_cache_misses`], for readers of the counter pair.
     pub fstp_cache_hits: u64,
-    /// Per-level `F-STP` reverse-BFS recomputations (signature mismatch
-    /// or cold level). Sums under [`Self::merge`].
+    /// `F-STP` floods: one per `E-STP` activation, each computing its own
+    /// reverse BFS (cut short once every head of `s′` is reached, and
+    /// skipped when no head is left to reach). Sums under
+    /// [`Self::merge`].
     pub fstp_cache_misses: u64,
     /// Work units at the last emission (internal bookkeeping for the gap).
     last_emission_work: u64,

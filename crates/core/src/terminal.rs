@@ -1010,9 +1010,7 @@ impl TerminalSteinerTree<'_> {
                         Arc::clone(&ts.doubled),
                     )
                 };
-                // The search's doubled CSR is fixed, so the BFS
-                // caches may survive across root replays.
-                path.begin_same_graph(doubled.num_vertices() + 1);
+                path.begin(doubled.num_vertices() + 1);
                 let sources = [w0];
                 let pstats = enumerate_source_set_paths_csr(
                     &doubled,
@@ -1033,8 +1031,7 @@ impl TerminalSteinerTree<'_> {
                     },
                 );
                 self.stats.path_gen_work += pstats.work;
-                self.stats.fstp_cache_hits += pstats.fstp_cache_hits;
-                self.stats.fstp_cache_misses += pstats.fstp_cache_misses;
+                self.stats.fstp_cache_misses += pstats.activations;
                 let ts = self.two_terminal_mut();
                 ts.path = path;
                 ts.boundary = boundary;
@@ -1050,9 +1047,7 @@ impl TerminalSteinerTree<'_> {
                     // using the component's precomputed mask.
                     {
                         let cs = self.components_mut();
-                        // Same contracted doubled CSR for every
-                        // component and depth: keep the BFS caches.
-                        let removed = bs.path.begin_same_graph(n + 1);
+                        let removed = bs.path.begin(n + 1);
                         for (v, r) in removed.iter_mut().enumerate().take(n) {
                             *r = !cs.comps[ci].allowed01[v];
                         }
@@ -1088,8 +1083,7 @@ impl TerminalSteinerTree<'_> {
                     );
                     self.retract_frame();
                     self.stats.path_gen_work += pstats.work;
-                    self.stats.fstp_cache_hits += pstats.fstp_cache_hits;
-                    self.stats.fstp_cache_misses += pstats.fstp_cache_misses;
+                    self.stats.fstp_cache_misses += pstats.activations;
                     if run.flow.is_break() {
                         break;
                     }
@@ -1114,9 +1108,7 @@ impl TerminalSteinerTree<'_> {
             let ctx = &cs.comps[cs.active.expect("active component set by the root branch")];
             let n = cs.gc.num_vertices();
             // Sources: V(T) ∩ C; excluded vertices: outside C ∪ {w}.
-            // Same contracted doubled CSR on every branch of this
-            // search: keep the BFS caches.
-            let removed = bs.path.begin_same_graph(n + 1);
+            let removed = bs.path.begin(n + 1);
             for (v, r) in removed.iter_mut().enumerate().take(n) {
                 *r = !(ctx.comp_mask[v] || VertexId::new(v) == w);
             }
@@ -1155,8 +1147,7 @@ impl TerminalSteinerTree<'_> {
             },
         );
         self.stats.path_gen_work += pstats.work;
-        self.stats.fstp_cache_hits += pstats.fstp_cache_hits;
-        self.stats.fstp_cache_misses += pstats.fstp_cache_misses;
+        self.stats.fstp_cache_misses += pstats.activations;
         self.put_branch_scratch(bs, depth);
         debug_assert!(
             run.children >= 2 || run.flow.is_break(),

@@ -16,6 +16,10 @@
 //!    must stay within a generous linear budget in `n + m + solutions`
 //!    (setup plus per-solution emission; anything super-linear means a
 //!    hot-path allocation slipped past both the lint and the stats).
+//! 3. **Byte envelope** — the same allocator sums the bytes requested; a
+//!    short query on grids of growing size must request at most one
+//!    constant times `n + m` bytes, `prepare` and its scratch
+//!    reservations included.
 //!
 //! Gated behind `--features alloc-audit` because a counting global
 //! allocator taxes every other test in the binary; CI runs it as a
@@ -40,6 +44,7 @@ use steiner_graph::{generators, VertexId};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 static ARMED: AtomicBool = AtomicBool::new(false);
 
 // SAFETY: every method delegates verbatim to the System allocator, so the
@@ -51,6 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         // SAFETY: caller's layout forwarded unchanged to System.
         unsafe { System.alloc(layout) }
@@ -67,6 +73,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
         // SAFETY: ptr/layout come from a matching System.alloc above;
         // new_size forwarded unchanged.
@@ -77,18 +84,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serializes the armed sections so the two tests never count each
-/// other's allocations.
+/// Serializes the armed sections so the tests never count each other's
+/// allocations.
 static GATE: Mutex<()> = Mutex::new(());
 
 /// Runs one problem to completion (or to `limit` solutions) and returns
 /// its stats plus the number of true heap allocations the run performed
-/// (builder included).
+/// (builder included); [`BYTES`] then holds the bytes they requested.
 fn audited_run<P: MinimalSteinerProblem + Send>(problem: P, limit: Option<u64>) -> (EnumStats, u64)
 where
     P::Item: Send,
 {
     ALLOCS.store(0, Ordering::SeqCst);
+    BYTES.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     let mut run = Enumeration::new(problem);
     if let Some(limit) = limit {
@@ -316,6 +324,39 @@ fn total_allocations_stay_linear() {
             budget,
             w.size,
             w.stats.solutions
+        );
+    }
+}
+
+/// Bytes a short query may request per vertex or edge of its grid.
+const BYTES_PER_ITEM: u64 = 2048;
+
+/// Byte envelope: a `with_limit(10)` Steiner-tree query with four corner
+/// terminals requests at most [`BYTES_PER_ITEM`] bytes per vertex or
+/// edge, from `prepare` to the end of the run, on every grid size. Its
+/// t + 1 path scratches are the largest reservation, so a per-scratch
+/// term that grows faster than the graph fails here first.
+#[test]
+fn short_query_bytes_stay_linear_in_the_grid() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    for side in [10usize, 20, 30, 45] {
+        let g = generators::grid(side, side);
+        let corners: Vec<VertexId> = [0, side - 1, side * (side - 1), side * side - 1]
+            .into_iter()
+            .map(VertexId::new)
+            .collect();
+        let size = (g.num_vertices() + g.num_edges()) as u64;
+        let (stats, _) = audited_run(SteinerTree::new(&g, &corners), Some(10));
+        let bytes = BYTES.load(Ordering::SeqCst);
+        assert_eq!(stats.delivered, 10, "grid {side}x{side}: the query runs");
+        println!(
+            "grid {side}x{side}: {bytes} bytes requested, {} per (n + m)",
+            bytes / size
+        );
+        assert!(
+            bytes <= BYTES_PER_ITEM * size,
+            "grid {side}x{side}: {bytes} bytes requested exceeds {} per (n + m = {size})",
+            BYTES_PER_ITEM
         );
     }
 }

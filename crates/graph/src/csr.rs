@@ -40,8 +40,8 @@ pub fn push_tracked<T>(v: &mut Vec<T>, x: T, allocs: &mut u64) {
 // ---------------------------------------------------------------------------
 // Word-packed bitsets.
 //
-// The path-generation hot path sweeps vertex sets (`reached`, `removed`,
-// `admissible`) over the CSR views above. Packing them into `u64` words
+// The path-generation hot path sweeps vertex sets (`removed`, the
+// candidate frontier) over the CSR views above. Packing them into `u64` words
 // turns per-vertex branchy probes into single-bit tests on 8-byte cache
 // lines (64 vertices per line instead of 1–4), and set algebra like
 // "reached and not removed" into word-parallel AND-NOT loops. The helpers
@@ -113,36 +113,12 @@ pub fn bit_take(words: &mut [u64], i: usize) -> bool {
     true
 }
 
-/// `dst = !(a | b)`, word-parallel. Builds the candidate frontier
-/// `¬removed ∧ ¬reached` in one pass when `a` = removed and `b` =
-/// already-reached (or zero).
-#[inline]
-pub fn bits_not_or(dst: &mut [u64], a: &[u64], b: &[u64]) {
-    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *d = !(x | y);
-    }
-}
-
 /// `dst = !a`, word-parallel: seeds a candidate set from a removal mask.
 #[inline]
 pub fn bits_not(dst: &mut [u64], a: &[u64]) {
     for (d, &x) in dst.iter_mut().zip(a) {
         *d = !x;
     }
-}
-
-/// The splitmix64 finalizer: a cheap, high-quality 64-bit mixer used to
-/// derive per-vertex Zobrist hashes for removal-mask signatures (the
-/// cross-branch `F-STP` cache key). XOR-folding `mix64` values is
-/// history-independent: masking and unmasking the same vertex cancels.
-#[inline]
-pub const fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
 }
 
 /// An undirected multigraph in CSR form: `adjacency(v)` is a packed slice
@@ -793,17 +769,10 @@ mod tests {
         assert!(bit_take(&mut c, 65));
         assert!(!bit_take(&mut c, 65));
         assert!(!bit_take(&mut c, 64));
-        // bits_not / bits_not_or complement word-wise.
+        // bits_not complements word-wise.
         let mut inv = vec![0u64; 3];
         bits_not(&mut inv, &b);
         assert!(!bit_test(&inv, 63) && bit_test(&inv, 64) && !bit_test(&inv, 129));
-        let mut nor = vec![0u64; 3];
-        bits_not_or(&mut nor, &a, &b);
-        assert!(!bit_test(&nor, 63) && !bit_test(&nor, 0) && bit_test(&nor, 70));
-        // The Zobrist fold cancels: x ^ h ^ h == x, and mix64 separates
-        // nearby inputs.
-        assert_ne!(mix64(1), mix64(2));
-        assert_eq!(0x1234u64 ^ mix64(7) ^ mix64(7), 0x1234);
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! * `fstp_prepare` — the reverse BFS of the subroutine
 //!   `F-STP(D′, s′, t, e, f)`: one flood from `t` avoiding the masked
 //!   vertices, the banned arc `e`, and `s′` itself, over `u64`-word
-//!   bitset frontiers. Its result depends only on the mask, `s′` and
-//!   `t`, so it is cached per recursion level under a Zobrist signature
-//!   of the mask and reused by any activation — in this run or a later
-//!   run on the same graph — whose admissible graph is identical.
-//!   Deterministic, O(n + m) on a miss.
+//!   bitset frontiers. The flood stops once it has reached every head of
+//!   `s′`'s non-banned out-arcs, the only vertices a continuation leaves
+//!   `s′` through; it runs to the end only when some head cannot reach
+//!   `t`. Deterministic, O(n + m).
 //! * `extendible_indices` — Lemma 11: given the freshly found continuation
 //!   `Q = (v₁ … v_k)`, decide for every `i ∈ [2, k−1]` whether the prefix
 //!   `Q_i` is *extendible with P* (i.e. `D[V ∖ (V(P∘Q_i) ∖ {v_i})] −
@@ -20,7 +19,7 @@
 //!   output rule (pre-order at even depth, post-order at odd depth).
 //!   Each activation reconstructs all its `F-STP` answers (one per
 //!   admissible out-arc of `s′`, in the order `≺_{s′}`) in one pass from
-//!   the cached BFS tree, then recurses into them in that order.
+//!   its BFS tree, then recurses into them in that order.
 //!
 //! The current path `P` lives in global state, exactly as in the paper's
 //! space analysis: the engine keeps it only as the removal mask (every
@@ -47,8 +46,7 @@
 use crate::visit::{PathDelta, PathEvent, WholePaths};
 use std::ops::ControlFlow;
 use steiner_graph::csr::{
-    bit_assign, bit_clear, bit_set, bit_take, bit_test, bit_words, bits_not, bits_not_or, mix64,
-    push_tracked,
+    bit_assign, bit_clear, bit_set, bit_take, bit_test, bit_words, bits_not, grow, push_tracked,
 };
 use steiner_graph::{ArcId, CsrDigraph, DiGraph, VertexId};
 
@@ -60,12 +58,10 @@ pub struct PathEnumStats {
     /// Algorithmic work units (≈ arcs/vertices touched); the empirical
     /// stand-in for the paper's O(n + m)-per-solution accounting.
     pub work: u64,
-    /// `F-STP` activations whose level cache already held the reverse
-    /// BFS for the current `(mask signature, s′, t)` key — reuse across
-    /// activations and across runs on the same graph.
-    pub fstp_cache_hits: u64,
-    /// `F-STP` activations that had to (re)run the reverse BFS.
-    pub fstp_cache_misses: u64,
+    /// `E-STP` activations. Each runs its own `F-STP` reverse BFS (cut
+    /// short by the early stop, skipped when no head is left to reach);
+    /// nothing is reused across activations.
+    pub activations: u64,
 }
 
 /// Options for [`enumerate_directed_st_paths_with`]: the Lemma 11
@@ -88,14 +84,6 @@ impl Default for EnumerateOptions {
             incremental_extendibility: true,
         }
     }
-}
-
-/// Per-vertex Zobrist hash for the removal-mask signature. Seeded so that
-/// vertex 0 gets a nonzero hash (the raw splitmix64 finalizer maps 0 to
-/// 0, which would make vertex 0 invisible to the signature).
-#[inline]
-fn vsig(v: usize) -> u64 {
-    mix64(v as u64 ^ 0x9e37_79b9_7f4a_7c15)
 }
 
 /// The adjacency interface the Algorithm-1 engine runs on. Implemented by
@@ -201,11 +189,15 @@ impl PathView for VirtualSourceView<'_> {
     }
 }
 
-/// Reusable state for one (possibly nested) enumeration: masks, the
-/// per-level reverse-BFS caches, and the LIFO arena holding each
-/// activation's continuations `Q`. Size it once with
-/// [`PathScratch::preallocate`]; afterwards enumerations record any buffer
-/// growth in [`PathScratch::alloc_events`] (a warm scratch reports zero).
+/// Reusable state for one (possibly nested) enumeration: masks, one
+/// reverse-BFS tree, and the LIFO arena holding each activation's
+/// continuations `Q`. Size it once with [`PathScratch::preallocate`];
+/// afterwards enumerations record any buffer growth in
+/// [`PathScratch::alloc_events`] (a warm scratch reports zero).
+///
+/// One BFS tree serves every recursion level: an activation copies all
+/// its continuations into the arena right after its flood and reads the
+/// tree no more, so a child activation may overwrite it.
 ///
 /// One scratch serves one enumeration at a time; nested enumerations (a
 /// sink that starts another enumeration, as the Steiner `branch()`
@@ -216,15 +208,6 @@ pub struct PathScratch {
     /// `u64`-word mirror of `removed`, rebuilt at run start and
     /// maintained by every engine mask write thereafter.
     removed_bits: Vec<u64>,
-    /// Zobrist XOR-fold of [`vsig`] over the removed vertices — the
-    /// incrementally maintained removal-mask signature that keys the
-    /// cross-branch `F-STP` cache. XOR-folding makes it
-    /// history-independent: a balanced mask/unmask pair restores it.
-    sig: u64,
-    /// Per-vertex Zobrist hash table (`vsigs[v] = vsig(v)`), so the
-    /// per-toggle signature update is a load+xor instead of a mix64
-    /// evaluation.
-    vsigs: Vec<u64>,
     /// The transient candidate frontier `¬removed ∧ ¬reached` shared by
     /// every BFS and extendibility sweep. Fusing the two exclusion tests
     /// into one bitset makes the per-arc probe a single [`bit_take`]; the
@@ -235,24 +218,12 @@ pub struct PathScratch {
     stamp: Vec<u32>,
     epoch: u32,
     queue: Vec<VertexId>,
-    /// Per-recursion-level reverse-BFS caches: the `F-STP` BFS depends
-    /// only on the mask, `s′` and `t` — fixed across one node's siblings
-    /// — so each `E-STP` level computes it at most once per activation.
-    /// Level-local slices keep deeper recursion from clobbering the
-    /// cache. This is the small per-level metadata; the arrays live in
-    /// the strided arenas below.
-    levels: Vec<LevelMeta>,
-    /// Vertex count the level arenas are strided for: level `d` owns
-    /// `[d·stride, (d+1)·stride)` of `level_next_arc` and
-    /// `[d·⌈stride/64⌉, (d+1)·⌈stride/64⌉)` of `level_admissible`.
-    stride: usize,
-    /// Each level's reverse-BFS tree.
-    level_next_arc: Vec<ArcId>,
-    /// Each level's `reached ∧ ¬removed` bitset at BFS time — the legal
-    /// heads for the admissible-first-arc scan (derived from the
-    /// candidate frontier left over by the BFS, so no separate reached
-    /// bitset is stored).
-    level_admissible: Vec<u64>,
+    /// The current activation's reverse-BFS tree: for every vertex the
+    /// flood reached, the arc it was reached through.
+    next_arc: Vec<ArcId>,
+    /// The heads of `s′`'s out-arcs the current flood has yet to reach
+    /// (its early stop); all clear between floods.
+    heads: Vec<u64>,
     /// Continuation arena: frame `Q`s live at `[v_start..v_start + len]`.
     qv: Vec<VertexId>,
     qa: Vec<ArcId>,
@@ -263,59 +234,9 @@ pub struct PathScratch {
     allocs: u64,
 }
 
-/// One recursion level's `F-STP` cache state; its arrays are the level's
-/// slices of the [`PathScratch`] arenas, keyed by `(key_sig, key_s1,
-/// key_t)`. The banned arc is *not* part of the key because its tail is
-/// always `s′` (it is the arc the activation arrived on), which the BFS
-/// masks regardless, so the BFS tree is independent of it.
-///
-/// The flag is only ever set after the slices it vouches for were filled
-/// in, and a re-stride drops every level's metadata together with the
-/// arenas, so a valid flag never points at an unfilled slice.
-#[derive(Copy, Clone, Debug, Default)]
-struct LevelMeta {
-    /// Cache key: removal-mask signature at BFS time.
-    key_sig: u64,
-    /// Cache key: `s′` (masked during the BFS, hence part of the key
-    /// rather than the signature).
-    key_s1: u32,
-    /// Cache key: the BFS target `t` — constant within one run, but the
-    /// cache deliberately survives across runs sharing the scratch, and
-    /// a later run may aim at a different target over the same mask.
-    key_t: u32,
-    /// Whether the cache (and its key) is populated.
-    valid: bool,
-}
-
-/// Cap on the number of per-level reverse-BFS caches that
-/// [`PathScratch::preallocate`] reserves arena space for. Deeper
-/// recursion levels grow the arenas on demand (each growth is counted in
-/// [`PathScratch::alloc_events`]), so the cap bounds reserved address
-/// space — not the reachable recursion depth.
-const LEVEL_CACHE_CAP: usize = 512;
-
-/// Fills in level `depth`'s `width`-element slice of a strided level
-/// arena and hands it back. Levels are reached in recursion order, so a
-/// level's slice starts where its predecessor's ends, and the first
-/// visit extends the arena by a resize — within the capacity
-/// [`PathScratch::preallocate`] reserved for levels under the cap (no
-/// allocation event), past it a counted growth.
-#[inline]
-fn level_slice<'a, T: Copy>(
-    arena: &'a mut Vec<T>,
-    depth: usize,
-    width: usize,
-    fill: T,
-    allocs: &mut u64,
-) -> &'a mut [T] {
-    let end = (depth + 1) * width;
-    if arena.len() < end {
-        if arena.capacity() < end {
-            *allocs += 1;
-        }
-        arena.resize(end, fill);
-    }
-    &mut arena[depth * width..end]
+/// Reserves capacity for `total` elements of `v` in all.
+fn reserve_total<T>(v: &mut Vec<T>, total: usize) {
+    v.reserve(total.saturating_sub(v.len()));
 }
 
 impl PathScratch {
@@ -325,85 +246,34 @@ impl PathScratch {
     }
 
     /// Sizes every buffer for a graph with `n` vertices (including any
-    /// virtual source) and `m` arcs, so subsequent enumerations do not
-    /// allocate on instances whose recursion stays within 512 levels.
-    /// The per-level BFS caches live in two flat arenas (an `n`-word
-    /// array and a `⌈n/64⌉`-word bitset per level) whose capacity is
-    /// reserved here once, for `min(n + 2, 512)` levels; a level's slice
-    /// is only filled in when the recursion first reaches it, so a
-    /// shallow query touches a few levels' worth of memory, not the
-    /// reservation. The arenas are
-    /// **not** sized for the worst case of the recursion (one level per
-    /// frame — O(n) levels of O(n) words each, the same O(n²) order as
-    /// the paper's output-queue space bound): levels past the cap grow
-    /// the arenas on demand, counted in [`Self::alloc_events`].
+    /// virtual source) and `m` arcs. The masks and the BFS tree take
+    /// O(n) words. The continuation arenas reserve 4(n + m) entries of
+    /// `qv`/`qa` and 4n of `ext`, each capped at 2^18. They hold every
+    /// active recursion level's sibling run, which has no linear
+    /// worst-case bound: a run that needs more grows them on demand,
+    /// counted in [`Self::alloc_events`].
     pub fn preallocate(&mut self, n: usize, m: usize) {
-        self.preallocate_capped(n, m, LEVEL_CACHE_CAP);
-    }
-
-    /// As [`Self::preallocate`] with an explicit cap on the number of
-    /// levels the BFS-cache arenas reserve. A small cap never changes
-    /// results or reachable depth; deep runs just grow the arenas on
-    /// demand.
-    fn preallocate_capped(&mut self, n: usize, m: usize, level_cache_cap: usize) {
-        self.removed
-            .reserve(n.saturating_sub(self.removed.capacity()));
         let nw = bit_words(n);
-        self.removed_bits
-            .reserve(nw.saturating_sub(self.removed_bits.capacity()));
-        self.cand.reserve(nw.saturating_sub(self.cand.capacity()));
-        self.vsigs.reserve(n.saturating_sub(self.vsigs.capacity()));
-        self.stamp.reserve(n.saturating_sub(self.stamp.capacity()));
-        self.queue.reserve(n.saturating_sub(self.queue.capacity()));
-        let depth_cap = (n + 2).min(level_cache_cap.max(1));
-        self.levels
-            .reserve(depth_cap.saturating_sub(self.levels.len()));
-        self.level_next_arc
-            .reserve((depth_cap * n).saturating_sub(self.level_next_arc.len()));
-        self.level_admissible
-            .reserve((depth_cap * nw).saturating_sub(self.level_admissible.len()));
-        // Each activation materializes its whole sibling run up front:
-        // one continuation per recursion level (O(n²) arena entries at
-        // worst) plus a degree-weighted term bounded by the arcs incident
-        // to the (distinct) path tips — hence the m-proportional slack on
-        // `qv`/`qa`.
-        let arena = ((n + 2) * (n + 2)).min(1 << 18);
-        let q_arena = ((n + 2) * (n + 2) + 32 * (m + 2)).min(1 << 18);
-        self.qv.reserve(q_arena.saturating_sub(self.qv.capacity()));
-        self.qa.reserve(q_arena.saturating_sub(self.qa.capacity()));
-        self.ext.reserve(arena.saturating_sub(self.ext.capacity()));
+        reserve_total(&mut self.removed, n);
+        reserve_total(&mut self.removed_bits, nw);
+        reserve_total(&mut self.cand, nw);
+        reserve_total(&mut self.heads, nw);
+        reserve_total(&mut self.stamp, n);
+        reserve_total(&mut self.queue, n);
+        reserve_total(&mut self.next_arc, n);
+        let q_arena = (4 * (n + m)).min(1 << 18);
+        reserve_total(&mut self.qv, q_arena);
+        reserve_total(&mut self.qa, q_arena);
+        reserve_total(&mut self.ext, (4 * n).min(1 << 18));
         // One frame per admissible sibling; the tips along one recursion
         // chain are distinct vertices, so the chain total is ≤ m + n.
-        let f_arena = (n + m + 8).min(1 << 16);
-        self.frames
-            .reserve(f_arena.saturating_sub(self.frames.capacity()));
+        reserve_total(&mut self.frames, (n + m + 8).min(1 << 16));
     }
 
     /// Resets the removal mask to `n` unmasked vertices and returns it for
     /// the caller to mark sources / disallowed vertices before the run.
-    ///
-    /// Makes no assumption about the graph of the upcoming run, so the
-    /// cross-run reverse-BFS caches are dropped — a cached BFS tree from
-    /// a *different* graph that happens to match the signature key would
-    /// reconstruct garbage. Callers that pin one graph per scratch should
-    /// use [`Self::begin_same_graph`].
     pub fn begin(&mut self, n: usize) -> &mut [bool] {
-        for lvl in &mut self.levels {
-            lvl.valid = false;
-        }
-        self.begin_same_graph(n)
-    }
-
-    /// As [`Self::begin`], additionally promising that the arc structure
-    /// (adjacency and arc ids) is unchanged since the previous run on
-    /// this scratch. Under that promise the signature-keyed reverse-BFS
-    /// caches survive across runs — the
-    /// cross-branch reuse the Steiner enumerators lean on: two branch
-    /// nodes with the same vertex set and target (common when distinct
-    /// partial trees span the same vertices) replay each other's BFS
-    /// trees instead of recomputing them.
-    pub fn begin_same_graph(&mut self, n: usize) -> &mut [bool] {
-        steiner_graph::csr::grow(&mut self.removed, n, false, &mut self.allocs);
+        grow(&mut self.removed, n, false, &mut self.allocs);
         &mut self.removed
     }
 
@@ -419,65 +289,16 @@ impl PathScratch {
         self.allocs
     }
 
-    /// Bytes of owned buffer capacity (scratch-space accounting). Counts
-    /// the reserved level arenas in full, filled in or not.
+    /// Bytes of owned buffer capacity (scratch-space accounting).
     pub fn capacity_bytes(&self) -> u64 {
-        (self.levels.capacity() * std::mem::size_of::<LevelMeta>()
-            + self.removed.capacity() * std::mem::size_of::<bool>()
-            + (self.removed_bits.capacity()
-                + self.cand.capacity()
-                + self.vsigs.capacity()
-                + self.level_admissible.capacity())
+        (self.removed.capacity() * std::mem::size_of::<bool>()
+            + (self.removed_bits.capacity() + self.cand.capacity() + self.heads.capacity())
                 * std::mem::size_of::<u64>()
             + self.frames.capacity() * std::mem::size_of::<QFrame>()
             + (self.stamp.capacity() + self.ext.capacity()) * std::mem::size_of::<u32>()
-            + (self.qa.capacity() + self.level_next_arc.capacity()) * std::mem::size_of::<ArcId>()
+            + (self.qa.capacity() + self.next_arc.capacity()) * std::mem::size_of::<ArcId>()
             + (self.queue.capacity() + self.qv.capacity()) * std::mem::size_of::<VertexId>())
             as u64
-    }
-
-    /// Grows the per-level metadata through `depth` (recording growth
-    /// past the reserved capacity in [`Self::alloc_events`]) and hands
-    /// the level back.
-    ///
-    /// Levels come into existence when the recursion first reaches them,
-    /// so deep recursion can reach levels that do not exist yet. This is
-    /// the **single** grow-at-access-site for the metadata: every reader
-    /// of `levels[depth]` goes through here first, and every reader of a
-    /// level's arena slice through [`level_slice`], so no access site can
-    /// index a level that was never filled in.
-    #[inline]
-    fn level_mut(&mut self, depth: usize) -> &mut LevelMeta {
-        if self.levels.len() <= depth {
-            if self.levels.capacity() <= depth {
-                self.allocs += 1;
-            }
-            self.levels.resize(depth + 1, LevelMeta::default());
-        }
-        &mut self.levels[depth]
-    }
-
-    /// Re-strides the level arenas for a run over `n` vertices, dropping
-    /// every level (metadata and filled-in slices): a cache computed for
-    /// another vertex count describes another graph. Keeps the reserved
-    /// capacity, so the levels the new run reaches are filled in again
-    /// without allocating.
-    #[inline]
-    fn restride(&mut self, n: usize) {
-        if self.stride == n {
-            return;
-        }
-        self.stride = n;
-        self.levels.clear();
-        self.level_next_arc.clear();
-        self.level_admissible.clear();
-    }
-
-    /// Number of levels whose cache has been filled in since the last
-    /// re-stride.
-    #[cfg(test)]
-    fn filled_levels(&self) -> usize {
-        self.levels.len()
     }
 
     #[inline]
@@ -520,18 +341,16 @@ impl<V: PathView> Engine<'_, '_, V> {
         self.s.qa[q.a_start + j]
     }
 
-    /// Writes `removed[v] = on`, keeping the mirror bitset and the
-    /// Zobrist mask signature in sync. Every engine mask write is a
-    /// strict toggle — prefixes mask distinct, currently unmasked
-    /// vertices and the sweeps restore them exactly once — so the XOR
-    /// fold stays a faithful set hash.
+    /// Writes `removed[v] = on`, keeping the mirror bitset in sync. Every
+    /// engine mask write is a strict toggle: prefixes mask distinct,
+    /// currently unmasked vertices and the sweeps restore them exactly
+    /// once.
     #[inline]
     fn mask_removed(&mut self, v: VertexId, on: bool) {
         let s = &mut *self.s;
         debug_assert_ne!(s.removed[v.index()], on, "mask writes are toggles");
         s.removed[v.index()] = on;
         bit_assign(&mut s.removed_bits, v.index(), on);
-        s.sig ^= s.vsigs[v.index()];
     }
 
     /// Ablation variant of [`Self::extendible_indices`]: recomputes the
@@ -638,10 +457,9 @@ impl<V: PathView> Engine<'_, '_, V> {
             return;
         }
         // Transient sweep masks touch only `removed_bits`: the sweep is
-        // the sole reader of the mask until it returns, every mask it
-        // sets is cleared again before then, and no cache-signature
-        // lookup happens in between — so the byte mirror and the Zobrist
-        // fold can be left untouched instead of updated ~2(k−2) times.
+        // the sole reader of the mask until it returns, and every mask it
+        // sets is cleared again before then — so the byte mirror can be
+        // left untouched instead of updated ~2(k−2) times.
         #[inline]
         fn sweep_mask(bits: &mut [u64], v: VertexId, on: bool) {
             debug_assert_ne!(bit_test(bits, v.index()), on, "sweep masks are toggles");
@@ -772,47 +590,26 @@ impl<V: PathView> Engine<'_, '_, V> {
         })
     }
 
-    /// `F-STP` preparation: makes the level-`depth` reverse-BFS cache
-    /// valid for the key `(mask signature, s′, t)`.
+    /// `F-STP` preparation: the reverse BFS from `t` that every
+    /// continuation of this activation is reconstructed from, written
+    /// into the scratch's one BFS tree.
     ///
-    /// The cache is **not** invalidated per `E-STP` activation: the key
-    /// compares the Zobrist XOR-fold of the removal mask (maintained by
-    /// [`Self::mask_removed`]) plus `s′` and `t`, so any activation — in
-    /// this run or a later run sharing the scratch — whose admissible
-    /// graph is identical reuses the BFS tree verbatim. `s′` sits in the
-    /// key rather than the signature because the BFS masks it only
-    /// temporarily. The BFS is deterministic in `(mask, s′, t)`, so a key
-    /// match reproduces `next_arc` (and hence every reconstruction) bit
-    /// for bit — the byte-identical-stream argument.
-    fn fstp_prepare(&mut self, s1: VertexId, e: Option<ArcId>, depth: usize) {
+    /// The flood stops as soon as it has taken every head of `s′`'s
+    /// non-banned out-arcs, the vertices the continuations leave `s′`
+    /// through. Stopping there changes no continuation: every vertex on
+    /// a head's tree path to `t` was taken before the head, so its
+    /// `next_arc` entry is final, and a vertex the flood never took keeps
+    /// its candidate bit, so the reached test [`Self::e_stp`] makes at
+    /// each head reads as after a full flood. A head that cannot reach
+    /// `t` makes the flood run to the end; with no head to wait for
+    /// (every out-arc banned, masked, a self-loop or into `t`) it does
+    /// not run.
+    fn fstp_prepare(&mut self, s1: VertexId, e: Option<ArcId>) {
         debug_assert!(!self.s.removed[s1.index()]);
+        self.stats.activations += 1;
         let d = self.d;
         let t = self.t;
-        self.s.level_mut(depth);
         let s = &mut *self.s;
-        let n = s.stride;
-        let next_arc = level_slice(
-            &mut s.level_next_arc,
-            depth,
-            n,
-            ArcId(u32::MAX),
-            &mut s.allocs,
-        );
-        let admissible = level_slice(
-            &mut s.level_admissible,
-            depth,
-            bit_words(n),
-            0u64,
-            &mut s.allocs,
-        );
-        let lvl = &mut s.levels[depth];
-        let key_s1 = s1.index() as u32;
-        let key_t = t.index() as u32;
-        if lvl.valid && lvl.key_sig == s.sig && lvl.key_s1 == key_s1 && lvl.key_t == key_t {
-            self.stats.fstp_cache_hits += 1;
-            return;
-        }
-        self.stats.fstp_cache_misses += 1;
         // Reverse BFS from t over the candidate frontier `¬removed ∧
         // ¬reached`: clearing s′ and t up front folds the "masked s′",
         // "already reached", and "removed" exclusions into a single
@@ -826,50 +623,66 @@ impl<V: PathView> Engine<'_, '_, V> {
         bits_not(&mut s.cand, &s.removed_bits);
         bit_clear(&mut s.cand, s1.index());
         bit_clear(&mut s.cand, t.index());
-        s.queue.clear();
-        s.queue.push(t);
-        let mut head = 0;
+        // The distinct heads the flood can still take: a masked head, s′
+        // and t have no candidate bit.
+        let banned = e.unwrap_or(ArcId(u32::MAX));
         let mut work = 0u64;
-        while head < s.queue.len() {
-            let u = s.queue[head];
-            head += 1;
-            for &(z, a) in d.in_adjacency(u) {
-                work += 1;
-                if !bit_take(&mut s.cand, z.index()) {
-                    continue;
+        let mut pending = 0usize;
+        for &(y, a) in d.out_adjacency(s1) {
+            work += 1;
+            if a != banned && bit_test(&s.cand, y.index()) && !bit_test(&s.heads, y.index()) {
+                bit_set(&mut s.heads, y.index());
+                pending += 1;
+            }
+        }
+        if pending > 0 {
+            s.queue.clear();
+            s.queue.push(t);
+            let mut head = 0;
+            'flood: while head < s.queue.len() {
+                let u = s.queue[head];
+                head += 1;
+                for &(z, a) in d.in_adjacency(u) {
+                    work += 1;
+                    if !bit_take(&mut s.cand, z.index()) {
+                        continue;
+                    }
+                    s.next_arc[z.index()] = a;
+                    if bit_test(&s.heads, z.index()) {
+                        bit_clear(&mut s.heads, z.index());
+                        pending -= 1;
+                        if pending == 0 {
+                            break 'flood;
+                        }
+                    }
+                    s.queue.push(z);
                 }
-                next_arc[z.index()] = a;
-                s.queue.push(z);
+            }
+            if pending > 0 {
+                // Some head cannot reach t: clear the marks it left.
+                for &(y, _) in d.out_adjacency(s1) {
+                    bit_clear(&mut s.heads, y.index());
+                }
             }
         }
         self.stats.work += work;
-        // Admissible heads = reached ∧ ¬removed = ¬(cand ∨ removed) after
-        // the BFS consumed the reached bits — except s′, whose candidate
-        // bit was cleared as "masked", not "reached", so neither s′ nor a
-        // self-loop back to it may qualify as a first-arc head.
-        bits_not_or(admissible, &s.cand, &s.removed_bits);
-        bit_clear(admissible, s1.index());
-        lvl.key_sig = s.sig;
-        lvl.key_s1 = key_s1;
-        lvl.key_t = key_t;
-        lvl.valid = true;
     }
 
     /// `E-STP(P, e, d, t)` — the recursion of Algorithm 1; `s1` is `P`'s
-    /// tip. After the (possibly cached) reverse BFS, **all** admissible
-    /// continuations of this activation — the successive `F-STP` answers,
-    /// one per admissible out-arc of `s′` in the order `≺_{s′}` — are
+    /// tip. After the reverse BFS, **all** admissible continuations of
+    /// this activation — the successive `F-STP` answers, one per
+    /// admissible out-arc of `s′` in the order `≺_{s′}` — are
     /// reconstructed back-to-back into the flat `qv`/`qa` arena in a
-    /// single pass over `out_adjacency(s′)`. This equals the paper's
+    /// single pass over `out_adjacency(s′)`, before any child's flood
+    /// overwrites the BFS tree. This equals the paper's
     /// resumed per-sibling `F-STP` calls because the sibling set is fixed
     /// at activation time: every `push_prefix` a child performs is undone
     /// by its `pop_prefix` before the next sibling, so a resumed scan
     /// would see exactly the admissible set that existed when the
     /// activation began.
     fn e_stp(&mut self, s1: VertexId, e: Option<ArcId>, depth: u32) -> ControlFlow<()> {
-        let lvl = depth as usize;
         self.stats.work += 1;
-        self.fstp_prepare(s1, e, lvl);
+        self.fstp_prepare(s1, e);
         // Flat child-run generation: one contiguous qv/qa run per
         // activation instead of one reconstruction per sibling visit.
         let frames_start = self.s.frames.len();
@@ -879,13 +692,18 @@ impl<V: PathView> Engine<'_, '_, V> {
             let d = self.d;
             let t = self.t;
             let s = &mut *self.s;
-            let (n, nw) = (s.stride, bit_words(s.stride));
-            let next_arc = &s.level_next_arc[lvl * n..(lvl + 1) * n];
-            let admissible = &s.level_admissible[lvl * nw..(lvl + 1) * nw];
             let banned = e.unwrap_or(ArcId(u32::MAX));
             for &(y, a) in d.out_adjacency(s1) {
                 self.stats.work += 1;
-                if a == banned || !bit_test(admissible, y.index()) {
+                // Admissible heads: reached ⇔ candidate and removed bits
+                // both clear after the flood — except s′, whose candidate
+                // bit was cleared as "masked", not "reached", so a
+                // self-loop back to it never qualifies.
+                if a == banned
+                    || y == s1
+                    || bit_test(&s.cand, y.index())
+                    || bit_test(&s.removed_bits, y.index())
+                {
                     continue;
                 }
                 // Reconstruct s′ → y → … → t along the reverse-BFS tree.
@@ -897,7 +715,7 @@ impl<V: PathView> Engine<'_, '_, V> {
                 let mut len = 2;
                 let mut cur = y;
                 while cur != t {
-                    let na = next_arc[cur.index()];
+                    let na = s.next_arc[cur.index()];
                     push_tracked(&mut s.qa, na, &mut s.allocs);
                     cur = d.head(na);
                     push_tracked(&mut s.qv, cur, &mut s.allocs);
@@ -994,30 +812,20 @@ pub fn enumerate_paths_view<V: PathView>(
         return stats;
     }
     let mut allocs = scratch.allocs;
-    steiner_graph::csr::grow(&mut scratch.stamp, n, 0u32, &mut allocs);
-    // Rebuild the mirror bitset and the Zobrist signature of the
-    // caller-written mask; from here on both are maintained
-    // incrementally by the engine's mask writes, so later cache lookups
-    // cost one u64 compare instead of an O(n) scan.
-    steiner_graph::csr::grow(&mut scratch.removed_bits, bit_words(n), 0u64, &mut allocs);
-    steiner_graph::csr::grow(&mut scratch.cand, bit_words(n), 0u64, &mut allocs);
-    if scratch.vsigs.len() < n {
-        if scratch.vsigs.capacity() < n {
-            allocs += 1;
-        }
-        let start = scratch.vsigs.len();
-        scratch.vsigs.extend((start..n).map(vsig));
-    }
-    let mut sig = 0u64;
+    let nw = bit_words(n);
+    grow(&mut scratch.stamp, n, 0u32, &mut allocs);
+    grow(&mut scratch.next_arc, n, ArcId(u32::MAX), &mut allocs);
+    grow(&mut scratch.cand, nw, 0u64, &mut allocs);
+    grow(&mut scratch.heads, nw, 0u64, &mut allocs);
+    // Rebuild the mirror bitset of the caller-written mask; from here on
+    // the engine's mask writes maintain it.
+    grow(&mut scratch.removed_bits, nw, 0u64, &mut allocs);
     for (v, &r) in scratch.removed.iter().enumerate() {
         if r {
             bit_set(&mut scratch.removed_bits, v);
-            sig ^= scratch.vsigs[v];
         }
     }
-    scratch.sig = sig;
     scratch.allocs = allocs;
-    scratch.restride(n);
     scratch.epoch = 0;
     scratch.queue.clear();
     debug_assert!(
@@ -1444,10 +1252,8 @@ mod tests {
 
     #[test]
     fn thousand_vertex_path_graph_does_not_panic() {
-        // Regression: `preallocate` caps the level cache at
-        // LEVEL_CACHE_CAP (512) entries, but instances with
-        // n > 510 can touch levels past the preallocation; every access
-        // site must grow the cache on demand instead of indexing out of
+        // Regression: the prefixes nest along the whole path here, so
+        // every buffer must grow on demand instead of indexing out of
         // bounds.
         let n = 1000;
         let g = steiner_graph::generators::path(n);
@@ -1472,10 +1278,10 @@ mod tests {
 
     #[test]
     fn recursion_past_the_level_cache_cap_grows_on_demand() {
-        // A ladder nests path prefixes along the whole chain, so the
-        // E-STP recursion runs deeper than a tiny preallocation cap.
-        // The capped scratch must produce the identical stream and
-        // report its growth through `alloc_events`.
+        // A ladder nests path prefixes along the whole chain. A scratch
+        // with no reservation at all must produce the stream of a
+        // preallocated one, report its growth through `alloc_events`,
+        // and allocate nothing on a second run.
         let g = steiner_graph::generators::ladder(10);
         let csr = CsrDigraph::doubled(&g);
         let (n, m) = (csr.num_vertices(), csr.num_arcs());
@@ -1500,33 +1306,38 @@ mod tests {
         full.preallocate(n, m);
         let reference = run(&mut full);
         assert!(reference.len() > 100, "the instance is path-rich");
+        assert_eq!(full.alloc_events(), 0, "the reservation covers the run");
 
-        let mut capped = PathScratch::new();
-        capped.preallocate_capped(n, m, 2);
-        let got = run(&mut capped);
-        assert_eq!(got, reference, "identical stream under a tiny cap");
+        let mut bare = PathScratch::new();
+        let got = run(&mut bare);
+        assert_eq!(got, reference, "identical stream without a reservation");
         assert!(
-            capped.alloc_events() > 0,
-            "on-demand growth past the cap is visible in the accounting"
+            bare.alloc_events() > 0,
+            "on-demand growth is visible in the accounting"
         );
-        // A second run on the now-grown scratch is allocation-free again.
-        let before = capped.alloc_events();
-        let again = run(&mut capped);
+        // A second run on the now-grown scratch is allocation-free.
+        let before = bare.alloc_events();
+        let again = run(&mut bare);
         assert_eq!(again, reference);
-        assert_eq!(capped.alloc_events(), before, "warm capped scratch");
+        assert_eq!(bare.alloc_events(), before, "warm scratch");
     }
 
     #[test]
     fn shallow_run_fills_in_only_the_levels_it_reaches() {
-        // A 30×30 grid reserves arena space for 512 levels, but a run
-        // stopped after a few paths reaches only the first levels: only
-        // those slices are filled in, and nothing is allocated.
+        // The reservation is linear in the view: on a 30×30 grid it
+        // stays within 96 bytes per vertex or arc, and a run stopped
+        // after a few paths fits in it without allocating.
         let g = steiner_graph::generators::grid(30, 30);
         let csr = CsrDigraph::doubled(&g);
         let (n, m) = (csr.num_vertices(), csr.num_arcs());
         let mut scratch = PathScratch::new();
         scratch.preallocate(n, m);
         let reserved = scratch.capacity_bytes();
+        assert!(
+            reserved <= 96 * (n + m) as u64,
+            "{reserved} bytes reserved for n + m = {}",
+            n + m
+        );
         let mut seen = 0;
         scratch.begin(n);
         run_whole(
@@ -1545,10 +1356,6 @@ mod tests {
             },
         );
         assert_eq!(seen, 5);
-        let filled = scratch.filled_levels();
-        assert!((2..=16).contains(&filled), "{filled} levels filled in");
-        assert_eq!(scratch.level_next_arc.len(), filled * n);
-        assert_eq!(scratch.level_admissible.len(), filled * bit_words(n));
         assert_eq!(scratch.capacity_bytes(), reserved);
         assert_eq!(scratch.alloc_events(), 0);
     }
@@ -1556,8 +1363,8 @@ mod tests {
     #[test]
     fn restrided_scratch_matches_fresh_scratches() {
         // One scratch serves views of changing vertex counts, up and
-        // down; each run re-strides the level arenas and must give the
-        // stream a fresh scratch gives.
+        // down; each run resizes its buffers and must give the stream a
+        // fresh scratch gives.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5e57_21de);
         let run = |csr: &CsrDigraph, scratch: &mut PathScratch| {
@@ -1588,55 +1395,50 @@ mod tests {
             assert_eq!(
                 run(&csr, &mut shared),
                 want,
-                "re-strided scratch; digraph {d:?}"
+                "shared scratch; digraph {d:?}"
             );
-            assert_eq!(shared.stride, n);
         }
     }
 
     #[test]
     fn packed_cache_hits_across_runs_on_a_pinned_graph() {
-        // Re-running the same query on a warm scratch via
-        // `begin_same_graph` must replay at least the root-level reverse
-        // BFS from cache (the cross-branch reuse the Steiner pools see).
+        // No BFS tree outlives its activation: re-running the same query
+        // on a warm scratch floods exactly as often as the cold run and
+        // reproduces its stream and counters.
         let g = steiner_graph::generators::theta_chain(4, 3);
         let csr = CsrDigraph::doubled(&g);
         let n = csr.num_vertices();
         let mut scratch = PathScratch::new();
         scratch.preallocate(n, csr.num_arcs());
-        let run = |scratch: &mut PathScratch, fresh: bool| {
-            if fresh {
-                scratch.begin(n);
-            } else {
-                scratch.begin_same_graph(n);
-            }
-            run_whole(
+        let run = |scratch: &mut PathScratch| {
+            let mut paths = Vec::new();
+            scratch.begin(n);
+            let stats = run_whole(
                 &csr,
                 VertexId(0),
                 VertexId(4),
                 EnumerateOptions::default(),
                 scratch,
-                &mut |_| ControlFlow::Continue(()),
-            )
+                &mut |p| {
+                    paths.push(p.arcs.to_vec());
+                    ControlFlow::Continue(())
+                },
+            );
+            (paths, stats)
         };
-        let cold = run(&mut scratch, true);
-        assert!(cold.fstp_cache_misses > 0, "cold run computes BFS trees");
-        let warm = run(&mut scratch, false);
-        assert_eq!(cold.emitted, warm.emitted);
-        assert!(
-            warm.fstp_cache_hits >= 1,
-            "warm same-graph replay reuses cached BFS trees (hits {}, misses {})",
-            warm.fstp_cache_hits,
-            warm.fstp_cache_misses
-        );
-        assert!(warm.fstp_cache_misses < cold.fstp_cache_misses);
+        let (cold_paths, cold) = run(&mut scratch);
+        assert!(cold.activations > 0, "the cold run floods");
+        let (warm_paths, warm) = run(&mut scratch);
+        assert_eq!(warm_paths, cold_paths);
+        assert_eq!(warm.activations, cold.activations, "same flood count");
+        assert_eq!(warm, cold);
     }
 
     #[test]
     fn begin_drops_cross_graph_packed_caches() {
-        // One scratch, two different graphs with identical vertex count,
-        // source, target, and (empty) mask: `begin` must not let the
-        // second run hit the first run's cached BFS trees.
+        // One scratch, many different graphs with the same source,
+        // target and (empty) mask: every run on the shared scratch must
+        // give the stream a fresh scratch gives.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
         let mut scratch = PathScratch::new();
@@ -1684,6 +1486,81 @@ mod tests {
                 "shared scratch must not leak stale BFS trees"
             );
         }
+    }
+
+    /// `0 → 1 → 2` plus the `extra` arcs, and a cloud of 40 vertices
+    /// (3..43) whose arcs lead into vertex 1: a flood from `t = 2` that
+    /// runs to the end takes the whole cloud, one that stops at the head
+    /// 1 takes none of it. Returns the digraph and the work of one full
+    /// flood (the arcs into vertices that reach `t`, all below 43).
+    fn headed_cloud(extra: &[(usize, usize)]) -> (CsrDigraph, u64) {
+        let mut arcs = vec![(0, 1), (1, 2)];
+        arcs.extend_from_slice(extra);
+        arcs.extend((3..43).map(|x| (x, 1)));
+        let n = arcs.iter().map(|&(u, v)| u.max(v) + 1).max().unwrap_or(0);
+        let d = DiGraph::from_arcs(n, &arcs).unwrap();
+        let full_flood = arcs.iter().filter(|&&(_, y)| y < 43).count();
+        (CsrDigraph::from_digraph(&d), full_flood as u64)
+    }
+
+    /// Runs `csr` from 0 to 2 on `scratch` after a run on another graph,
+    /// and checks the stream against a fresh scratch's.
+    fn run_after_another(csr: &CsrDigraph, scratch: &mut PathScratch) -> (Vec<Vec<ArcId>>, u64) {
+        let other = CsrDigraph::doubled(&steiner_graph::generators::grid(3, 4));
+        let _ = run_collect(&other, VertexId(0), VertexId(11), scratch);
+        let (got, work) = run_collect(csr, VertexId(0), VertexId(2), scratch);
+        let (fresh, _) = run_collect(csr, VertexId(0), VertexId(2), &mut PathScratch::new());
+        assert_eq!(got, fresh, "warm scratch gives the fresh stream");
+        (got, work)
+    }
+
+    fn run_collect(
+        csr: &CsrDigraph,
+        s: VertexId,
+        t: VertexId,
+        scratch: &mut PathScratch,
+    ) -> (Vec<Vec<ArcId>>, u64) {
+        let mut got = Vec::new();
+        scratch.begin(csr.num_vertices());
+        let stats = run_whole(csr, s, t, EnumerateOptions::default(), scratch, &mut |p| {
+            got.push(p.arcs.to_vec());
+            ControlFlow::Continue(())
+        });
+        (got, stats.work)
+    }
+
+    #[test]
+    fn flood_stops_once_every_head_is_reached() {
+        // Two parallel arcs into the one head 1, which the flood takes
+        // with its first probe: the whole run costs less than one full
+        // flood, because neither the root's flood nor any sweep enters
+        // the cloud behind 1.
+        let (csr, full_flood) = headed_cloud(&[(0, 1)]);
+        let mut scratch = PathScratch::new();
+        let (paths, work) = run_after_another(&csr, &mut scratch);
+        assert_eq!(
+            paths,
+            vec![vec![ArcId(0), ArcId(1)], vec![ArcId(2), ArcId(1)]],
+            "one path per parallel first arc"
+        );
+        assert!(
+            work < full_flood,
+            "run work {work}, one full flood {full_flood}"
+        );
+    }
+
+    #[test]
+    fn flood_runs_to_the_end_past_an_unreachable_head() {
+        // Head 43 cannot reach t, so the root's flood waits for it in
+        // vain and takes the whole cloud before it ends.
+        let (csr, full_flood) = headed_cloud(&[(0, 43)]);
+        let mut scratch = PathScratch::new();
+        let (paths, work) = run_after_another(&csr, &mut scratch);
+        assert_eq!(paths, vec![vec![ArcId(0), ArcId(1)]]);
+        assert!(
+            work >= full_flood,
+            "run work {work}, one full flood {full_flood}"
+        );
     }
 
     #[test]

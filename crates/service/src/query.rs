@@ -101,11 +101,12 @@ impl QueryOptions {
         self
     }
 
-    /// [`Self::deadline`] measured from now.
-    pub fn timeout(self, timeout: Duration) -> Self {
+    /// [`Self::deadline`] measured from now. A timeout too long for an
+    /// [`Instant`] to represent sets no deadline.
+    pub fn timeout(mut self, timeout: Duration) -> Self {
         // lint:allow(clock) deadline(timeout) anchors the caller's promise to the service clock
-        let deadline = Instant::now() + timeout;
-        self.deadline(deadline)
+        self.deadline = Instant::now().checked_add(timeout);
+        self
     }
 
     /// Shard the run across `k` worker threads.

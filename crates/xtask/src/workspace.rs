@@ -57,8 +57,6 @@ pub const HOT: &[(&str, &[&str])] = &[
             "bits_clear",
             "bits_and_not",
             "bits_not",
-            "bits_not_or",
-            "mix64",
         ],
     ),
     (
@@ -114,9 +112,6 @@ pub const HOT: &[(&str, &[&str])] = &[
             "push_ext",
             "qv",
             "qa",
-            "level_mut",
-            "level_slice",
-            "restride",
             "mask_removed",
         ],
     ),

@@ -418,3 +418,19 @@ fn admission_rejection_is_typed_and_never_means_no_solutions() {
     assert!(outcome.is_complete());
     assert_eq!(outcome.solutions.len(), 1);
 }
+
+/// A timeout too long for an `Instant` to represent sets no deadline:
+/// the run completes instead of panicking on the overflow, and delivers
+/// what a run without a timeout delivers.
+#[test]
+fn unrepresentable_timeout_means_no_deadline() {
+    let g = minimal_steiner::graph::generators::grid(3, 4);
+    let w = [VertexId(0), VertexId(11)];
+    let unbounded = Enumeration::new(SteinerTree::new(&g, &w)).count().unwrap();
+    let timed = Enumeration::new(SteinerTree::new(&g, &w))
+        .with_timeout(std::time::Duration::MAX)
+        .count()
+        .unwrap();
+    assert!(unbounded > 1);
+    assert_eq!(timed, unbounded);
+}

@@ -224,6 +224,30 @@ fn global_pool_admission_control() {
     assert!(outcome.is_complete());
 }
 
+/// A timeout too long for an `Instant` to represent sets no deadline:
+/// the served query resolves `Ok` with the one-shot stream.
+#[test]
+fn unrepresentable_timeout_resolves_ok() {
+    let (g, w) = undirected();
+    let engine = EnumerationEngine::new(g.clone());
+    let session = engine.session("tenant");
+    let outcome = session
+        .run(
+            Query::SteinerTree {
+                terminals: w.clone(),
+            },
+            QueryOptions::default().timeout(Duration::MAX),
+        )
+        .unwrap();
+    assert_eq!(outcome.status, Ok(()));
+    assert_eq!(
+        outcome.solutions.edges().unwrap(),
+        &Enumeration::new(SteinerTree::new(&g, &w))
+            .collect_vec()
+            .unwrap()[..]
+    );
+}
+
 /// A deadline'd query on an effectively inexhaustible instance
 /// terminates within a bounded overshoot, reports
 /// [`SteinerError::DeadlineExceeded`], and its partial stream is a

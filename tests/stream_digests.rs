@@ -18,8 +18,7 @@
 //! The theta chains with a pendant path, the hub with pendant terminals
 //! and the theta multigraph keep bridge-forced terminals in play at
 //! depth (the incremental classifier's Unique leaves) and repeat
-//! removal masks across branch nodes (the path engine's cross-branch
-//! cache). The `regions` instances run on a disjoint union of four
+//! removal masks across branch nodes. The `regions` instances run on a disjoint union of four
 //! random graphs with interleaved vertex and edge ids, so the undirected
 //! problems' query regions are a proper, renumbered part of the graph.
 //!
