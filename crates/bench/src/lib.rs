@@ -5,10 +5,13 @@
 //! measures the implementation against those claims:
 //!
 //! * [`measure`] — runs an enumerator, recording wall-clock delay between
-//!   consecutive solutions (max/mean), the work-unit gap, and the
-//!   enumeration-tree shape; renders markdown rows;
-//! * [`workloads`] — the instance families (see DESIGN.md §10);
-//! * `table1` binary — prints a measured analogue of every Table 1 row;
+//!   consecutive solutions (max/mean); repeats every measurement
+//!   [`measure::SAMPLES`] times and keeps the median run with the
+//!   quartiles of the totals; renders markdown rows and `BENCH_core.json`;
+//! * [`workloads`] — the instance families;
+//! * `table1` binary — prints a measured analogue of every Table 1 row.
+//!   It is the workspace's one wall-time harness; the stand-alone
+//!   `perfbench` package gates end-to-end changes;
 //! * `figure1` binary — prints the enumeration-tree shape and output-queue
 //!   trace that Figure 1 illustrates.
 

@@ -32,7 +32,7 @@ use steiner_graph::connectivity::reachable_from;
 use steiner_graph::csr::grow;
 use steiner_graph::spanning::{DynamicSpanning, SpanMark};
 use steiner_graph::{ArcId, CsrDigraph, DiGraph, VertexId};
-use steiner_paths::enumerate::{EnumerateOptions, PathScratch};
+use steiner_paths::enumerate::PathScratch;
 use steiner_paths::stsets::enumerate_source_set_paths_csr;
 
 /// The minimal directed Steiner tree problem (§5.2): find all
@@ -831,14 +831,8 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             boundary,
             sources,
         } = &mut bs;
-        let pstats = enumerate_source_set_paths_csr(
-            &csr,
-            sources,
-            w,
-            EnumerateOptions::default(),
-            path,
-            boundary,
-            &mut |delta| {
+        let pstats =
+            enumerate_source_set_paths_csr(&csr, sources, w, path, boundary, &mut |delta| {
                 run.follow(
                     self,
                     delta,
@@ -847,8 +841,7 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
                     Self::retract_frame,
                     child,
                 )
-            },
-        );
+            });
         self.stats.path_gen_work += pstats.work;
         self.stats.fstp_cache_misses += pstats.activations;
         let search = self.search.as_mut().expect("search state");

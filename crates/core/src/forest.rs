@@ -35,7 +35,7 @@ use steiner_graph::union_find::UnionFind;
 use steiner_graph::{
     CsrDigraph, CsrUndirected, EdgeId, Region, RegionIds, UndirectedGraph, VertexId,
 };
-use steiner_paths::enumerate::{enumerate_paths_view, EnumerateOptions, PathScratch};
+use steiner_paths::enumerate::{enumerate_paths_view, PathScratch};
 
 /// Reduces terminal sets to deduplicated unordered pairs. Singleton and
 /// empty sets impose no constraint and vanish.
@@ -913,23 +913,16 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         } = &mut ds;
         // Doubled arc → contracted edge → original edge.
         let orig_edge = &*orig_edge;
-        let pstats = enumerate_paths_view(
-            doubled,
-            cw,
-            cw2,
-            EnumerateOptions::default(),
-            path,
-            &mut |delta| {
-                run.follow(
-                    self,
-                    delta,
-                    per_child,
-                    |p, _, arcs| p.descend_edges(arcs.iter().map(|a| orig_edge[a.index() / 2])),
-                    Self::retract_frame,
-                    child,
-                )
-            },
-        );
+        let pstats = enumerate_paths_view(doubled, cw, cw2, path, &mut |delta| {
+            run.follow(
+                self,
+                delta,
+                per_child,
+                |p, _, arcs| p.descend_edges(arcs.iter().map(|a| orig_edge[a.index() / 2])),
+                Self::retract_frame,
+                child,
+            )
+        });
         self.stats.path_gen_work += pstats.work;
         self.stats.fstp_cache_misses += pstats.activations;
         let search = self.search.as_mut().expect("search state");

@@ -44,7 +44,7 @@ use steiner_graph::spanning::{
 use steiner_graph::{
     ArcId, CsrDigraph, CsrUndirected, EdgeId, Region, RegionIds, UndirectedGraph, VertexId,
 };
-use steiner_paths::enumerate::{EnumerateOptions, PathScratch};
+use steiner_paths::enumerate::PathScratch;
 use steiner_paths::stsets::enumerate_source_set_paths_csr;
 
 /// The minimal Steiner tree problem (§4): find all inclusion-minimal
@@ -603,14 +603,8 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             boundary,
             sources,
         } = &mut bs;
-        let pstats = enumerate_source_set_paths_csr(
-            &doubled,
-            sources,
-            w,
-            EnumerateOptions::default(),
-            path,
-            boundary,
-            &mut |delta| {
+        let pstats =
+            enumerate_source_set_paths_csr(&doubled, sources, w, path, boundary, &mut |delta| {
                 run.follow(
                     self,
                     delta,
@@ -619,8 +613,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
                     Self::retract_frame,
                     child,
                 )
-            },
-        );
+            });
         self.stats.path_gen_work += pstats.work;
         self.stats.fstp_cache_misses += pstats.activations;
         let search = self.search.as_mut().expect("search state");

@@ -55,7 +55,7 @@ use steiner_graph::spanning::{
 use steiner_graph::{
     ArcId, CsrDigraph, CsrUndirected, EdgeId, Region, RegionIds, UndirectedGraph, VertexId,
 };
-use steiner_paths::enumerate::{EnumerateOptions, PathScratch};
+use steiner_paths::enumerate::PathScratch;
 use steiner_paths::stsets::enumerate_source_set_paths_csr;
 
 /// Branch targets of the terminal variant: the component-and-first-path
@@ -1016,7 +1016,6 @@ impl TerminalSteinerTree<'_> {
                     &doubled,
                     &sources,
                     w1,
-                    EnumerateOptions::default(),
                     &mut path,
                     &mut boundary,
                     &mut |delta| {
@@ -1067,7 +1066,6 @@ impl TerminalSteinerTree<'_> {
                         &doubled,
                         sources,
                         w1,
-                        EnumerateOptions::default(),
                         path,
                         boundary,
                         &mut |delta| {
@@ -1128,14 +1126,8 @@ impl TerminalSteinerTree<'_> {
             boundary,
             sources,
         } = &mut bs;
-        let pstats = enumerate_source_set_paths_csr(
-            &doubled,
-            sources,
-            w,
-            EnumerateOptions::default(),
-            path,
-            boundary,
-            &mut |delta| {
+        let pstats =
+            enumerate_source_set_paths_csr(&doubled, sources, w, path, boundary, &mut |delta| {
                 run.follow(
                     self,
                     delta,
@@ -1144,8 +1136,7 @@ impl TerminalSteinerTree<'_> {
                     Self::retract_frame,
                     child,
                 )
-            },
-        );
+            });
         self.stats.path_gen_work += pstats.work;
         self.stats.fstp_cache_misses += pstats.activations;
         self.put_branch_scratch(bs, depth);

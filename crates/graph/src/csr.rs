@@ -43,8 +43,8 @@ pub fn push_tracked<T>(v: &mut Vec<T>, x: T, allocs: &mut u64) {
 // The path-generation hot path sweeps vertex sets (`removed`, the
 // candidate frontier) over the CSR views above. Packing them into `u64` words
 // turns per-vertex branchy probes into single-bit tests on 8-byte cache
-// lines (64 vertices per line instead of 1–4), and set algebra like
-// "reached and not removed" into word-parallel AND-NOT loops. The helpers
+// lines (64 vertices per line instead of 1–4), and seeding the candidate
+// frontier "not removed" into a word-parallel complement. The helpers
 // are free functions over plain `&[u64]` slices so callers keep the
 // grow/alloc accounting of their owning `Vec<u64>` (via [`grow`]).
 
@@ -78,23 +78,6 @@ pub fn bit_assign(words: &mut [u64], i: usize, on: bool) {
     let w = &mut words[i >> 6];
     let m = 1u64 << (i & 63);
     *w = (*w & !m) | (u64::from(on) << (i & 63));
-}
-
-/// Zeroes the whole set (a word-wise memset — the packed replacement for
-/// an epoch bump over a per-vertex stamp array).
-#[inline]
-pub fn bits_clear(words: &mut [u64]) {
-    words.fill(0);
-}
-
-/// `dst = a & !b`, word-parallel. The "admissible frontier" sweep:
-/// `a` = reached-from-`t`, `b` = removed, `dst` = vertices an arc may
-/// legally continue to.
-#[inline]
-pub fn bits_and_not(dst: &mut [u64], a: &[u64], b: &[u64]) {
-    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *d = x & !y;
-    }
 }
 
 /// Tests bit `i` and clears it when set. The fused BFS-frontier probe:
@@ -753,16 +736,9 @@ mod tests {
         assert!(bit_test(&words, 64));
         bit_assign(&mut words, 64, false);
         assert!(!bit_test(&words, 64));
-        let a = words.clone();
         let mut b = vec![0u64; 3];
         bit_set(&mut b, 63);
         bit_set(&mut b, 129);
-        let mut dst = vec![u64::MAX; 3];
-        bits_and_not(&mut dst, &a, &b);
-        assert!(bit_test(&dst, 0) && !bit_test(&dst, 63) && !bit_test(&dst, 129));
-        assert!(bit_test(&dst, 128));
-        bits_clear(&mut dst);
-        assert_eq!(dst, vec![0u64; 3]);
         // bit_take: first probe claims the bit, the second misses.
         let mut c = vec![0u64; 3];
         bit_set(&mut c, 65);

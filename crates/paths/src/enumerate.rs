@@ -15,6 +15,9 @@
 //!   (v_i, v_{i+1})` still has a `v_i`-`t` path). The sweep walks `i`
 //!   downward while the admissible graph only grows, maintaining the
 //!   reach-`t` flags `r(·)` monotonically — O(n + m) for the whole sweep.
+//!   It is the engine's only extendibility test; the unit tests check it
+//!   against a fresh flood per prefix, the O(k(n + m)) recomputation it
+//!   replaces.
 //! * `e_stp` — the recursion `E-STP(P, e, d, t)` with the alternating
 //!   output rule (pre-order at even depth, post-order at odd depth).
 //!   Each activation reconstructs all its `F-STP` answers (one per
@@ -62,28 +65,6 @@ pub struct PathEnumStats {
     /// short by the early stop, skipped when no head is left to reach);
     /// nothing is reused across activations.
     pub activations: u64,
-}
-
-/// Options for [`enumerate_directed_st_paths_with`]: the Lemma 11
-/// ablation switch.
-#[derive(Copy, Clone, Debug)]
-pub struct EnumerateOptions {
-    /// Use the Lemma 11 *incremental* reachability sweep (O(n + m) for all
-    /// prefixes of a continuation together). When `false`, extendibility
-    /// is recomputed from scratch per prefix — O(k(n + m)) per
-    /// continuation of length k — which is the design choice the paper's
-    /// §3 revision of Read–Tarjan eliminates. Exposed for the ablation
-    /// bench (`cargo bench -p steiner-bench --bench ablation`); the
-    /// stream is the same either way.
-    pub incremental_extendibility: bool,
-}
-
-impl Default for EnumerateOptions {
-    fn default() -> Self {
-        EnumerateOptions {
-            incremental_extendibility: true,
-        }
-    }
 }
 
 /// The adjacency interface the Algorithm-1 engine runs on. Implemented by
@@ -189,11 +170,14 @@ impl PathView for VirtualSourceView<'_> {
     }
 }
 
-/// Reusable state for one (possibly nested) enumeration: masks, one
-/// reverse-BFS tree, and the LIFO arena holding each activation's
-/// continuations `Q`. Size it once with [`PathScratch::preallocate`];
-/// afterwards enumerations record any buffer growth in
-/// [`PathScratch::alloc_events`] (a warm scratch reports zero).
+/// Reusable state for one (possibly nested) enumeration: the removal
+/// mask and its bitset mirror, the candidate frontier and head marks the
+/// floods share, one reverse-BFS tree, and the LIFO arenas holding each
+/// activation's continuations `Q` and extendible indices. Every buffer is
+/// O(n) words except the arenas. Size it once with
+/// [`PathScratch::preallocate`]; afterwards enumerations record any
+/// buffer growth in [`PathScratch::alloc_events`] (a warm scratch reports
+/// zero).
 ///
 /// One BFS tree serves every recursion level: an activation copies all
 /// its continuations into the arena right after its flood and reads the
@@ -214,9 +198,6 @@ pub struct PathScratch {
     /// buffer is dead between uses, so one instance serves every
     /// recursion level.
     cand: Vec<u64>,
-    /// Epoch-stamped reach-`t` flags of the naive extendibility ablation.
-    stamp: Vec<u32>,
-    epoch: u32,
     queue: Vec<VertexId>,
     /// The current activation's reverse-BFS tree: for every vertex the
     /// flood reached, the arc it was reached through.
@@ -258,7 +239,6 @@ impl PathScratch {
         reserve_total(&mut self.removed_bits, nw);
         reserve_total(&mut self.cand, nw);
         reserve_total(&mut self.heads, nw);
-        reserve_total(&mut self.stamp, n);
         reserve_total(&mut self.queue, n);
         reserve_total(&mut self.next_arc, n);
         let q_arena = (4 * (n + m)).min(1 << 18);
@@ -295,10 +275,33 @@ impl PathScratch {
             + (self.removed_bits.capacity() + self.cand.capacity() + self.heads.capacity())
                 * std::mem::size_of::<u64>()
             + self.frames.capacity() * std::mem::size_of::<QFrame>()
-            + (self.stamp.capacity() + self.ext.capacity()) * std::mem::size_of::<u32>()
+            + self.ext.capacity() * std::mem::size_of::<u32>()
             + (self.qa.capacity() + self.next_arc.capacity()) * std::mem::size_of::<ArcId>()
             + (self.queue.capacity() + self.qv.capacity()) * std::mem::size_of::<VertexId>())
             as u64
+    }
+
+    /// Sizes the per-run buffers for `n` vertices and rebuilds the mirror
+    /// bitset of the caller-written mask; from here on the engine's mask
+    /// writes maintain it.
+    fn start_run(&mut self, n: usize) {
+        let nw = bit_words(n);
+        grow(&mut self.next_arc, n, ArcId(u32::MAX), &mut self.allocs);
+        grow(&mut self.cand, nw, 0u64, &mut self.allocs);
+        grow(&mut self.heads, nw, 0u64, &mut self.allocs);
+        grow(&mut self.removed_bits, nw, 0u64, &mut self.allocs);
+        for (v, &r) in self.removed.iter().enumerate() {
+            if r {
+                bit_set(&mut self.removed_bits, v);
+            }
+        }
+        self.queue.clear();
+        debug_assert!(
+            self.qv.is_empty()
+                && self.qa.is_empty()
+                && self.ext.is_empty()
+                && self.frames.is_empty()
+        );
     }
 
     #[inline]
@@ -325,7 +328,6 @@ struct Engine<'v, 'x, V: PathView> {
     d: &'v V,
     t: VertexId,
     s: &'x mut PathScratch,
-    options: EnumerateOptions,
     stats: PathEnumStats,
     sink: &'x mut dyn FnMut(PathDelta<'_>) -> ControlFlow<()>,
 }
@@ -351,54 +353,6 @@ impl<V: PathView> Engine<'_, '_, V> {
         debug_assert_ne!(s.removed[v.index()], on, "mask writes are toggles");
         s.removed[v.index()] = on;
         bit_assign(&mut s.removed_bits, v.index(), on);
-    }
-
-    /// Ablation variant of [`Self::extendible_indices`]: recomputes the
-    /// reach-`t` flags from scratch for every prefix — O(k(n + m)) per
-    /// continuation instead of O(n + m). Identical results.
-    fn extendible_indices_naive(&mut self, q: QFrame) {
-        let k = q.len;
-        if k < 3 {
-            return;
-        }
-        for j in 0..=k - 3 {
-            let v = self.qv(q, j);
-            self.mask_removed(v, true);
-        }
-        let mut i = k - 1;
-        loop {
-            // Fresh reverse BFS from t in D_i, skipping b_i.
-            let banned = self.qa(q, i - 1);
-            self.s.epoch += 1;
-            let ep = self.s.epoch;
-            self.s.stamp[self.t.index()] = ep;
-            self.s.queue.clear();
-            self.s.queue.push(self.t);
-            let mut head = 0;
-            while head < self.s.queue.len() {
-                let u = self.s.queue[head];
-                head += 1;
-                for &(z, a) in self.d.in_adjacency(u) {
-                    self.stats.work += 1;
-                    if a == banned || self.s.removed[z.index()] || self.s.stamp[z.index()] == ep {
-                        continue;
-                    }
-                    self.s.stamp[z.index()] = ep;
-                    self.s.queue.push(z);
-                }
-            }
-            if self.s.stamp[self.qv(q, i - 1).index()] == ep {
-                self.s.push_ext(i as u32);
-            }
-            if i == 2 {
-                break;
-            }
-            let v = self.qv(q, i - 2);
-            self.mask_removed(v, false);
-            i -= 1;
-        }
-        let v0 = self.qv(q, 0);
-        self.mask_removed(v0, false);
     }
 
     /// Settles the deferred vertex `w` — the banned arc's tail, held
@@ -742,11 +696,7 @@ impl<V: PathView> Engine<'_, '_, V> {
             }
             if flow.is_continue() {
                 let ext_start = self.s.ext.len();
-                if self.options.incremental_extendibility {
-                    self.extendible_indices(q);
-                } else {
-                    self.extendible_indices_naive(q);
-                }
+                self.extendible_indices(q);
                 let ext_end = self.s.ext.len();
                 for idx in ext_start..ext_end {
                     let i = self.s.ext[idx] as usize;
@@ -792,7 +742,6 @@ pub fn enumerate_paths_view<V: PathView>(
     view: &V,
     s: VertexId,
     t: VertexId,
-    options: EnumerateOptions,
     scratch: &mut PathScratch,
     sink: &mut dyn FnMut(PathDelta<'_>) -> ControlFlow<()>,
 ) -> PathEnumStats {
@@ -811,34 +760,11 @@ pub fn enumerate_paths_view<V: PathView>(
         });
         return stats;
     }
-    let mut allocs = scratch.allocs;
-    let nw = bit_words(n);
-    grow(&mut scratch.stamp, n, 0u32, &mut allocs);
-    grow(&mut scratch.next_arc, n, ArcId(u32::MAX), &mut allocs);
-    grow(&mut scratch.cand, nw, 0u64, &mut allocs);
-    grow(&mut scratch.heads, nw, 0u64, &mut allocs);
-    // Rebuild the mirror bitset of the caller-written mask; from here on
-    // the engine's mask writes maintain it.
-    grow(&mut scratch.removed_bits, nw, 0u64, &mut allocs);
-    for (v, &r) in scratch.removed.iter().enumerate() {
-        if r {
-            bit_set(&mut scratch.removed_bits, v);
-        }
-    }
-    scratch.allocs = allocs;
-    scratch.epoch = 0;
-    scratch.queue.clear();
-    debug_assert!(
-        scratch.qv.is_empty()
-            && scratch.qa.is_empty()
-            && scratch.ext.is_empty()
-            && scratch.frames.is_empty()
-    );
+    scratch.start_run(n);
     let mut engine = Engine {
         d: view,
         t,
         s: scratch,
-        options,
         stats,
         sink,
     };
@@ -877,19 +803,6 @@ pub fn enumerate_directed_st_paths(
     allowed: Option<&[bool]>,
     sink: &mut dyn FnMut(PathEvent<'_>) -> ControlFlow<()>,
 ) -> PathEnumStats {
-    enumerate_directed_st_paths_with(d, s, t, allowed, EnumerateOptions::default(), sink)
-}
-
-/// As [`enumerate_directed_st_paths`], with explicit [`EnumerateOptions`]
-/// (used by the Lemma 11 ablation bench).
-pub fn enumerate_directed_st_paths_with(
-    d: &DiGraph,
-    s: VertexId,
-    t: VertexId,
-    allowed: Option<&[bool]>,
-    options: EnumerateOptions,
-    sink: &mut dyn FnMut(PathEvent<'_>) -> ControlFlow<()>,
-) -> PathEnumStats {
     let n = d.num_vertices();
     let mut scratch = PathScratch::new();
     let removed = scratch.begin(n);
@@ -902,9 +815,7 @@ pub fn enumerate_directed_st_paths_with(
     // The historical contract: the target takes part even when masked out
     // by `allowed` only through the early return below, exactly as before.
     let mut whole = WholePaths::new(s);
-    enumerate_paths_view(d, s, t, options, &mut scratch, &mut |delta| {
-        whole.apply(delta, sink)
-    })
+    enumerate_paths_view(d, s, t, &mut scratch, &mut |delta| whole.apply(delta, sink))
 }
 
 #[cfg(test)]
@@ -918,14 +829,11 @@ mod tests {
         view: &V,
         s: VertexId,
         t: VertexId,
-        options: EnumerateOptions,
         scratch: &mut PathScratch,
         sink: &mut dyn FnMut(PathEvent<'_>) -> ControlFlow<()>,
     ) -> PathEnumStats {
         let mut whole = WholePaths::new(s);
-        enumerate_paths_view(view, s, t, options, scratch, &mut |delta| {
-            whole.apply(delta, sink)
-        })
+        enumerate_paths_view(view, s, t, scratch, &mut |delta| whole.apply(delta, sink))
     }
 
     fn paths_of(d: &DiGraph, s: VertexId, t: VertexId) -> Vec<Vec<ArcId>> {
@@ -1081,17 +989,10 @@ mod tests {
             let csr = CsrDigraph::from_digraph(&d);
             let mut on_csr = Vec::new();
             scratch.begin(n);
-            run_whole(
-                &csr,
-                s,
-                t,
-                EnumerateOptions::default(),
-                &mut scratch,
-                &mut |p| {
-                    on_csr.push(p.arcs.to_vec());
-                    ControlFlow::Continue(())
-                },
-            );
+            run_whole(&csr, s, t, &mut scratch, &mut |p| {
+                on_csr.push(p.arcs.to_vec());
+                ControlFlow::Continue(())
+            });
             assert_eq!(on_digraph, on_csr, "identical order; digraph {d:?}");
         }
     }
@@ -1105,14 +1006,9 @@ mod tests {
         scratch.preallocate(n, m);
         for round in 0..2 {
             scratch.begin(n);
-            run_whole(
-                &csr,
-                VertexId(0),
-                VertexId(4),
-                EnumerateOptions::default(),
-                &mut scratch,
-                &mut |_| ControlFlow::Continue(()),
-            );
+            run_whole(&csr, VertexId(0), VertexId(4), &mut scratch, &mut |_| {
+                ControlFlow::Continue(())
+            });
             assert_eq!(
                 scratch.alloc_events(),
                 0,
@@ -1151,23 +1047,16 @@ mod tests {
             source: vsrc,
         };
         let mut got = Vec::new();
-        run_whole(
-            &view,
-            vsrc,
-            VertexId(3),
-            EnumerateOptions::default(),
-            &mut scratch,
-            &mut |p| {
-                // Only the adapter's seed names the virtual source; the
-                // first arc leaves S for real.
-                assert!(!p.vertices[1..].contains(&vsrc));
-                let first = csr.tail(p.arcs[0]);
-                assert!(first == VertexId(0) || first == VertexId(1));
-                assert_eq!(*p.vertices.last().unwrap(), VertexId(3));
-                got.push(p.arcs.to_vec());
-                ControlFlow::Continue(())
-            },
-        );
+        run_whole(&view, vsrc, VertexId(3), &mut scratch, &mut |p| {
+            // Only the adapter's seed names the virtual source; the
+            // first arc leaves S for real.
+            assert!(!p.vertices[1..].contains(&vsrc));
+            let first = csr.tail(p.arcs[0]);
+            assert!(first == VertexId(0) || first == VertexId(1));
+            assert_eq!(*p.vertices.last().unwrap(), VertexId(3));
+            got.push(p.arcs.to_vec());
+            ControlFlow::Continue(())
+        });
         // Oracle: the established super-source construction.
         let inst =
             crate::stsets::SourceSetInstance::new(&g, &[true, true, false, false, false], None);
@@ -1181,73 +1070,199 @@ mod tests {
         assert_eq!(unique.len(), got.len(), "no duplicate paths");
     }
 
-    #[test]
-    fn naive_extendibility_gives_identical_output() {
+    /// One Lemma-11 input: a view, the mask `P` (every vertex of the
+    /// current path but its tip), and a continuation `Q = (v₁ … v_k)`
+    /// from the tip to `t = v_k` that avoids the mask.
+    struct SweepCase {
+        csr: CsrDigraph,
+        removed: Vec<bool>,
+        qv: Vec<VertexId>,
+        qa: Vec<ArcId>,
+    }
+
+    /// Shortest `s`–`t` path of `csr` avoiding `removed`, as its vertices
+    /// and arcs.
+    fn shortest_path(
+        csr: &CsrDigraph,
+        removed: &[bool],
+        s: VertexId,
+        t: VertexId,
+    ) -> Option<(Vec<VertexId>, Vec<ArcId>)> {
+        let mut parent: Vec<Option<ArcId>> = vec![None; csr.num_vertices()];
+        let mut seen = removed.to_vec();
+        seen[s.index()] = true;
+        let mut queue = std::collections::VecDeque::from([s]);
+        while let Some(u) = queue.pop_front() {
+            for &(y, a) in csr.out_adjacency(u) {
+                if !seen[y.index()] {
+                    seen[y.index()] = true;
+                    parent[y.index()] = Some(a);
+                    queue.push_back(y);
+                }
+            }
+        }
+        let (mut qv, mut qa) = (vec![t], Vec::new());
+        while let Some(a) = parent[qv.last()?.index()] {
+            qa.push(a);
+            qv.push(csr.tail(a));
+        }
+        (*qv.last()? == s).then(|| {
+            qv.reverse();
+            qa.reverse();
+            (qv, qa)
+        })
+    }
+
+    /// Random digraphs (half of them with parallel arcs) and doubled
+    /// grids, each with a random mask and a shortest path from a random
+    /// unmasked tip to `t` that avoids it; paths of fewer than three
+    /// vertices have no prefix to test and are skipped.
+    fn lemma11_cases() -> Vec<SweepCase> {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x11_11);
-        for _ in 0..40 {
-            let n = 3 + rng.gen_range(0..5usize);
-            let m = rng.gen_range(0..=(n * (n - 1)).min(16));
-            let d = steiner_graph::generators::random_digraph(n, m, &mut rng);
-            let (s, t) = (VertexId(0), VertexId::new(n - 1));
-            let fast = collect_arc_paths(|sink| {
-                enumerate_directed_st_paths_with(
-                    &d,
-                    s,
-                    t,
-                    None,
-                    EnumerateOptions {
-                        incremental_extendibility: true,
-                    },
-                    sink,
+        let mut cases = Vec::new();
+        for round in 0..4000 {
+            let csr = if round % 3 == 2 {
+                let g = steiner_graph::generators::grid(
+                    2 + rng.gen_range(0..4usize),
+                    2 + rng.gen_range(0..5usize),
                 );
-            });
-            let slow = collect_arc_paths(|sink| {
-                enumerate_directed_st_paths_with(
-                    &d,
-                    s,
-                    t,
-                    None,
-                    EnumerateOptions {
-                        incremental_extendibility: false,
-                    },
-                    sink,
-                );
-            });
-            assert_eq!(fast, slow, "identical order and content; digraph {d:?}");
+                CsrDigraph::doubled(&g)
+            } else {
+                let n = 4 + rng.gen_range(0..9usize);
+                let m = rng.gen_range(n..=4 * n);
+                let d = if round % 3 == 0 {
+                    steiner_graph::generators::random_digraph(n, m, &mut rng)
+                } else {
+                    let mut arcs = Vec::with_capacity(m);
+                    while arcs.len() < m {
+                        let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                        if u != v {
+                            arcs.push((u, v));
+                        }
+                    }
+                    DiGraph::from_arcs(n, &arcs).unwrap()
+                };
+                CsrDigraph::from_digraph(&d)
+            };
+            let n = csr.num_vertices();
+            let (tip, t) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let density = rng.gen_range(0..4usize) as f64 / 10.0;
+            let removed: Vec<bool> = (0..n)
+                .map(|v| v != tip && v != t && rng.gen_bool(density))
+                .collect();
+            let Some((qv, qa)) =
+                shortest_path(&csr, &removed, VertexId::new(tip), VertexId::new(t))
+            else {
+                continue;
+            };
+            if qv.len() >= 3 {
+                cases.push(SweepCase {
+                    csr,
+                    removed,
+                    qv,
+                    qa,
+                });
+            }
         }
+        cases
+    }
+
+    /// Lemma 11 by its definition: for each `i` from `k − 1` down to 2,
+    /// masks `P` and `v₁ … v_{i−1}`, bans `(v_i, v_{i+1})`, floods back
+    /// from `t` afresh and records `i` if `v_i` is reached. Returns the
+    /// indices and the in-arcs the floods probed.
+    fn per_prefix_extendible(c: &SweepCase) -> (Vec<u32>, u64) {
+        let k = c.qv.len();
+        let t = c.qv[k - 1];
+        let (mut indices, mut work) = (Vec::new(), 0u64);
+        for i in (2..k).rev() {
+            let mut masked = c.removed.clone();
+            for v in &c.qv[..i - 1] {
+                masked[v.index()] = true;
+            }
+            let banned = c.qa[i - 1];
+            let mut reached = vec![false; masked.len()];
+            reached[t.index()] = true;
+            let mut stack = vec![t];
+            while let Some(u) = stack.pop() {
+                for &(z, a) in c.csr.in_adjacency(u) {
+                    work += 1;
+                    if a != banned && !masked[z.index()] && !reached[z.index()] {
+                        reached[z.index()] = true;
+                        stack.push(z);
+                    }
+                }
+            }
+            if reached[c.qv[i - 1].index()] {
+                indices.push(i as u32);
+            }
+        }
+        (indices, work)
+    }
+
+    /// The engine's sweep on `c`, from the state a run starts in.
+    fn lemma11_sweep(c: &SweepCase) -> (Vec<u32>, u64) {
+        let n = c.csr.num_vertices();
+        let mut scratch = PathScratch::new();
+        scratch.begin(n).copy_from_slice(&c.removed);
+        scratch.start_run(n);
+        scratch.qv.extend_from_slice(&c.qv);
+        scratch.qa.extend_from_slice(&c.qa);
+        let mut sink = |_: PathDelta<'_>| ControlFlow::Continue(());
+        let mut engine = Engine {
+            d: &c.csr,
+            t: c.qv[c.qv.len() - 1],
+            s: &mut scratch,
+            stats: PathEnumStats::default(),
+            sink: &mut sink,
+        };
+        engine.extendible_indices(QFrame {
+            v_start: 0,
+            a_start: 0,
+            len: c.qv.len(),
+        });
+        (engine.s.ext.clone(), engine.stats.work)
+    }
+
+    #[test]
+    fn naive_extendibility_gives_identical_output() {
+        // The sweep's index lists equal Lemma 11's definition, prefix by
+        // prefix, under random masks.
+        let cases = lemma11_cases();
+        assert!(cases.len() > 1500, "{} cases", cases.len());
+        let (mut some, mut none) = (0, 0);
+        for c in &cases {
+            let (want, _) = per_prefix_extendible(c);
+            assert_eq!(
+                lemma11_sweep(c).0,
+                want,
+                "mask {:?}, Q {:?} over {:?}",
+                c.removed,
+                c.qa,
+                c.csr
+            );
+            some += want.len();
+            none += c.qv.len() - 2 - want.len();
+        }
+        assert!(some > 0 && none > 0, "{some} extendible, {none} not");
     }
 
     #[test]
     fn lemma11_sweep_does_less_work() {
-        // On a long-path-rich instance the naive per-prefix recomputation
-        // must cost measurably more work units.
-        let g = steiner_graph::generators::grid(4, 5);
-        let doubled = steiner_graph::digraph::DoubledDigraph::new(&g);
-        let d = &doubled.digraph;
-        let (s, t) = (VertexId(0), VertexId::new(g.num_vertices() - 1));
-        let run = |incremental: bool| {
-            let mut sink = |_: PathEvent<'_>| ControlFlow::Continue(());
-            enumerate_directed_st_paths_with(
-                d,
-                s,
-                t,
-                None,
-                EnumerateOptions {
-                    incremental_extendibility: incremental,
-                },
-                &mut sink,
-            )
-        };
-        let fast = run(true);
-        let slow = run(false);
-        assert_eq!(fast.emitted, slow.emitted);
-        assert!(
-            slow.work > fast.work,
-            "naive {} should exceed incremental {}",
-            slow.work,
-            fast.work
-        );
+        // One sweep probes each in-arc at most once across its floods and
+        // each out-arc of Q's vertices at most once when it settles them,
+        // so a continuation costs at most 2m; the per-prefix floods cost
+        // more in total.
+        let (mut sweep, mut naive) = (0, 0);
+        for c in &lemma11_cases() {
+            let (_, work) = lemma11_sweep(c);
+            let m = c.csr.num_arcs() as u64;
+            assert!(work <= 2 * m, "sweep work {work} for m = {m}");
+            sweep += work;
+            naive += per_prefix_extendible(c).1;
+        }
+        assert!(naive > sweep, "per-prefix {naive}, sweep {sweep}");
     }
 
     #[test]
@@ -1266,7 +1281,6 @@ mod tests {
             &csr,
             VertexId(0),
             VertexId::new(n - 1),
-            EnumerateOptions::default(),
             &mut scratch,
             &mut |p| {
                 emitted.push(p.arcs.len());
@@ -1289,17 +1303,10 @@ mod tests {
         let run = |scratch: &mut PathScratch| {
             let mut paths = Vec::new();
             scratch.begin(n);
-            run_whole(
-                &csr,
-                VertexId(0),
-                t,
-                EnumerateOptions::default(),
-                scratch,
-                &mut |p| {
-                    paths.push(p.arcs.to_vec());
-                    ControlFlow::Continue(())
-                },
-            );
+            run_whole(&csr, VertexId(0), t, scratch, &mut |p| {
+                paths.push(p.arcs.to_vec());
+                ControlFlow::Continue(())
+            });
             paths
         };
         let mut full = PathScratch::new();
@@ -1344,7 +1351,6 @@ mod tests {
             &csr,
             VertexId(0),
             VertexId::new(n - 1),
-            EnumerateOptions::default(),
             &mut scratch,
             &mut |_| {
                 seen += 1;
@@ -1371,17 +1377,10 @@ mod tests {
             let n = csr.num_vertices();
             let mut got = Vec::new();
             scratch.begin(n);
-            run_whole(
-                csr,
-                VertexId(0),
-                VertexId::new(n - 1),
-                EnumerateOptions::default(),
-                scratch,
-                &mut |p| {
-                    got.push(p.arcs.to_vec());
-                    ControlFlow::Continue(())
-                },
-            );
+            run_whole(csr, VertexId(0), VertexId::new(n - 1), scratch, &mut |p| {
+                got.push(p.arcs.to_vec());
+                ControlFlow::Continue(())
+            });
             got
         };
         let mut shared = PathScratch::new();
@@ -1413,17 +1412,10 @@ mod tests {
         let run = |scratch: &mut PathScratch| {
             let mut paths = Vec::new();
             scratch.begin(n);
-            let stats = run_whole(
-                &csr,
-                VertexId(0),
-                VertexId(4),
-                EnumerateOptions::default(),
-                scratch,
-                &mut |p| {
-                    paths.push(p.arcs.to_vec());
-                    ControlFlow::Continue(())
-                },
-            );
+            let stats = run_whole(&csr, VertexId(0), VertexId(4), scratch, &mut |p| {
+                paths.push(p.arcs.to_vec());
+                ControlFlow::Continue(())
+            });
             (paths, stats)
         };
         let (cold_paths, cold) = run(&mut scratch);
@@ -1451,34 +1443,20 @@ mod tests {
             let shared = {
                 let mut got = Vec::new();
                 scratch.begin(n);
-                run_whole(
-                    &csr,
-                    s,
-                    t,
-                    EnumerateOptions::default(),
-                    &mut scratch,
-                    &mut |p| {
-                        got.push(p.arcs.to_vec());
-                        ControlFlow::Continue(())
-                    },
-                );
+                run_whole(&csr, s, t, &mut scratch, &mut |p| {
+                    got.push(p.arcs.to_vec());
+                    ControlFlow::Continue(())
+                });
                 got
             };
             let mut fresh_scratch = PathScratch::new();
             let fresh = {
                 let mut got = Vec::new();
                 fresh_scratch.begin(n);
-                run_whole(
-                    &csr,
-                    s,
-                    t,
-                    EnumerateOptions::default(),
-                    &mut fresh_scratch,
-                    &mut |p| {
-                        got.push(p.arcs.to_vec());
-                        ControlFlow::Continue(())
-                    },
-                );
+                run_whole(&csr, s, t, &mut fresh_scratch, &mut |p| {
+                    got.push(p.arcs.to_vec());
+                    ControlFlow::Continue(())
+                });
                 got
             };
             assert_eq!(
@@ -1522,7 +1500,7 @@ mod tests {
     ) -> (Vec<Vec<ArcId>>, u64) {
         let mut got = Vec::new();
         scratch.begin(csr.num_vertices());
-        let stats = run_whole(csr, s, t, EnumerateOptions::default(), scratch, &mut |p| {
+        let stats = run_whole(csr, s, t, scratch, &mut |p| {
             got.push(p.arcs.to_vec());
             ControlFlow::Continue(())
         });
@@ -1577,39 +1555,32 @@ mod tests {
             scratch.begin(n);
             let mut tips = vec![s];
             let (mut paths, mut max_depth) = (0u64, 0);
-            let stats = enumerate_paths_view(
-                &csr,
-                s,
-                t,
-                EnumerateOptions::default(),
-                &mut scratch,
-                &mut |delta| match delta {
-                    PathDelta::Extend { vertices, arcs } => {
-                        assert_eq!(vertices.len(), arcs.len());
-                        assert!(!vertices.is_empty() && !vertices.contains(&s));
-                        assert_eq!(csr.tail(arcs[0]), *tips.last().unwrap());
-                        tips.push(*vertices.last().unwrap());
-                        max_depth = max_depth.max(tips.len() - 1);
+            let stats = enumerate_paths_view(&csr, s, t, &mut scratch, &mut |delta| match delta {
+                PathDelta::Extend { vertices, arcs } => {
+                    assert_eq!(vertices.len(), arcs.len());
+                    assert!(!vertices.is_empty() && !vertices.contains(&s));
+                    assert_eq!(csr.tail(arcs[0]), *tips.last().unwrap());
+                    tips.push(*vertices.last().unwrap());
+                    max_depth = max_depth.max(tips.len() - 1);
+                    ControlFlow::Continue(())
+                }
+                PathDelta::Retract => {
+                    tips.pop();
+                    assert!(!tips.is_empty(), "a Retract undoes an Extend");
+                    ControlFlow::Continue(())
+                }
+                PathDelta::Path { vertices, arcs } => {
+                    assert_eq!(vertices.len(), arcs.len());
+                    assert_eq!(csr.tail(arcs[0]), *tips.last().unwrap());
+                    assert_eq!(vertices.last(), Some(&t));
+                    paths += 1;
+                    if paths == stop {
+                        ControlFlow::Break(())
+                    } else {
                         ControlFlow::Continue(())
                     }
-                    PathDelta::Retract => {
-                        tips.pop();
-                        assert!(!tips.is_empty(), "a Retract undoes an Extend");
-                        ControlFlow::Continue(())
-                    }
-                    PathDelta::Path { vertices, arcs } => {
-                        assert_eq!(vertices.len(), arcs.len());
-                        assert_eq!(csr.tail(arcs[0]), *tips.last().unwrap());
-                        assert_eq!(vertices.last(), Some(&t));
-                        paths += 1;
-                        if paths == stop {
-                            ControlFlow::Break(())
-                        } else {
-                            ControlFlow::Continue(())
-                        }
-                    }
-                },
-            );
+                }
+            });
             assert_eq!(tips, vec![s], "stop {stop}: balanced after the run");
             assert_eq!(stats.emitted, paths);
             assert_eq!(paths, stop.min(81));

@@ -20,8 +20,8 @@
 //! adds each delta's vertices and arcs, none of which is the super-source.
 
 use crate::enumerate::{
-    enumerate_directed_st_paths, enumerate_paths_view, EnumerateOptions, PathEnumStats,
-    PathScratch, VirtualSourceView,
+    enumerate_directed_st_paths, enumerate_paths_view, PathEnumStats, PathScratch,
+    VirtualSourceView,
 };
 use crate::visit::{PathDelta, UndirectedPathEvent};
 use std::ops::ControlFlow;
@@ -155,7 +155,6 @@ pub fn enumerate_source_set_paths_csr(
     csr: &CsrDigraph,
     sources: &[VertexId],
     target: VertexId,
-    options: EnumerateOptions,
     scratch: &mut PathScratch,
     boundary_buf: &mut Vec<(VertexId, ArcId)>,
     sink: &mut dyn FnMut(PathDelta<'_>) -> ControlFlow<()>,
@@ -186,7 +185,7 @@ pub fn enumerate_source_set_paths_csr(
         boundary: boundary_buf,
         source: vsrc,
     };
-    enumerate_paths_view(&view, vsrc, target, options, scratch, sink)
+    enumerate_paths_view(&view, vsrc, target, scratch, sink)
 }
 
 /// A super-source instance over a *directed* host graph, for the §5.2
@@ -282,26 +281,18 @@ mod tests {
         let vsrc = VertexId::new(csr.num_vertices());
         let mut whole = WholePaths::new(vsrc);
         let mut vertices = Vec::new();
-        enumerate_source_set_paths_csr(
-            csr,
-            sources,
-            target,
-            EnumerateOptions::default(),
-            scratch,
-            boundary,
-            &mut |delta| {
-                whole.apply(delta, &mut |p| {
-                    assert!(!p.vertices[1..].contains(&vsrc), "deltas never name σ");
-                    vertices.clear();
-                    vertices.push(csr.tail(p.arcs[0]));
-                    vertices.extend_from_slice(&p.vertices[1..]);
-                    sink(PathEvent {
-                        vertices: &vertices,
-                        arcs: p.arcs,
-                    })
+        enumerate_source_set_paths_csr(csr, sources, target, scratch, boundary, &mut |delta| {
+            whole.apply(delta, &mut |p| {
+                assert!(!p.vertices[1..].contains(&vsrc), "deltas never name σ");
+                vertices.clear();
+                vertices.push(csr.tail(p.arcs[0]));
+                vertices.extend_from_slice(&p.vertices[1..]);
+                sink(PathEvent {
+                    vertices: &vertices,
+                    arcs: p.arcs,
                 })
-            },
-        );
+            })
+        });
     }
 
     #[test]

@@ -54,8 +54,6 @@ pub const HOT: &[(&str, &[&str])] = &[
             "bit_clear",
             "bit_assign",
             "bit_take",
-            "bits_clear",
-            "bits_and_not",
             "bits_not",
         ],
     ),
@@ -104,7 +102,6 @@ pub const HOT: &[(&str, &[&str])] = &[
             "e_stp",
             "fstp_prepare",
             "extendible_indices",
-            "extendible_indices_naive",
             "settle_deferred",
             "push_prefix",
             "pop_prefix",

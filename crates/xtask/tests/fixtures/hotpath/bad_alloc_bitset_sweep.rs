@@ -1,6 +1,6 @@
 //! Known-bad: allocating constructs inside the packed bitset sweep.
 
-fn bits_and_not(dst: &mut [u64], a: &[u64], b: &[u64]) -> usize {
+fn bits_not(dst: &mut [u64], a: &[u64], b: &[u64]) -> usize {
     let staged: Vec<u64> = a.iter().zip(b).map(|(x, y)| x & !y).collect();
     for (d, w) in dst.iter_mut().zip(staged.clone()) {
         *d = w;
