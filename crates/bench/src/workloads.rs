@@ -1,5 +1,4 @@
-//! Instance families for the Table 1 / Figure 1 measurements
-//! (DESIGN.md §10).
+//! Instance families for the Table 1 / Figure 1 measurements.
 
 use rand::SeedableRng;
 use steiner_graph::{generators, DiGraph, UndirectedGraph, VertexId};
@@ -184,7 +183,7 @@ mod tests {
     fn directed_instance_reaches_terminals() {
         use steiner_graph::connectivity::reachable_from;
         let (d, root, w) = directed_instance(3, 3, 2);
-        let reach = reachable_from(&d, root, None);
+        let reach = reachable_from(&d, root);
         assert!(w.iter().all(|v| reach[v.index()]));
     }
 

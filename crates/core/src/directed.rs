@@ -30,7 +30,7 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 use steiner_graph::connectivity::reachable_from;
 use steiner_graph::csr::grow;
-use steiner_graph::spanning::{DynamicSpanning, SpanMark};
+use steiner_graph::spanning::DynamicSpanning;
 use steiner_graph::{ArcId, CsrDigraph, DiGraph, VertexId};
 use steiner_paths::enumerate::PathScratch;
 use steiner_paths::stsets::enumerate_source_set_paths_csr;
@@ -65,11 +65,10 @@ pub struct DirectedSteinerTree<'g> {
 }
 
 /// The typed checkpoint frame of one descent: tree-vertex and tree-arc
-/// stack lengths plus the connectivity layer's mark.
+/// stack lengths.
 struct DirFrame {
     added: usize,
     arc_base: usize,
-    span: SpanMark,
 }
 
 /// Mutable search state installed by `prepare`. All hot-path buffers are
@@ -88,12 +87,12 @@ struct DirectedSearch {
     con: ContractionScratch,
     /// Reusable Lemma-35 analysis buffers.
     ana: AnalyzeScratch,
-    /// Incremental connectivity over the unique-in-arc skeleton: arcs
-    /// whose head has in-degree 1 in `D` are on **every** path to that
-    /// head, so a missing terminal reached from `V(T)` along them has a
-    /// unique valid path (the forced chain); a node whose missing
-    /// terminals are all reached is a Unique leaf without the per-node
-    /// contraction + Lemma-35 sweep.
+    /// The forced-path skeleton of unique in-arcs: arcs whose head has
+    /// in-degree 1 in `D` are on **every** path to that head, so a
+    /// missing terminal reached from `V(T)` along them has a unique valid
+    /// path (the forced chain); a node whose missing terminals are all
+    /// reached is a Unique leaf without the per-node contraction +
+    /// Lemma-35 sweep.
     span: DynamicSpanning,
     /// Typed checkpoint frames of the active descent (LIFO).
     frames: FrameLog<DirFrame>,
@@ -137,9 +136,7 @@ impl DirBranchScratch {
 /// The contracted digraph `D′ = D/E(T)` in reusable out-CSR form: outside
 /// vertices keep their relative order, the super-vertex `r_T` is appended
 /// last, arcs inside `V(T)` are dropped, and every surviving arc remembers
-/// its original id — the same semantics as
-/// [`steiner_graph::contraction::contract_vertex_set`], without the per-node
-/// allocations.
+/// its original id. Rebuilt in place per node, without allocating.
 #[derive(Default)]
 struct ContractionScratch {
     vertex_map: Vec<VertexId>,
@@ -569,7 +566,7 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             .collect();
         terminals.sort_unstable();
         self.stats.preprocessing_work = (d.num_vertices() + d.num_arcs()) as u64;
-        let reach = reachable_from(d, self.root, None);
+        let reach = reachable_from(d, self.root);
         if let Some(&w) = terminals.iter().find(|w| !reach[w.index()]) {
             return Err(SteinerError::UnreachableTerminal(w));
         }
@@ -866,7 +863,6 @@ impl DirectedSteinerTree<'_> {
         let frame = DirFrame {
             added: vertices.len(),
             arc_base: search.tree_arcs.len(),
-            span: search.span.mark(),
         };
         for &v in vertices {
             debug_assert!(!search.in_tree[v.index()]);
@@ -884,7 +880,6 @@ impl DirectedSteinerTree<'_> {
     fn retract_frame(&mut self) {
         let search = self.search.as_mut().expect("search state");
         let frame = search.frames.pop();
-        search.span.undo_to(frame.span);
         search.tree_arcs.truncate(frame.arc_base);
         for _ in 0..frame.added {
             let v = search.tree_vertices.pop().expect("tree vertex stack");

@@ -30,7 +30,6 @@ use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use steiner_graph::csr::{grow, IncidenceCsr};
-use steiner_graph::spanning::{DynamicSpanning, SpanMark};
 use steiner_graph::union_find::UnionFind;
 use steiner_graph::{
     CsrDigraph, CsrUndirected, EdgeId, Region, RegionIds, UndirectedGraph, VertexId,
@@ -80,12 +79,12 @@ pub struct SteinerForest<'g> {
     search: Option<ForestSearch>,
 }
 
-/// The typed checkpoint frame of one descent: forest-edge stack length,
-/// union–find snapshot, and the connectivity layer's mark.
+/// The typed checkpoint frame of one descent: forest-edge stack length
+/// and the snapshots of both union–finds.
 struct ForestFrame {
     base: usize,
     uf: usize,
-    span: SpanMark,
+    g2: usize,
 }
 
 /// Mutable search state installed by `prepare`. All hot-path buffers are
@@ -117,10 +116,10 @@ struct ForestSearch {
     /// presents its bridges in, which is the order the unique completion
     /// appends the live ones to `F + B`.
     bridge_ids: Vec<EdgeId>,
-    /// Incremental component labels of `G″`: the bridges of `G` are
-    /// contracted once in `prepare`, forest-edge deltas are contracted on
+    /// Component labels of `G″`, a rollback union–find: the bridges of
+    /// `G` are united once in `prepare`, forest edges are united on
     /// descent and rolled back on backtrack.
-    span: DynamicSpanning,
+    g2: UnionFind,
     /// Typed checkpoint frames of the active descent (LIFO).
     frames: FrameLog<ForestFrame>,
     uc: UniqueCompletionScratch,
@@ -322,9 +321,9 @@ impl ForestSearch {
     fn usage(&self) -> ScratchUsage {
         let pool: ScratchUsage = self.pool.iter().map(|b| b.usage()).sum();
         ScratchUsage::new(
-            self.gcsr.alloc_events() + self.span.alloc_events(),
+            self.gcsr.alloc_events(),
             self.gcsr.capacity_bytes()
-                + self.span.capacity_bytes()
+                + self.g2.capacity_bytes()
                 + (self.rep_id.capacity() * std::mem::size_of::<u32>()
                     + self.gbridge.capacity() * std::mem::size_of::<bool>()
                     + self.bridge_ids.capacity() * std::mem::size_of::<EdgeId>())
@@ -402,7 +401,7 @@ impl ForestSearch {
         for &(w, w2) in &self.pairs {
             debug_assert_eq!(
                 uf2.same(ds.vertex_map[w.index()], ds.vertex_map[w2.index()]),
-                self.span.connected(w, w2),
+                self.g2.same(w, w2),
                 "incremental G″ labels disagree with the fresh pass for {w:?},{w2:?}"
             );
         }
@@ -447,22 +446,22 @@ impl<'g> SteinerForest<'g> {
 
 impl SteinerForest<'_> {
     /// The descend half of the branch protocol: appends original edges of
-    /// a valid path (one path delta's worth) to `F`, joins them in the
-    /// rollback union–find and in the G″ contract-delta layer, and pushes
-    /// the combined typed frame. Shared by the path deltas of `branch`
-    /// and by replayed subtrees.
+    /// a valid path (one path delta's worth) to `F`, joins them in both
+    /// rollback union–finds (`F` and `G″`), and pushes the combined typed
+    /// frame. Shared by the path deltas of `branch` and by replayed
+    /// subtrees.
     fn descend_edges(&mut self, edges: impl IntoIterator<Item = EdgeId>) {
         let search = self.search.as_mut().expect("search state");
         let frame = ForestFrame {
             base: search.forest_edges.len(),
             uf: search.uf.snapshot(),
-            span: search.span.mark(),
+            g2: search.g2.snapshot(),
         };
         for e in edges {
             let (u, v) = search.gcsr.endpoints(e);
             let joined = search.uf.union(u, v);
             debug_assert!(joined, "a valid path never closes a cycle in F");
-            search.span.contract(u, v);
+            search.g2.union(u, v);
             search.forest_edges.push(e);
         }
         search.frames.push(frame);
@@ -474,7 +473,7 @@ impl SteinerForest<'_> {
         let frame = search.frames.pop();
         search.forest_edges.truncate(frame.base);
         search.uf.rollback(frame.uf);
-        search.span.undo_to(frame.span);
+        search.g2.rollback(frame.g2);
     }
 }
 
@@ -716,13 +715,11 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
             .map(EdgeId::new)
             .filter(|e| gbridge[e.index()])
             .collect();
-        let mut span = DynamicSpanning::new();
-        span.preallocate(n, 0);
-        span.begin_skeleton(n);
-        span.finish_skeleton();
+        let mut g2 = UnionFind::new(n);
+        g2.reserve_history(n + 1);
         for &e in &bridge_ids {
             let (u, v) = gcsr.endpoints(e);
-            span.contract(u, v);
+            g2.union(u, v);
         }
         // One frame per live path delta, each owning at least one edge of
         // the forest: never more than n − 1 at once.
@@ -746,7 +743,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
             rep_id: Vec::with_capacity(n),
             gbridge,
             bridge_ids,
-            span,
+            g2,
             frames,
             uc,
             pool,
@@ -784,23 +781,23 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         }
         let depth = search.depth;
         search.ensure_depth(depth);
-        // Fully incremental classification: F-connectivity comes from the
-        // rollback union–find and Lemma 24's G″ = G/E(F)/B labels from the
-        // contract-delta layer (bridges of G/E(F) ≡ static bridges of G
-        // minus self-loops — see the `gbridge` docs), so no contraction or
-        // bridge pass runs here at all. O(#pairs).
+        // Fully incremental classification: F-connectivity and Lemma 24's
+        // G″ = G/E(F)/B labels both come from rollback union–finds
+        // (bridges of G/E(F) ≡ static bridges of G minus self-loops — see
+        // the `gbridge` docs), so no contraction or bridge pass runs here
+        // at all. O(#pairs).
         stats.classify_incremental += 1;
         #[cfg(debug_assertions)]
         search.debug_check_bridge_contraction(depth);
         let uf = &search.uf;
-        let span = &search.span;
+        let g2 = &search.g2;
         // A disconnected pair whose images differ in G″ has ≥ 2 valid
         // paths (Lemma 24): branch on the first such pair.
         let branch = search
             .pairs
             .iter()
             .copied()
-            .find(|&(w, w2)| !uf.same(w, w2) && !span.connected(w, w2));
+            .find(|&(w, w2)| !uf.same(w, w2) && !g2.same(w, w2));
         match branch {
             Some(pair) => {
                 // `branch` builds G/E(F) itself — only internal nodes pay
@@ -851,7 +848,6 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
                 usage.allocs - search.baseline_allocs,
                 usage.bytes,
             ));
-            self.stats.note_connectivity(search.span.repair_stats());
         }
     }
 

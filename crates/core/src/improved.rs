@@ -39,7 +39,7 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 use steiner_graph::csr::{bit_clear, bit_set, bit_test, IncidenceCsr};
 use steiner_graph::spanning::{
-    grow_spanning_tree_csr, prune_leaves_csr, CompletionScratch, DynamicSpanning, SpanMark,
+    grow_spanning_tree_csr, prune_leaves_csr, CompletionScratch, DynamicSpanning,
 };
 use steiner_graph::{
     ArcId, CsrDigraph, CsrUndirected, EdgeId, Region, RegionIds, UndirectedGraph, VertexId,
@@ -71,12 +71,10 @@ pub struct SteinerTree<'g> {
     search: Option<TreeSearch>,
 }
 
-/// The typed checkpoint frame of one descent (one path delta): partial-
-/// tree extension and the connectivity layer's mark, restored together on
-/// backtrack.
+/// The typed checkpoint frame of one descent (one path delta): the
+/// partial-tree extension, restored on backtrack.
 struct TreeFrame {
     ext: Extension,
-    span: SpanMark,
     /// `E(T)` stack length before this descent — the frame's edges are
     /// the stack suffix from here, used to roll back `edge_words`.
     edges_mark: usize,
@@ -99,12 +97,11 @@ struct TreeSearch {
     /// Bridges of `G` in the region, precomputed once (Lemma 16 is a
     /// property of `G`).
     bridge: Vec<bool>,
-    /// Incremental connectivity over the bridge skeleton of `G`: a
-    /// terminal with a skeleton path to `V(T)` (queried with the
-    /// partial tree's `in_tree` mask as the source oracle) has a **unique**
-    /// valid path (Lemma 16), so a node whose missing terminals are all
-    /// forced is a Unique leaf — classified without a spanning-growth
-    /// pass.
+    /// The forced-path skeleton over the bridges of `G`: a terminal with
+    /// a skeleton path to `V(T)` (queried with the partial tree's
+    /// `in_tree` mask as the source oracle) has a **unique** valid path
+    /// (Lemma 16), so a node whose missing terminals are all forced is a
+    /// Unique leaf — classified without a spanning-growth pass.
     span: DynamicSpanning,
     /// Typed checkpoint frames of the active descent (LIFO).
     frames: FrameLog<TreeFrame>,
@@ -641,15 +638,10 @@ impl SteinerTree<'_> {
         for &e in &search.t.edges[edges_mark..] {
             bit_set(&mut search.edge_words, e.index());
         }
-        // The partial-tree mask updated above doubles as the
-        // connectivity layer's source oracle, so the descent itself
-        // costs the incremental layer nothing.
-        let span = search.span.mark();
-        search.frames.push(TreeFrame {
-            ext,
-            span,
-            edges_mark,
-        });
+        // The partial-tree mask updated above doubles as the forced-path
+        // skeleton's source oracle, so the descent itself costs the
+        // skeleton nothing.
+        search.frames.push(TreeFrame { ext, edges_mark });
     }
 
     /// The undo half: pops the innermost frame and restores every layer.
@@ -659,7 +651,6 @@ impl SteinerTree<'_> {
         for &e in &search.t.edges[frame.edges_mark..] {
             bit_clear(&mut search.edge_words, e.index());
         }
-        search.span.undo_to(frame.span);
         search.t.retract(frame.ext);
     }
 }

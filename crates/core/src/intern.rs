@@ -23,9 +23,8 @@
 //! are reclaimed by the next [`SolutionInterner::compact`]. Live ids are
 //! **stable**: compaction never renumbers or moves a live solution's id.
 //!
-//! [`SolutionSet`] wraps the interner in a shared, clonable, thread-safe
-//! handle — the form the [`Enumeration`](crate::solver::Enumeration)
-//! builder's `with_interning` front-end and the sharded merge point use.
+//! A consumer that wants a stream interned interns it from its own sink;
+//! the [`crate::cache`] recorder does so for `cached()` runs.
 //!
 //! ```
 //! use steiner_core::intern::SolutionInterner;
@@ -43,7 +42,6 @@
 //! ```
 
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
 
 /// Stable handle to one interned solution inside a [`SolutionInterner`].
 ///
@@ -82,9 +80,9 @@ const EMPTY: u32 = 0;
 /// A hash-consing arena over sorted solution slices: structurally equal
 /// slices intern to the same [`SolutionId`], stored once.
 ///
-/// Single-threaded core; see [`SolutionSet`] for the shared wrapper. See
-/// the [module documentation](self) for an example and the lifecycle
-/// rules.
+/// Single-threaded; a shared owner (the [`crate::cache`] store) wraps it
+/// in its own lock. See the [module documentation](self) for an example
+/// and the lifecycle rules.
 pub struct SolutionInterner<Item> {
     /// All live (and not-yet-compacted dead) solutions, back to back.
     flat: Vec<Item>,
@@ -356,95 +354,6 @@ impl<Item: Copy + Eq + Hash> SolutionInterner<Item> {
     }
 }
 
-/// A shared, clonable, thread-safe [`SolutionInterner`] handle — what
-/// [`Enumeration::with_interning`](crate::solver::Enumeration::with_interning)
-/// takes, and what lets a sharded run intern at the merge point while
-/// other threads resolve.
-///
-/// Cloning is cheap (an [`Arc`] bump); all clones view the same arena.
-///
-/// ```
-/// use steiner_core::intern::SolutionSet;
-/// use steiner_graph::EdgeId;
-///
-/// let set: SolutionSet<EdgeId> = SolutionSet::new();
-/// let id = set.intern(&[EdgeId(3), EdgeId(5)]);
-/// assert_eq!(set.resolve_owned(id), vec![EdgeId(3), EdgeId(5)]);
-/// assert_eq!(set.len(), 1);
-/// ```
-pub struct SolutionSet<Item> {
-    inner: Arc<Mutex<SolutionInterner<Item>>>,
-}
-
-impl<Item> Clone for SolutionSet<Item> {
-    fn clone(&self) -> Self {
-        SolutionSet {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<Item> Default for SolutionSet<Item> {
-    fn default() -> Self {
-        SolutionSet {
-            inner: Arc::new(Mutex::new(SolutionInterner::default())),
-        }
-    }
-}
-
-impl<Item: Copy + Eq + Hash> SolutionSet<Item> {
-    /// An empty shared interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns `items` (see [`SolutionInterner::intern`]).
-    pub fn intern(&self, items: &[Item]) -> SolutionId {
-        self.lock().intern(items)
-    }
-
-    /// An owned copy of the interned slice for `id`.
-    pub fn resolve_owned(&self, id: SolutionId) -> Vec<Item> {
-        self.lock().resolve(id).to_vec()
-    }
-
-    /// Runs `f` with shared access to the underlying interner — the
-    /// zero-copy way to read many interned slices under one lock.
-    pub fn with<R>(&self, f: impl FnOnce(&SolutionInterner<Item>) -> R) -> R {
-        f(&self.lock())
-    }
-
-    /// Runs `f` with exclusive access to the underlying interner (for
-    /// batch `acquire`/`release`/`compact` sequences under one lock).
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut SolutionInterner<Item>) -> R) -> R {
-        f(&mut self.lock())
-    }
-
-    /// Number of live interned solutions.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether no live solutions are interned.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// Bytes of item payload held by live solutions.
-    pub fn bytes(&self) -> u64 {
-        self.lock().bytes()
-    }
-
-    /// Total hash-cons hits so far (see [`SolutionInterner::dedup_hits`]).
-    pub fn dedup_hits(&self) -> u64 {
-        self.lock().dedup_hits()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SolutionInterner<Item>> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,27 +515,6 @@ mod tests {
         );
         for &id in &live {
             assert_eq!(s.resolve(id).len(), 4);
-        }
-    }
-
-    #[test]
-    fn shared_set_is_clonable_and_consistent() {
-        let set: SolutionSet<EdgeId> = SolutionSet::new();
-        let clone = set.clone();
-        let a = set.intern(&ids(0..3));
-        assert_eq!(clone.intern(&ids(0..3)), a, "clones share the arena");
-        assert_eq!(clone.len(), 1);
-        assert_eq!(clone.dedup_hits(), 1);
-        assert!(clone.bytes() > 0);
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let set = set.clone();
-                std::thread::spawn(move || set.intern(&ids(t..t + 2)))
-            })
-            .collect();
-        for t in threads {
-            let id = t.join().unwrap();
-            assert_eq!(set.resolve_owned(id).len(), 2);
         }
     }
 }

@@ -65,14 +65,15 @@
 //! # Serving repeated traffic
 //!
 //! Two layers turn the single-run engine into a service for repeated
-//! queries: [`intern`] hash-conses emitted solutions into a shared arena
+//! queries: [`intern`] hash-conses emitted solutions into one arena
 //! (dedup across runs and consumers, O(1) re-emission via stable
 //! [`SolutionId`]s), and [`cache`] keys complete enumerations by
 //! `(problem kind, graph fingerprint, query, limit)` so an identical
-//! query replays from the store instead of re-running Algorithm 3. Both
-//! are opt-in builder front-ends ([`Enumeration::with_interning`],
-//! [`Enumeration::cached`]) that compose with threads, limits, and the
-//! output queue without changing a byte of the delivered stream. For
+//! query replays from that store instead of re-running Algorithm 3. The
+//! cache is an opt-in builder front-end ([`Enumeration::cached`]) that
+//! composes with threads, limits, and the output queue without changing
+//! a byte of the delivered stream; any other consumer interns from its
+//! own sink with a [`SolutionInterner`]. For
 //! long-lived serving, [`snapshot`] persists a cache's entries and
 //! deduplicated payload in a versioned, checksummed format
 //! ([`ResultCache::snapshot`] / [`ResultCache::restore`]) so a restarted
@@ -106,7 +107,7 @@ pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use directed::DirectedSteinerTree;
 pub use forest::SteinerForest;
 pub use improved::SteinerTree;
-pub use intern::{SolutionId, SolutionInterner, SolutionSet};
+pub use intern::{SolutionId, SolutionInterner};
 pub use problem::{MinimalSteinerProblem, NodeStep, Prepared, SteinerError};
 pub use queue::{DirectSink, OutputQueue, QueueConfig, SolutionSink};
 pub use snapshot::{SnapshotError, SnapshotItem};

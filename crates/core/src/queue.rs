@@ -7,9 +7,9 @@
 //! solutions and thereafter releasing buffered solutions on a fixed
 //! schedule tied to the traversal (rules R1–R3).
 //!
-//! We implement the schedule in its operational form (see DESIGN.md §9.2):
-//! the enumerator reports *work units*; once the warm-up buffer is full,
-//! the queue releases one solution every `budget` work units. Given the
+//! We implement the schedule in its operational form: the enumerator
+//! reports *work units*; once the warm-up buffer is full, the queue
+//! releases one solution every `budget` work units. Given the
 //! amortized bound and the ≥2-children invariant, the buffer can never run
 //! dry before the enumeration ends — the exact property Theorem 20 proves
 //! for rules R1–R3 — and the maximum release gap is directly measurable.

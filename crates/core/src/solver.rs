@@ -40,7 +40,7 @@
 //! ```
 
 use crate::cache::{CachePressure, Checkout, QueryKey, ResultCache};
-use crate::intern::{SolutionId, SolutionSet};
+use crate::intern::SolutionId;
 use crate::problem::{MinimalSteinerProblem, NodeStep, Prepared, SteinerError};
 use crate::queue::{DirectSink, OutputQueue, QueueConfig, SolutionSink};
 use crate::stats::EnumStats;
@@ -178,8 +178,7 @@ enum QueueOpt {
 
 /// Builder over a [`MinimalSteinerProblem`]: configure the run, then pick
 /// a front-end. Options compose freely — sharding, limits, the output
-/// queue, interning, and the result cache all deliver the identical
-/// stream:
+/// queue and the result cache all deliver the identical stream:
 ///
 /// ```
 /// use steiner_core::cache::ResultCache;
@@ -209,7 +208,6 @@ pub struct Enumeration<P: MinimalSteinerProblem> {
     stats_handle: Option<StatsHandle>,
     threads: usize,
     steal_schedule: Option<StealSchedule>,
-    interner: Option<SolutionSet<P::Item>>,
     cache: Option<ResultCache<P::Item>>,
 }
 
@@ -225,38 +223,8 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
             stats_handle: None,
             threads: 1,
             steal_schedule: None,
-            interner: None,
             cache: None,
         }
-    }
-
-    /// **Hash-consing.** Interns every delivered solution into the shared
-    /// [`SolutionSet`] — structurally equal solutions (across this run,
-    /// earlier runs, and other problems over the same id space) are
-    /// stored once, and consumers holding
-    /// [`SolutionId`]s re-emit in O(1).
-    ///
-    /// The delivered stream is untouched (same slices, same order — under
-    /// [`Self::with_threads`] the interning happens at the merge point,
-    /// after the deterministic re-interleave). The final
-    /// [`EnumStats::interned_bytes`] reports the set's live payload.
-    ///
-    /// ```
-    /// use steiner_core::intern::SolutionSet;
-    /// use steiner_core::{Enumeration, SteinerTree};
-    /// use steiner_graph::{EdgeId, UndirectedGraph, VertexId};
-    ///
-    /// let g = UndirectedGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-    /// let set: SolutionSet<EdgeId> = SolutionSet::new();
-    /// Enumeration::new(SteinerTree::new(&g, &[VertexId(0), VertexId(2)]))
-    ///     .with_interning(&set)
-    ///     .run()
-    ///     .unwrap();
-    /// assert_eq!(set.len(), 2); // both minimal trees, materialized once
-    /// ```
-    pub fn with_interning(mut self, set: &SolutionSet<P::Item>) -> Self {
-        self.interner = Some(set.clone());
-        self
     }
 
     /// **Query-level caching.** Consults `cache` before running: a query
@@ -531,7 +499,6 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
         Ok(Started {
             run,
             route,
-            interner: self.interner,
             cache,
             recorder,
             stats_handle: self.stats_handle,
@@ -611,7 +578,6 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
 struct Started<P: MinimalSteinerProblem> {
     run: Run<P>,
     route: Route,
-    interner: Option<SolutionSet<P::Item>>,
     cache: Option<ResultCache<P::Item>>,
     /// Set on a keyed cache miss.
     recorder: Option<CacheRecorder<P::Item>>,
@@ -639,9 +605,9 @@ where
 {
     /// The second half of both front-ends: replays a hit or runs the
     /// engine through the one delivery chain ([`deliver_through`]) into a
-    /// recorder → interner → `sink` stage, settles the recording, and
-    /// publishes the stats once — on every outcome, a replay and an
-    /// expired deadline included.
+    /// recorder → `sink` stage, settles the recording, and publishes the
+    /// stats once — on every outcome, a replay and an expired deadline
+    /// included.
     fn drive(
         self,
         sink: &mut dyn FnMut(&[P::Item]) -> ControlFlow<()>,
@@ -649,21 +615,16 @@ where
         let Started {
             run,
             route,
-            interner,
             cache,
             mut recorder,
             stats_handle,
         } = self;
         let replay = matches!(run, Run::Replay(_));
-        // The recording and interning stages sit closest to the user sink,
-        // so they see the final delivered stream (post-merge, post-queue,
-        // post-limit).
+        // The recording stage sits closest to the user sink, so it sees
+        // the final delivered stream (post-merge, post-queue, post-limit).
         let mut deliver = |items: &[P::Item]| -> ControlFlow<()> {
             if let Some(r) = &mut recorder {
                 r.note(items);
-            }
-            if let Some(set) = &interner {
-                set.intern(items);
             }
             let flow = sink(items);
             if flow.is_break() {
@@ -707,9 +668,6 @@ where
                 stats.cache_misses = 1;
             }
             stats.interned_bytes = stats.interned_bytes.max(cache.bytes());
-        }
-        if let Some(set) = &interner {
-            stats.interned_bytes = stats.interned_bytes.max(set.bytes());
         }
         if let Some(handle) = &stats_handle {
             handle.set(stats);

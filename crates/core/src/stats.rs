@@ -97,8 +97,8 @@ pub struct EnumStats {
     /// engine (its stream was then recorded), 0 otherwise.
     pub cache_misses: u64,
     /// Bytes of live hash-consed solution payload in the attached
-    /// interner or result cache **after** this run — a gauge, not a
-    /// per-run delta (0 when the run used neither).
+    /// result cache **after** this run — a gauge, not a per-run delta
+    /// (0 when the run used none).
     pub interned_bytes: u64,
     /// [`ResultCache`](crate::cache::ResultCache) entries evicted (LRU)
     /// by this run's recording — the cache pressure *this query* caused.
@@ -117,9 +117,11 @@ pub struct EnumStats {
     /// region signature intersected the touched regions. Sums under
     /// [`Self::merge`].
     pub entries_invalidated: u64,
-    /// `classify` calls answered from the incremental connectivity layer
-    /// (trail-backed [`DynamicSpanning`](steiner_graph::spanning::DynamicSpanning)
-    /// reads) instead of a fresh spanning-growth / contraction pass.
+    /// `classify` calls answered from incremental state instead of a
+    /// fresh spanning-growth / contraction pass: forced-path queries on a
+    /// [`DynamicSpanning`](steiner_graph::spanning::DynamicSpanning)
+    /// skeleton (tree, terminal and directed), or the forest's rollback
+    /// union–find labels of `F` and `G″`.
     pub classify_incremental: u64,
     /// `classify` calls the incremental layer could not settle, which
     /// ran the full per-node pass (spanning growth plus pruning, the
@@ -264,8 +266,8 @@ impl EnumStats {
         self.emitted_any |= other.emitted_any;
     }
 
-    /// Folds one incremental-connectivity snapshot (the cumulative
-    /// counters of a [`DynamicSpanning`](steiner_graph::spanning::DynamicSpanning),
+    /// Folds one forced-path query snapshot (the cumulative counters of
+    /// a [`DynamicSpanning`](steiner_graph::spanning::DynamicSpanning),
     /// as returned by its `repair_stats`) into this run's statistics.
     pub fn note_connectivity(&mut self, repair: (u64, u64, u64)) {
         let (_queries, explored, max_explored) = repair;

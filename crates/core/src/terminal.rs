@@ -50,7 +50,7 @@ use steiner_graph::bridges::{bridges_csr_into, BridgeScratch};
 use steiner_graph::connectivity::connected_components;
 use steiner_graph::csr::grow;
 use steiner_graph::spanning::{
-    grow_spanning_tree_csr, prune_leaves_csr, CompletionScratch, DynamicSpanning, SpanMark,
+    grow_spanning_tree_csr, prune_leaves_csr, CompletionScratch, DynamicSpanning,
 };
 use steiner_graph::{
     ArcId, CsrDigraph, CsrUndirected, EdgeId, Region, RegionIds, UndirectedGraph, VertexId,
@@ -98,7 +98,6 @@ pub struct TerminalSteinerTree<'g> {
 struct TermFrame {
     ext: Extension,
     trail: TrailMark,
-    span: SpanMark,
 }
 
 enum TerminalSearch {
@@ -172,10 +171,10 @@ struct ComponentSearch {
     edge_in_t: Vec<bool>,
     /// Undo log for `edge_in_t`.
     trail: Trail,
-    /// Incremental connectivity over the active component's bridge
-    /// skeleton (bridges of `G[C ∪ W]`, terminals as barriers): a missing
-    /// terminal reached from `V(T) ∩ C` here has a unique valid path, so
-    /// an all-reached node is a Unique leaf without a completion pass.
+    /// The forced-path skeleton of the active component (bridges of
+    /// `G[C ∪ W]`, terminals as barriers): a missing terminal reached
+    /// from `V(T) ∩ C` here has a unique valid path, so an all-reached
+    /// node is a Unique leaf without a completion pass.
     span: DynamicSpanning,
     /// Which component `span`'s skeleton currently describes.
     span_comp: Option<usize>,
@@ -351,9 +350,13 @@ fn minimal_completion_csr(
 /// every edge of one super-source-to-`w` path is a bridge there.
 ///
 /// Note: this is stricter than the paper's Lemma 30 test (bridges of
-/// `G[C ∪ W]`). That test can report a spurious second path whose
-/// rerouting cycle passes through *another terminal* — which valid
-/// paths must avoid. See DESIGN.md §9.6 (erratum note).
+/// `G[C ∪ W]`). There, a cycle through *another terminal* `w′` keeps
+/// the edges of a `V(T)`-`w` path from being bridges, so that test
+/// reports a second path; but the detour passes through `w′`, which a
+/// valid path must avoid, so `w` may have exactly one valid path, and
+/// branching on it would give a node with a single child. The augmented
+/// graph here holds only `C ∪ {w}` and the super-source, so it has no
+/// cycle through another terminal.
 fn has_two_valid_paths(
     gc: &CsrUndirected,
     comp_mask: &[bool],
@@ -950,10 +953,9 @@ impl TerminalSteinerTree<'_> {
         for &e in &cs.t.edges[edges_mark..] {
             cs.trail.set(&mut cs.edge_in_t, e.index());
         }
-        // The partial-tree mask doubles as the query layer's source
-        // oracle; nothing else to maintain on descent.
-        let span = cs.span.mark();
-        cs.frames.push(TermFrame { ext, trail, span });
+        // The partial-tree mask doubles as the forced-path skeleton's
+        // source oracle; nothing else to maintain on descent.
+        cs.frames.push(TermFrame { ext, trail });
     }
 
     /// The |W| = 2 descend: appends a path delta's edges to `current`.
@@ -974,7 +976,6 @@ impl TerminalSteinerTree<'_> {
     fn retract_frame(&mut self) {
         let cs = self.components_mut();
         let frame = cs.frames.pop();
-        cs.span.undo_to(frame.span);
         cs.trail.undo_to(&mut cs.edge_in_t, frame.trail);
         cs.t.retract(frame.ext);
     }

@@ -92,8 +92,8 @@ impl Trail {
 ///
 /// One branch step of the engine perturbs several undo-able layers at
 /// once — the [`Trail`]-backed membership masks, the partial-solution
-/// stacks, and the incremental connectivity deltas
-/// ([`steiner_graph::spanning::DynamicSpanning`]). Each problem bundles
+/// stacks, and the forest's rollback union–finds
+/// ([`steiner_graph::union_find::UnionFind`]). Each problem bundles
 /// the checkpoints of all its layers into one frame type and pushes it
 /// here on descent; backtracking pops the frame and restores every layer
 /// from it, so the descend/undo protocol has a single typed unit instead

@@ -2,7 +2,7 @@
 
 use crate::digraph::DiGraph;
 use crate::ids::VertexId;
-use crate::traversal::{bfs, di_bfs, Direction};
+use crate::traversal::bfs;
 use crate::undirected::UndirectedGraph;
 
 /// Connected-component labelling of (a masked portion of) a graph.
@@ -88,14 +88,24 @@ pub fn all_in_one_component(
     rest.iter().all(|v| forest.visited[v.index()])
 }
 
-/// Vertices reachable from `s` in a digraph (as a mask).
-pub fn reachable_from(d: &DiGraph, s: VertexId, allowed: Option<&[bool]>) -> Vec<bool> {
-    di_bfs(d, &[s], Direction::Forward, allowed).visited
-}
-
-/// Vertices that can reach `t` in a digraph (as a mask).
-pub fn reaching_to(d: &DiGraph, t: VertexId, allowed: Option<&[bool]>) -> Vec<bool> {
-    di_bfs(d, &[t], Direction::Backward, allowed).visited
+/// Vertices reachable from `s` in a digraph (as a mask): a forward BFS
+/// along out-arcs.
+pub fn reachable_from(d: &DiGraph, s: VertexId) -> Vec<bool> {
+    let mut reached = vec![false; d.num_vertices()];
+    reached[s.index()] = true;
+    let mut queue = vec![s];
+    let mut head = 0;
+    while head < queue.len() {
+        let u = queue[head];
+        head += 1;
+        for (v, _) in d.out_neighbors(u) {
+            if !reached[v.index()] {
+                reached[v.index()] = true;
+                queue.push(v);
+            }
+        }
+    }
+    reached
 }
 
 #[cfg(test)]
@@ -143,10 +153,8 @@ mod tests {
     #[test]
     fn digraph_reachability() {
         let d = DiGraph::from_arcs(4, &[(0, 1), (1, 2), (3, 2)]).unwrap();
-        let from0 = reachable_from(&d, VertexId(0), None);
+        let from0 = reachable_from(&d, VertexId(0));
         assert_eq!(from0, vec![true, true, true, false]);
-        let to2 = reaching_to(&d, VertexId(2), None);
-        assert_eq!(to2, vec![true, true, true, true]);
     }
 
     #[test]

@@ -353,7 +353,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         for _ in 0..10 {
             let (d, root) = random_rooted_dag(12, 25, &mut rng);
-            let reach = reachable_from(&d, root, None);
+            let reach = reachable_from(&d, root);
             assert!(reach.iter().all(|&b| b));
         }
     }
@@ -364,7 +364,7 @@ mod tests {
         let (d, root) = layered_digraph(3, 2);
         assert_eq!(d.num_vertices(), 7);
         assert_eq!(d.num_arcs(), 2 + 4 + 4);
-        assert!(reachable_from(&d, root, None).iter().all(|&b| b));
+        assert!(reachable_from(&d, root).iter().all(|&b| b));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! * undirected and directed **multigraphs** (parallel edges allowed, no
 //!   self-loops — the paper's preliminaries, §2),
-//! * BFS/DFS traversals with vertex masks ([`traversal`]),
+//! * BFS with a vertex mask ([`traversal`]),
 //! * connected components and reachability ([`connectivity`]),
 //! * multigraph-aware **bridge** finding ([`bridges`], used by Lemmas 16, 24
 //!   and 30),
@@ -14,12 +14,12 @@
 //!   labels their components, flags the bridges there and renumbers that
 //!   part of the graph order-preservingly, so the enumerators prepare on
 //!   the part their answer can live in,
-//! * edge-set **contraction** `G/F` preserving original edge identities
-//!   ([`contraction`], used by the Steiner-forest and directed variants),
-//! * **lowest common ancestors** ([`lca`], used by the forest
-//!   unique-completion step),
-//! * spanning trees containing a required subtree and non-terminal leaf
-//!   pruning ([`spanning`], Propositions 3/26/32),
+//! * spanning trees containing a required subtree, non-terminal leaf
+//!   pruning (Propositions 3/26) and the **forced-path skeleton** the
+//!   tree, terminal and directed engines query per node ([`spanning`],
+//!   Lemmas 16, 30 and 35),
+//! * a **rollback union–find** ([`union_find`], the forest engine's `F`
+//!   and `G″` labels),
 //! * **line graphs** and the Theorem 39 construction ([`line_graph`]),
 //! * claw detection ([`clawfree`], §7),
 //! * **graph epochs** ([`epoch`]): batched edits to either graph kind
@@ -35,14 +35,12 @@
 pub mod bridges;
 pub mod clawfree;
 pub mod connectivity;
-pub mod contraction;
 pub mod csr;
 pub mod digraph;
 pub mod epoch;
 pub mod generators;
 pub mod ids;
 pub mod io;
-pub mod lca;
 pub mod line_graph;
 pub mod region;
 pub mod spanning;

@@ -1,26 +1,21 @@
 //! Spanning trees containing a required subtree, leaf pruning, and the
-//! trail-backed incremental connectivity layer.
+//! forced-path skeleton.
 //!
 //! The completion helpers implement the steps the paper uses over and
 //! over: Lemma 13 (grow a partial Steiner tree into a spanning tree, then
-//! remove non-terminal leaves — Proposition 3), Lemma 28 (terminal
-//! Steiner trees, Proposition 26) and Lemma 33 (directed Steiner trees,
-//! Proposition 32).
+//! remove non-terminal leaves — Proposition 3) and Lemma 28 (terminal
+//! Steiner trees, Proposition 26).
 //!
 //! [`DynamicSpanning`] is the incremental-classification substrate: a
-//! spanning forest plus component labels over a static *forced-edge
-//! skeleton* (bridges for the undirected problems, unique in-arcs for the
-//! directed one), answering forced-path queries in O(affected component)
-//! and supporting edge-contract deltas with exact LIFO undo. The
-//! enumeration engines thread it through their branch-and-bound recursion
-//! so `classify` can read component state instead of re-running a
-//! spanning-growth pass per node.
+//! static *forced-edge skeleton* (bridges for the undirected problems,
+//! unique in-arcs for the directed one) answering forced-path queries in
+//! O(affected component). The tree, terminal and directed engines query
+//! it from `classify`, so a node whose missing terminals are all forced
+//! needs no spanning-growth pass.
 
-use crate::digraph::DiGraph;
-use crate::ids::{ArcId, EdgeId, VertexId};
+use crate::ids::{EdgeId, VertexId};
 use crate::traversal::{bfs, BfsForest};
 use crate::undirected::UndirectedGraph;
-use crate::union_find::UnionFind;
 
 /// A tree grown from seed vertices around a base edge set.
 #[derive(Clone, Debug)]
@@ -298,106 +293,26 @@ pub fn prune_leaves_csr(
     scratch.edges.retain(|e| stamps[e.index()] != ep);
 }
 
-/// Repeatedly deletes sink leaves not accepted by `keep` from a directed
-/// tree given as an arc set, returning the surviving arcs. This is the
-/// Proposition 32 reduction for directed Steiner trees: afterwards every
-/// leaf (vertex without outgoing arcs) satisfies `keep`.
-///
-/// `tree_arcs` must form a directed tree (every non-root vertex has exactly
-/// one incoming arc). The root is never deleted. O(n + |tree_arcs|).
-pub fn prune_directed_leaves(
-    d: &DiGraph,
-    tree_arcs: &[ArcId],
-    keep: impl Fn(VertexId) -> bool,
-) -> Vec<ArcId> {
-    let n = d.num_vertices();
-    let mut out_degree = vec![0u32; n];
-    let mut in_arc: Vec<Option<ArcId>> = vec![None; n];
-    let mut in_tree = vec![false; n];
-    for &a in tree_arcs {
-        let (t, h) = d.arc(a);
-        out_degree[t.index()] += 1;
-        debug_assert!(in_arc[h.index()].is_none(), "directed tree: unique in-arc");
-        in_arc[h.index()] = Some(a);
-        in_tree[t.index()] = true;
-        in_tree[h.index()] = true;
-    }
-    let mut removed_arc = vec![false; d.num_arcs()];
-    let mut queue: Vec<VertexId> = Vec::new();
-    for v in 0..n {
-        let v = VertexId::new(v);
-        // A deletable leaf has no outgoing arcs and *does* have an incoming
-        // arc (so the root, which has none, is safe).
-        if in_tree[v.index()]
-            && out_degree[v.index()] == 0
-            && in_arc[v.index()].is_some()
-            && !keep(v)
-        {
-            queue.push(v);
-        }
-    }
-    while let Some(v) = queue.pop() {
-        let a = in_arc[v.index()].expect("queued leaf has an in-arc");
-        if removed_arc[a.index()] {
-            continue;
-        }
-        removed_arc[a.index()] = true;
-        let t = d.tail(a);
-        out_degree[t.index()] -= 1;
-        if out_degree[t.index()] == 0 && in_arc[t.index()].is_some() && !keep(t) {
-            queue.push(t);
-        }
-    }
-    tree_arcs
-        .iter()
-        .copied()
-        .filter(|a| !removed_arc[a.index()])
-        .collect()
-}
-
-/// A checkpoint into a [`DynamicSpanning`], returned by
-/// [`DynamicSpanning::mark`] and consumed by [`DynamicSpanning::undo_to`].
-/// Marks follow the engine's strictly LIFO branch discipline: undoing to a
-/// mark restores both the reach state and the contraction labels to their
-/// exact state at the checkpoint.
-#[derive(Copy, Clone, Debug)]
-#[must_use = "pass the mark back to undo_to()"]
-pub struct SpanMark {
-    unions: usize,
-}
-
-/// Trail-backed dynamic connectivity over a static **forced-edge
-/// skeleton**.
+/// Forced-path queries over a static **forced-edge skeleton**.
 ///
 /// The enumeration engines never mutate the instance graph — a branch
 /// step only *perturbs the partial solution* by one path. What their
-/// per-node classification actually needs from the graph is connectivity
-/// along edges that are *forced* (on every valid extension): bridges of
-/// `G` for minimal Steiner trees (Lemma 16), bridges of `G[C ∪ W]` for
-/// terminal Steiner trees (Lemma 30), bridges of the contracted
-/// multigraph `G/E(F)` for forests (Lemma 24), and unique in-arcs for
-/// directed trees (the forced suffix of every valid path). All of these
-/// skeletons are **static** per prepared instance (for forests because
-/// the bridges of `G/E(F)` are exactly the bridges of `G` that `E(F)`
-/// has not contracted into self-loops), so this structure maintains:
+/// per-node classification needs from the graph is connectivity along
+/// edges that are *forced* (on every valid extension): bridges of `G`
+/// for minimal Steiner trees (Lemma 16), bridges of `G[C ∪ W]` for
+/// terminal Steiner trees (Lemma 30), and unique in-arcs for directed
+/// trees (the forced suffix of every valid path, Lemma 35). Each
+/// skeleton is **static** per prepared instance.
 ///
-/// * **forced-path queries** — [`Self::is_forced`] /
-///   [`Self::collect_forced_path`] search the skeleton *from the queried
-///   terminal* toward the nearest source with early exit, so a
-///   classification pays O(affected component), not O(n + m), and a
-///   node whose terminals are all in-solution pays nothing at all. The
-///   *source oracle* (which vertices belong to the partial solution) is
-///   supplied per query as a closure over the problem's own trail-backed
-///   membership mask — the branch deltas the engines already apply on
-///   descent and restore on backtrack double as this layer's state, so
-///   descending costs the connectivity layer nothing;
-/// * **component labels under contract deltas** — [`Self::contract`]
-///   merges two skeleton classes (a rollback union–find) and
-///   [`Self::connected`] answers same-component queries (the forest
-///   engine's `G″` labels);
-/// * an **undo trail** — [`Self::mark`] / [`Self::undo_to`] restore both
-///   delta layers exactly on backtrack, matching the engine's LIFO
-///   recursion.
+/// [`Self::is_forced`] / [`Self::collect_forced_path`] search the
+/// skeleton *from the queried terminal* toward the nearest source with
+/// early exit, so a classification pays O(affected component), not
+/// O(n + m), and a node whose terminals are all in-solution pays nothing
+/// at all. The *source oracle* (which vertices belong to the partial
+/// solution) is supplied per query as a closure over the problem's own
+/// trail-backed membership mask: the branch deltas the engines already
+/// apply on descent and restore on backtrack are the only state a query
+/// reads, so the structure itself has nothing to update or undo.
 ///
 /// Vertices flagged via [`Self::set_barrier`] are *usable as endpoints
 /// of a query but never traversed through* (the terminal Steiner variant
@@ -428,8 +343,6 @@ pub struct DynamicSpanning {
     collect_epoch: u32,
     /// Largest skeleton edge id seen (+1), sizing `edge_stamp`.
     id_bound: usize,
-    /// Component labels under contract deltas.
-    comps: UnionFind,
     queries: u64,
     explored: u64,
     max_explored: u64,
@@ -458,17 +371,11 @@ impl DynamicSpanning {
             self.queue.reserve(n - self.queue.capacity());
         }
         crate::csr::grow(&mut self.edge_stamp, m, 0u32, &mut self.allocs);
-        if self.comps.len() != n {
-            self.comps = UnionFind::new(n);
-            self.comps.reserve_history(n + 1);
-            self.allocs += 1;
-        }
         self.allocs = 0;
     }
 
     /// Starts a skeleton rebuild over `n` vertices: clears the arc
-    /// buffer, all barriers, the query state, and resets the contraction
-    /// labels to singletons.
+    /// buffer, all barriers and the query state.
     pub fn begin_skeleton(&mut self, n: usize) {
         self.n = n;
         self.arc_buf.clear();
@@ -479,13 +386,6 @@ impl DynamicSpanning {
         self.query_epoch = 0;
         self.collect_epoch = 0;
         self.id_bound = 0;
-        if self.comps.len() == n {
-            self.comps.reset(n);
-        } else {
-            self.comps = UnionFind::new(n);
-            self.comps.reserve_history(n + 1);
-            self.allocs += 1;
-        }
     }
 
     /// Flags `v` as a barrier: queries may end *at* it (it is never a
@@ -511,7 +411,7 @@ impl DynamicSpanning {
 
     /// Finalizes the skeleton: counting-sorts the buffered arcs into the
     /// CSR. After this call the structure is ready for forced-path
-    /// queries and contract deltas.
+    /// queries.
     pub fn finish_skeleton(&mut self) {
         let n = self.n;
         crate::csr::grow(&mut self.off, n + 1, 0u32, &mut self.allocs);
@@ -537,38 +437,6 @@ impl DynamicSpanning {
         }
         self.off[0] = 0;
         crate::csr::grow(&mut self.edge_stamp, self.id_bound, 0u32, &mut self.allocs);
-    }
-
-    /// Number of vertices the skeleton was built over.
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
-    /// **Contract delta.** Merges the component classes of `u` and `v`
-    /// (an edge of the partial solution was added). Returns whether the
-    /// classes were distinct. O(log n), O(1) to undo.
-    pub fn contract(&mut self, u: VertexId, v: VertexId) -> bool {
-        self.comps.union(u, v)
-    }
-
-    /// Whether `u` and `v` carry the same component label under the
-    /// contract deltas applied so far.
-    #[inline]
-    pub fn connected(&self, u: VertexId, v: VertexId) -> bool {
-        self.comps.same(u, v)
-    }
-
-    /// The current checkpoint of the contract-delta layer.
-    pub fn mark(&self) -> SpanMark {
-        SpanMark {
-            unions: self.comps.snapshot(),
-        }
-    }
-
-    /// Restores the exact state at `mark`: rolls the contraction labels
-    /// back. O(undone deltas).
-    pub fn undo_to(&mut self, mark: SpanMark) {
-        self.comps.rollback(mark.unions);
     }
 
     /// **Forced query.** Whether `w` has a skeleton path to a non-barrier
@@ -723,7 +591,6 @@ impl DynamicSpanning {
             + self.arc_buf.capacity() * std::mem::size_of::<(VertexId, VertexId, u32)>()
             + self.barrier.capacity() * std::mem::size_of::<bool>()
             + self.queue.capacity() * std::mem::size_of::<VertexId>()) as u64
-            + self.comps.capacity_bytes()
     }
 }
 
@@ -942,20 +809,6 @@ mod tests {
     }
 
     #[test]
-    fn contract_labels_roll_back() {
-        let mut ds = DynamicSpanning::new();
-        ds.begin_skeleton(5);
-        ds.finish_skeleton();
-        assert!(ds.contract(VertexId(0), VertexId(1)));
-        let mark = ds.mark();
-        assert!(ds.contract(VertexId(1), VertexId(2)));
-        assert!(ds.connected(VertexId(0), VertexId(2)));
-        ds.undo_to(mark);
-        assert!(ds.connected(VertexId(0), VertexId(1)), "pre-mark survives");
-        assert!(!ds.connected(VertexId(0), VertexId(2)));
-    }
-
-    #[test]
     fn forced_path_collection_dedups_shared_trunks() {
         // A bridge trunk 4-5-6 with two leaves 0, 2 off its end: paths
         // from 0 and 2 to the source 4 share the trunk, which the union
@@ -1007,23 +860,5 @@ mod tests {
         );
         let (queries, explored, max_explored) = ds.repair_stats();
         assert!(queries >= 2 && explored >= 1 && max_explored >= 1);
-    }
-
-    #[test]
-    fn prune_directed_keeps_root() {
-        // r=0 -> 1 -> 2, 0 -> 3; keep terminal 2 only.
-        let d = DiGraph::from_arcs(4, &[(0, 1), (1, 2), (0, 3)]).unwrap();
-        let pruned =
-            prune_directed_leaves(&d, &[ArcId(0), ArcId(1), ArcId(2)], |v| v == VertexId(2));
-        assert_eq!(pruned, vec![ArcId(0), ArcId(1)]);
-    }
-
-    #[test]
-    fn prune_directed_cascades() {
-        // r=0 -> 1 -> 2 -> 3; keep only 1: arcs (2,3) then (1,2) go.
-        let d = DiGraph::from_arcs(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let pruned =
-            prune_directed_leaves(&d, &[ArcId(0), ArcId(1), ArcId(2)], |v| v == VertexId(1));
-        assert_eq!(pruned, vec![ArcId(0)]);
     }
 }

@@ -1,22 +1,12 @@
-//! Breadth-first and depth-first traversals with optional vertex masks.
+//! Breadth-first traversal with an optional vertex mask.
 //!
 //! Every Steiner enumerator in this workspace repeatedly searches graphs
-//! from which the vertices of a partial solution have been removed, so all
-//! traversals accept an optional `allowed` mask instead of requiring a
+//! from which the vertices of a partial solution have been removed, so the
+//! traversal accepts an optional `allowed` mask instead of requiring a
 //! materialized subgraph.
 
-use crate::digraph::DiGraph;
-use crate::ids::{ArcId, EdgeId, VertexId};
+use crate::ids::{EdgeId, VertexId};
 use crate::undirected::UndirectedGraph;
-
-/// Direction of a digraph traversal.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Direction {
-    /// Follow arcs tail → head.
-    Forward,
-    /// Follow arcs head → tail (traversal of the reverse graph).
-    Backward,
-}
 
 /// Result of a (multi-source) BFS on an undirected graph: a BFS forest.
 #[derive(Clone, Debug)]
@@ -70,156 +60,6 @@ pub fn bfs(g: &UndirectedGraph, roots: &[VertexId], allowed: Option<&[bool]>) ->
     forest
 }
 
-/// Extracts the root-to-`v` path of a BFS forest as `(vertices, edges)`,
-/// ordered from the root side to `v`. Returns `None` if `v` was unreached.
-pub fn forest_path_to(forest: &BfsForest, v: VertexId) -> Option<(Vec<VertexId>, Vec<EdgeId>)> {
-    if !forest.visited[v.index()] {
-        return None;
-    }
-    let mut verts = vec![v];
-    let mut edges = Vec::new();
-    let mut cur = v;
-    while let Some(p) = forest.parent[cur.index()] {
-        edges.push(forest.parent_edge[cur.index()].expect("parent implies parent edge"));
-        verts.push(p);
-        cur = p;
-    }
-    verts.reverse();
-    edges.reverse();
-    Some((verts, edges))
-}
-
-/// Result of a (multi-source) BFS on a digraph.
-#[derive(Clone, Debug)]
-pub struct DiBfsForest {
-    /// `visited[v]` — whether `v` was reached.
-    pub visited: Vec<bool>,
-    /// `parent[v]` — predecessor of `v` (w.r.t. the traversal direction).
-    pub parent: Vec<Option<VertexId>>,
-    /// `parent_arc[v]` — the arc connecting `v` to its parent.
-    pub parent_arc: Vec<Option<ArcId>>,
-    /// `dist[v]` — BFS distance from the root set (`u32::MAX` if unreached).
-    pub dist: Vec<u32>,
-    /// Vertices in visit order (roots first).
-    pub order: Vec<VertexId>,
-}
-
-/// Runs a multi-source BFS on a digraph in the given direction.
-///
-/// With [`Direction::Backward`] the result describes, for every vertex `v`,
-/// whether `v` *reaches* the root set; `parent[v]` then points one step
-/// closer to the roots along a shortest such path.
-pub fn di_bfs(
-    d: &DiGraph,
-    roots: &[VertexId],
-    direction: Direction,
-    allowed: Option<&[bool]>,
-) -> DiBfsForest {
-    let n = d.num_vertices();
-    let mut forest = DiBfsForest {
-        visited: vec![false; n],
-        parent: vec![None; n],
-        parent_arc: vec![None; n],
-        dist: vec![u32::MAX; n],
-        order: Vec::with_capacity(n),
-    };
-    let ok = |v: VertexId| allowed.is_none_or(|mask| mask[v.index()]);
-    let mut queue = std::collections::VecDeque::with_capacity(roots.len());
-    for &r in roots {
-        if ok(r) && !forest.visited[r.index()] {
-            forest.visited[r.index()] = true;
-            forest.dist[r.index()] = 0;
-            forest.order.push(r);
-            queue.push_back(r);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        let step = |v: VertexId,
-                    a: ArcId,
-                    forest: &mut DiBfsForest,
-                    queue: &mut std::collections::VecDeque<VertexId>| {
-            if ok(v) && !forest.visited[v.index()] {
-                forest.visited[v.index()] = true;
-                forest.parent[v.index()] = Some(u);
-                forest.parent_arc[v.index()] = Some(a);
-                forest.dist[v.index()] = forest.dist[u.index()] + 1;
-                forest.order.push(v);
-                queue.push_back(v);
-            }
-        };
-        match direction {
-            Direction::Forward => {
-                for (v, a) in d.out_neighbors(u) {
-                    step(v, a, &mut forest, &mut queue);
-                }
-            }
-            Direction::Backward => {
-                for (v, a) in d.in_neighbors(u) {
-                    step(v, a, &mut forest, &mut queue);
-                }
-            }
-        }
-    }
-    forest
-}
-
-/// A DFS tree of a digraph together with a postorder numbering, as required
-/// by the §5.2 directed Steiner enumerator (Lemma 35).
-#[derive(Clone, Debug)]
-pub struct DiDfsTree {
-    /// `visited[v]` — whether `v` was reached from the root.
-    pub visited: Vec<bool>,
-    /// `parent[v]` — DFS-tree parent (`None` for the root / unreached).
-    pub parent: Vec<Option<VertexId>>,
-    /// `parent_arc[v]` — arc from the parent into `v`.
-    pub parent_arc: Vec<Option<ArcId>>,
-    /// `postorder[v]` — postorder index (`u32::MAX` if unreached). The
-    /// paper's total order `≺` is exactly "smaller postorder".
-    pub postorder: Vec<u32>,
-    /// Vertices sorted by increasing postorder.
-    pub post_sequence: Vec<VertexId>,
-}
-
-/// Runs an iterative DFS from `root` following out-arcs, producing the DFS
-/// tree and its postorder. Arcs are explored in adjacency (insertion) order.
-pub fn di_dfs_postorder(d: &DiGraph, root: VertexId, allowed: Option<&[bool]>) -> DiDfsTree {
-    let n = d.num_vertices();
-    let mut tree = DiDfsTree {
-        visited: vec![false; n],
-        parent: vec![None; n],
-        parent_arc: vec![None; n],
-        postorder: vec![u32::MAX; n],
-        post_sequence: Vec::new(),
-    };
-    let ok = |v: VertexId| allowed.is_none_or(|mask| mask[v.index()]);
-    if !ok(root) {
-        return tree;
-    }
-    // Iterative DFS: each stack entry is (vertex, next out-neighbor index).
-    let mut stack: Vec<(VertexId, usize)> = vec![(root, 0)];
-    tree.visited[root.index()] = true;
-    while let Some(&mut (u, ref mut next)) = stack.last_mut() {
-        let out = d.out_adjacency(u).get(*next).copied();
-        match out {
-            Some((v, a)) => {
-                *next += 1;
-                if ok(v) && !tree.visited[v.index()] {
-                    tree.visited[v.index()] = true;
-                    tree.parent[v.index()] = Some(u);
-                    tree.parent_arc[v.index()] = Some(a);
-                    stack.push((v, 0));
-                }
-            }
-            None => {
-                tree.postorder[u.index()] = tree.post_sequence.len() as u32;
-                tree.post_sequence.push(u);
-                stack.pop();
-            }
-        }
-    }
-    tree
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,57 +93,5 @@ mod tests {
         let g = path_graph(5);
         let f = bfs(&g, &[VertexId(0), VertexId(4)], None);
         assert_eq!(f.dist, vec![0, 1, 2, 1, 0]);
-    }
-
-    #[test]
-    fn forest_path_reconstruction() {
-        let g = path_graph(4);
-        let f = bfs(&g, &[VertexId(0)], None);
-        let (verts, edges) = forest_path_to(&f, VertexId(3)).unwrap();
-        assert_eq!(
-            verts,
-            vec![VertexId(0), VertexId(1), VertexId(2), VertexId(3)]
-        );
-        assert_eq!(edges, vec![EdgeId(0), EdgeId(1), EdgeId(2)]);
-    }
-
-    #[test]
-    fn di_bfs_forward_and_backward() {
-        let d = DiGraph::from_arcs(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let fwd = di_bfs(&d, &[VertexId(0)], Direction::Forward, None);
-        assert!(fwd.visited.iter().all(|&b| b));
-        let bwd = di_bfs(&d, &[VertexId(3)], Direction::Backward, None);
-        assert!(bwd.visited.iter().all(|&b| b));
-        assert_eq!(bwd.dist[0], 3);
-        // Backward BFS from 0 reaches only 0.
-        let bwd0 = di_bfs(&d, &[VertexId(0)], Direction::Backward, None);
-        assert_eq!(bwd0.order, vec![VertexId(0)]);
-    }
-
-    #[test]
-    fn dfs_postorder_on_tree() {
-        // Root 0 with children 1 and 2; 1 has child 3.
-        let d = DiGraph::from_arcs(4, &[(0, 1), (0, 2), (1, 3)]).unwrap();
-        let t = di_dfs_postorder(&d, VertexId(0), None);
-        // DFS explores 0 -> 1 -> 3 (post 3), back to 1 (post 1), 2, then 0.
-        assert_eq!(t.postorder[3], 0);
-        assert_eq!(t.postorder[1], 1);
-        assert_eq!(t.postorder[2], 2);
-        assert_eq!(t.postorder[0], 3);
-        assert_eq!(t.parent[3], Some(VertexId(1)));
-        assert_eq!(
-            t.post_sequence,
-            vec![VertexId(3), VertexId(1), VertexId(2), VertexId(0)]
-        );
-    }
-
-    #[test]
-    fn dfs_skips_masked_vertices() {
-        let d = DiGraph::from_arcs(3, &[(0, 1), (1, 2)]).unwrap();
-        let mask = vec![true, false, true];
-        let t = di_dfs_postorder(&d, VertexId(0), Some(&mask));
-        assert!(t.visited[0]);
-        assert!(!t.visited[1]);
-        assert!(!t.visited[2]);
     }
 }

@@ -1,11 +1,12 @@
 //! Union–find with rollback.
 //!
 //! The Steiner-forest enumerator (§5 of the paper) maintains a partial
-//! forest `F` along a root-to-leaf path of the enumeration tree, extending
-//! it when recursing and restoring it when backtracking. A union-by-size
-//! union–find without path compression supports exact rollback in O(1) per
-//! undone union while keeping `find` at O(log n) — the right trade-off for
-//! this access pattern.
+//! forest `F`, and the labels of `G″` (`G/E(F)` with its bridges
+//! contracted, Lemma 24), along a root-to-leaf path of the enumeration
+//! tree, extending both when recursing and restoring them when
+//! backtracking. A union-by-size union–find without path compression
+//! supports exact rollback in O(1) per undone union while keeping `find`
+//! at O(log n) — the right trade-off for this access pattern.
 
 use crate::ids::VertexId;
 
@@ -85,18 +86,6 @@ impl UnionFind {
         if self.history.capacity() < cap {
             self.history.reserve(cap - self.history.capacity());
         }
-    }
-
-    /// Resets to `n` singleton sets **in place**, reusing the existing
-    /// buffers: the allocation-free analogue of `UnionFind::new(n)` for
-    /// per-node scratch reuse in the enumeration hot path.
-    pub fn reset(&mut self, n: usize) {
-        self.parent.clear();
-        self.parent.extend(0..n as u32);
-        self.size.clear();
-        self.size.resize(n, 1);
-        self.history.clear();
-        self.components = n;
     }
 
     /// Bytes of owned buffer capacity (scratch accounting for the

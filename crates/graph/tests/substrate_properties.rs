@@ -3,10 +3,9 @@
 use proptest::prelude::*;
 use steiner_graph::bridges::{bridges, bridges_naive};
 use steiner_graph::connectivity::connected_components;
-use steiner_graph::contraction::contract_edge_set;
 use steiner_graph::io::{parse_edge_list, write_edge_list};
 use steiner_graph::spanning::{grow_spanning_tree, prune_leaves};
-use steiner_graph::{DiGraph, EdgeId, RegionMap, RegionSignature, UndirectedGraph, VertexId};
+use steiner_graph::{DiGraph, RegionMap, RegionSignature, UndirectedGraph, VertexId};
 
 /// Arbitrary multigraph: n ∈ [1, 10], up to 20 random edges (parallel
 /// edges allowed).
@@ -55,28 +54,6 @@ proptest! {
                 }
             }
             prop_assert_eq!(connected_components(&h, None).count, base + 1);
-        }
-    }
-
-    #[test]
-    fn contraction_preserves_component_count(g in multigraph(), pick in any::<u32>()) {
-        // Contracting any edge subset never changes the number of
-        // connected components (self-loops dropped, classes merged).
-        let m = g.num_edges();
-        let subset: Vec<EdgeId> =
-            (0..m).filter(|i| pick & (1 << (i % 32)) != 0).map(EdgeId::new).collect();
-        let c = contract_edge_set(&g, &subset);
-        prop_assert_eq!(
-            connected_components(&g, None).count,
-            connected_components(&c.graph, None).count
-        );
-        // Id translation stays within range and preserves endpoints.
-        for e in c.graph.edges() {
-            let orig = c.orig_edge[e.index()];
-            let (u, v) = g.endpoints(orig);
-            let (cu, cv) = c.graph.endpoints(e);
-            let (iu, iv) = (c.image(u), c.image(v));
-            prop_assert!((cu == iu && cv == iv) || (cu == iv && cv == iu));
         }
     }
 

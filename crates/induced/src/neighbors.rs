@@ -16,7 +16,7 @@
 //! Lemma 41 shows this relation makes the supergraph strongly connected.
 //! We generate candidates for both orderings `(C₁, C₂)` and `(C₂, C₁)`.
 //!
-//! **Erratum repair (see DESIGN.md §9.7):** the strict avoidance of
+//! **Erratum repair:** the strict avoidance of
 //! `N(C₁ʷ) ∖ {w}` can block *every* `w`-`C₂ʷ` path — e.g. `C₆` with
 //! terminals at distance 3: from `X = {0,3,4,5}`, every candidate pair
 //! `(v, w)` has its only reconnecting path blocked, because μ shrinks `C₁`

@@ -215,10 +215,12 @@ mod tests {
         }
     }
 
-    /// Regression test for the Lemma 41 erratum (DESIGN.md §9.6, case
-    /// iii): on the Theorem 39 instance of this 6-vertex graph, the
-    /// "long way around" solution has no incoming arc under the paper's
-    /// neighbor rule; the blocker-relaxation repair must reach it.
+    /// Regression test for the Lemma 41 erratum: on the Theorem 39
+    /// instance of this 6-vertex graph, the "long way around" solution
+    /// has no incoming arc under the paper's neighbor rule, because the
+    /// strict avoidance of `N(C₁ʷ) ∖ {w}` blocks every reconnecting path
+    /// to it. The relaxed candidates (the repair that the `neighbors`
+    /// module doc explains) must reach it.
     #[test]
     fn long_way_around_solution_is_reached() {
         use steiner_graph::line_graph::Theorem39Instance;

@@ -95,7 +95,7 @@ pub fn directed_k_fragments(
         if terminals.contains(&root) {
             continue;
         }
-        let reach = reachable_from(&dg.graph, root, None);
+        let reach = reachable_from(&dg.graph, root);
         total.preprocessing_work += (dg.graph.num_vertices() + dg.graph.num_arcs()) as u64;
         if terminals.iter().any(|w| !reach[w.index()]) {
             continue;

@@ -35,25 +35,18 @@ pub struct Enumeration<T> {
 }
 
 impl<T: Send + 'static> Enumeration<T> {
-    /// Spawns `producer` on a worker thread. The producer receives a sink;
+    /// Spawns `producer` on a worker thread with a
+    /// [`DEFAULT_STACK_BYTES`] stack, streaming through a channel of
+    /// [`DEFAULT_CHANNEL_CAPACITY`] items. The producer receives a sink;
     /// it should forward each solution (as an owned `T`) and honour a
     /// `Break` result by returning promptly.
     pub fn spawn(
         producer: impl FnOnce(&mut dyn FnMut(T) -> ControlFlow<()>) + Send + 'static,
     ) -> Self {
-        Self::spawn_with(DEFAULT_STACK_BYTES, DEFAULT_CHANNEL_CAPACITY, producer)
-    }
-
-    /// As [`Self::spawn`] with explicit stack size and channel capacity.
-    pub fn spawn_with(
-        stack_bytes: usize,
-        capacity: usize,
-        producer: impl FnOnce(&mut dyn FnMut(T) -> ControlFlow<()>) + Send + 'static,
-    ) -> Self {
-        let (tx, rx) = bounded::<T>(capacity);
+        let (tx, rx) = bounded::<T>(DEFAULT_CHANNEL_CAPACITY);
         let handle = std::thread::Builder::new()
             .name("steiner-enumeration".to_string())
-            .stack_size(stack_bytes)
+            .stack_size(DEFAULT_STACK_BYTES)
             .spawn(move || {
                 producer(&mut |item| {
                     // A send error means the consumer hung up: stop.

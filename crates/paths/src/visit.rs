@@ -1,4 +1,4 @@
-//! Visitor plumbing: path events, sinks, collectors and delay recorders.
+//! Visitor plumbing: path events, sinks and collectors.
 //!
 //! Enumeration is push-based so that the delay guarantee is *observable*:
 //! the algorithm invokes a sink the instant a solution is complete, and the
@@ -11,7 +11,6 @@
 //! path in one piece.
 
 use std::ops::ControlFlow;
-use std::time::{Duration, Instant};
 use steiner_graph::{ArcId, EdgeId, VertexId};
 
 /// A directed path reported by an enumerator. Slices borrow enumerator
@@ -168,65 +167,6 @@ pub fn first_k_arc_paths(
     out
 }
 
-/// Records the wall-clock gaps between consecutive emissions — the
-/// empirical *delay* that the benchmark harness reports against the
-/// paper's O(n + m) claim.
-#[derive(Debug)]
-pub struct DelayRecorder {
-    start: Instant,
-    last: Instant,
-    /// Number of solutions seen.
-    pub count: u64,
-    /// Largest gap between consecutive solutions (including the gap from
-    /// start to the first solution).
-    pub max_gap: Duration,
-    /// Sum of all gaps (≈ total runtime up to the last solution).
-    pub total: Duration,
-}
-
-impl DelayRecorder {
-    /// Starts the clock.
-    pub fn new() -> Self {
-        // lint:allow(clock) delay measurement utility: wall-clock gaps are what it reports
-        let now = Instant::now();
-        DelayRecorder {
-            start: now,
-            last: now,
-            count: 0,
-            max_gap: Duration::ZERO,
-            total: Duration::ZERO,
-        }
-    }
-
-    /// Notes one emitted solution.
-    pub fn record(&mut self) {
-        // lint:allow(clock) delay measurement utility: wall-clock gaps are what it reports
-        let now = Instant::now();
-        let gap = now - self.last;
-        self.last = now;
-        self.count += 1;
-        if gap > self.max_gap {
-            self.max_gap = gap;
-        }
-        self.total = now - self.start;
-    }
-
-    /// Mean gap between solutions.
-    pub fn mean_gap(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.count as u32
-        }
-    }
-}
-
-impl Default for DelayRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,15 +249,5 @@ mod tests {
                 (vec![v(0), v(4), v(9)], vec![ArcId(5), ArcId(6)]),
             ]
         );
-    }
-
-    #[test]
-    fn delay_recorder_counts() {
-        let mut rec = DelayRecorder::new();
-        rec.record();
-        rec.record();
-        assert_eq!(rec.count, 2);
-        assert!(rec.max_gap >= Duration::ZERO);
-        assert!(rec.mean_gap() <= rec.total);
     }
 }

@@ -7,9 +7,9 @@
 //! 1. **hotpath-alloc** — no allocating constructs inside the designated
 //!    classify/branch/descend/retract hot paths (PR 2's zero-allocation
 //!    invariant; Theorem 17's linear-delay contract).
-//! 2. **trail-balance** — every `Trail`/`DynamicSpanning` mark taken in a
-//!    function is unwound on every exit path or escapes into a checkpoint
-//!    frame (PR 5's descend/retract protocol).
+//! 2. **trail-balance** — every `Trail` mark taken in a function is
+//!    unwound on every exit path or escapes into a checkpoint frame
+//!    (PR 5's descend/retract protocol).
 //! 3. **determinism** / **panic-hygiene** — no clock, environment, or
 //!    process access outside sanctioned sites; no unwrap/panic in library
 //!    code without a documented invariant (PR 3/5/6's byte-identical

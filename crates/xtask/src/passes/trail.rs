@@ -1,9 +1,8 @@
 //! Pass 2 — trail/frame balance checker.
 //!
-//! Every `Trail::mark()` / `DynamicSpanning::mark()` checkpoint taken in a
-//! function must be unwound on every exit path (`undo_to`, `truncate`,
-//! `retract*`, `pop`) *or* escape into a checkpoint frame that a later
-//! `retract_frame` pops (the `FrameLog` protocol from PR 5). Intra-
+//! Every `Trail::mark()` checkpoint taken in a function must be unwound on
+//! every exit path (`undo_to`, `truncate`, `retract*`, `pop`) *or* escape
+//! into a checkpoint frame that a later `retract_frame` pops (the `FrameLog` protocol from PR 5). Intra-
 //! procedurally this pass checks:
 //!
 //! 1. a function that takes a mark and neither unwinds nor escapes it is

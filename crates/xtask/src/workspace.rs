@@ -25,6 +25,10 @@ use crate::source::SourceFile;
 /// and `emit`, plus the per-solution `solution` and per-node `tick` impls
 /// of the sinks it drives — `ShardSink`, the delivery chain's `Guard`,
 /// `InlineBridge` — and the chain end stage's per-delivery `deliver`),
+/// the per-node graph structures the classifiers call (`spanning.rs`:
+/// the forced-path queries of every tree, terminal and directed
+/// `classify`; `union_find.rs`: the forest's `F` and `G″` labels, read by
+/// every forest `classify` and updated by every descent and retract),
 /// and the epoch-engine mutation path (the batch, its graph edits and
 /// the incremental fingerprint fold) that runs between queries on the
 /// serving graph.
@@ -34,6 +38,14 @@ pub const HOT: &[(&str, &[&str])] = &[
         &["insert", "remove", "batch_apply", "apply_insert_fp"],
     ),
     ("crates/graph/src/region.rs", &["globalize"]),
+    (
+        "crates/graph/src/spanning.rs",
+        &["collect_all_forced", "collect_forced_path", "forced_search"],
+    ),
+    (
+        "crates/graph/src/union_find.rs",
+        &["find", "same", "union", "snapshot", "rollback"],
+    ),
     ("crates/core/src/problem.rs", &["follow"]),
     (
         "crates/core/src/solver.rs",

@@ -75,8 +75,9 @@
 //!
 //! # Workspace layout
 //!
-//! * [`graph`] — graph substrate (multigraphs, digraphs, bridges,
-//!   contraction, LCA, generators, I/O);
+//! * [`graph`] — graph substrate (multigraphs, digraphs, bridges, query
+//!   regions, the forced-path skeleton, rollback union–find, generators,
+//!   I/O);
 //! * [`paths`] — linear-delay *s*-*t* path enumeration (paper §3,
 //!   Algorithm 1);
 //! * [`steiner`] — the problem types, the generic engine, verification
@@ -123,7 +124,7 @@ pub use steiner_service as service;
 
 pub use steiner_core::{
     CacheKey, CacheStats, DirectedSteinerTree, EnumStats, Enumeration, MinimalSteinerProblem,
-    QueueConfig, ResultCache, SolutionId, SolutionInterner, SolutionSet, SolutionSink, Solutions,
-    StatsHandle, StealObserver, StealRule, StealSchedule, SteinerError, SteinerForest, SteinerTree,
+    QueueConfig, ResultCache, SolutionId, SolutionInterner, SolutionSink, Solutions, StatsHandle,
+    StealObserver, StealRule, StealSchedule, SteinerError, SteinerForest, SteinerTree,
     TerminalSteinerTree,
 };

@@ -1,8 +1,9 @@
 //! Incremental-classification suite.
 //!
-//! `classify` in all four problems reads trail-backed connectivity state
-//! (`DynamicSpanning` reach/contract state threaded through the engines'
-//! descend/undo frames) instead of recomputing every node from scratch.
+//! `classify` in all four problems reads incremental state (forced-path
+//! queries over the engines' trail-backed masks, and the forest's rollback
+//! union–finds in its descend/undo frames) instead of recomputing every
+//! node from scratch.
 //! In debug builds each classifier cross-checks every incremental
 //! verdict against a fresh pass inline, so the random instances below
 //! run that assertion at every search-tree node, and their streams must

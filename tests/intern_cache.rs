@@ -1,13 +1,13 @@
 //! The hash-consed solution interner and the query result cache, end to
-//! end: interning never perturbs a delivered stream (sequential or
-//! sharded), re-expanding interned streams reproduces the original bytes
-//! for all four problems, and a cache hit is indistinguishable from a
-//! cold run under every front-end and limit.
+//! end: interning from the sink never perturbs a delivered stream
+//! (sequential or sharded), re-expanding interned streams reproduces the
+//! original bytes for all four problems, and a cache hit is
+//! indistinguishable from a cold run under every front-end and limit.
 
 use minimal_steiner::graph::{generators, UndirectedGraph, VertexId};
 use minimal_steiner::{
-    DirectedSteinerTree, Enumeration, MinimalSteinerProblem, ResultCache, SolutionId, SolutionSet,
-    SteinerForest, SteinerTree, TerminalSteinerTree,
+    DirectedSteinerTree, Enumeration, MinimalSteinerProblem, ResultCache, SolutionId,
+    SolutionInterner, SteinerForest, SteinerTree, TerminalSteinerTree,
 };
 use proptest::prelude::*;
 use std::ops::ControlFlow;
@@ -21,22 +21,37 @@ where
     e.collect_vec().expect("valid instance")
 }
 
-/// Interns one enumeration's stream into `set` while collecting the ids
-/// in delivery order (re-interning at the sink is a pure dedup hit, so
-/// this observes exactly what `with_interning` stored).
-fn intern_stream<P>(e: Enumeration<P>, set: &SolutionSet<P::Item>) -> Vec<SolutionId>
+/// Interns one enumeration's stream into `interner` from the sink,
+/// collecting the ids in delivery order.
+fn intern_stream<P>(e: Enumeration<P>, interner: &mut SolutionInterner<P::Item>) -> Vec<SolutionId>
 where
     P: MinimalSteinerProblem + Send,
     P::Item: Send,
 {
     let mut ids = Vec::new();
-    e.with_interning(set)
-        .for_each(|items| {
-            ids.push(set.intern(items));
-            ControlFlow::Continue(())
-        })
-        .expect("valid instance");
+    e.for_each(|items| {
+        ids.push(interner.intern(items));
+        ControlFlow::Continue(())
+    })
+    .expect("valid instance");
     ids
+}
+
+/// Interns one enumeration's stream into a fresh interner and re-expands
+/// it from the ids: the delivered stream as the interner stored it, and
+/// the number of distinct solutions stored.
+fn interned<P>(e: Enumeration<P>) -> (Vec<Vec<P::Item>>, usize)
+where
+    P: MinimalSteinerProblem + Send,
+    P::Item: Send,
+{
+    let mut interner = SolutionInterner::new();
+    let ids = intern_stream(e, &mut interner);
+    let stream = ids
+        .iter()
+        .map(|&id| interner.resolve(id).to_vec())
+        .collect();
+    (stream, interner.len())
 }
 
 /// The core tentpole property, checked for one problem: interning N
@@ -50,17 +65,20 @@ where
     F: Fn() -> P,
 {
     let original = ordered(Enumeration::new(make()));
-    let set: SolutionSet<P::Item> = SolutionSet::new();
+    let mut interner = SolutionInterner::new();
     let streams: Vec<Vec<SolutionId>> = (0..n_streams)
-        .map(|_| intern_stream(Enumeration::new(make()), &set))
+        .map(|_| intern_stream(Enumeration::new(make()), &mut interner))
         .collect();
     assert_eq!(
-        set.len(),
+        interner.len(),
         original.len(),
         "N identical streams share one arena copy per solution"
     );
     for ids in &streams {
-        let expanded: Vec<Vec<P::Item>> = ids.iter().map(|&id| set.resolve_owned(id)).collect();
+        let expanded: Vec<Vec<P::Item>> = ids
+            .iter()
+            .map(|&id| interner.resolve(id).to_vec())
+            .collect();
         assert_eq!(expanded, original, "re-expansion reproduces the stream");
     }
 }
@@ -125,21 +143,17 @@ fn test_graph(case: usize) -> UndirectedGraph {
 
 #[test]
 fn interned_sharded_streams_are_byte_identical_to_sequential() {
-    // The acceptance bar: `with_interning` composes with `with_threads`
-    // (interning happens at the merge point) without perturbing a single
-    // byte of the stream, for k ∈ {1, 2, 4}, on all four problems.
+    // Interning from the sink composes with `with_threads` (the sink sees
+    // the merged stream) without perturbing a single byte of it, for
+    // k ∈ {1, 2, 4}, on all four problems.
     let g = generators::theta_chain(5, 3);
     let w = [VertexId(0), VertexId(5)];
     let sequential = ordered(Enumeration::new(SteinerTree::new(&g, &w)));
     for k in [1usize, 2, 4] {
-        let set = SolutionSet::new();
-        let sharded = ordered(
-            Enumeration::new(SteinerTree::new(&g, &w))
-                .with_interning(&set)
-                .with_threads(k),
-        );
+        let (sharded, stored) =
+            interned(Enumeration::new(SteinerTree::new(&g, &w)).with_threads(k));
         assert_eq!(sharded, sequential, "steiner tree, threads({k})");
-        assert_eq!(set.len(), sequential.len(), "every solution interned");
+        assert_eq!(stored, sequential.len(), "every solution interned");
     }
 
     let g2 = test_graph(1);
@@ -156,26 +170,13 @@ fn interned_sharded_streams_are_byte_identical_to_sequential() {
     dw.retain(|&v| v != root);
     let seq_directed = ordered(Enumeration::new(DirectedSteinerTree::new(&d, root, &dw)));
     for k in [1usize, 2, 4] {
-        let set = SolutionSet::new();
-        let got = ordered(
-            Enumeration::new(SteinerForest::new(&g2, &sets))
-                .with_interning(&set)
-                .with_threads(k),
-        );
+        let (got, _) = interned(Enumeration::new(SteinerForest::new(&g2, &sets)).with_threads(k));
         assert_eq!(got, seq_forest, "forest, threads({k})");
-        let set = SolutionSet::new();
-        let got = ordered(
-            Enumeration::new(TerminalSteinerTree::new(&g2, &w2))
-                .with_interning(&set)
-                .with_threads(k),
-        );
+        let (got, _) =
+            interned(Enumeration::new(TerminalSteinerTree::new(&g2, &w2)).with_threads(k));
         assert_eq!(got, seq_terminal, "terminal, threads({k})");
-        let set = SolutionSet::new();
-        let got = ordered(
-            Enumeration::new(DirectedSteinerTree::new(&d, root, &dw))
-                .with_interning(&set)
-                .with_threads(k),
-        );
+        let (got, _) =
+            interned(Enumeration::new(DirectedSteinerTree::new(&d, root, &dw)).with_threads(k));
         assert_eq!(got, seq_directed, "directed, threads({k})");
     }
 }
