@@ -331,7 +331,10 @@ pub trait MinimalSteinerProblem {
     /// configuration) but no search state: each worker calls `prepare` on
     /// its own copy, so preprocessing is deterministic per shard and the
     /// root's children come out in the same order on every worker. The
-    /// engine decides which root children each worker descends into.
+    /// engine decides which root children each worker descends into. It
+    /// may also be called on a prepared instance in mid-search: a sharded
+    /// run's calling thread splits the copy it replays claimed subtrees
+    /// on from its own instance.
     ///
     /// The default returns `None`, meaning the problem does not support
     /// sharding and `with_threads` falls back to the sequential engine.

@@ -15,14 +15,17 @@
 //!   [`Enumeration::with_default_queue`] interpose the Theorem-20 output
 //!   queue for a worst-case (rather than amortized) delay bound.
 //!
-//! [`Enumeration::with_threads`] additionally **shards** the run across a
-//! pool of worker threads: the root node's children are split round-robin
-//! (child `i` goes to worker `i mod k`), every worker owns an independent
-//! problem copy ([`MinimalSteinerProblem::split_root`]) with its own
-//! scratch pools and statistics, and workers steal whole subtrees that
-//! busy workers publish at deeper branch nodes (see [`crate::steal`]). A
-//! deterministic merge ([`steiner_paths::streaming::ShardMerge`])
-//! re-interleaves the per-worker streams and splices each stolen
+//! [`Enumeration::with_threads`] additionally **shards** the run across k
+//! threads: the root node's children are split round-robin (child `i`
+//! goes to shard `i mod k`). The calling thread is shard 0 — it runs on
+//! the instance it prepared and is the merge point — and each of the
+//! k − 1 spawned workers owns an independent problem copy
+//! ([`MinimalSteinerProblem::split_root`]) with its own scratch pools and
+//! statistics; workers steal whole subtrees that busy workers publish at
+//! deeper branch nodes (see [`crate::steal`]). The calling thread walks
+//! the root's children in order, delivering its own straight away and
+//! draining each other child from its owner's channel
+//! ([`steiner_paths::streaming::ShardMerge`]), and splices each stolen
 //! subtree's stream back in at its exact tree position, so the delivered
 //! sequence is **identical to the sequential front-end**, including under
 //! limits, queues, and early termination.
@@ -51,7 +54,7 @@ use std::hash::Hash;
 use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use steiner_paths::streaming::{self, MergeEvent, ShardMerge, ShardMsg};
+use steiner_paths::streaming::{self, Drain, MergeEvent, ShardMerge, ShardMsg};
 
 /// A shared, clonable handle to the statistics of one enumeration run,
 /// produced by [`Enumeration::with_stats`]. The final [`EnumStats`] are
@@ -282,10 +285,11 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     /// node), so the overshoot past the deadline is bounded by a constant
     /// number of node expansions — the same linear-delay granularity the
     /// paper's guarantee is stated in. Under [`Self::with_threads`] the
-    /// check runs at the merge point, where the ticks are the workers'
-    /// heartbeats; workers stop at their next (bounded) channel send. A
-    /// cache **hit** is never interrupted: replay is O(output) with no
-    /// search, and the stored stream is only ever a complete answer.
+    /// check runs on the calling thread, where the ticks are its own
+    /// nodes' and the workers' heartbeats; workers stop at their next
+    /// (bounded) channel send. A cache **hit** is never interrupted:
+    /// replay is O(output) with no search, and the stored stream is only
+    /// ever a complete answer.
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
@@ -309,41 +313,45 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
         (self, handle)
     }
 
-    /// **Sharded execution.** Splits the root node's children across `k`
-    /// worker threads — child `i` (in the engine's deterministic order)
-    /// goes to worker `i mod k` — and merges the per-worker streams back
-    /// into the sequential emission order, so every front-end delivers a
-    /// stream **identical to the single-threaded run** (same solutions,
-    /// same order), including under [`Self::with_limit`],
-    /// [`Self::with_queue`], and sinks that return
-    /// [`ControlFlow::Break`].
+    /// **Sharded execution.** Runs the enumeration on `k` threads in all,
+    /// splitting the root node's children across them — child `i` (in
+    /// the engine's deterministic order) goes to shard `i mod k` — and
+    /// merges the per-shard streams back into the sequential emission
+    /// order, so every front-end delivers a stream **identical to the
+    /// single-threaded run** (same solutions, same order), including
+    /// under [`Self::with_limit`], [`Self::with_queue`], and sinks that
+    /// return [`ControlFlow::Break`].
     ///
-    /// Every worker owns an independent instance copy
+    /// The calling thread is shard 0: it runs on the instance it
+    /// prepared, classifies the root and generates the root's children
+    /// lazily, delivering its own children straight into the delivery
+    /// chain, so the first solution waits for no worker. Each of the
+    /// k − 1 spawned workers owns an independent instance copy
     /// ([`MinimalSteinerProblem::split_root`]) with its own `prepare()`,
-    /// scratch pools, and statistics; workers communicate only through
-    /// bounded channels, so a worker ahead of the merge point blocks
-    /// instead of buffering unboundedly. No coordinator-side pass
-    /// precedes the workers: they start at once and generate the root's
-    /// children lazily, so the first solution is one root child away.
+    /// scratch pools, and statistics, and generates the root's children
+    /// itself; workers communicate only through bounded channels, so a
+    /// worker ahead of the calling thread blocks instead of buffering
+    /// unboundedly.
     ///
     /// Every sharded run also **steals work**, so a root with few
     /// children or one dominant subtree still keeps every worker busy: a
     /// worker reaching a branch child while the shared [`crate::steal`]
     /// pool is hungry *publishes* the child as a replayable checkpoint
-    /// instead of descending; an idle worker (or the merge point itself)
-    /// claims and executes it, and the merge splices the subtree's
-    /// stream back in at its exact position (asserted across every
+    /// instead of descending; an idle worker claims and executes it (or
+    /// the calling thread does, on one more prepared copy, when it
+    /// reaches the unclaimed checkpoint), and the subtree's stream is
+    /// spliced back in at its exact position (asserted across every
     /// front-end in `tests/stealing.rs`). A problem whose
     /// [`MinimalSteinerProblem::record_subtree`] declines keeps only the
     /// root-residue split.
     ///
-    /// The published engine counters are the workers' and the
-    /// coordinator's counters [merged](EnumStats::merge): `solutions` sums
-    /// every instance's emissions (under a limit the workers emit ahead of
-    /// the merge, so it can exceed what was delivered) and
+    /// The published engine counters are every instance's counters
+    /// [merged](EnumStats::merge): `solutions` sums every instance's
+    /// emissions (under a limit the workers emit ahead of the calling
+    /// thread, so it can exceed what was delivered) and
     /// `max_emission_gap` is the largest gap any instance saw on its own
-    /// work counter. The delivery counters come from the merge point's
-    /// delivery chain, the same one a sequential run uses:
+    /// work counter. The delivery counters come from the calling
+    /// thread's delivery chain, the same one a sequential run uses:
     /// [`EnumStats::delivered`] is what the sink got and
     /// [`EnumStats::max_delivery_gap`] is measured on the merged work
     /// clock. Accepted steals and refused offers are reported in
@@ -393,14 +401,16 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
         }
     }
 
-    /// The workers' problem copies for a sharded run, or `None` when the
-    /// problem does not support sharding, only one thread is asked, or
-    /// the limit allows no solution at all.
+    /// The spawned workers' problem copies for a sharded run — one fewer
+    /// than the threads asked for, since the calling thread runs shard 0
+    /// on the problem itself — or `None` when the problem does not
+    /// support sharding, only one thread is asked, or the limit allows no
+    /// solution at all.
     fn split_shards(&self) -> Option<Vec<P>> {
         if self.threads <= 1 || self.limit == Some(0) {
             return None;
         }
-        (0..self.threads)
+        (1..self.threads)
             .map(|_| self.problem.split_root())
             .collect()
     }
@@ -409,12 +419,12 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     /// sorted item slice) to `sink`; return
     /// [`ControlFlow::Break`](std::ops::ControlFlow) to stop early.
     ///
-    /// With [`Self::with_threads`], the calling thread becomes the merge
-    /// point of the shard pool and `sink` observes the exact sequential
-    /// order. Since 0.2 the problem must be `Send` (its `Item` too) so a
-    /// single builder serves both execution modes; all problem types in
-    /// this workspace are. The sink itself never crosses threads and
-    /// needs no `Send`.
+    /// With [`Self::with_threads`], the calling thread runs shard 0 and
+    /// is the merge point of the shard pool, and `sink` observes the
+    /// exact sequential order. Since 0.2 the problem must be `Send` (its
+    /// `Item` too) so a single builder serves both execution modes; all
+    /// problem types in this workspace are. The sink itself never
+    /// crosses threads and needs no `Send`.
     pub fn for_each(
         self,
         mut sink: impl FnMut(&[P::Item]) -> ControlFlow<()>,
@@ -480,10 +490,9 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
                     deadline: self.deadline,
                 };
                 let run = match (shards, prepared) {
-                    // The coordinator keeps its prepared instance: it
-                    // executes the subtrees the merge claims inline. It
-                    // never branches at the root — each worker generates
-                    // the root's children itself.
+                    // The coordinator keeps its prepared instance and runs
+                    // shard 0 on it, while each spawned worker prepares
+                    // its own copy.
                     (Some(shards), Prepared::Search) => Run::Sharded {
                         original: self.problem,
                         shards,
@@ -553,8 +562,8 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     /// Named after `IntoIterator::into_iter` deliberately — the trait
     /// itself cannot be implemented because preparation is fallible.
     ///
-    /// With [`Self::with_threads`], the worker thread hosts the shard pool
-    /// and its merge point.
+    /// With [`Self::with_threads`], the worker thread runs shard 0 and
+    /// hosts the shard pool's merge point.
     #[allow(clippy::should_implement_trait)]
     pub fn into_iter(self) -> Result<Solutions<P::Item>, SteinerError>
     where
@@ -590,7 +599,8 @@ enum Run<P: MinimalSteinerProblem> {
     Replay(Checkout<P::Item>),
     /// The sequential engine on the prepared instance.
     Sequential(P, Prepared<P::Item>),
-    /// The shard pool, merging on the coordinator's prepared `original`;
+    /// The shard pool: the calling thread runs shard 0 on its prepared
+    /// `original` and merges, the spawned workers run `shards`;
     /// `schedule` scripts the steals (`None`: the adaptive policy).
     Sharded {
         original: P,
@@ -841,8 +851,9 @@ struct Delivery {
 /// Builds the delivery chain — [`Guard`], then the output queue or a
 /// [`DirectSink`], then the [`EndStage`] in front of `sink` — and runs
 /// `source` into its head. Every front-end delivers through here: the
-/// sequential engine, the shard merge with its inline stolen tasks, and
-/// cache replay. `source` leaves the delivery clock at the end of its run
+/// sequential engine, the sharded run's calling thread (its own shard,
+/// the workers' streams and the subtrees it claims), and cache replay.
+/// `source` leaves the delivery clock at the end of its run
 /// ([`Guard::advance`]); the gap from the last delivery to there counts.
 fn deliver_through<Item: Copy, R>(
     route: Route,
@@ -924,14 +935,36 @@ struct Batch<Item> {
 
 /// Solutions per shard-channel message. Flushing also happens at every
 /// child boundary, so small subtrees still stream promptly; within one
-/// child the merger is at most one batch behind the producing worker.
+/// child the coordinator is at most one batch behind the producing
+/// worker.
 const BATCH_SOLUTIONS: usize = 32;
+
+/// The receiving half of a stolen subtree's delivery channel.
+type TaskReceiver<Item> = crossbeam_channel::Receiver<ShardMsg<Batch<Item>>>;
+
+/// The output of a descent with steal points ([`recurse_stealing`]): a
+/// spawned worker's channel ([`ShardSink`]) or the coordinator's
+/// delivery chain ([`CoordSink`]).
+trait StealSink<P: MinimalSteinerProblem>: SolutionSink<P::Item> {
+    /// Plants the `Spawned` marker of `task`, which `p` (at the child it
+    /// published) just offered to the pool, at the current stream
+    /// position. Returns `Continue(true)` when the subtree is taken care
+    /// of, `Continue(false)` when the caller descends into it locally,
+    /// and `Break` when the run stops.
+    fn spawned(
+        &mut self,
+        p: &P,
+        ctx: &mut StealContext<'_, P::Item>,
+        task: u64,
+        rx: TaskReceiver<P::Item>,
+    ) -> ControlFlow<(), bool>;
+}
 
 /// The sink a shard worker drives: tags every solution with the root
 /// child it belongs to, packs consecutive solutions into flat batches,
-/// and forwards them to the merger's channel. A send error means the
-/// merger hung up (early termination): the worker sees `Break` and
-/// unwinds.
+/// and forwards them to the coordinator's channel. A send error means
+/// the coordinator hung up (early termination): the worker sees `Break`
+/// and unwinds.
 struct ShardSink<'a, Item> {
     tx: &'a Sender<ShardMsg<Batch<Item>>>,
     /// Root-child index currently being explored.
@@ -939,7 +972,7 @@ struct ShardSink<'a, Item> {
     /// Pending batch for the current child.
     batch: Batch<Item>,
     /// Tick granularity in work units (`Some` in queued mode, so the
-    /// merger's release clock advances between solutions without
+    /// coordinator's release clock advances between solutions without
     /// flooding the channel with per-node heartbeats).
     tick_every: Option<u64>,
     last_tick: u64,
@@ -986,8 +1019,13 @@ impl<Item: Copy> SolutionSink<Item> for ShardSink<'_, Item> {
             if work.saturating_sub(self.last_tick) >= every {
                 self.last_tick = work;
                 // Pending solutions go first so clock advances never
-                // overtake the stream.
-                self.flush(work)?;
+                // overtake the stream. A flushed batch carries `work`
+                // itself, and at equal work a heartbeat releases nothing
+                // its last solution did not, so one is sent only when no
+                // batch was pending.
+                if !self.batch.lens.is_empty() {
+                    return self.flush(work);
+                }
                 if self.tx.send(ShardMsg::Tick { work }).is_err() {
                     return ControlFlow::Break(());
                 }
@@ -997,13 +1035,32 @@ impl<Item: Copy> SolutionSink<Item> for ShardSink<'_, Item> {
     }
 }
 
-/// The slice of the root node's children one shard worker owns: the
-/// children whose zero-based index `i` (in the engine's deterministic
-/// child order) satisfies `i % modulus == index`.
+impl<P: MinimalSteinerProblem> StealSink<P> for ShardSink<'_, P::Item> {
+    /// Flushes the pending solutions, then sends the marker: the task's
+    /// executor delivers the subtree.
+    fn spawned(
+        &mut self,
+        p: &P,
+        _ctx: &mut StealContext<'_, P::Item>,
+        task: u64,
+        rx: TaskReceiver<P::Item>,
+    ) -> ControlFlow<(), bool> {
+        self.flush(p.stats().work)?;
+        if self.tx.send(ShardMsg::Spawned { task, rx }).is_err() {
+            return ControlFlow::Break(());
+        }
+        ControlFlow::Continue(true)
+    }
+}
+
+/// The slice of the root node's children one shard owns: the children
+/// whose zero-based index `i` (in the engine's deterministic child
+/// order) satisfies `i % modulus == index`. Shard 0 is the
+/// coordinator's.
 struct RootShard {
-    /// This worker's residue class, `0 ≤ index < modulus`.
+    /// This shard's residue class, `0 ≤ index < modulus`.
     index: u32,
-    /// The number of workers the root's children are split across.
+    /// The number of threads the root's children are split across.
     modulus: u32,
 }
 
@@ -1016,16 +1073,16 @@ impl RootShard {
 
 /// Shard- and task-channel capacity under a scripted
 /// [`StealSchedule`]. Adaptive stealing keeps the production capacities
-/// (workers ahead of the merge must block, not buffer), and stays
-/// deadlock-free because the merge point inline-executes any unclaimed
-/// task it reaches. A script, by contrast, may pin claims or publish
+/// (workers ahead of the coordinator must block, not buffer), and stays
+/// deadlock-free because the coordinator executes any unclaimed task it
+/// reaches. A script, by contrast, may pin claims or publish
 /// adversarially many subtrees, so scripted runs buy determinism with
 /// buffer space instead: channels are sized far above any test
 /// workload's message count, making every worker send non-blocking.
 pub const SCRIPTED_CHANNEL_CAPACITY: usize = 8192;
 
 /// Pending-deque backstop for the adaptive pool (the hungry-pool policy
-/// keeps the live depth near the worker count; the cap only bounds the
+/// keeps the live depth near the thread count; the cap only bounds the
 /// burst while every worker publishes its first offers).
 const STEAL_PENDING_CAPACITY: usize = 1024;
 
@@ -1035,23 +1092,24 @@ const STEAL_PENDING_CAPACITY: usize = 1024;
 /// spawn-set determinism; test instances stay far below it.
 const SCRIPTED_PENDING_CAPACITY: usize = 4096;
 
-/// One shard worker's stealing state, threaded through
-/// [`recurse_stealing`] and [`run_steal_loop`]: the shared pool, the
-/// optional script and observer, the tree address of the node currently
-/// being considered, and the per-worker opportunity counter for
+/// One shard's stealing state, threaded through [`recurse_stealing`] and
+/// [`run_steal_loop`]: the shared pool, the optional script and
+/// observer, the tree address of the node currently being considered,
+/// and the per-shard opportunity counter for
 /// [`crate::steal::StealRule::EveryNth`].
 struct StealContext<'a, Item> {
     pool: &'a StealPool<Item, Batch<Item>>,
     /// `None` = adaptive policy.
     schedule: Option<&'a StealSchedule>,
     observer: Option<&'a StealObserver>,
-    /// This worker's index (observer slot and pinned-claim residue).
+    /// This shard's index (observer slot and pinned-claim residue; the
+    /// coordinator is 0).
     worker: usize,
     /// Tick granularity for stolen-task sinks (same as the root sink's).
     tick_every: Option<u64>,
     /// Child-index path from the engine root to the current child.
     path: Vec<u64>,
-    /// Spawn opportunities seen so far by this worker.
+    /// Spawn opportunities seen so far by this shard.
     chances: u64,
     /// Cleared the first time
     /// [`record_subtree`](MinimalSteinerProblem::record_subtree)
@@ -1086,18 +1144,18 @@ impl<Item: Copy> StealContext<'_, Item> {
 /// The steal point before descending into the branch child at
 /// `ctx.path` (currently applied to `p`). When the policy fires, the
 /// child is checkpointed, offered to the steal pool, and its `Spawned`
-/// marker planted in `sink`'s stream — flushing pending solutions first,
-/// so the marker lands at exactly the subtree's position.
+/// marker planted in `sink`'s stream ([`StealSink::spawned`]), so the
+/// marker lands at exactly the subtree's position.
 ///
-/// Returns `Continue(true)` when the child was published (skip the
+/// Returns `Continue(true)` when the child was handed off (skip the
 /// descent), `Continue(false)` when the caller descends locally, and
-/// `Break` when the merge hung up. Accepted offers count as
-/// [`EnumStats::subtrees_stolen`] (on the *spawning* worker), refused
+/// `Break` when the run stops. Accepted offers count as
+/// [`EnumStats::subtrees_stolen`] (on the *spawning* instance), refused
 /// ones as [`EnumStats::steal_failures`].
-fn steal_point<P: MinimalSteinerProblem>(
+fn steal_point<P: MinimalSteinerProblem, S: StealSink<P>>(
     p: &mut P,
     ctx: &mut StealContext<'_, P::Item>,
-    sink: &mut ShardSink<'_, P::Item>,
+    sink: &mut S,
 ) -> ControlFlow<(), bool> {
     if !ctx.should_spawn() {
         return ControlFlow::Continue(false);
@@ -1109,11 +1167,7 @@ fn steal_point<P: MinimalSteinerProblem>(
     match ctx.pool.offer(ctx.path.clone(), record) {
         Ok((task, rx)) => {
             p.stats_mut().subtrees_stolen += 1;
-            sink.flush(p.stats().work)?;
-            if sink.tx.send(ShardMsg::Spawned { task, rx }).is_err() {
-                return ControlFlow::Break(());
-            }
-            ControlFlow::Continue(true)
+            sink.spawned(p, ctx, task, rx)
         }
         Err(_) => {
             p.stats_mut().steal_failures += 1;
@@ -1128,10 +1182,10 @@ fn steal_point<P: MinimalSteinerProblem>(
 /// descend locally. Leaf handling is identical to `recurse`; a spawned
 /// child's own node is expanded (and counted) by its executor, never by
 /// the spawner.
-fn recurse_stealing<P: MinimalSteinerProblem>(
+fn recurse_stealing<P: MinimalSteinerProblem, S: StealSink<P>>(
     p: &mut P,
     depth: u32,
-    sink: &mut ShardSink<'_, P::Item>,
+    sink: &mut S,
     scratch: &mut Vec<P::Item>,
     ctx: &mut StealContext<'_, P::Item>,
 ) -> ControlFlow<()> {
@@ -1171,9 +1225,9 @@ fn recurse_stealing<P: MinimalSteinerProblem>(
 
 /// Executes one claimed pool task on a worker's instance copy: replays
 /// the checkpoint and streams the subtree over the task's dedicated
-/// channel, terminated by a `Done { children: 0 }` marker. Nested
-/// publications are allowed — a stolen subtree's own branch children go
-/// through the same steal points.
+/// channel, terminated by a `Done` marker. Nested publications are
+/// allowed — a stolen subtree's own branch children go through the same
+/// steal points.
 fn execute_stolen_task<P: MinimalSteinerProblem>(
     p: &mut P,
     task: &PendingTask<P::Item, Batch<P::Item>>,
@@ -1201,23 +1255,19 @@ fn execute_stolen_task<P: MinimalSteinerProblem>(
     });
     ctx.path.clear();
     flow?;
-    if task
-        .tx
-        .send(ShardMsg::Done {
-            children: 0,
-            work: p.stats().work,
-        })
-        .is_err()
-    {
+    let done = ShardMsg::Done {
+        work: p.stats().work,
+    };
+    if task.tx.send(done).is_err() {
         return ControlFlow::Break(());
     }
     ControlFlow::Continue(())
 }
 
 /// A worker's post-root steal phase: claim and execute pool tasks until
-/// the pool closes. A hangup (the merge dropped its channels) closes
-/// the pool for everyone — without the merge, no pending task's stream
-/// can ever be drained.
+/// the pool closes. A hangup (the coordinator dropped its channels)
+/// closes the pool for everyone — without the coordinator, no pending
+/// task's stream can ever be drained.
 fn run_steal_loop<P: MinimalSteinerProblem>(
     p: &mut P,
     ctx: &mut StealContext<'_, P::Item>,
@@ -1243,20 +1293,20 @@ fn send_child_done<Item>(sink: &ShardSink<'_, Item>, child: u64, work: u64) -> C
     ControlFlow::Continue(())
 }
 
-/// One shard worker: prepares its own problem copy and runs the engine's
-/// root node with the shard filter. The worker generates every root
-/// child itself, lazily and in the engine's deterministic order (so
-/// generation stops as soon as the merge hangs up), descends only into
-/// its residue class, and reports a `ChildDone` boundary after each
-/// owned child. Returns the worker's final statistics.
+/// One spawned shard worker (shard ≥ 1): prepares its own problem copy
+/// and runs the engine's root node with the shard filter. The worker
+/// generates every root child itself, lazily and in the engine's
+/// deterministic order (so generation stops as soon as the coordinator
+/// hangs up), descends only into its residue class, and reports a
+/// `ChildDone` boundary after each owned child. A root leaf belongs to
+/// shard 0, the coordinator's. Returns the worker's final statistics.
 ///
 /// Owned children and their descendants pass through steal points
 /// ([`steal_point`]), and after the root phase the worker becomes a pool
-/// executor ([`run_steal_loop`]). The worker's own `Done` is sent
-/// **before** the steal phase: the merge must be able to finish this
-/// worker's stream while the worker produces into task channels that
-/// only the merge drains — deferring `Done` to the end would deadlock
-/// the pipeline.
+/// executor ([`run_steal_loop`]). The coordinator counts the root's
+/// children itself, so the root stream needs no end marker: it ends with
+/// the worker's last owned child, before the steal phase fills task
+/// channels that only the coordinator drains.
 fn run_shard_worker<P: MinimalSteinerProblem>(
     p: &mut P,
     shard: RootShard,
@@ -1275,93 +1325,53 @@ fn run_shard_worker<P: MinimalSteinerProblem>(
     };
     let (n, _) = p.instance_size();
     let mut scratch: Vec<P::Item> = Vec::with_capacity(n + 1);
-    let mut children_total = 0u64;
     let flow = match prepared {
         Prepared::Empty | Prepared::Single(_) => unreachable!(
             "the pool is spawned only after the coordinator's prepare returned \
              Search, and each worker prepares a split_root copy of the same \
              instance, deterministically"
         ),
-        Prepared::Search => {
-            match p.classify(&mut scratch) {
-                NodeStep::Complete => {
-                    p.stats_mut().note_node(0, 0);
-                    scratch.clear();
-                    p.solution(&mut scratch);
-                    if shard.index == 0 {
-                        emit(p, sink, &mut scratch, P::SORTED_SOLUTIONS)
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                }
-                NodeStep::Unique => {
-                    p.stats_mut().note_node(0, 0);
-                    if shard.index == 0 {
-                        emit(p, sink, &mut scratch, false)
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                }
-                NodeStep::Branch(at) => {
-                    let mut next_child = 0u64;
-                    let (children, flow) = p.branch(at, &mut |q| {
-                        let this = next_child;
-                        next_child += 1;
-                        if !shard.owns(this) {
-                            // Not ours: the problem still pays the child
-                            // generation (which keeps sibling order
-                            // deterministic) but the subtree is skipped.
-                            return ControlFlow::Continue(());
-                        }
-                        sink.child = this;
-                        ctx.path.push(this);
-                        let f = (|| {
-                            if steal_point(q, ctx, sink)? {
-                                return send_child_done(sink, this, q.stats().work);
-                            }
-                            recurse_stealing(q, 1, sink, &mut scratch, ctx)?;
-                            sink.flush(q.stats().work)?;
-                            send_child_done(sink, this, q.stats().work)?;
-                            ctx.note_retired();
-                            ControlFlow::Continue(())
-                        })();
-                        ctx.path.pop();
-                        f
-                    });
-                    p.stats_mut().note_node(children, 0);
-                    children_total = next_child;
-                    flow
-                }
+        Prepared::Search => match p.classify(&mut scratch) {
+            NodeStep::Complete | NodeStep::Unique => {
+                p.stats_mut().note_node(0, 0);
+                ControlFlow::Continue(())
             }
-        }
-    };
-    let flow = if flow.is_continue() {
-        // A root-leaf emission may still sit in the batch.
-        sink.flush(p.stats().work)
-    } else {
-        flow
-    };
-    let flow = if flow.is_continue() {
-        if sink
-            .tx
-            .send(ShardMsg::Done {
-                children: children_total,
-                work: p.stats().work,
-            })
-            .is_err()
-        {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        }
-    } else {
-        flow
+            NodeStep::Branch(at) => {
+                let mut next_child = 0u64;
+                let (children, flow) = p.branch(at, &mut |q| {
+                    let this = next_child;
+                    next_child += 1;
+                    if !shard.owns(this) {
+                        // Not ours: the problem still pays the child
+                        // generation (which keeps sibling order
+                        // deterministic) but the subtree is skipped.
+                        return ControlFlow::Continue(());
+                    }
+                    sink.child = this;
+                    ctx.path.push(this);
+                    let f = (|| {
+                        if steal_point(q, ctx, sink)? {
+                            return send_child_done(sink, this, q.stats().work);
+                        }
+                        recurse_stealing(q, 1, sink, &mut scratch, ctx)?;
+                        sink.flush(q.stats().work)?;
+                        send_child_done(sink, this, q.stats().work)?;
+                        ctx.note_retired();
+                        ControlFlow::Continue(())
+                    })();
+                    ctx.path.pop();
+                    f
+                });
+                p.stats_mut().note_node(children, 0);
+                flow
+            }
+        },
     };
     ctx.pool.root_done();
     if flow.is_continue() {
         run_steal_loop(p, ctx, &mut scratch);
     } else {
-        // The merge hung up mid-root-phase: nothing will drain the
+        // The coordinator hung up mid-root-phase: nothing will drain the
         // pending task channels, so close the pool now.
         ctx.pool.shutdown();
     }
@@ -1384,116 +1394,272 @@ fn each_solution<Item>(
     ControlFlow::Continue(())
 }
 
-/// The merge point's sink for **inline** execution of a claimed pool
-/// task: translates the executing instance's private work counter into
-/// merged-clock advances ([`ShardMerge::advance_external`]) and forwards
-/// solutions and ticks, stamped with the merged clock, into the delivery
-/// chain's head — so an inlined subtree is indistinguishable, stream
-/// *and* clock, from one delivered over a task channel.
-struct InlineBridge<'a, Item: Copy> {
-    merge: &'a mut ShardMerge<Batch<Item>>,
-    head: &'a mut dyn SolutionSink<Item>,
-    /// The executing instance's work at the previous callback.
-    last: u64,
+/// An instance copy at the root state that replays the subtrees the
+/// coordinator claims, with its own emission buffer.
+struct Spare<P: MinimalSteinerProblem> {
+    problem: P,
+    scratch: Vec<P::Item>,
 }
 
-impl<Item: Copy> InlineBridge<'_, Item> {
-    fn advance(&mut self, work: u64) -> u64 {
-        let delta = work.saturating_sub(self.last);
-        if delta > 0 {
-            self.merge.advance_external(delta);
-            self.last = work;
-        }
+/// The calling thread of a sharded run: it runs shard 0 on the instance
+/// it prepared and is the merge point, so the delivery chain's `head` is
+/// fed straight from its own descents and from the workers' channels in
+/// the sequential order. Every solution and tick reaches `head` stamped
+/// with the merged work clock, the sum of the workers' counters, the
+/// task streams' deltas and the work of the coordinator's own
+/// instances.
+struct Coordinator<'a, 'g, P: MinimalSteinerProblem> {
+    merge: ShardMerge<Batch<P::Item>>,
+    head: &'a mut Guard<'g, P::Item>,
+    pool: &'a StealPool<P::Item, Batch<P::Item>>,
+    /// Threads in all: the coordinator plus the spawned workers.
+    k: u64,
+    /// Runs under a [`StealSchedule`]: the coordinator's descents pass
+    /// steal points, as worker 0's.
+    scripted: bool,
+    /// `spares[d]` replays the claims met `d` claims deep; each is split
+    /// and prepared on first use. A claim needs an instance at the root
+    /// state, and the coordinator's own sits inside the root branch.
+    spares: Vec<Option<Spare<P>>>,
+    /// The run's error slot (a spare's failed `prepare`).
+    error: &'a Mutex<Option<SteinerError>>,
+    /// A stream reported failure or hung up mid-stream.
+    failed: bool,
+}
+
+impl<P: MinimalSteinerProblem> Coordinator<'_, '_, P> {
+    /// Advances the merged clock by an instance's work since its
+    /// previous report (`last`) and returns the merged clock.
+    fn stamp(&mut self, last: &mut u64, work: u64) -> u64 {
+        self.merge.advance_external(work.saturating_sub(*last));
+        *last = work;
         self.merge.work()
+    }
+
+    /// Shard 0: classifies the root of the prepared `original` and walks
+    /// its children lazily, in engine order. Child `i` with `i mod k = 0`
+    /// runs inline straight into `head`; any other child is drained from
+    /// its owner's channel up to its `ChildDone`. On completion the
+    /// delivery clock moves to the end of the run and the chain is
+    /// flushed.
+    fn run_root(&mut self, original: &mut P, ctx: &mut StealContext<'_, P::Item>) {
+        let (n, _) = original.instance_size();
+        let mut scratch: Vec<P::Item> = Vec::with_capacity(n + 1);
+        // `prepare` ran before the workers started: the clock starts
+        // after it.
+        let mut sink = CoordSink {
+            last: original.stats().work,
+            co: self,
+            level: 0,
+        };
+        let flow = (|| {
+            sink.tick(original.stats().work)?;
+            match original.classify(&mut scratch) {
+                NodeStep::Complete => {
+                    original.stats_mut().note_node(0, 0);
+                    scratch.clear();
+                    original.solution(&mut scratch);
+                    emit(original, &mut sink, &mut scratch, P::SORTED_SOLUTIONS)
+                }
+                NodeStep::Unique => {
+                    original.stats_mut().note_node(0, 0);
+                    emit(original, &mut sink, &mut scratch, false)
+                }
+                NodeStep::Branch(at) => {
+                    let mut next_child = 0u64;
+                    let (children, flow) = original.branch(at, &mut |q| {
+                        let this = next_child;
+                        next_child += 1;
+                        let owner = this % sink.co.k;
+                        if owner != 0 {
+                            let worker = owner as usize - 1;
+                            let from = Drain::Child {
+                                worker,
+                                child: this,
+                            };
+                            return sink.co.drain(q, ctx, 0, from);
+                        }
+                        if !sink.co.scripted {
+                            return recurse(q, 1, &mut sink, &mut scratch);
+                        }
+                        ctx.path.push(this);
+                        let flow = (|| {
+                            if !steal_point(q, ctx, &mut sink)? {
+                                recurse_stealing(q, 1, &mut sink, &mut scratch, ctx)?;
+                                ctx.note_retired();
+                            }
+                            ControlFlow::Continue(())
+                        })();
+                        ctx.path.pop();
+                        flow
+                    });
+                    original.stats_mut().note_node(children, 0);
+                    flow
+                }
+            }
+        })();
+        if flow.is_continue() {
+            // Completion beats expiry: a finished stream is the complete
+            // answer, deadline or not, so the flush is not guarded.
+            let work = sink.co.stamp(&mut sink.last, original.stats().work);
+            sink.co.head.advance(work);
+            let _ = sink.co.head.finish();
+        }
+    }
+
+    /// Delivers `from` — a root child on its owner's channel, or a task
+    /// stream — up to its end, splicing in the subtrees it hands off:
+    /// one the coordinator may claim runs on `spares[level]`, any other
+    /// is drained from its own channel. `template` is an instance of the
+    /// run, which a spare is split from on first use.
+    fn drain(
+        &mut self,
+        template: &P,
+        ctx: &mut StealContext<'_, P::Item>,
+        level: usize,
+        mut from: Drain<Batch<P::Item>>,
+    ) -> ControlFlow<()> {
+        loop {
+            match self.merge.next_event(&mut from) {
+                MergeEvent::Item(batch) => {
+                    let work = self.merge.work();
+                    each_solution(&batch, |sol| self.head.solution(sol, work))?;
+                }
+                MergeEvent::Tick => self.head.tick(self.merge.work())?,
+                MergeEvent::Subtree { task, rx } => match self.pool.claim_for_merge(task) {
+                    Some(claimed) => self.run_claimed(template, ctx, level, claimed)?,
+                    None => self.drain(template, ctx, level, Drain::task(rx))?,
+                },
+                MergeEvent::Done => return ControlFlow::Continue(()),
+                MergeEvent::Failed => {
+                    self.failed = true;
+                    return ControlFlow::Break(());
+                }
+            }
+        }
+    }
+
+    /// Executes a claimed task on `spares[level]`: the subtree's
+    /// solutions flow straight into `head` (no channel round-trip) at
+    /// exactly the position its marker holds. Under a schedule the
+    /// replay passes steal points, as worker 0's would.
+    fn run_claimed(
+        &mut self,
+        template: &P,
+        ctx: &mut StealContext<'_, P::Item>,
+        level: usize,
+        task: PendingTask<P::Item, Batch<P::Item>>,
+    ) -> ControlFlow<()> {
+        let mut spare = self.take_spare(template, level)?;
+        let PendingTask { addr, record, .. } = task;
+        let depth = addr.len() as u32;
+        let outer = std::mem::replace(&mut ctx.path, addr);
+        let scripted = self.scripted;
+        let Spare { problem, scratch } = &mut spare;
+        let mut sink = CoordSink {
+            co: self,
+            last: problem.stats().work,
+            level: level + 1,
+        };
+        let flow = problem.replay_subtree(&record, &mut |q| {
+            if scripted {
+                recurse_stealing(q, depth, &mut sink, scratch, ctx)
+            } else {
+                recurse(q, depth, &mut sink, scratch)
+            }
+        });
+        ctx.path = outer;
+        self.spares[level] = Some(spare);
+        self.pool.task_done();
+        ctx.note_retired();
+        flow
+    }
+
+    /// Takes `spares[level]` out for a claim, splitting it from
+    /// `template` and preparing it on first use. A failed `prepare` goes
+    /// to the error slot and stops the run.
+    fn take_spare(&mut self, template: &P, level: usize) -> ControlFlow<(), Spare<P>> {
+        if self.spares.len() <= level {
+            self.spares.resize_with(level + 1, || None);
+        }
+        if let Some(spare) = self.spares[level].take() {
+            return ControlFlow::Continue(spare);
+        }
+        let mut problem = template
+            .split_root()
+            .expect("split_root returns Some: it did for every worker of this run");
+        match problem.prepare() {
+            Ok(Prepared::Search) => {}
+            Ok(Prepared::Empty | Prepared::Single(_)) => unreachable!(
+                "a split_root copy of an instance whose prepare returned Search \
+                 prepares to Search, deterministically"
+            ),
+            Err(e) => {
+                self.error
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .get_or_insert(e);
+                return ControlFlow::Break(());
+            }
+        }
+        let (n, _) = problem.instance_size();
+        ControlFlow::Continue(Spare {
+            problem,
+            scratch: Vec::with_capacity(n + 1),
+        })
     }
 }
 
-impl<Item: Copy> SolutionSink<Item> for InlineBridge<'_, Item> {
-    fn solution(&mut self, items: &[Item], work: u64) -> ControlFlow<()> {
-        let merged = self.advance(work);
-        self.head.solution(items, merged)
+/// The coordinator's sink for the descents it runs itself — its own
+/// shard and the subtrees it claims: stamps the executing instance's
+/// solutions and ticks with the merged clock and forwards them into the
+/// chain's `head`, so an inline subtree is indistinguishable, stream
+/// *and* clock, from one delivered over a channel. A subtree the
+/// descent publishes (scripted runs only) is spliced in on the spot.
+struct CoordSink<'s, 'a, 'g, P: MinimalSteinerProblem> {
+    co: &'s mut Coordinator<'a, 'g, P>,
+    /// The executing instance's work at its previous report.
+    last: u64,
+    /// The spare that claims met below this descent run on.
+    level: usize,
+}
+
+impl<P: MinimalSteinerProblem> SolutionSink<P::Item> for CoordSink<'_, '_, '_, P> {
+    fn solution(&mut self, items: &[P::Item], work: u64) -> ControlFlow<()> {
+        let merged = self.co.stamp(&mut self.last, work);
+        self.co.head.solution(items, merged)
     }
 
     fn tick(&mut self, work: u64) -> ControlFlow<()> {
-        let merged = self.advance(work);
-        self.head.tick(merged)
+        let merged = self.co.stamp(&mut self.last, work);
+        self.co.head.tick(merged)
     }
 }
 
-/// Drains the shard merge on the calling thread into the delivery
-/// chain's `head` — the same chain a sequential run delivers through —
-/// stamping every solution and tick with the merged work clock. The
-/// deadline is the head's: batches arrive at most [`BATCH_SOLUTIONS`]
-/// solutions apart and workers emit heartbeat ticks, so expiry is noticed
-/// promptly, and the abort drops the merge, which hangs up every worker
-/// channel. Returns whether a worker reported `Failed` (its error is in
-/// the shared slot).
-///
-/// `Spawned` markers (work stealing) splice a subtree's stream in at
-/// the marker position: a task already claimed by a worker is awaited on
-/// its channel ([`ShardMerge::enter_subtree`]), an unclaimed one is
-/// executed inline on `original` — the subtree's solutions flow straight
-/// into the chain (no channel round-trip) at exactly the position its
-/// marker holds. This is what keeps the adaptive mode deadlock-free: a
-/// marker whose task nobody claimed can never leave the merge waiting on
-/// a channel nobody fills. No nested spawning — a subtree the merge
-/// executes must terminate on its own.
-fn run_merge<P: MinimalSteinerProblem>(
-    mut merge: ShardMerge<Batch<P::Item>>,
-    original: &mut P,
-    pool: &StealPool<P::Item, Batch<P::Item>>,
-    head: &mut Guard<'_, P::Item>,
-) -> bool {
-    let (n, _) = original.instance_size();
-    let mut scratch: Vec<P::Item> = Vec::with_capacity(n + 1);
-    loop {
-        let flow = match merge.next_event() {
-            MergeEvent::Item(batch) => {
-                let work = merge.work();
-                each_solution(&batch, |sol| head.solution(sol, work))
-            }
-            MergeEvent::Tick => head.tick(merge.work()),
-            MergeEvent::Subtree { task, rx } => match pool.claim_for_merge(task) {
-                Some(claimed) => {
-                    let depth = claimed.addr.len() as u32;
-                    let mut bridge = InlineBridge {
-                        merge: &mut merge,
-                        head: &mut *head,
-                        last: original.stats().work,
-                    };
-                    let flow = original.replay_subtree(&claimed.record, &mut |q| {
-                        recurse(q, depth, &mut bridge, &mut scratch)
-                    });
-                    pool.task_done();
-                    flow
-                }
-                // Claimed by a worker (or claims are pinned): suspend the
-                // enclosing stream and await the subtree on its own
-                // channel.
-                None => {
-                    merge.enter_subtree(rx);
-                    ControlFlow::Continue(())
-                }
-            },
-            // Completion beats expiry: a finished stream is the complete
-            // answer, deadline or not, so the flush is not guarded.
-            MergeEvent::Finished => {
-                head.advance(merge.work());
-                let _ = head.finish();
-                return false;
-            }
-            MergeEvent::Failed => return true,
-        };
-        if flow.is_break() {
-            return false;
+impl<P: MinimalSteinerProblem> StealSink<P> for CoordSink<'_, '_, '_, P> {
+    /// The coordinator reaches its own marker at once: a task it may
+    /// claim (any task, or one pinned to worker 0) it retires by
+    /// descending locally, and any other it awaits on its channel.
+    fn spawned(
+        &mut self,
+        p: &P,
+        ctx: &mut StealContext<'_, P::Item>,
+        task: u64,
+        rx: TaskReceiver<P::Item>,
+    ) -> ControlFlow<(), bool> {
+        if self.co.pool.claim_for_merge(task).is_some() {
+            self.co.pool.task_done();
+            return ControlFlow::Continue(false);
         }
+        self.co.drain(p, ctx, self.level, Drain::task(rx))?;
+        ControlFlow::Continue(true)
     }
 }
 
-/// Closes the steal pool when dropped — normally right after the merge
-/// returns, but also on panic-unwind through the merge — so workers
-/// blocked in [`StealPool::take`] always wake and the thread scope can
-/// join.
+/// Closes the steal pool when dropped — normally right after the
+/// coordinator's walk returns, but also on panic-unwind through it — so
+/// workers blocked in [`StealPool::take`] always wake and the thread
+/// scope can join.
 struct PoolShutdownGuard<'a, Item, M>(&'a StealPool<Item, M>);
 
 impl<Item, M> Drop for PoolShutdownGuard<'_, Item, M> {
@@ -1502,16 +1668,17 @@ impl<Item, M> Drop for PoolShutdownGuard<'_, Item, M> {
     }
 }
 
-/// Spawns one worker per shard (each with the streaming module's large
-/// stack), merges deterministically on the calling thread into the
+/// Runs a sharded enumeration on k = `shards.len() + 1` threads into the
 /// delivery chain's `head`, and returns the merged statistics.
 ///
 /// `original` is the coordinator's own prepared instance, whose `prepare`
-/// returned [`Prepared::Search`]. The workers start as soon as they are
-/// spawned — no coordinator pass over the root precedes them. `original`
-/// is the executor for inline-claimed subtrees, and its statistics
-/// (its `prepare` included) are folded into the merged totals.
-/// `schedule` scripts the steals; `None` runs the adaptive policy.
+/// returned [`Prepared::Search`]; `shards` are the `split_root` copies
+/// of the k − 1 spawned workers (each with the streaming module's large
+/// stack), which start at once and prepare their own copies while the
+/// calling thread runs shard 0 on `original`
+/// ([`Coordinator::run_root`]). Its statistics, the workers' and any
+/// spare's are folded into the merged totals. `schedule` scripts the
+/// steals; `None` runs the adaptive policy.
 fn run_sharded<P>(
     original: &mut P,
     shards: Vec<P>,
@@ -1523,13 +1690,13 @@ where
     P: MinimalSteinerProblem + Send,
     P::Item: Send,
 {
-    let k = shards.len() as u32;
+    let k = shards.len() as u32 + 1;
     // One release per `budget` needs clock resolution no coarser than the
     // budget itself; half of it keeps heartbeat traffic negligible. A
     // deadline without a queue also needs heartbeats — otherwise a long
-    // solution-free stretch leaves the merge blocked on `next_event` with
-    // no chance to read the clock — at the delay-budget granularity the
-    // queue would have used (4(n + m) work units).
+    // solution-free stretch leaves the coordinator blocked on a channel
+    // with no chance to read the clock — at the delay-budget granularity
+    // the queue would have used (4(n + m) work units).
     let tick_every = match (route.queue, route.deadline) {
         (Some(c), _) => Some((c.budget / 2).max(1)),
         (None, Some(_)) => {
@@ -1541,18 +1708,23 @@ where
     let error: Mutex<Option<SteinerError>> = Mutex::new(None);
     let merged: Mutex<EnumStats> = Mutex::new(EnumStats::default());
     // Modest per-worker runway: capacity × BATCH_SOLUTIONS solutions may
-    // be in flight per worker, which decouples the pool from the merge
-    // point without letting workers burn far past an early termination.
-    // Scripted steal runs instead buy determinism with buffer space (see
-    // SCRIPTED_CHANNEL_CAPACITY).
+    // be in flight per worker, which decouples the pool from the
+    // coordinator without letting workers burn far past an early
+    // termination. Scripted steal runs instead buy determinism with
+    // buffer space (see SCRIPTED_CHANNEL_CAPACITY). Under the adaptive
+    // policy only the spawned workers' root phases publish; under a
+    // schedule the coordinator's does too, and it ends with its walk,
+    // when the shutdown guard closes the pool.
+    let threads = k as usize;
     let (pool, chan_cap) = match schedule {
         None => (
-            StealPool::new(k as usize, STEAL_PENDING_CAPACITY, 8, false),
+            StealPool::new(threads, threads - 1, STEAL_PENDING_CAPACITY, 8, false),
             8,
         ),
         Some(s) => (
             StealPool::new(
-                k as usize,
+                threads,
+                threads,
                 SCRIPTED_PENDING_CAPACITY,
                 SCRIPTED_CHANNEL_CAPACITY,
                 s.pins_claims(),
@@ -1561,25 +1733,26 @@ where
         ),
     };
     let observer = schedule.and_then(|s| s.observer());
-    let (txs, rxs) = streaming::shard_channels(k as usize, chan_cap);
-    let failed = std::thread::scope(|scope| {
+    let (txs, rxs) = streaming::shard_channels(threads - 1, chan_cap);
+    let (spares, failed) = std::thread::scope(|scope| {
         for (i, (mut problem, tx)) in shards.into_iter().zip(txs).enumerate() {
+            let worker = i + 1;
             let error = &error;
             let merged = &merged;
             let pool = &pool;
             std::thread::Builder::new()
-                .name(format!("steiner-shard-{i}"))
+                .name(format!("steiner-shard-{worker}"))
                 .stack_size(streaming::DEFAULT_STACK_BYTES)
                 .spawn_scoped(scope, move || {
                     let shard = RootShard {
-                        index: i as u32,
+                        index: worker as u32,
                         modulus: k,
                     };
                     let mut ctx = StealContext {
                         pool,
                         schedule,
                         observer,
-                        worker: i,
+                        worker,
                         tick_every,
                         path: Vec::new(),
                         chances: 0,
@@ -1610,23 +1783,50 @@ where
                 })
                 .expect("spawn shard worker");
         }
-        // Close the pool however the merge exits (completion, early
+        // Close the pool however the walk exits (completion, early
         // break, or panic): workers blocked in `take` must wake or the
         // scope never joins.
         let _shutdown = PoolShutdownGuard(&pool);
-        run_merge(ShardMerge::new(rxs), original, &pool, head)
+        let mut ctx = StealContext {
+            pool: &pool,
+            schedule,
+            observer,
+            worker: 0,
+            tick_every,
+            path: Vec::new(),
+            chances: 0,
+            supported: true,
+        };
+        let mut co = Coordinator {
+            merge: ShardMerge::new(rxs),
+            head,
+            pool: &pool,
+            k: u64::from(k),
+            scripted: schedule.is_some(),
+            spares: Vec::new(),
+            error: &error,
+            failed: false,
+        };
+        co.run_root(original, &mut ctx);
         // Dropping the merge hangs up every worker channel; the scope
         // then joins the workers (propagating any worker panic).
+        (co.spares, co.failed)
     });
     if let Some(e) = error.into_inner().unwrap_or_else(|e| e.into_inner()) {
         return Err(e);
     }
     debug_assert!(!failed, "failure without a recorded error");
     let mut stats = *merged.lock().unwrap_or_else(|e| e.into_inner());
-    // Inline-claimed subtrees ran on the coordinator's original instance:
-    // fold its counters in so stolen work is accounted exactly once.
+    // Shard 0 and the claimed subtrees ran on the coordinator's
+    // instances: fold their counters in so every instance's work is
+    // accounted exactly once.
     original.seal_stats();
+    original.stats_mut().note_end();
     stats.merge(original.stats());
+    for Spare { mut problem, .. } in spares.into_iter().flatten() {
+        problem.seal_stats();
+        stats.merge(problem.stats());
+    }
     Ok(stats)
 }
 

@@ -221,10 +221,10 @@ impl EnumStats {
     /// costs paid on some thread; `peak_scratch_bytes` sums because every
     /// worker owns its own scratch heaps; `delivered` sums across runs),
     /// extrema and gaps take the maximum. Note two sharding artifacts:
-    /// the root node is expanded once *per worker*, so `nodes` counts it
-    /// `k` times, and each worker's `max_emission_gap` is measured against
-    /// its own work clock. A sharded run's delivery counters come from the
-    /// merge point's delivery chain, not from this fold.
+    /// the root node is expanded once *per shard*, so `nodes` counts it
+    /// `k` times, and each instance's `max_emission_gap` is measured
+    /// against its own work clock. A sharded run's delivery counters come
+    /// from the merge point's delivery chain, not from this fold.
     pub fn merge(&mut self, other: &EnumStats) {
         self.solutions += other.solutions;
         self.delivered += other.delivered;

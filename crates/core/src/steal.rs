@@ -1,28 +1,33 @@
 //! Subtree work stealing for the sharded front-end.
 //!
 //! A sharded run ([`Enumeration::with_threads`](crate::solver::Enumeration::with_threads))
-//! splits the root's children round-robin, which alone would collapse
-//! when the root has fewer children than workers or when one subtree
-//! dwarfs the rest. Every sharded run therefore steals at a second
-//! level: a busy worker reaching a branch child may *publish* it — a
-//! self-contained
-//! [`SubtreeRecord`] checkpoint pushed
-//! into the pool's bounded pending deque — instead of
-//! descending, leaving a [`Spawned`](steiner_paths::streaming::ShardMsg)
-//! marker in its output stream at exactly the position where the
-//! subtree's solutions belong. An idle worker (or, to keep the merge
-//! deadlock-free, the coordinator itself) claims the checkpoint, replays
-//! it on its own instance copy, and delivers the subtree over a dedicated
-//! channel that the coordinator splices in at the marker — so the merged
-//! stream stays **byte-identical to the sequential engine** no matter
-//! which worker executed which subtree.
+//! splits the root's children round-robin between the calling thread
+//! (the coordinator, shard 0) and k − 1 spawned workers, which alone
+//! would collapse when the root has fewer children than threads or when
+//! one subtree dwarfs the rest. Every sharded run therefore steals at a
+//! second level: a busy worker reaching a branch child may *publish* it —
+//! a self-contained [`SubtreeRecord`] checkpoint pushed into the pool's
+//! bounded pending deque — instead of descending, leaving a
+//! [`Spawned`](steiner_paths::streaming::ShardMsg) marker in its output
+//! stream at exactly the position where the subtree's solutions belong.
+//! An idle worker claims the checkpoint, replays it on its own instance
+//! copy, and delivers the subtree over a dedicated channel that the
+//! coordinator splices in at the marker; a checkpoint nobody claimed by
+//! the time the coordinator reaches its marker is claimed and replayed
+//! by the coordinator itself, which keeps the run deadlock-free. The
+//! merged stream stays **byte-identical to the sequential engine** no
+//! matter which thread executed which subtree.
 //!
-//! Spawn decisions are adaptive by default (spawn only while the pool is
-//! hungry: an idle worker is waiting, or fewer checkpoints than workers
-//! are outstanding). For CI they can instead be **scripted** through a
-//! [`StealSchedule`] — a deterministic rule set over tree addresses and
-//! depths — so pathological interleavings (skewed star roots, steals at
-//! every depth) replay exactly, even on a single-core container.
+//! Spawn decisions are adaptive by default: a spawned worker publishes
+//! only while the pool is hungry (an idle worker is waiting, or fewer
+//! checkpoints than threads are outstanding), and the coordinator never
+//! publishes, since it could only wait for the task. For CI they can
+//! instead be **scripted** through a [`StealSchedule`] — a deterministic
+//! rule set over tree addresses and depths — so pathological
+//! interleavings (skewed star roots, steals at every depth) replay
+//! exactly, even on a single-core container. Under a schedule the
+//! coordinator is worker 0: its descents publish by the same rules, and
+//! it runs the claims pinned to worker 0.
 
 use crate::problem::SubtreeRecord;
 use crate::trail::BoundedFrameDeque;
@@ -100,10 +105,11 @@ impl StealSchedule {
     }
 
     /// Pins each published task `t` to worker `t mod k` — only that
-    /// worker's steal loop may claim it, and the coordinator's inline
-    /// fallback is disabled, so which worker retires which subtree is
-    /// fully determined by the script (the skew-regression tests rely on
-    /// this).
+    /// worker may claim it (worker 0 is the coordinator, which runs its
+    /// claims when it reaches their markers), and the coordinator's
+    /// inline fallback for other workers' tasks is disabled, so which
+    /// worker retires which subtree is fully determined by the script
+    /// (the skew-regression tests rely on this).
     pub fn pin_claims(mut self, on: bool) -> Self {
         self.pin_claims = on;
         self
@@ -137,8 +143,9 @@ impl StealSchedule {
 
 /// Shared per-worker retirement counts, filled in by a scripted run via
 /// [`StealSchedule::observe`]: slot `i` counts the subtrees worker `i`
-/// retired — owned root children plus claimed steal-pool tasks. The
-/// skew-hazard regression asserts every slot is ≥ 1 on a star root.
+/// retired — owned root children plus claimed steal-pool tasks; slot 0
+/// is the coordinator's. The skew-hazard regression asserts every slot
+/// is ≥ 1 on a star root.
 #[derive(Clone, Debug, Default)]
 pub struct StealObserver {
     counts: Arc<Mutex<Vec<u64>>>,
@@ -187,7 +194,7 @@ struct PoolState<Item, M> {
     pending: BoundedFrameDeque<PendingTask<Item, M>>,
     /// Published but not yet retired tasks (pending + claimed-and-running).
     outstanding: usize,
-    /// Workers still in their root phase (they will publish no more
+    /// Root phases still running that may publish (none publishes more
     /// tasks once this reaches zero).
     root_active: usize,
     /// Workers blocked in [`StealPool::take`].
@@ -198,13 +205,16 @@ struct PoolState<Item, M> {
 
 /// The shared hand-off point of one work-stealing sharded run.
 ///
-/// Lifecycle: every worker holds the pool through its root phase
-/// (`root_active` starts at `k`); [`Self::offer`] publishes checkpoints
-/// into the bounded pending deque; idle workers block in [`Self::take`];
-/// the pool closes itself — waking every waiter — once all root phases
-/// are done and every published task is retired, and the coordinator's
-/// shutdown guard closes it unconditionally when the merge ends early
-/// (limit, deadline, failure), so no worker can outlive the merge.
+/// Lifecycle: every publishing root phase holds the pool (`root_active`
+/// starts at `roots`: the k − 1 spawned workers, plus the coordinator
+/// under a schedule, where it publishes too); [`Self::offer`] publishes
+/// checkpoints into the bounded pending deque; idle spawned workers
+/// block in [`Self::take`]; the coordinator claims by id at a marker
+/// ([`Self::claim_for_merge`]); the pool closes itself — waking every
+/// waiter — once all root phases are done and every published task is
+/// retired, and the coordinator's shutdown guard closes it
+/// unconditionally when its walk ends (completion, limit, deadline,
+/// failure), so no worker can outlive the run.
 pub(crate) struct StealPool<Item, M> {
     state: Mutex<PoolState<Item, M>>,
     hungry: Condvar,
@@ -214,8 +224,12 @@ pub(crate) struct StealPool<Item, M> {
 }
 
 impl<Item, M> StealPool<Item, M> {
+    /// A pool for `threads` threads (the coordinator included; task `t`
+    /// is pinned to `t mod threads`) with `roots` publishing root
+    /// phases.
     pub fn new(
         threads: usize,
+        roots: usize,
         pending_capacity: usize,
         task_channel_capacity: usize,
         pin_claims: bool,
@@ -224,7 +238,7 @@ impl<Item, M> StealPool<Item, M> {
             state: Mutex::new(PoolState {
                 pending: BoundedFrameDeque::new(pending_capacity),
                 outstanding: 0,
-                root_active: threads,
+                root_active: roots,
                 waiters: 0,
                 next_id: 0,
                 closed: false,
@@ -291,9 +305,9 @@ impl<Item, M> StealPool<Item, M> {
         Ok((id, rx))
     }
 
-    /// Blocks until a task is claimable (or the pool closes → `None`).
-    /// Under pinned claims, worker `w` only ever receives tasks with
-    /// `id % k == w`.
+    /// Blocks until a task is claimable (or the pool closes → `None`);
+    /// called by the spawned workers. Under pinned claims, worker `w`
+    /// only ever receives tasks with `id % k == w`.
     pub fn take(&self, worker: u64) -> Option<PendingTask<Item, M>> {
         let mut s = self.lock();
         loop {
@@ -316,12 +330,13 @@ impl<Item, M> StealPool<Item, M> {
     }
 
     /// The coordinator's claim of a still-unclaimed task whose `Spawned`
-    /// marker reached the merge cursor: rather than blocking on a
-    /// channel nobody is filling, the merge replays the subtree inline.
-    /// Returns `None` when the task was already claimed by a worker —
-    /// or always, under pinned claims (the script decides who executes).
+    /// marker it reached: rather than blocking on a channel nobody is
+    /// filling, it executes the subtree itself. Returns `None` when the
+    /// task was already claimed by a worker — or, under pinned claims,
+    /// when the task is pinned to another worker than the coordinator's
+    /// 0 (the script decides who executes).
     pub fn claim_for_merge(&self, id: u64) -> Option<PendingTask<Item, M>> {
-        if self.pin_claims {
+        if self.pin_claims && !id.is_multiple_of(self.threads) {
             return None;
         }
         self.lock().pending.take_first(|t| t.id == id)
@@ -334,7 +349,7 @@ impl<Item, M> StealPool<Item, M> {
         self.maybe_close(&mut s);
     }
 
-    /// Marks one worker's root phase complete.
+    /// Marks one publishing root phase complete.
     pub fn root_done(&self) {
         let mut s = self.lock();
         s.root_active -= 1;
@@ -392,7 +407,7 @@ mod tests {
 
     #[test]
     fn pool_closes_when_roots_and_tasks_drain() {
-        let pool: Pool = Pool::new(2, 4, 4, false);
+        let pool: Pool = Pool::new(2, 2, 4, 4, false);
         assert!(pool.wants_task(), "underfilled pool is hungry");
         let (id0, _rx0) = pool.offer(vec![0, 1], record()).unwrap();
         let (id1, _rx1) = pool.offer(vec![0, 2], record()).unwrap();
@@ -417,7 +432,7 @@ mod tests {
 
     #[test]
     fn pool_refuses_at_pending_capacity() {
-        let pool: Pool = Pool::new(1, 1, 4, false);
+        let pool: Pool = Pool::new(1, 1, 1, 4, false);
         let _keep = pool.offer(vec![0], record()).unwrap();
         assert!(!pool.wants_task());
         assert!(pool.offer(vec![1], record()).is_err(), "deque full");
@@ -425,20 +440,28 @@ mod tests {
 
     #[test]
     fn pinned_claims_route_by_residue_and_disable_merge_claims() {
-        let pool: Pool = Pool::new(2, 8, 4, true);
+        let pool: Pool = Pool::new(3, 3, 8, 4, true);
         let (id0, _rx0) = pool.offer(vec![0], record()).unwrap();
         let (id1, _rx1) = pool.offer(vec![1], record()).unwrap();
-        assert_eq!((id0, id1), (0, 1));
-        assert!(pool.claim_for_merge(0).is_none(), "pinning disables inline");
+        let (id2, _rx2) = pool.offer(vec![2], record()).unwrap();
+        assert_eq!((id0, id1, id2), (0, 1, 2));
+        assert!(
+            pool.claim_for_merge(1).is_none(),
+            "pinning disables the coordinator's claim of worker 1's task"
+        );
+        let t = pool.take(2).expect("worker 2 claims id 2");
+        assert_eq!(t.id, 2, "only the pinned residue is visible");
         let t = pool.take(1).expect("worker 1 claims id 1");
-        assert_eq!(t.id, 1, "only the pinned residue is visible");
-        let t = pool.take(0).expect("worker 0 claims id 0");
+        assert_eq!(t.id, 1);
+        let t = pool
+            .claim_for_merge(0)
+            .expect("the coordinator is worker 0 and claims id 0");
         assert_eq!(t.id, 0);
     }
 
     #[test]
     fn shutdown_wakes_blocked_takers() {
-        let pool: std::sync::Arc<Pool> = std::sync::Arc::new(Pool::new(1, 4, 4, false));
+        let pool: std::sync::Arc<Pool> = std::sync::Arc::new(Pool::new(1, 1, 4, 4, false));
         let taker = {
             let pool = std::sync::Arc::clone(&pool);
             std::thread::spawn(move || pool.take(0))

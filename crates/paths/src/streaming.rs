@@ -7,15 +7,17 @@
 //! solutions through a bounded channel, yielding a normal [`Iterator`].
 //! Dropping the iterator stops the producer at its next emission.
 //!
-//! The sharded variant replaces the single producer with a **pool of
-//! shard workers**: each worker enumerates one residue class of the root
-//! node's children and reports through its own bounded channel
-//! ([`ShardMsg`]); [`ShardMerge`] interleaves the per-worker streams back
-//! into the sequential engine's exact emission order (children in index
-//! order, each child's solutions in discovery order), so the merged
-//! stream is byte-identical to a single-threaded run. Backpressure comes
-//! from the bounded channels — a worker that races ahead of the merge
-//! point simply blocks on its next send.
+//! The sharded variant splits one enumeration across threads: the
+//! calling thread (the coordinator) runs shard 0 itself, and each spawned
+//! worker enumerates one other residue class of the root node's children
+//! and reports through its own bounded channel ([`ShardMsg`]). The
+//! coordinator walks the root's children in index order, delivering its
+//! own children straight away and draining a worker's channel for each
+//! child that worker owns ([`ShardMerge`]), so the merged stream is the
+//! sequential engine's exact emission order (children in index order,
+//! each child's solutions in discovery order), byte for byte.
+//! Backpressure comes from the bounded channels — a worker that races
+//! ahead of the coordinator simply blocks on its next send.
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 use std::ops::ControlFlow;
@@ -102,56 +104,55 @@ impl<T> Drop for Enumeration<T> {
     }
 }
 
-/// One message from a shard worker to the deterministic merger. `child`
-/// indices refer to the sequential engine's root-child order; `work` is
-/// the sending worker's own monotone work counter at send time (the
-/// merger sums per-worker deltas into one merged clock).
+/// One message of a shard pool's streams. A spawned worker's root
+/// stream carries its root children's solutions, each child closed by a
+/// `ChildDone`; a stolen subtree's task stream carries one subtree and
+/// ends with `Done`. `child` indices refer to the sequential engine's
+/// root-child order; `work` is the sender's own monotone work counter at
+/// send time (the coordinator sums per-sender deltas into one merged
+/// clock).
 #[derive(Debug)]
 pub enum ShardMsg<T> {
-    /// A solution found inside root child `child`.
+    /// A solution found inside root child `child` (`0` on a task
+    /// stream).
     Item {
         /// Root-child index the solution belongs to.
         child: u64,
         /// The solution payload.
         item: T,
-        /// The worker's work counter at emission.
+        /// The sender's work counter at emission.
         work: u64,
     },
     /// The worker finished root child `child` (sent for every child the
-    /// worker owns, even solution-free ones — the merger's cue to move
-    /// to the next child index).
+    /// worker owns, even solution-free ones — the coordinator's cue to
+    /// move on to the next child).
     ChildDone {
         /// The completed root-child index.
         child: u64,
         /// The worker's work counter at completion.
         work: u64,
     },
-    /// Progress heartbeat, sent (throttled) so the merger's release
+    /// Progress heartbeat, sent (throttled) so the coordinator's release
     /// clock keeps advancing between solutions in queued mode.
     Tick {
-        /// The worker's current work counter.
+        /// The sender's current work counter.
         work: u64,
     },
-    /// The worker ran to completion and saw `children` root children in
-    /// total. Every completing worker reports the same number (they all
-    /// run the same deterministic root branch), so the first `Done` the
-    /// merger consumes fixes the merge's horizon.
+    /// The end of a task stream: its executor finished the subtree.
     Done {
-        /// Total number of root children.
-        children: u64,
-        /// The worker's final work counter.
+        /// The executor's final work counter.
         work: u64,
     },
-    /// A subtree hand-off marker (work-stealing shard pools): the sending
-    /// worker reached a branch child it will *not* execute itself, and
-    /// whoever does execute it will send that subtree's messages — the
-    /// same `Item`/`Tick`/`Spawned` grammar, terminated by a
-    /// [`ShardMsg::Done`] with `children: 0` — over the dedicated `rx`
-    /// channel. Because the marker sits in the sender's stream at exactly
-    /// the position where the subtree's solutions belong, the merger
-    /// reproduces the sequential order by simply draining `rx` to
-    /// completion (recursively, since stolen subtrees may themselves
-    /// spawn) before reading the next message of the current stream.
+    /// A subtree hand-off marker (work-stealing shard pools): the sender
+    /// reached a branch child it will *not* execute itself, and whoever
+    /// does execute it sends that subtree's messages — the same
+    /// `Item`/`Tick`/`Spawned` grammar, terminated by a
+    /// [`ShardMsg::Done`] — over the dedicated `rx` channel. Because the
+    /// marker sits in the sender's stream at exactly the position where
+    /// the subtree's solutions belong, the coordinator reproduces the
+    /// sequential order by draining `rx` to its `Done` (recursively,
+    /// since stolen subtrees may themselves spawn) before reading the
+    /// next message of the current stream.
     Spawned {
         /// Pool-wide task id, for coordinator claim-by-id bookkeeping.
         task: u64,
@@ -163,9 +164,9 @@ pub enum ShardMsg<T> {
     Failed,
 }
 
-/// Sending halves of a shard pool's channels, one per worker.
+/// Sending halves of a shard pool's channels, one per spawned worker.
 pub type ShardSenders<T> = Vec<Sender<ShardMsg<T>>>;
-/// Receiving halves of a shard pool's channels, one per worker.
+/// Receiving halves of a shard pool's channels, one per spawned worker.
 pub type ShardReceivers<T> = Vec<Receiver<ShardMsg<T>>>;
 
 /// Creates the per-worker bounded channels of a shard pool.
@@ -173,208 +174,152 @@ pub fn shard_channels<T>(workers: usize, capacity: usize) -> (ShardSenders<T>, S
     (0..workers).map(|_| bounded(capacity)).unzip()
 }
 
-/// A merged event produced by [`ShardMerge::next_event`], in the exact
-/// order the sequential engine would have produced it.
+/// One message of the stream being drained, as [`ShardMerge`] reports
+/// it after advancing the merged clock.
 #[derive(Debug)]
 pub enum MergeEvent<T> {
-    /// The next solution of the merged stream.
+    /// The next solution (or batch) of the stream.
     Item(T),
-    /// The merged work clock advanced without a solution (a worker tick
-    /// or a child boundary) — drive any release schedule from
-    /// [`ShardMerge::work`].
+    /// The merged work clock advanced without a solution (a heartbeat) —
+    /// drive any release schedule from [`ShardMerge::work`].
     Tick,
-    /// The stream being drained handed off the subtree at the current
-    /// position to task `task`, to be delivered over `rx`. The caller
-    /// either claims the task itself (executing the subtree inline and
-    /// reporting its cost through [`ShardMerge::advance_external`]) or
-    /// pushes `rx` with [`ShardMerge::enter_subtree`] so the merge drains
-    /// the executor's channel next.
+    /// The stream handed off the subtree at the current position to task
+    /// `task`, delivered over `rx`. The caller either claims the task
+    /// and executes the subtree itself (reporting its cost through
+    /// [`ShardMerge::advance_external`]) or drains [`Drain::task`]`(rx)`
+    /// before it reads this stream on.
     Subtree {
         /// Pool-wide task id.
         task: u64,
         /// The subtree's delivery channel.
         rx: Receiver<ShardMsg<T>>,
     },
-    /// All root children have been drained; the merge is complete.
-    Finished,
-    /// A worker reported failure or hung up without finishing. The
-    /// caller decides whether that is an error (out-of-band slot) or a
-    /// panic (propagated when the worker scope joins).
+    /// The drained unit is complete: the owner's `ChildDone` for the root
+    /// child, or the task stream's `Done`.
+    Done,
+    /// A worker reported failure or hung up mid-stream. The caller
+    /// decides whether that is an error (out-of-band slot) or a panic
+    /// (propagated when the worker scope joins).
     Failed,
 }
 
-/// Deterministic k-way merge over shard-worker channels: child `c` is
-/// owned by worker `c % k`, and the merger only ever reads the channel of
-/// the child it is currently draining, so per-channel FIFO order plus the
-/// child rotation reproduce the sequential emission order exactly.
-///
-/// With work stealing, "the channel of the child it is currently
-/// draining" generalizes to a *stack* of channels: a
-/// [`ShardMsg::Spawned`] marker suspends the current stream and (via
-/// [`Self::enter_subtree`]) pushes the spawned task's channel, which is
-/// drained to its `Done` before the suspended stream resumes — a DFS
-/// walk over the hand-off tree that lands every solution at exactly its
-/// sequential position, regardless of which worker executed which
-/// subtree.
+/// What the coordinator drains next through [`ShardMerge::next_event`].
+pub enum Drain<T> {
+    /// Root child `child` on the stream of spawned worker `worker` (an
+    /// index into the receivers given to [`ShardMerge::new`]), up to its
+    /// `ChildDone`.
+    Child {
+        /// The owner's index among the spawned workers.
+        worker: usize,
+        /// The root child.
+        child: u64,
+    },
+    /// A task channel, up to its `Done`. A task's executor reports its
+    /// *own* absolute work counter (which may already include earlier
+    /// root-phase and stolen-task work), so the first message of each
+    /// task stream sets a baseline contributing 0 to the merged clock
+    /// and later messages contribute their delta — the merged clock
+    /// stays monotone and never double-counts an executor that delivers
+    /// several task streams.
+    Task {
+        /// The subtree's delivery channel.
+        rx: Receiver<ShardMsg<T>>,
+        /// The executor's work at the previous message.
+        baseline: Option<u64>,
+    },
+}
+
+impl<T> Drain<T> {
+    /// The stream of a [`MergeEvent::Subtree`].
+    pub fn task(rx: Receiver<ShardMsg<T>>) -> Self {
+        Drain::Task { rx, baseline: None }
+    }
+}
+
+/// The coordinator's reader over a shard pool's channels, and the merged
+/// work clock it keeps. The coordinator runs shard 0 itself and walks
+/// the root's children in the engine's order; for a child a spawned
+/// worker owns it drains that worker's channel up to the child's
+/// `ChildDone`, and for each [`ShardMsg::Spawned`] marker it meets it
+/// drains the task's channel before reading on. Per-channel FIFO order
+/// plus that walk reproduce the sequential emission order exactly,
+/// whichever thread executed which subtree.
 pub struct ShardMerge<T> {
+    /// The spawned workers' root streams, in shard order (shard `i + 1`
+    /// at index `i`: shard 0 is the coordinator's own).
     rxs: Vec<Receiver<ShardMsg<T>>>,
     /// Last observed per-worker work counters.
     clocks: Vec<u64>,
-    /// Merged monotone clock: the sum of the per-worker counters.
+    /// Merged monotone clock: the workers' counters, the task streams'
+    /// deltas and the coordinator's own work.
     clock: u64,
-    next_child: u64,
-    /// Total child count, once some worker's `Done` established it.
-    total: Option<u64>,
-    /// Suspended-stream stack: the top entry is the task channel being
-    /// drained right now (empty = draining worker channels).
-    tasks: Vec<TaskStream<T>>,
-}
-
-/// One entered subtree channel plus its clock baseline. A task's
-/// executor reports its *own* absolute work counter (which may already
-/// include earlier root-phase and stolen-task work), so the first
-/// message of each task stream establishes a baseline contributing 0 to
-/// the merged clock and later messages contribute their delta — the
-/// merged clock stays monotone and never double-counts an executor that
-/// delivers several task streams.
-struct TaskStream<T> {
-    rx: Receiver<ShardMsg<T>>,
-    baseline: Option<u64>,
 }
 
 impl<T> ShardMerge<T> {
-    /// Wraps the workers' receive ends (one per shard, in shard order).
+    /// Wraps the spawned workers' receive ends (shards 1, 2, … in order).
     pub fn new(rxs: Vec<Receiver<ShardMsg<T>>>) -> Self {
         let clocks = vec![0; rxs.len()];
         ShardMerge {
             rxs,
             clocks,
             clock: 0,
-            next_child: 0,
-            total: None,
-            tasks: Vec::new(),
         }
     }
 
-    /// The merged work clock: the sum of every worker's last observed
-    /// work counter. Monotone, and advanced by every received message.
+    /// The merged work clock. Monotone, and advanced by every received
+    /// message and every [`Self::advance_external`].
     pub fn work(&self) -> u64 {
         self.clock
     }
 
-    fn advance(&mut self, worker: usize, work: u64) {
-        let prev = self.clocks[worker];
-        if work > prev {
-            self.clock += work - prev;
-            self.clocks[worker] = work;
-        }
-    }
-
-    /// Advances the merged clock by an externally measured amount of work
-    /// — the inline-execution path, where the caller itself replays a
-    /// claimed subtree instead of entering its channel.
+    /// Advances the merged clock by work the caller measured itself: the
+    /// coordinator's own shard and the subtrees it claims and executes.
     pub fn advance_external(&mut self, delta: u64) {
         self.clock += delta;
     }
 
-    /// Suspends the current stream and drains `rx` (a
-    /// [`MergeEvent::Subtree`] channel) until its executor's `Done`.
-    pub fn enter_subtree(&mut self, rx: Receiver<ShardMsg<T>>) {
-        self.tasks.push(TaskStream { rx, baseline: None });
-    }
-
-    /// Baseline-and-delta clock advance for the top task stream.
-    fn advance_task(clock: &mut u64, top: &mut TaskStream<T>, work: u64) {
-        match top.baseline {
-            None => top.baseline = Some(work),
-            Some(prev) if work > prev => {
-                *clock += work - prev;
-                top.baseline = Some(work);
-            }
-            Some(_) => {}
-        }
-    }
-
-    /// Blocks for the next merged event. After [`MergeEvent::Finished`]
-    /// or [`MergeEvent::Failed`], drop the merge to hang up the workers.
-    pub fn next_event(&mut self) -> MergeEvent<T> {
-        loop {
-            // A suspended-stream stack entry always has priority: the
-            // subtree it carries sits *before* everything still queued on
-            // the worker channels.
-            if let Some(top) = self.tasks.last_mut() {
-                let Ok(msg) = top.rx.recv() else {
-                    // The executor hung up mid-subtree.
-                    return MergeEvent::Failed;
-                };
-                match msg {
-                    ShardMsg::Item { item, work, .. } => {
-                        Self::advance_task(&mut self.clock, top, work);
-                        return MergeEvent::Item(item);
-                    }
-                    ShardMsg::Tick { work } => {
-                        Self::advance_task(&mut self.clock, top, work);
-                        return MergeEvent::Tick;
-                    }
-                    ShardMsg::Spawned { task, rx } => {
-                        // A stolen subtree stole a deeper subtree.
-                        return MergeEvent::Subtree { task, rx };
-                    }
-                    ShardMsg::Done { children, work } => {
-                        debug_assert_eq!(children, 0, "task streams have no root children");
-                        Self::advance_task(&mut self.clock, top, work);
-                        self.tasks.pop();
-                        return MergeEvent::Tick;
-                    }
-                    ShardMsg::ChildDone { .. } => {
-                        debug_assert!(false, "ChildDone is a worker-channel message");
-                        return MergeEvent::Failed;
-                    }
-                    ShardMsg::Failed => return MergeEvent::Failed,
+    /// Blocks for the next message of `from`, advancing the merged clock
+    /// by the sender's work since its previous message.
+    pub fn next_event(&mut self, from: &mut Drain<T>) -> MergeEvent<T> {
+        let msg = match from {
+            Drain::Child { worker, .. } => self.rxs[*worker].recv(),
+            Drain::Task { rx, .. } => rx.recv(),
+        };
+        // A hang-up mid-stream: the sender panicked or was stopped; the
+        // spawning scope surfaces which.
+        let Ok(msg) = msg else {
+            return MergeEvent::Failed;
+        };
+        let (event, work) = match (msg, &*from) {
+            (ShardMsg::Item { child, item, work }, _) => {
+                if let Drain::Child { child: at, .. } = from {
+                    debug_assert_eq!(child, *at, "FIFO per-child order");
                 }
+                (MergeEvent::Item(item), work)
             }
-            if let Some(total) = self.total {
-                if self.next_child >= total {
-                    return MergeEvent::Finished;
-                }
+            (ShardMsg::Tick { work }, _) => (MergeEvent::Tick, work),
+            // On a task stream: a stolen subtree stole a deeper subtree.
+            (ShardMsg::Spawned { task, rx }, _) => return MergeEvent::Subtree { task, rx },
+            (ShardMsg::ChildDone { child, work }, Drain::Child { child: at, .. }) => {
+                debug_assert_eq!(child, *at, "children complete in order");
+                (MergeEvent::Done, work)
             }
-            let owner = (self.next_child % self.rxs.len() as u64) as usize;
-            let Ok(msg) = self.rxs[owner].recv() else {
-                // The owner hung up without `Done`: it panicked or was
-                // stopped; the spawning scope surfaces which.
+            (ShardMsg::Done { work }, Drain::Task { .. }) => (MergeEvent::Done, work),
+            (ShardMsg::Failed, _) => return MergeEvent::Failed,
+            (ShardMsg::ChildDone { .. } | ShardMsg::Done { .. }, _) => {
+                debug_assert!(false, "ChildDone ends root children, Done task streams");
                 return MergeEvent::Failed;
-            };
-            match msg {
-                ShardMsg::Item { child, item, work } => {
-                    self.advance(owner, work);
-                    debug_assert_eq!(child, self.next_child, "FIFO per-child order");
-                    return MergeEvent::Item(item);
-                }
-                ShardMsg::ChildDone { child, work } => {
-                    self.advance(owner, work);
-                    debug_assert_eq!(child, self.next_child, "children complete in order");
-                    self.next_child += 1;
-                    return MergeEvent::Tick;
-                }
-                ShardMsg::Tick { work } => {
-                    self.advance(owner, work);
-                    return MergeEvent::Tick;
-                }
-                ShardMsg::Spawned { task, rx } => {
-                    return MergeEvent::Subtree { task, rx };
-                }
-                ShardMsg::Done { children, work } => {
-                    // The owner is out of children entirely, so the
-                    // horizon is at most `next_child` (its earlier
-                    // `ChildDone`s were consumed first — FIFO): record
-                    // it and re-check the loop condition.
-                    self.advance(owner, work);
-                    debug_assert!(self.total.is_none_or(|t| t == children));
-                    self.total = Some(children);
-                }
-                ShardMsg::Failed => return MergeEvent::Failed,
             }
+        };
+        let prev = match from {
+            Drain::Child { worker, .. } => &mut self.clocks[*worker],
+            Drain::Task { baseline, .. } => baseline.get_or_insert(work),
+        };
+        if work > *prev {
+            self.clock += work - *prev;
+            *prev = work;
         }
+        event
     }
 }
 
@@ -412,13 +357,27 @@ mod tests {
         drop(iter); // must not hang
     }
 
+    /// Drains `from` to its end into `items`, recursing into subtrees at
+    /// their markers, as the coordinator does.
+    fn drain(merge: &mut ShardMerge<u32>, mut from: Drain<u32>, items: &mut Vec<u32>) {
+        loop {
+            match merge.next_event(&mut from) {
+                MergeEvent::Item(x) => items.push(x),
+                MergeEvent::Tick => {}
+                MergeEvent::Subtree { rx, .. } => drain(merge, Drain::task(rx), items),
+                MergeEvent::Done => return,
+                MergeEvent::Failed => panic!("stream failed"),
+            }
+        }
+    }
+
     #[test]
     fn subtree_stack_merges_in_position_with_baselined_clock() {
         // One worker, one root child containing [1, <spawned: 2, 3>, 4]:
-        // the merged stream must interleave the task channel at exactly
-        // the marker's position, and the executor's absolute counter
-        // (starting at 1000, far above the worker's) must contribute only
-        // deltas after its baseline.
+        // draining the task channel at the marker lands its items at
+        // exactly the marker's position, and the executor's absolute
+        // counter (starting at 1000, far above the worker's) contributes
+        // only deltas after its baseline.
         let (txs, rxs) = shard_channels::<u32>(1, 16);
         let (task_tx, task_rx) = bounded(16);
         let w = &txs[0];
@@ -440,11 +399,6 @@ mod tests {
         })
         .unwrap();
         w.send(ShardMsg::ChildDone { child: 0, work: 31 }).unwrap();
-        w.send(ShardMsg::Done {
-            children: 1,
-            work: 31,
-        })
-        .unwrap();
         task_tx
             .send(ShardMsg::Item {
                 child: 0,
@@ -459,49 +413,49 @@ mod tests {
                 work: 1005,
             })
             .unwrap();
-        task_tx
-            .send(ShardMsg::Done {
-                children: 0,
-                work: 1006,
-            })
-            .unwrap();
+        task_tx.send(ShardMsg::Done { work: 1006 }).unwrap();
         drop(task_tx);
         drop(txs);
 
         let mut merge = ShardMerge::new(rxs);
         let mut items = Vec::new();
-        loop {
-            match merge.next_event() {
-                MergeEvent::Item(x) => items.push(x),
-                MergeEvent::Tick => {}
-                MergeEvent::Subtree { task, rx } => {
-                    assert_eq!(task, 7);
-                    merge.enter_subtree(rx);
-                }
-                MergeEvent::Finished => break,
-                MergeEvent::Failed => panic!("merge failed"),
-            }
-        }
+        drain(
+            &mut merge,
+            Drain::Child {
+                worker: 0,
+                child: 0,
+            },
+            &mut items,
+        );
         assert_eq!(items, vec![1, 2, 3, 4], "subtree lands at its marker");
         // Clock: worker contributes 31; the task stream's first message
         // baselines at 1000 (contributing 0) and then adds 5 + 1 = 6.
         assert_eq!(merge.work(), 31 + 6);
+        // The worker's stream ended with the child: a further read sees
+        // the hang-up.
+        let mut next = Drain::Child {
+            worker: 0,
+            child: 1,
+        };
+        assert!(matches!(merge.next_event(&mut next), MergeEvent::Failed));
     }
 
     #[test]
     fn advance_external_moves_the_merged_clock() {
         let (txs, rxs) = shard_channels::<u32>(1, 4);
         txs[0]
-            .send(ShardMsg::Done {
-                children: 0,
-                work: 0,
-            })
+            .send(ShardMsg::ChildDone { child: 1, work: 5 })
             .unwrap();
         drop(txs);
         let mut merge = ShardMerge::new(rxs);
         merge.advance_external(17);
         assert_eq!(merge.work(), 17);
-        assert!(matches!(merge.next_event(), MergeEvent::Finished));
+        let mut child = Drain::Child {
+            worker: 0,
+            child: 1,
+        };
+        assert!(matches!(merge.next_event(&mut child), MergeEvent::Done));
+        assert_eq!(merge.work(), 17 + 5, "worker and external work add up");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::source::SourceFile;
 /// recursion that calls them (`solver.rs`: `recurse`/`recurse_stealing`
 /// and `emit`, plus the per-solution `solution` and per-node `tick` impls
 /// of the sinks it drives — `ShardSink`, the delivery chain's `Guard`,
-/// `InlineBridge` — and the chain end stage's per-delivery `deliver`),
+/// `CoordSink` — and the chain end stage's per-delivery `deliver`),
 /// the per-node graph structures the classifiers call (`spanning.rs`:
 /// the forced-path queries of every tree, terminal and directed
 /// `classify`; `union_find.rs`: the forest's `F` and `G″` labels, read by

@@ -5,15 +5,16 @@
 //! and every front-end combination (direct, queued, limited, early
 //! break, pull iterator), the sharded run delivers a solution stream
 //! **identical to the sequential run** — same solutions, same order.
-//! The shard workers split the root's children round-robin and the
-//! merge re-interleaves them deterministically, so this is an exact
-//! (not just set-wise) equality.
+//! The calling thread (shard 0) and the k − 1 spawned workers split the
+//! root's children round-robin and the calling thread re-interleaves
+//! them deterministically, so this is an exact (not just set-wise)
+//! equality.
 
 use minimal_steiner::graph::{generators, EdgeId, VertexId};
 use minimal_steiner::steiner::problem::{NodeStep, Prepared, SubtreeRecord};
 use minimal_steiner::{
-    DirectedSteinerTree, EnumStats, Enumeration, MinimalSteinerProblem, SteinerError,
-    SteinerForest, SteinerTree, TerminalSteinerTree,
+    DirectedSteinerTree, EnumStats, Enumeration, MinimalSteinerProblem, StealSchedule,
+    SteinerError, SteinerForest, SteinerTree, TerminalSteinerTree,
 };
 use rand::{Rng, SeedableRng};
 use std::ops::ControlFlow;
@@ -331,26 +332,45 @@ fn sharded_limit_zero_delivers_nothing() {
 /// is the one-edge solution `{i}`. Each instance counts the root
 /// children its own `branch` generates, so a test can tell which
 /// instance paid for the root's child generation; `split_root` copies
-/// get counters of their own.
+/// get counters of their own. The `split_root` and `prepare` calls of an
+/// instance and all its copies go to one shared tally.
 struct FanRoot {
     fanout: u32,
     /// The root child currently applied, if any.
     at: Option<u32>,
+    /// Whether subtrees may be checkpointed (and so stolen).
+    checkpoints: bool,
     root_children: Arc<AtomicU64>,
+    calls: Arc<Calls>,
     stats: EnumStats,
 }
 
+/// `split_root` and `prepare` calls across one instance and its copies.
+#[derive(Default)]
+struct Calls {
+    splits: AtomicU64,
+    prepares: AtomicU64,
+}
+
 impl FanRoot {
-    /// An instance plus a handle on its root-child counter.
-    fn new(fanout: u32) -> (Self, Arc<AtomicU64>) {
-        let root_children = Arc::new(AtomicU64::new(0));
-        let problem = FanRoot {
+    fn new(fanout: u32) -> Self {
+        FanRoot {
             fanout,
             at: None,
-            root_children: Arc::clone(&root_children),
+            checkpoints: true,
+            root_children: Arc::default(),
+            calls: Arc::default(),
             stats: EnumStats::default(),
-        };
-        (problem, root_children)
+        }
+    }
+
+    /// The same instance with subtree checkpoints declined, so no subtree
+    /// is ever stolen or claimed.
+    fn without_checkpoints(self) -> Self {
+        FanRoot {
+            checkpoints: false,
+            ..self
+        }
     }
 }
 
@@ -365,6 +385,7 @@ impl MinimalSteinerProblem for FanRoot {
     }
 
     fn prepare(&mut self) -> Result<Prepared<EdgeId>, SteinerError> {
+        self.calls.prepares.fetch_add(1, Ordering::Relaxed);
         Ok(Prepared::Search)
     }
 
@@ -410,13 +431,21 @@ impl MinimalSteinerProblem for FanRoot {
     }
 
     fn split_root(&self) -> Option<Self> {
-        Some(FanRoot::new(self.fanout).0)
+        self.calls.splits.fetch_add(1, Ordering::Relaxed);
+        Some(FanRoot {
+            at: None,
+            root_children: Arc::default(),
+            stats: EnumStats::default(),
+            calls: Arc::clone(&self.calls),
+            ..*self
+        })
     }
 
     fn record_subtree(&self) -> Option<SubtreeRecord<EdgeId>> {
-        self.at.map(|i| SubtreeRecord {
+        let at = self.at.filter(|_| self.checkpoints)?;
+        Some(SubtreeRecord {
             vertices: Vec::new(),
-            items: vec![EdgeId(i)],
+            items: vec![EdgeId(at)],
             meta: 0,
         })
     }
@@ -433,40 +462,100 @@ impl MinimalSteinerProblem for FanRoot {
     }
 }
 
+/// The full sequential stream of a fan root: child `i` is `{i}`.
+fn fan_stream(fanout: u32) -> Vec<Vec<EdgeId>> {
+    (0..fanout).map(|i| vec![EdgeId(i)]).collect()
+}
+
 #[test]
-fn coordinator_instance_generates_no_root_children() {
-    // The workers generate the root's children lazily; the instance the
-    // caller hands over stays with the coordinator, which must not
-    // branch at the root before (or while) the workers run. The first
-    // solution is child 0's.
+fn coordinator_generates_root_children_lazily() {
+    // The calling thread runs shard 0: it classifies the root and
+    // generates the root's children in engine order, so before the first
+    // delivery the caller's instance has generated exactly one root
+    // child, and the first solution is child 0's.
     let first = vec![vec![EdgeId(0)]];
-    let (root, generated) = FanRoot::new(300);
+    let root = FanRoot::new(300);
+    let generated = Arc::clone(&root.root_children);
     let mut pushed = Vec::new();
+    let mut at_first = None;
     Enumeration::new(root)
         .with_threads(2)
         .for_each(|items| {
+            at_first = Some(generated.load(Ordering::Relaxed));
             pushed.push(items.to_vec());
             ControlFlow::Break(())
         })
         .expect("valid instance");
     assert_eq!(pushed, first, "push");
     assert_eq!(
-        generated.load(Ordering::Relaxed),
-        0,
-        "push front-end: the coordinator generated root children"
+        at_first,
+        Some(1),
+        "push front-end: root children generated before the first delivery"
     );
 
-    let (root, generated) = FanRoot::new(300);
+    // The pull front-end delivers on its own thread; a limit of one stops
+    // the run at that delivery, so the count afterwards is the count then.
+    let root = FanRoot::new(300);
+    let generated = Arc::clone(&root.root_children);
     let pulled: Vec<Vec<EdgeId>> = Enumeration::new(root)
         .with_threads(2)
+        .with_limit(1)
         .into_iter()
         .expect("valid instance")
-        .take(1)
         .collect();
     assert_eq!(pulled, first, "pull");
     assert_eq!(
         generated.load(Ordering::Relaxed),
-        0,
-        "pull front-end: the coordinator generated root children"
+        1,
+        "pull front-end: root children generated before the first delivery"
     );
+}
+
+#[test]
+fn sharded_runs_use_k_threads_and_k_prepares() {
+    // The calling thread is shard 0 and keeps the instance it prepared:
+    // with no subtree claimed inline, `with_threads(k)` makes k − 1
+    // copies and prepares k instances in all — also when k exceeds the
+    // root's fanout, so some workers own no root child.
+    for (fanout, k) in [(12u32, 2u32), (12, 3), (12, 4), (1, 4), (2, 4)] {
+        let root = FanRoot::new(fanout).without_checkpoints();
+        let calls = Arc::clone(&root.calls);
+        let got = ordered(Enumeration::new(root).with_threads(k as usize));
+        assert_eq!(got, fan_stream(fanout), "fanout {fanout}, threads({k})");
+        assert_eq!(
+            calls.splits.load(Ordering::Relaxed),
+            u64::from(k - 1),
+            "fanout {fanout}, threads({k}): split_root copies"
+        );
+        assert_eq!(
+            calls.prepares.load(Ordering::Relaxed),
+            u64::from(k),
+            "fanout {fanout}, threads({k}): prepares"
+        );
+        // With checkpoints the adaptive policy may steal; the stream stays.
+        let stolen = ordered(
+            Enumeration::new(FanRoot::new(fanout))
+                .with_threads(k as usize)
+                .with_default_queue(),
+        );
+        assert_eq!(stolen, fan_stream(fanout), "fanout {fanout}, stealing");
+    }
+
+    // A subtree claimed inline replays on one more copy, prepared on the
+    // claim: worker 1 publishes its child 1 as task 0, which a pinned
+    // script gives to worker 0, the coordinator.
+    let root = FanRoot::new(4);
+    let calls = Arc::clone(&root.calls);
+    let (e, handle) = Enumeration::new(root)
+        .with_threads(2)
+        .with_steal_schedule(StealSchedule::new().steal_at(&[1]).pin_claims(true))
+        .with_stats();
+    assert_eq!(ordered(e), fan_stream(4), "inline claim stream");
+    assert_eq!(
+        handle.get().subtrees_stolen,
+        1,
+        "the script publishes child 1"
+    );
+    assert_eq!(calls.splits.load(Ordering::Relaxed), 2, "one spare copy");
+    assert_eq!(calls.prepares.load(Ordering::Relaxed), 3, "and its prepare");
 }

@@ -14,7 +14,7 @@
 //! CI container.
 
 use minimal_steiner::graph::{generators, EdgeId, VertexId};
-use minimal_steiner::steiner::problem::{NodeStep, Prepared};
+use minimal_steiner::steiner::problem::{NodeStep, Prepared, SubtreeRecord};
 use minimal_steiner::{
     DirectedSteinerTree, EnumStats, Enumeration, MinimalSteinerProblem, ResultCache, StealObserver,
     StealSchedule, SteinerError, SteinerForest, SteinerTree, TerminalSteinerTree,
@@ -22,6 +22,8 @@ use minimal_steiner::{
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use steiner_bench::workloads;
 
 /// Collects the full ordered stream of an enumeration.
@@ -495,33 +497,46 @@ fn skewed_workload_records_steals_in_merged_stats() {
     );
 }
 
-/// A test-only problem that shards but cannot checkpoint subtrees (it
-/// keeps the default `record_subtree`): a complete `fanout`-ary tree of
-/// the given depth whose leaf at choice path `c₁…c_d` is the solution
-/// `{level · fanout + c_level}`.
-struct NoCheckpoints {
+/// A test-only problem: a complete `fanout`-ary tree of the given depth
+/// whose leaf at choice path `c₁…c_d` is the solution
+/// `{level · fanout + c_level}`. It checkpoints a subtree as its choice
+/// path, unless built [`without_checkpoints`](Self::without_checkpoints)
+/// (then it keeps the default `record_subtree`, which declines), and
+/// counts the `split_root` calls of an instance and all its copies.
+struct FullTree {
     fanout: u32,
     depth: usize,
+    checkpoints: bool,
     choices: Vec<u32>,
+    splits: Arc<AtomicU64>,
     stats: EnumStats,
 }
 
-impl NoCheckpoints {
+impl FullTree {
     fn new(fanout: u32, depth: usize) -> Self {
-        NoCheckpoints {
+        FullTree {
             fanout,
             depth,
+            checkpoints: true,
             choices: Vec::new(),
+            splits: Arc::default(),
             stats: EnumStats::default(),
+        }
+    }
+
+    fn without_checkpoints(self) -> Self {
+        FullTree {
+            checkpoints: false,
+            ..self
         }
     }
 }
 
-impl MinimalSteinerProblem for NoCheckpoints {
+impl MinimalSteinerProblem for FullTree {
     type Item = EdgeId;
     type Branch = ();
 
-    const NAME: &'static str = "no-checkpoint test problem";
+    const NAME: &'static str = "full-tree test problem";
 
     fn validate(&self) -> Result<(), SteinerError> {
         Ok(())
@@ -575,8 +590,66 @@ impl MinimalSteinerProblem for NoCheckpoints {
     }
 
     fn split_root(&self) -> Option<Self> {
-        Some(NoCheckpoints::new(self.fanout, self.depth))
+        self.splits.fetch_add(1, Ordering::Relaxed);
+        Some(FullTree {
+            choices: Vec::new(),
+            splits: Arc::clone(&self.splits),
+            stats: EnumStats::default(),
+            ..*self
+        })
     }
+
+    fn record_subtree(&self) -> Option<SubtreeRecord<EdgeId>> {
+        self.checkpoints.then(|| SubtreeRecord {
+            vertices: Vec::new(),
+            items: self.choices.iter().map(|&c| EdgeId(c)).collect(),
+            meta: 0,
+        })
+    }
+
+    fn replay_subtree(
+        &mut self,
+        record: &SubtreeRecord<EdgeId>,
+        child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        self.choices = record.items.iter().map(|e| e.0).collect();
+        let flow = child(self);
+        self.choices.clear();
+        flow
+    }
+}
+
+#[test]
+fn nested_claims_replay_on_one_spare_per_level() {
+    // Pinned claims, k = 2, and a script whose tasks are published one
+    // after another: worker 1 publishes its root child [1] (task 0,
+    // pinned to the coordinator), the coordinator claims it and, replaying
+    // it on a spare, publishes [1, 0] (task 1, pinned to worker 1) and
+    // drains it; worker 1, executing task 1, publishes [1, 0, 0] (task 2,
+    // pinned to the coordinator) into that stream, so the coordinator
+    // claims it while its first spare is still inside task 0 — on a
+    // second spare.
+    let sequential = ordered(Enumeration::new(FullTree::new(2, 3)));
+    assert_eq!(sequential.len(), 8);
+    let problem = FullTree::new(2, 3);
+    let splits = Arc::clone(&problem.splits);
+    let schedule = StealSchedule::new()
+        .steal_at(&[1])
+        .steal_at(&[1, 0])
+        .steal_at(&[1, 0, 0])
+        .pin_claims(true);
+    let (stream, stats) = ordered_with_stats(
+        Enumeration::new(problem)
+            .with_threads(2)
+            .with_steal_schedule(schedule),
+    );
+    assert_eq!(stream, sequential, "nested claims keep the stream");
+    assert_eq!(stats.subtrees_stolen, 3, "every scripted address published");
+    assert_eq!(
+        splits.load(Ordering::Relaxed),
+        3,
+        "one worker copy and one spare for each of the two claim levels"
+    );
 }
 
 #[test]
@@ -585,7 +658,7 @@ fn stealing_off_records_no_steals() {
     // residue through the work-stealing pool: the stream is the sequential
     // one and no subtree ever migrates, under the adaptive policy and
     // under a script that asks for a steal at every depth.
-    let make = || NoCheckpoints::new(3, 5);
+    let make = || FullTree::new(3, 5).without_checkpoints();
     let sequential = ordered(Enumeration::new(make()));
     assert_eq!(sequential.len(), 243);
     for k in [2usize, 4] {
